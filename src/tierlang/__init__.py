@@ -39,11 +39,10 @@ from .lang import (
 )
 from .ops import OperatorDef, Registry, builtins, default_registry, validate_class
 from .parser import ParseError, SourceFile, parse, pretty
-from .semantics import eval_expr, run_sequential, step_command
+from .semantics import ControlTable, eval_expr, run_sequential, step_command
 from .scheduling import (
     ExplorationReport,
     FirstAlive,
-    GlobalConfig,
     RoundRobin,
     Scheduler,
     SeededRandom,
@@ -91,8 +90,8 @@ __all__ = [
     "ops_used", "seq_all", "subword", "unary", "word_literal",
     "OperatorDef", "Registry", "builtins", "default_registry", "validate_class",
     "ParseError", "SourceFile", "parse", "pretty",
-    "eval_expr", "run_sequential", "step_command",
-    "ExplorationReport", "FirstAlive", "GlobalConfig", "RoundRobin", "Scheduler",
+    "ControlTable", "eval_expr", "run_sequential", "step_command",
+    "ExplorationReport", "FirstAlive", "RoundRobin", "Scheduler",
     "SeededRandom", "explore", "quietness_test", "run_with_scheduler", "step_global",
     "FitReport", "GrowthTable", "NiReport", "SubwordReport", "TierPreservationReport",
     "fit_polynomial", "measure_growth", "ni_suite", "scheduled_run_stores",

@@ -37,7 +37,6 @@ from .ops import Registry, default_registry
 from .parser import pretty_command
 from .scheduling import (
     ExplorationReport,
-    GlobalConfig,
     Scheduler,
     ScheduledRun,
     explore,
@@ -45,8 +44,8 @@ from .scheduling import (
     run_with_scheduler,
     step_global,
 )
-from .semantics import StuckGuardError
-from .typecheck import BOTH_TIERS, SigEnv, command_tiers
+from .semantics import DONE, ControlTable, StuckGuardError
+from .typecheck import BOTH_TIERS, SigEnv, command_tiers, seq_tiers
 
 TierEnv = Mapping[str, Tier]
 
@@ -354,56 +353,75 @@ def tier_preservation(
     interleaving within the bounds; ``complete`` says whether it closed.
     """
     registry = registry or default_registry()
-    tier_cache: dict = {}
+    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    tids = program.thread_ids()
+    tiers: dict[int, frozenset[Tier]] = {}
 
-    def tiers_of(cmd) -> frozenset[Tier]:
-        cached = tier_cache.get(cmd)
-        if cached is None:
-            cached = command_tiers(gamma, sig_env, registry, cmd)
-            tier_cache[cmd] = cached
-        return cached
+    def tiers_of(slot: int) -> frozenset[Tier]:
+        # A sequence combines its halves' tiers, so a long sequence costs
+        # one command_tiers call per statement and no deep recursion.
+        # Left halves go first, the order command_tiers itself visits in.
+        stack = [slot]
+        while stack:
+            node = stack[-1]
+            if node in tiers:
+                stack.pop()
+                continue
+            halves = table.halves[node]
+            if halves is None:
+                tiers[node] = command_tiers(gamma, sig_env, registry, table.commands[node])
+                stack.pop()
+                continue
+            missing = [half for half in reversed(halves) if half not in tiers]
+            if missing:
+                stack += missing
+            else:
+                tiers[node] = seq_tiers(tiers[halves[0]], tiers[halves[1]])
+                stack.pop()
+        return tiers[slot]
 
-    start = GlobalConfig(store, program)
-    seen = {(store, program)}
-    frontier = deque([start])
+    start = (store, table.roots)
+    seen = {start}
+    frontier = deque([(*start, 0)])
     edges = 0
     complete = True
     while frontier:
-        config = frontier.popleft()
-        if config.steps >= max_steps:
+        node_store, slots, depth = frontier.popleft()
+        if depth >= max_steps:
             complete = False
             continue
-        for tid in config.program.thread_ids():
-            before_cmd = config.program.command(tid)
-            before = tiers_of(before_cmd)
+        for index, slot in enumerate(slots):
+            if slot == DONE:
+                continue
+            before = tiers_of(slot)
             try:
-                step = step_global(config, tid, registry)
+                child_store, child_slots, _ = step_global(table, node_store, slots, index)
             except StuckGuardError:
                 continue
             edges += 1
-            after_cmd = None if step.stopped else step.config.program.command(tid)
-            after = BOTH_TIERS if after_cmd is None else tiers_of(after_cmd)
+            after_slot = child_slots[index]
+            after = BOTH_TIERS if after_slot == DONE else tiers_of(after_slot)
             if not before or not after or min(after) > min(before):
                 return TierPreservationReport(
                     False,
                     edges,
                     complete,
                     TierDropViolation(
-                        tid,
-                        config.steps,
-                        pretty_command(before_cmd),
-                        None if after_cmd is None else pretty_command(after_cmd),
+                        tids[index],
+                        depth,
+                        pretty_command(table.commands[slot]),
+                        None if after_slot == DONE else pretty_command(table.commands[after_slot]),
                         tuple(sorted(before)),
                         tuple(sorted(after)),
                     ),
                 )
-            key = (step.config.store, step.config.program)
+            key = (child_store, child_slots)
             if key not in seen:
                 if len(seen) >= max_states:
                     complete = False
                     continue
                 seen.add(key)
-                frontier.append(step.config)
+                frontier.append((child_store, child_slots, depth + 1))
     return TierPreservationReport(True, edges, complete)
 
 

@@ -319,6 +319,15 @@ class Store:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
+    def _normalized(cls, data: dict[str, Word]) -> Store:
+        """Wrap a dict that already holds no empty words, skipping the
+        normalizing copy; the store takes ownership of ``data``."""
+        store = object.__new__(cls)
+        _set_bindings(store, data)
+        _set_hash(store, None)
+        return store
+
+    @classmethod
     def of(cls, **bindings: Word) -> Store:
         return cls(bindings)
 
@@ -331,7 +340,7 @@ class Store:
             data[var] = word
         else:
             data.pop(var, None)
-        return Store(data)
+        return Store._normalized(data)
 
     def bind_many(self, updates: Mapping[str, Word]) -> Store:
         out = self
@@ -341,7 +350,7 @@ class Store:
 
     def restrict(self, variables: Iterable[str]) -> Store:
         keep = set(variables)
-        return Store({k: v for k, v in self._bindings.items() if k in keep})
+        return Store._normalized({k: v for k, v in self._bindings.items() if k in keep})
 
     def items(self) -> list[tuple[str, Word]]:
         return sorted(self._bindings.items())
@@ -368,6 +377,10 @@ class Store:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Store is immutable")
 
+
+# Slot setters that bypass the immutability guard in ``__setattr__``.
+_set_bindings = Store._bindings.__set__  # type: ignore[attr-defined]
+_set_hash = Store._hash.__set__  # type: ignore[attr-defined]
 
 EMPTY_STORE = Store()
 
@@ -409,16 +422,3 @@ class Program:
                 return cmd
         raise KeyError(tid)
 
-    def without(self, tid: str) -> Program:
-        if tid not in self.thread_ids():
-            raise KeyError(tid)
-        return Program(tuple((n, c) for n, c in self.threads if n != tid))
-
-    def updated(self, tid: str, command: Command) -> Program:
-        if tid not in self.thread_ids():
-            raise KeyError(tid)
-        return Program(tuple((n, command if n == tid else c) for n, c in self.threads))
-
-    @property
-    def empty(self) -> bool:
-        return not self.threads

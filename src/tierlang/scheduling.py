@@ -1,20 +1,25 @@
 """Multi-threaded execution: global steps, schedulers, and exploration.
 
-A global configuration is a shared store plus a pool of named threads.
-One global step picks a live thread and advances it one atomic step;
-threads that terminate leave the pool.  The ``loops`` counter accumulates
-loop unfoldings across all threads and the ``steps`` counter counts
-global steps, so ``loops <= steps`` always.
+A global configuration is a shared store plus one control slot per
+thread.  The slots index a ``ControlTable`` built from the program's
+threads (see ``semantics``): the table hash-conses every residual
+command, so a configuration is a store and a tuple of small ints, and
+a thread whose slot is ``DONE`` has terminated.  One global step picks
+a live thread and advances it one atomic step.  The ``loops`` counter
+accumulates loop unfoldings across all threads and the ``steps``
+counter counts global steps, so ``loops <= steps`` always.
 
-Schedulers are deterministic: a choice function over the current pool
-and store plus private state.  A scheduler is *quiet* when its choice
-never depends on tier-0 data; the flag on each scheduler records the
-claim and ``quietness_test`` probes it behaviorally by running the same
-program from stores that agree on tier-1 variables only.
+Schedulers are deterministic: a choice function over the live thread
+ids and the store plus private state.  A scheduler is *quiet* when its
+choice never depends on tier-0 data; the flag on each scheduler records
+the claim and ``quietness_test`` probes it behaviorally by running the
+same program from stores that agree on tier-1 variables only.
 
 ``explore`` enumerates every interleaving up to bounded depth, memoizing
-on the (store, pool) configuration.  A configuration revisited along one
-path is a cycle, which witnesses a non-terminating schedule.
+on the (store, slots) configuration.  Structurally equal residuals share
+a slot, so this is the same as memoizing on the store and the pool of
+residual commands.  A configuration revisited along one path is a
+cycle, which witnesses a non-terminating schedule.
 """
 
 from __future__ import annotations
@@ -26,47 +31,17 @@ from typing import Iterable
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .ops import Registry, default_registry
-from .semantics import StuckGuardError, step_command
+from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
 
-@dataclass(frozen=True)
-class GlobalConfig:
-    store: Store
-    program: Program
-    loops: int = 0
-    steps: int = 0
-
-    @property
-    def terminal(self) -> bool:
-        return self.program.empty
-
-
-@dataclass(frozen=True)
-class GlobalStep:
-    """One global step: the new configuration plus what happened."""
-
-    config: GlobalConfig
-    thread: str
-    rule: str
-    stopped: bool
-    assigned: tuple[str, Word] | None = None
-
-
-def step_global(config: GlobalConfig, tid: str, registry: Registry | None = None) -> GlobalStep:
-    """Advance the named thread one step (it must be in the pool)."""
-    registry = registry or default_registry()
-    cmd = config.program.command(tid)
-    outcome = step_command(config.store, cmd, registry)
-    if outcome.residual is None:
-        pool = config.program.without(tid)
-        stopped = True
-    else:
-        pool = config.program.updated(tid, outcome.residual)
-        stopped = False
-    nxt = GlobalConfig(
-        outcome.store, pool, config.loops + outcome.loop_increment, config.steps + 1
-    )
-    return GlobalStep(nxt, tid, outcome.rule, stopped, outcome.assigned)
+def step_global(
+    table: ControlTable, store: Store, slots: tuple[int, ...], index: int
+) -> tuple[Store, tuple[int, ...], str]:
+    """Advance thread ``index`` of a compact state one step: the new
+    store, the new slots (``DONE`` for a thread that terminated), and the
+    rule that fired."""
+    store, slot, rule, _ = table.step(slots[index], store)
+    return store, slots[:index] + (slot,) + slots[index + 1:], rule
 
 
 # --- schedulers ---------------------------------------------------------------
@@ -85,7 +60,8 @@ class Scheduler:
     def fresh_state(self) -> object:
         return None
 
-    def choose(self, program: Program, store: Store, state: object) -> tuple[str, object]:
+    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
+        """Pick one of the live thread ids (sorted by name, never empty)."""
         raise NotImplementedError
 
 
@@ -95,8 +71,7 @@ class RoundRobin(Scheduler):
     name = "round-robin"
     quiet = True
 
-    def choose(self, program: Program, store: Store, state: object) -> tuple[str, object]:
-        tids = program.thread_ids()
+    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
         last = state
         if isinstance(last, str):
             later = [t for t in tids if t > last]
@@ -116,8 +91,8 @@ class FirstAlive(Scheduler):
     name = "first-alive"
     quiet = True
 
-    def choose(self, program: Program, store: Store, state: object) -> tuple[str, object]:
-        return program.thread_ids()[0], None
+    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
+        return tids[0], None
 
 
 class SeededRandom(Scheduler):
@@ -133,9 +108,8 @@ class SeededRandom(Scheduler):
     def fresh_state(self) -> object:
         return random.Random(self.seed)
 
-    def choose(self, program: Program, store: Store, state: object) -> tuple[str, object]:
+    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
         assert isinstance(state, random.Random)
-        tids = program.thread_ids()
         return state.choice(tids), state
 
 
@@ -150,8 +124,7 @@ class StorePeek(Scheduler):
         self.var = var
         self.name = f"peek-{var}"
 
-    def choose(self, program: Program, store: Store, state: object) -> tuple[str, object]:
-        tids = program.thread_ids()
+    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
         return tids[len(store.lookup(self.var)) % len(tids)], None
 
 
@@ -198,30 +171,34 @@ def run_with_scheduler(
 ) -> ScheduledRun:
     """Drive the pool with the scheduler until it empties or fuel runs out."""
     registry = registry or default_registry()
-    config = GlobalConfig(store, program)
+    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    live = program.thread_ids()
+    slots = dict(zip(live, table.roots))
     state = scheduler.fresh_state()
+    steps = 0
+    loops = 0
     choices: list[str] = []
     trace: list[GlobalTraceStep] = []
-    while not config.terminal:
-        if config.steps >= fuel:
+    while live:
+        if steps >= fuel:
+            residual = Program(tuple((tid, table.commands[slots[tid]]) for tid in live))
             return ScheduledRun(
-                config.store, config.program, config.steps, config.loops,
-                False, tuple(choices), tuple(trace),
+                store, residual, steps, loops, False, tuple(choices), tuple(trace)
             )
-        tid, state = scheduler.choose(config.program, config.store, state)
-        step = step_global(config, tid, registry)
-        config = step.config
+        tid, state = scheduler.choose(live, store, state)
+        store, slot, rule, assigned = table.step(slots[tid], store)
+        steps += 1
+        if rule == UNFOLD:
+            loops += 1
+        if slot == DONE:
+            del slots[tid]
+            live = tuple(t for t in live if t != tid)
+        else:
+            slots[tid] = slot
         choices.append(tid)
         if keep_trace and len(trace) < trace_cap:
-            trace.append(
-                GlobalTraceStep(
-                    config.steps, tid, step.rule, config.loops, step.assigned, config.store
-                )
-            )
-    return ScheduledRun(
-        config.store, config.program, config.steps, config.loops,
-        True, tuple(choices), tuple(trace),
-    )
+            trace.append(GlobalTraceStep(steps, tid, rule, loops, assigned, store))
+    return ScheduledRun(store, Program(()), steps, loops, True, tuple(choices), tuple(trace))
 
 
 def dump_global_trace(run: ScheduledRun) -> str:
@@ -284,11 +261,13 @@ def explore(
     max_steps: int = 200,
     max_states: int = 200_000,
 ) -> ExplorationReport:
-    """Enumerate all interleavings, memoizing on (store, pool) states."""
+    """Enumerate all interleavings, memoizing on (store, slots) states."""
     registry = registry or default_registry()
-    root = (store, program)
-    ids: dict[tuple[Store, Program], int] = {root: 0}
-    nodes: list[tuple[Store, Program]] = [root]
+    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    root = (store, table.roots)
+    finished = (DONE,) * len(table.roots)
+    ids: dict[tuple[Store, tuple[int, ...]], int] = {root: 0}
+    nodes: list[tuple[Store, tuple[int, ...]]] = [root]
     succ: dict[int, tuple[tuple[int, int], ...]] = {}
     depth = {0: 0}
     terminal: set[int] = set()
@@ -298,8 +277,8 @@ def explore(
     frontier: deque[int] = deque((0,))
     while frontier:
         nid = frontier.popleft()
-        node_store, pool = nodes[nid]
-        if pool.empty:
+        node_store, slots = nodes[nid]
+        if slots == finished:
             terminal.add(nid)
             succ[nid] = ()
             continue
@@ -308,14 +287,15 @@ def explore(
             succ[nid] = ()
             continue
         edges: list[tuple[int, int]] = []
-        config = GlobalConfig(node_store, pool)
-        for tid in pool.thread_ids():
+        for index, slot in enumerate(slots):
+            if slot == DONE:
+                continue
             try:
-                step = step_global(config, tid, registry)
+                child_store, child_slots, rule = step_global(table, node_store, slots, index)
             except StuckGuardError:
                 stuck.add(nid)
                 continue
-            key = (step.config.store, step.config.program)
+            key = (child_store, child_slots)
             child = ids.get(key)
             if child is None:
                 if len(nodes) >= max_states:
@@ -326,9 +306,7 @@ def explore(
                 nodes.append(key)
                 depth[child] = depth[nid] + 1
                 frontier.append(child)
-            # The base config above starts at loop count 0, so the new
-            # config's count is exactly this edge's loop increment.
-            edges.append((child, step.config.loops))
+            edges.append((child, int(rule == UNFOLD)))
         succ[nid] = tuple(edges)
 
     cycle_found = _has_cycle(succ)

@@ -11,13 +11,22 @@ steps.
 Conditionals and loops demand an exact truth word (``T`` or ``F``) from
 their guard; any other value is a hard error rather than a silent
 default, so ill-formed guards surface immediately.
+
+``step_command`` steps a command tree directly.  Runs instead step a
+``ControlTable``: every residual a command can reach gets a hash-consed
+slot number, and each slot records its redex's compiled expression and
+the slots that follow, so a run state is a store plus one int per
+thread and a step is a table lookup plus one operator call.  Both share
+one redex/context split and one list of step rules.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 from .lang import (
+    EMPTY,
     FF,
     TT,
     Assign,
@@ -32,7 +41,7 @@ from .lang import (
     While,
     Word,
 )
-from .ops import Registry, default_registry
+from .ops import Registry, UnknownOperatorError, default_registry
 
 
 class StuckGuardError(RuntimeError):
@@ -86,30 +95,225 @@ def _guard_value(store: Store, cmd: If | While, registry: Registry) -> bool:
     raise StuckGuardError(cmd, value)
 
 
+# --- the step rules ----------------------------------------------------------------
+#
+# A command steps at its redex, the first command down the left spine of
+# its sequences.  The redex picks a rule and leaves a residual (or
+# nothing), which is plugged back into the sequences around it.
+
+UNFOLD = "while-tt"  # the one rule that counts as a loop iteration
+
+
+def _split(cmd: Command) -> tuple[Command, list[Seq]]:
+    """The redex of a command and the sequences around it, innermost first."""
+    context: list[Seq] = []
+    while isinstance(cmd, Seq):
+        context.append(cmd)
+        cmd = cmd.first
+    context.reverse()
+    return cmd, context
+
+
+def _successors(redex: Command) -> tuple[tuple[str, Command | None], ...]:
+    """The rules a redex can fire, each with the residual it leaves
+    (``None`` when the redex is done): one rule for skip and assignment,
+    the true and then the false case for a guard."""
+    if isinstance(redex, Skip):
+        return (("skip", None),)
+    if isinstance(redex, Assign):
+        return (("assign", None),)
+    if isinstance(redex, If):
+        return (("if-tt", redex.then_branch), ("if-ff", redex.else_branch))
+    if isinstance(redex, While):
+        return ((UNFOLD, Seq(redex.body, redex, redex.span)), ("while-ff", None))
+    raise TypeError(f"not a command: {redex!r}")
+
+
+def _new_seq(residual: Command, outer: Seq) -> Command:
+    return Seq(residual, outer.second, outer.span)
+
+
+def _plug(
+    residual: Command | None,
+    context: list[Seq],
+    seq: Callable[[Command, Seq], Command] = _new_seq,
+) -> Command | None:
+    """Put a redex's residual back into its context; a finished redex
+    hands control to the innermost continuation."""
+    for outer in context:
+        residual = outer.second if residual is None else seq(residual, outer)
+    return residual
+
+
 def step_command(store: Store, cmd: Command, registry: Registry | None = None) -> StepOutcome:
     """Perform exactly one atomic step of the command."""
     registry = registry or default_registry()
-    if isinstance(cmd, Skip):
-        return StepOutcome(store, None, "skip", 0)
-    if isinstance(cmd, Assign):
-        value = eval_expr(store, cmd.expr, registry)
-        return StepOutcome(store.bind(cmd.var, value), None, "assign", 0, (cmd.var, value))
-    if isinstance(cmd, Seq):
-        inner = step_command(store, cmd.first, registry)
-        if inner.residual is None:
-            residual: Command = cmd.second
+    redex, context = _split(cmd)
+    successors = _successors(redex)
+    assigned = None
+    choice = 0
+    if isinstance(redex, Assign):
+        value = eval_expr(store, redex.expr, registry)
+        store = store.bind(redex.var, value)
+        assigned = (redex.var, value)
+    elif len(successors) == 2 and not _guard_value(store, redex, registry):
+        choice = 1
+    rule, residual = successors[choice]
+    return StepOutcome(store, _plug(residual, context), rule, int(rule == UNFOLD), assigned)
+
+
+# --- control tables ----------------------------------------------------------------
+
+DONE = -1  # the slot of a command that has terminated
+
+_Bindings = dict[str, Word]
+# rule, next slot, other rule, other slot, assigned variable, expression, redex
+_Entry = tuple[str, int, str, int, str | None, Callable[[_Bindings], Word] | None, Command]
+
+
+def _compile_expr(expr: Expr, registry: Registry) -> Callable[[_Bindings], Word]:
+    """A closure that evaluates ``expr`` on a store's bindings.
+
+    Operators are resolved once, here.  A call that cannot succeed (an
+    unknown operator, a wrong argument count) is left to ``eval_expr``,
+    so it raises the same error at the same step as before.
+    """
+    if isinstance(expr, Var):
+        name = expr.name
+        return lambda b: b.get(name, EMPTY)
+    if isinstance(expr, OpCall):
+        try:
+            op = registry.resolve(expr.op)
+        except UnknownOperatorError:
+            op = None
+        if op is not None and op.arity == len(expr.args):
+            fn = op.fn
+            args = [_compile_expr(a, registry) for a in expr.args]
+            if not args:
+                return lambda b: fn()
+            if len(args) == 1:
+                if isinstance(expr.args[0], Var):
+                    name = expr.args[0].name
+                    return lambda b: fn(b.get(name, EMPTY))
+                (arg,) = args
+                return lambda b: fn(arg(b))
+            return lambda b: fn(*[a(b) for a in args])
+    # eval_expr only reads the store, so wrapping the live dict is safe.
+    return lambda b: eval_expr(Store._normalized(b), expr, registry)
+
+
+class ControlTable:
+    """Every residual the step rules can reach from some commands.
+
+    The step rules only build residuals as ``Seq(residual, rest)`` or
+    ``Seq(body, loop)``, so a command has finitely many.  They are
+    hash-consed: a node's slot number follows from its kind and its
+    children's slots (spans ignored), so structurally equal residuals
+    share one slot and equal states compare as small ints.  Slots are
+    numbered children first and filled in on demand, the first time a
+    run steps them.
+
+    ``roots[i]`` is the slot of the i-th command, ``commands[s]``
+    rebuilds slot ``s`` (the first structurally equal node seen), and
+    ``halves[s]`` holds the two slots of a sequence, ``None`` otherwise.
+    """
+
+    def __init__(self, commands: Iterable[Command], registry: Registry):
+        self._registry = registry
+        self.commands: list[Command] = []
+        self.halves: list[tuple[int, int] | None] = []
+        self._entries: list[_Entry | None] = []
+        self._slots: dict[object, int] = {}
+        # id() -> slot for every node reachable from the given commands or
+        # from ``commands``; both are kept alive, so no id is reused.
+        self._known: dict[int, int] = {}
+        self._trees = tuple(commands)
+        self.roots = tuple(self._intern_tree(cmd) for cmd in self._trees)
+
+    def _intern(self, node: Command) -> int:
+        """The slot of a node whose children are known."""
+        slot = self._known.get(id(node))
+        if slot is not None:
+            return slot
+        known = self._known
+        halves = None
+        if isinstance(node, Seq):
+            halves = (known[id(node.first)], known[id(node.second)])
+            key: object = (Seq, *halves)
+        elif isinstance(node, If):
+            key = (If, node.guard, known[id(node.then_branch)], known[id(node.else_branch)])
+        elif isinstance(node, While):
+            key = (While, node.guard, known[id(node.body)])
         else:
-            residual = Seq(inner.residual, cmd.second, cmd.span)
-        return StepOutcome(inner.store, residual, inner.rule, inner.loop_increment, inner.assigned)
-    if isinstance(cmd, If):
-        if _guard_value(store, cmd, registry):
-            return StepOutcome(store, cmd.then_branch, "if-tt", 0)
-        return StepOutcome(store, cmd.else_branch, "if-ff", 0)
-    if isinstance(cmd, While):
-        if _guard_value(store, cmd, registry):
-            return StepOutcome(store, Seq(cmd.body, cmd, cmd.span), "while-tt", 1)
-        return StepOutcome(store, None, "while-ff", 0)
-    raise TypeError(f"not a command: {cmd!r}")
+            key = node
+        slot = self._slots.get(key)
+        if slot is None:
+            slot = self._slots[key] = len(self.commands)
+            self.commands.append(node)
+            self.halves.append(halves)
+            self._entries.append(None)
+            known[id(node)] = slot
+        return slot
+
+    def _intern_tree(self, root: Command) -> int:
+        stack: list[tuple[Command, bool]] = [(root, False)]
+        while stack:
+            node, ready = stack.pop()
+            if id(node) in self._known:
+                continue
+            if ready:
+                self._known[id(node)] = self._intern(node)
+                continue
+            stack.append((node, True))
+            if isinstance(node, Seq):
+                stack += ((node.second, False), (node.first, False))
+            elif isinstance(node, If):
+                stack += ((node.else_branch, False), (node.then_branch, False))
+            elif isinstance(node, While):
+                stack.append((node.body, False))
+        return self._known[id(root)]
+
+    def _seq(self, residual: Command, outer: Seq) -> Command:
+        """The shared node for ``Seq(residual, outer.second)``."""
+        first = self._intern(residual)
+        slot = self._slots.get((Seq, first, self._known[id(outer.second)]))
+        if slot is None:
+            slot = self._intern(_new_seq(self.commands[first], outer))
+        return self.commands[slot]
+
+    def _compile(self, slot: int) -> _Entry:
+        redex, context = _split(self.commands[slot])
+        nexts: list[tuple[str, int]] = []
+        for rule, residual in _successors(redex):
+            residual = _plug(residual, context, self._seq)
+            nexts.append((rule, DONE if residual is None else self._intern(residual)))
+        (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
+        var = None
+        fn = None
+        if isinstance(redex, Assign):
+            var = redex.var
+            fn = _compile_expr(redex.expr, self._registry)
+        elif isinstance(redex, (If, While)):
+            fn = _compile_expr(redex.guard, self._registry)
+        return (rule, nxt, other_rule, other, var, fn, redex)
+
+    def step(self, slot: int, store: Store) -> tuple[Store, int, str, tuple[str, Word] | None]:
+        """Fire the redex at ``slot``: the new store, the next slot (``DONE``
+        once the command has terminated), the rule, and the assignment made."""
+        entry = self._entries[slot]
+        if entry is None:
+            entry = self._entries[slot] = self._compile(slot)
+        rule, nxt, other_rule, other, var, fn, redex = entry
+        if fn is None:
+            return store, nxt, rule, None
+        value = fn(store._bindings)
+        if var is not None:
+            return store.bind(var, value), nxt, rule, (var, value)
+        if value == TT:
+            return store, nxt, rule, None
+        if value == FF:
+            return store, other, other_rule, None
+        raise StuckGuardError(redex, value)
 
 
 @dataclass(frozen=True)
@@ -152,24 +356,25 @@ def run_sequential(
     step and loop counters always cover the whole run.
     """
     registry = registry or default_registry()
+    table = ControlTable((cmd,), registry)
     trace: list[TraceStep] = []
     loops = 0
     steps = 0
-    current: Command | None = cmd
+    slot = table.roots[0]
     trace_complete = True
-    while current is not None:
+    while slot != DONE:
         if steps >= fuel:
-            return SequentialRun(store, current, steps, loops, False, tuple(trace), trace_complete)
-        outcome = step_command(store, current, registry)
+            return SequentialRun(
+                store, table.commands[slot], steps, loops, False, tuple(trace), trace_complete
+            )
+        store, slot, rule, assigned = table.step(slot, store)
         steps += 1
-        loops += outcome.loop_increment
-        store = outcome.store
-        current = outcome.residual
+        if rule == UNFOLD:
+            loops += 1
         if keep_trace:
             if len(trace) < trace_cap:
-                trace.append(
-                    TraceStep(steps, outcome.rule, loops, outcome.assigned, store, current)
-                )
+                residual = None if slot == DONE else table.commands[slot]
+                trace.append(TraceStep(steps, rule, loops, assigned, store, residual))
             else:
                 trace_complete = False
     return SequentialRun(store, None, steps, loops, True, tuple(trace), trace_complete)

@@ -304,6 +304,11 @@ def type_expr(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -
 # --- command typing ------------------------------------------------------------
 
 
+def seq_tiers(first: frozenset[Tier], second: frozenset[Tier]) -> frozenset[Tier]:
+    """The tiers of ``first; second`` given the tiers of each half."""
+    return frozenset(a.join(b) for a in first for b in second)
+
+
 def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> frozenset[Tier]:
     """The set of tiers the command types at.
 
@@ -324,7 +329,7 @@ def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Comm
     if isinstance(cmd, Seq):
         first = command_tiers(gamma, sig_env, registry, cmd.first)
         second = command_tiers(gamma, sig_env, registry, cmd.second)
-        return frozenset(a.join(b) for a in first for b in second)
+        return seq_tiers(first, second)
     if isinstance(cmd, If):
         guard = expr_tiers(gamma, sig_env, registry, cmd.guard)
         then_t = command_tiers(gamma, sig_env, registry, cmd.then_branch)

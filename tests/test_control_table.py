@@ -1,0 +1,251 @@
+"""Control tables: runs and explorations on hash-consed residual slots
+must match stepping command trees with ``step_command``."""
+
+import random
+
+import pytest
+
+from tierlang import Assign, OpCall, Program, Seq, Skip, Store, Tier, Var, While, parse, seq_all
+from tierlang.analysis import tier_preservation
+from tierlang.fixtures import (
+    MACHINE_FIXTURES,
+    REJECTED_FIXTURES,
+    SAFE_FIXTURES,
+    fixture_text,
+    load_source,
+)
+from tierlang.lang import DEFAULT_ALPHABET, free_vars
+from tierlang.ops import default_registry
+from tierlang.scheduling import RoundRobin, explore, named_schedulers, run_with_scheduler
+from tierlang.semantics import ControlTable, StuckGuardError, run_sequential, step_command
+from tierlang.tm import compile_tm, parse_tm
+from tierlang.typecheck import maximal_safe_sigs
+
+TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
+
+# Guards on ``head`` read letters other than T and F, so runs get stuck.
+HEAD_GUARDS = """
+op head arity 1 class neutral;
+op pred arity 1 class neutral;
+vars { x : 1; y : 1; }
+thread a { while (head(x)) { x := pred(x) } }
+thread b { if (head(y)) { y := pred(y) } else { x := y } }
+"""
+
+CONVERGING = """
+op gt0 arity 1 class neutral;
+op zero arity 1 class neutral;
+vars { x : 1; z : 0; }
+thread branch { if (gt0(x)) { skip; z := x } else { skip; z := x } }
+thread reset { x := zero(x) }
+"""
+
+# Both branches reach equal conditionals and loops.
+CONVERGING_NESTED = """
+op gt0 arity 1 class neutral;
+op zero arity 1 class neutral;
+vars { x : 1; z : 0; }
+thread branch {
+  if (gt0(x)) {
+    if (gt0(z)) { skip } else { z := x };
+    while (gt0(z)) { z := zero(z) }
+  } else {
+    if (gt0(z)) { skip } else { z := x };
+    while (gt0(z)) { z := zero(z) }
+  }
+}
+thread reset { x := zero(x) }
+"""
+
+
+def random_stores(program, seed, count):
+    rng = random.Random(seed)
+    letters = DEFAULT_ALPHABET.sorted_letters()
+    names = sorted(free_vars(program))
+    for _ in range(count):
+        yield Store({v: "".join(rng.choices(letters, k=rng.randint(0, 4))) for v in names})
+
+
+def outcome(fn):
+    """What a call returns, or the type and arguments of what it raised."""
+    try:
+        return fn()
+    except (StuckGuardError, KeyError, TypeError) as err:
+        return type(err), err.args, getattr(err, "cmd", None)
+
+
+# --- reference loops over command trees ---------------------------------------------
+
+
+def reference_scheduled(store, program, scheduler, fuel):
+    pool = dict(program.threads)
+    state = scheduler.fresh_state()
+    steps = loops = 0
+    choices, trace = [], []
+    while pool and steps < fuel:
+        tid, state = scheduler.choose(tuple(sorted(pool)), store, state)
+        out = step_command(store, pool[tid])
+        store = out.store
+        steps += 1
+        loops += out.loop_increment
+        if out.residual is None:
+            del pool[tid]
+        else:
+            pool[tid] = out.residual
+        choices.append(tid)
+        trace.append((steps, tid, out.rule, loops, out.assigned, store))
+    return store, Program(tuple(pool.items())), steps, loops, not pool, tuple(choices), trace
+
+
+def table_scheduled(store, program, scheduler, fuel):
+    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True)
+    trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
+    return run.store, run.residual, run.steps, run.loops, run.finished, run.choices, trace
+
+
+def reference_sequential(store, cmd, fuel):
+    steps = loops = 0
+    trace = []
+    while cmd is not None and steps < fuel:
+        out = step_command(store, cmd)
+        store, cmd = out.store, out.residual
+        steps += 1
+        loops += out.loop_increment
+        trace.append((steps, out.rule, loops, out.assigned, store, cmd))
+    return store, cmd, steps, loops, cmd is None, trace
+
+
+def table_sequential(store, cmd, fuel):
+    run = run_sequential(store, cmd, fuel)
+    trace = [(e.index, e.rule, e.loops, e.assigned, e.store, e.residual) for e in run.trace]
+    return run.store, run.residual, run.steps, run.loops, run.finished, trace
+
+
+def reference_explore(store, program):
+    """Visited states, terminal stores and stuck states of a breadth-first
+    walk keyed on (store, pool of residual commands)."""
+    root = (store, tuple(program.threads))
+    seen = {root}
+    frontier = [root]
+    terminal, stuck = set(), 0
+    while frontier:
+        nxt = []
+        for node_store, pool in frontier:
+            if not pool:
+                terminal.add(node_store)
+            got_stuck = False
+            for i, (tid, cmd) in enumerate(pool):
+                try:
+                    out = step_command(node_store, cmd)
+                except StuckGuardError:
+                    got_stuck = True
+                    continue
+                rest = pool[:i] + pool[i + 1:]
+                if out.residual is not None:
+                    rest = pool[:i] + ((tid, out.residual),) + pool[i + 1:]
+                key = (out.store, rest)
+                if key not in seen:
+                    seen.add(key)
+                    nxt.append(key)
+            stuck += got_stuck
+        frontier = nxt
+    return len(seen), frozenset(terminal), stuck
+
+
+# --- differential tests -------------------------------------------------------------
+
+
+def fixture_program(name):
+    return parse(HEAD_GUARDS).program() if name == "head_guards" else load_source(name).program()
+
+
+@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards",))
+def test_scheduled_runs_match_reference_loop(name):
+    program = fixture_program(name)
+    for scheduler in named_schedulers(seed=3).values():
+        for fuel in (25, 400):
+            for store in random_stores(program, sum(map(ord, name)) + fuel, 4):
+                want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
+                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
+                assert got == want, (name, scheduler.name, fuel, store)
+
+
+@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards",))
+def test_sequential_runs_match_reference_loop(name):
+    program = fixture_program(name)
+    for _, cmd in program.threads:
+        for fuel in (25, 400):
+            for store in random_stores(program, fuel, 4):
+                want = outcome(lambda: reference_sequential(store, cmd, fuel))
+                assert outcome(lambda: table_sequential(store, cmd, fuel)) == want, (name, store)
+
+
+@pytest.mark.parametrize("name", MACHINE_FIXTURES)
+def test_compiled_machines_match_reference_loop(name):
+    compiled = compile_tm(parse_tm(fixture_text(name)))
+    cmd = compiled.source.program().command("machine")
+    for word in ("", "1", "01", "110"):
+        store = Store({compiled.input_var: word})
+        want = reference_sequential(store, cmd, 3000)
+        assert table_sequential(store, cmd, 3000) == want, (name, word)
+
+
+@pytest.mark.parametrize(
+    "name", ["add.tier", "zrange.tier", "zrange2.tier", "shuffle.tier", "intro_sync.tier",
+             "spin.tier", "unsafe_loop.tier", "head_guards"],
+)
+def test_explore_matches_reference_walk(name):
+    program = fixture_program(name)
+    stuck_seen = 0
+    for store in random_stores(program, 11, 6):
+        report = explore(store, program)
+        states, terminal, stuck = reference_explore(store, program)
+        assert (report.visited_states, report.terminal_stores, report.stuck_states) == (
+            states, terminal, stuck)
+        stuck_seen += stuck
+    assert (stuck_seen > 0) == (name == "head_guards")
+
+
+def test_stuck_guard_reports_the_guard_command():
+    loop = While(OpCall("head", (Var("x"),)), Skip())
+    with pytest.raises(StuckGuardError) as err:
+        run_with_scheduler(Store.of(x="1"), Program.single(Seq(Skip(), loop)), RoundRobin())
+    assert err.value.cmd is loop
+    assert err.value.value == "1"
+
+
+# --- pinned semantics ----------------------------------------------------------------
+
+
+def test_converging_branches_share_one_slot():
+    program = parse(CONVERGING).program()
+    report = explore(Store.of(x="1"), program)
+    assert report.visited_states == 9
+    assert report.max_steps_terminating == 4
+    assert report.terminal_stores == frozenset({Store(), Store.of(z="1")})
+    branch = program.command("branch")
+    table = ControlTable((branch,), default_registry())
+    assert table.commands.count(branch.then_branch) == 1
+    nested = parse(CONVERGING_NESTED).program()
+    for store in (Store.of(x="1"), Store.of(x="1", z="1")):
+        report = explore(store, nested)
+        assert (report.visited_states, report.max_steps_terminating) == (14, 7)
+        assert report.terminal_stores == frozenset({Store()})
+
+
+def test_long_sequence_needs_no_recursion():
+    # Seq chains this long raised RecursionError when states were keyed
+    # on command trees.
+    cmds = [Assign("x", OpCall("sub1", (Var("x"),))) if i % 2 else
+            Assign("y", OpCall("add1", (Var("y"),))) for i in range(3000)]
+    program = Program.single(seq_all(cmds))
+    store = Store.of(x="1" * 1600)
+    run = run_with_scheduler(store, program, RoundRobin())
+    assert (run.finished, run.steps, run.store.lookup("y")) == (True, 3000, "1" * 1500)
+    report = explore(store, program, max_steps=5000)
+    assert (report.visited_states, report.max_steps_terminating) == (3001, 3000)
+    registry = default_registry()
+    sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("sub1", "add1")}
+    gamma = {"x": Tier.ONE, "y": Tier.ZERO}
+    tiers = tier_preservation(store, program, gamma, sig_env, registry, max_steps=5000)
+    assert (tiers.passed, tiers.complete, tiers.edges_checked) == (True, True, 3000)

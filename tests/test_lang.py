@@ -204,17 +204,6 @@ def test_program_rejects_duplicate_names():
         Program((("t", Skip()), ("t", Skip())))
 
 
-def test_program_update_and_removal():
-    prog = Program.of({"a": Skip(), "b": Assign("x", Var("y"))})
-    smaller = prog.without("a")
-    assert smaller.thread_ids() == ("b",)
-    assert not smaller.empty
-    assert smaller.without("b").empty
-    changed = prog.updated("b", Skip())
-    assert changed.command("b") == Skip()
-    assert prog.command("b") == Assign("x", Var("y"))
-
-
 def test_program_single():
     prog = Program.single(Skip())
     assert prog.thread_ids() == ("main",)

@@ -10,6 +10,7 @@ from tierlang import (
     Assign,
     OpCall,
     Program,
+    Seq,
     Store,
     Tier,
     Var,
@@ -17,9 +18,10 @@ from tierlang import (
     word_literal,
 )
 from tierlang.fixtures import load_source
+from tierlang.ops import default_registry
+from tierlang.semantics import DONE, ControlTable
 from tierlang.scheduling import (
     FirstAlive,
-    GlobalConfig,
     RoundRobin,
     SeededRandom,
     StorePeek,
@@ -36,25 +38,27 @@ def zrange_program():
     return load_source("zrange.tier").program()
 
 
+def program_table(program):
+    return ControlTable((cmd for _, cmd in program.threads), default_registry())
+
+
 def test_step_global_removes_finished_thread():
-    cfg = GlobalConfig(Store.of(x="1"), Program.of({"solo": Assign("y", Var("x"))}))
-    assert not cfg.terminal
-    step = step_global(cfg, "solo")
-    assert step.stopped
-    assert step.assigned == ("y", "1")
-    assert step.config.program.empty
-    assert step.config.terminal
-    assert step.config.steps == 1
-    assert step.config.loops == 0
+    table = program_table(Program.of({"solo": Assign("y", Var("x"))}))
+    store, slots, rule = step_global(table, Store.of(x="1"), table.roots, 0)
+    assert rule == "assign"
+    assert store == Store.of(x="1", y="1")
+    assert slots == (DONE,)
 
 
 def test_step_global_counts_loop_unfoldings():
-    cfg = GlobalConfig(Store.of(x="1", y="1"), zrange_program())
-    step = step_global(cfg, "bump")
-    assert step.rule == "while-tt"
-    assert not step.stopped
-    assert step.config.loops == 1
-    assert set(step.config.program.thread_ids()) == {"bump", "wipe"}
+    program = zrange_program()
+    table = program_table(program)
+    _, slots, rule = step_global(table, Store.of(x="1", y="1"), table.roots, 0)
+    assert program.thread_ids() == ("bump", "wipe")
+    assert rule == "while-tt"
+    assert slots[1] == table.roots[1]
+    bump = program.command("bump")
+    assert table.commands[slots[0]] == Seq(bump.body, bump)
 
 
 def test_round_robin_alternates_in_name_order():
@@ -107,7 +111,7 @@ def test_scheduler_fuel_bound():
     run = run_with_scheduler(Store.of(x="1"), spin, RoundRobin(), fuel=30)
     assert not run.finished
     assert run.steps == 30
-    assert not run.residual.empty
+    assert run.residual.thread_ids() == ("spinner",)
 
 
 # --- exploration ---------------------------------------------------------------
