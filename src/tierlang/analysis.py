@@ -166,10 +166,11 @@ def ni_suite(
     if mode == "scheduler":
         if scheduler is None:
             raise ValueError("scheduler mode needs a scheduler")
+        table = ControlTable((cmd for _, cmd in program.threads), registry)
         for trial in range(trials):
             a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-            run_a = run_with_scheduler(a, program, scheduler, fuel, registry)
-            run_b = run_with_scheduler(b, program, scheduler, fuel, registry)
+            run_a = run_with_scheduler(a, program, scheduler, fuel, registry, table=table)
+            run_b = run_with_scheduler(b, program, scheduler, fuel, registry, table=table)
             failure = _compare_runs(gamma, run_a, run_b, trial)
             if failure is not None:
                 return NiReport(False, trial + 1, mode, scheduler.name, failure)
@@ -472,10 +473,11 @@ def measure_growth(
     ``fuel_hit`` set, so a diverging program still produces a table.
     """
     registry = registry or default_registry()
+    table = ControlTable((cmd for _, cmd in program.threads), registry)
     rows = []
     for n in sizes:
         store = Store(dict(input_gen(n)))
-        run = run_with_scheduler(store, program, scheduler, fuel, registry)
+        run = run_with_scheduler(store, program, scheduler, fuel, registry, table=table)
         rows.append(GrowthRow(n, run.loops, run.steps, not run.finished))
     return GrowthTable(tuple(rows))
 

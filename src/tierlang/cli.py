@@ -28,7 +28,7 @@ from .scheduling import (
     named_schedulers,
     run_with_scheduler,
 )
-from .semantics import run_sequential
+from .semantics import ControlTable, run_sequential
 from .tm import TMFormatError, compile_tm, parse_tm, simulate_tm
 from .typecheck import CheckReport, check_program, infer_tiers
 
@@ -86,6 +86,11 @@ def _parse_sizes(spec: str) -> list[int]:
         return [int(p) for p in spec.split(",")]
     except ValueError:
         raise CliError(f"--sizes takes START:STOP[:STEP] or a comma list, got {spec!r}") from None
+
+
+def _at_least(flag: str, value: int, low: int) -> None:
+    if value < low:
+        raise CliError(f"{flag} must be at least {low}, got {value}")
 
 
 def _scheduler(name: str, seed: int):
@@ -168,6 +173,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    _at_least("--fuel", args.fuel, 0)
     source = _load_source(args.program)
     _, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
@@ -237,6 +243,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_ni(args: argparse.Namespace) -> int:
+    _at_least("--trials", args.trials, 1)
+    _at_least("--fuel", args.fuel, 0)
+    _at_least("--max-len", args.max_len, 0)
     source = _load_source(args.program)
     report, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
@@ -275,6 +284,15 @@ def cmd_ni(args: argparse.Namespace) -> int:
 
 
 def cmd_measure(args: argparse.Namespace) -> int:
+    _at_least("--fuel", args.fuel, 0)
+    _at_least("--max-degree", args.max_degree, 1)
+    sizes = _parse_sizes(args.sizes)
+    _at_least("--sizes", min(sizes, default=0), 0)
+    if len(sizes) < args.max_degree + 2:
+        raise CliError(
+            f"--sizes gives {len(sizes)} sizes; a fit up to degree {args.max_degree} "
+            f"needs at least {args.max_degree + 2}"
+        )
     source = _load_source(args.program)
     _, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
@@ -290,7 +308,6 @@ def cmd_measure(args: argparse.Namespace) -> int:
             values[var] = unary(n)
         return values
 
-    sizes = _parse_sizes(args.sizes)
     scheduler = _scheduler(args.scheduler, args.seed)
     table = measure_growth(source.program(), input_gen, sizes, scheduler, fuel=args.fuel)
     fit = fit_polynomial(table, args.max_degree, args.column, args.threshold)
@@ -368,6 +385,7 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
     spec = compiled.spec
     registry = default_registry()
     thread_cmd = compiled.source.program().command("machine")
+    table = ControlTable((thread_cmd,), registry)
     inputs: list[str] = [""]
     frontier = [""]
     for _ in range(max_len):
@@ -379,7 +397,7 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
             return f"machine does not halt on {word!r} within the simulator budget"
         run = run_sequential(
             Store({compiled.input_var: word}), thread_cmd, fuel=10_000_000,
-            registry=registry, keep_trace=False,
+            registry=registry, keep_trace=False, table=table,
         )
         if not run.finished:
             return f"compiled program ran out of fuel on {word!r}"

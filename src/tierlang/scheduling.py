@@ -15,6 +15,13 @@ choice never depends on tier-0 data; the flag on each scheduler records
 the claim and ``quietness_test`` probes it behaviorally by running the
 same program from stores that agree on tier-1 variables only.
 
+A scheduler is *pure* when its choice is a function of the live ids,
+the store and an immutable state.  Under such a scheduler a run whose
+configuration ``(store, slots, scheduler state)`` repeats is periodic
+from then on, so ``run_with_scheduler`` finds the repeat with Brent's
+cycle detection and jumps whole periods towards the fuel bound.  The
+result is the one stepping to the bound would give, field for field.
+
 ``explore`` enumerates every interleaving up to bounded depth, memoizing
 on the (store, slots) configuration.  Structurally equal residuals share
 a slot, so this is the same as memoizing on the store and the pool of
@@ -51,11 +58,15 @@ class Scheduler:
     """Deterministic thread choice with private state.
 
     ``quiet`` is the scheduler's claim that its choices ignore tier-0
-    data; it is what ``quietness_test`` puts on trial.
+    data; it is what ``quietness_test`` puts on trial.  ``pure`` claims
+    that ``choose`` is a function of its arguments alone and that the
+    state is an immutable value compared by ``==``; it lets
+    ``run_with_scheduler`` skip the periods of a repeating run.
     """
 
     name = "scheduler"
     quiet = True
+    pure = False
 
     def fresh_state(self) -> object:
         return None
@@ -70,6 +81,7 @@ class RoundRobin(Scheduler):
 
     name = "round-robin"
     quiet = True
+    pure = True
 
     def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
         last = state
@@ -90,6 +102,7 @@ class FirstAlive(Scheduler):
 
     name = "first-alive"
     quiet = True
+    pure = True
 
     def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
         return tids[0], None
@@ -97,10 +110,12 @@ class FirstAlive(Scheduler):
 
 class SeededRandom(Scheduler):
     """Pseudo-random choice from a seed; quiet because the draw ignores
-    the store entirely."""
+    the store entirely.  Not pure: the state is a mutable generator that
+    compares by identity, so equal-looking configurations do not repeat."""
 
     name = "random"
     quiet = True
+    pure = False
 
     def __init__(self, seed: int = 0):
         self.seed = seed
@@ -119,6 +134,7 @@ class StorePeek(Scheduler):
     the quietness test should expose it."""
 
     quiet = False
+    pure = True
 
     def __init__(self, var: str):
         self.var = var
@@ -168,17 +184,32 @@ def run_with_scheduler(
     registry: Registry | None = None,
     keep_trace: bool = False,
     trace_cap: int = 10_000,
+    *,
+    table: ControlTable | None = None,
 ) -> ScheduledRun:
-    """Drive the pool with the scheduler until it empties or fuel runs out."""
-    registry = registry or default_registry()
-    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    """Drive the pool with the scheduler until it empties or fuel runs out.
+
+    Callers that run one program many times pass a shared ``table`` built
+    with the same registry; otherwise each call builds its own.  Under a
+    pure scheduler a run that revisits a configuration skips ahead by
+    whole periods; steps, loops, choices and trace are those of stepping
+    to the fuel bound.
+    """
+    if table is None:
+        table = ControlTable((cmd for _, cmd in program.threads), registry or default_registry())
     live = program.thread_ids()
-    slots = dict(zip(live, table.roots))
+    slots = {tid: table.root(cmd) for tid, cmd in program.threads}
     state = scheduler.fresh_state()
     steps = 0
     loops = 0
     choices: list[str] = []
     trace: list[GlobalTraceStep] = []
+    # Brent's cycle detection on the configurations right after a loop
+    # unfolds, since every cycle unfolds some loop: the checkpoint moves
+    # to the live configuration at the 1st, 2nd, 4th, 8th, ... unfolding.
+    # ``mark`` is the next such loop count, and 0 once detection is off.
+    mark = 1 if scheduler.pure else 0
+    saved: tuple = (None, None, None, 0, 0)
     while live:
         if steps >= fuel:
             residual = Program(tuple((tid, table.commands[slots[tid]]) for tid in live))
@@ -198,6 +229,31 @@ def run_with_scheduler(
         choices.append(tid)
         if keep_trace and len(trace) < trace_cap:
             trace.append(GlobalTraceStep(steps, tid, rule, loops, assigned, store))
+        if not (mark and rule == UNFOLD):
+            continue
+        if slots == saved[0] and state == saved[1] and store == saved[2]:
+            start, start_loops = saved[3], saved[4]
+            period, gained = steps - start, loops - start_loops
+            repeats = (fuel - steps) // period
+            choices += choices[start:] * repeats
+            if keep_trace:
+                # Below the cap the trace holds every step, so its tail
+                # from the checkpoint on is one period.
+                cycle = trace[start:]
+                for shift in range(1, repeats + 1):
+                    if len(trace) >= trace_cap:
+                        break
+                    trace += (
+                        GlobalTraceStep(e.index + shift * period, e.thread, e.rule,
+                                        e.loops + shift * gained, e.assigned, e.store)
+                        for e in cycle[: trace_cap - len(trace)]
+                    )
+            steps += repeats * period
+            loops += repeats * gained
+            mark = 0
+        elif loops == mark:
+            saved = (dict(slots), state, store, steps, loops)
+            mark *= 2
     return ScheduledRun(store, Program(()), steps, loops, True, tuple(choices), tuple(trace))
 
 
@@ -472,10 +528,11 @@ def quietness_test(
     from .lang import free_vars  # local import keeps module load order simple
 
     variables = sorted(free_vars(program))
+    table = ControlTable((cmd for _, cmd in program.threads), registry)
     for trial in range(trials):
         a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-        run_a = run_with_scheduler(a, program, scheduler, fuel, registry)
-        run_b = run_with_scheduler(b, program, scheduler, fuel, registry)
+        run_a = run_with_scheduler(a, program, scheduler, fuel, registry, table=table)
+        run_b = run_with_scheduler(b, program, scheduler, fuel, registry, table=table)
         for i, (ca, cb) in enumerate(zip(run_a.choices, run_b.choices)):
             if ca != cb:
                 return QuietnessReport(False, trial + 1, scheduler.name, (trial, i, ca, cb))

@@ -216,6 +216,8 @@ class ControlTable:
     ``roots[i]`` is the slot of the i-th command, ``commands[s]``
     rebuilds slot ``s`` (the first structurally equal node seen), and
     ``halves[s]`` holds the two slots of a sequence, ``None`` otherwise.
+    One table serves any number of runs: ``root`` gives the slot of a
+    command, adding it first if the table has not seen it.
     """
 
     def __init__(self, commands: Iterable[Command], registry: Registry):
@@ -224,11 +226,21 @@ class ControlTable:
         self.halves: list[tuple[int, int] | None] = []
         self._entries: list[_Entry | None] = []
         self._slots: dict[object, int] = {}
-        # id() -> slot for every node reachable from the given commands or
-        # from ``commands``; both are kept alive, so no id is reused.
+        # id() -> slot for every node reachable from a command given to
+        # ``root`` (the constructor's included) or from ``self.commands``;
+        # both are kept alive, so no id is reused.
         self._known: dict[int, int] = {}
-        self._trees = tuple(commands)
-        self.roots = tuple(self._intern_tree(cmd) for cmd in self._trees)
+        self._trees: list[Command] = []
+        self.roots = tuple(self.root(cmd) for cmd in commands)
+
+    def root(self, cmd: Command) -> int:
+        """The slot of ``cmd``; a command the table has not seen is
+        interned and kept alive, so its ids stay valid."""
+        slot = self._known.get(id(cmd))
+        if slot is None:
+            self._trees.append(cmd)
+            slot = self._intern_tree(cmd)
+        return slot
 
     def _intern(self, node: Command) -> int:
         """The slot of a node whose children are known."""
@@ -348,19 +360,23 @@ def run_sequential(
     registry: Registry | None = None,
     keep_trace: bool = True,
     trace_cap: int = 10_000,
+    *,
+    table: ControlTable | None = None,
 ) -> SequentialRun:
     """Run a command deterministically for at most ``fuel`` steps.
 
     The trace keeps up to ``trace_cap`` steps (each with the full store,
     so exploration-sized runs can opt out via ``keep_trace=False``);
-    step and loop counters always cover the whole run.
+    step and loop counters always cover the whole run.  Callers that run
+    one command many times pass a shared ``table`` built with the same
+    registry; otherwise each call builds its own.
     """
-    registry = registry or default_registry()
-    table = ControlTable((cmd,), registry)
+    if table is None:
+        table = ControlTable((cmd,), registry or default_registry())
     trace: list[TraceStep] = []
     loops = 0
     steps = 0
-    slot = table.roots[0]
+    slot = table.root(cmd)
     trace_complete = True
     while slot != DONE:
         if steps >= fuel:

@@ -327,9 +327,16 @@ def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Comm
             return frozenset((target,))
         return NO_TIERS
     if isinstance(cmd, Seq):
-        first = command_tiers(gamma, sig_env, registry, cmd.first)
-        second = command_tiers(gamma, sig_env, registry, cmd.second)
-        return seq_tiers(first, second)
+        # Walk the right spine in a loop, so a long sequence costs no
+        # recursion depth; the halves are visited in the same order.
+        firsts = []
+        while isinstance(cmd, Seq):
+            firsts.append(command_tiers(gamma, sig_env, registry, cmd.first))
+            cmd = cmd.second
+        tiers = command_tiers(gamma, sig_env, registry, cmd)
+        for first in reversed(firsts):
+            tiers = seq_tiers(first, tiers)
+        return tiers
     if isinstance(cmd, If):
         guard = expr_tiers(gamma, sig_env, registry, cmd.guard)
         then_t = command_tiers(gamma, sig_env, registry, cmd.then_branch)

@@ -262,6 +262,28 @@ def test_measure_argument_validation(fx, capsys):
     assert "--sizes takes START:STOP[:STEP]" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["measure", "--scale", "x", "--sizes", "1:3"], "a fit up to degree 4 needs at least 6"),
+        (["measure", "--scale", "x", "--sizes=-5:2"], "--sizes must be at least 0, got -5"),
+        (["measure", "--scale", "x", "--max-degree", "0"], "--max-degree must be at least 1"),
+        (["measure", "--scale", "x", "--fuel", "-1"], "--fuel must be at least 0"),
+        (["ni", "--max-len", "-1"], "--max-len must be at least 0"),
+        (["ni", "--trials", "-3"], "--trials must be at least 1"),
+        (["ni", "--fuel", "-5"], "--fuel must be at least 0"),
+        (["run", "--fuel", "-1"], "--fuel must be at least 0"),
+    ],
+    ids=["measure-sizes", "measure-negative-size", "measure-max-degree", "measure-fuel",
+         "ni-max-len", "ni-trials", "ni-fuel", "run-fuel"],
+)
+def test_bad_numeric_arguments_are_usage_errors(fx, capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, fx("add.tier"), *flags)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 # --- tm-compile ------------------------------------------------------------------
 
 

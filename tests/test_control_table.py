@@ -16,10 +16,19 @@ from tierlang.fixtures import (
 )
 from tierlang.lang import DEFAULT_ALPHABET, free_vars
 from tierlang.ops import default_registry
-from tierlang.scheduling import RoundRobin, explore, named_schedulers, run_with_scheduler
+from tierlang.scheduling import (
+    FirstAlive,
+    RoundRobin,
+    Scheduler,
+    SeededRandom,
+    StorePeek,
+    explore,
+    named_schedulers,
+    run_with_scheduler,
+)
 from tierlang.semantics import ControlTable, StuckGuardError, run_sequential, step_command
 from tierlang.tm import compile_tm, parse_tm
-from tierlang.typecheck import maximal_safe_sigs
+from tierlang.typecheck import command_tiers, maximal_safe_sigs
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
 
@@ -55,6 +64,15 @@ thread branch {
   }
 }
 thread reset { x := zero(x) }
+"""
+
+# A loop whose period changes the store: y flips and flips back.
+FLIP = """
+op gt0 arity 1 class neutral;
+op not arity 1 class neutral;
+vars { x : 1; y : 0; }
+thread flip { while (gt0(x)) { y := not(y) } }
+thread idle { while (gt0(x)) { skip } }
 """
 
 
@@ -97,8 +115,8 @@ def reference_scheduled(store, program, scheduler, fuel):
     return store, Program(tuple(pool.items())), steps, loops, not pool, tuple(choices), trace
 
 
-def table_scheduled(store, program, scheduler, fuel):
-    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True)
+def table_scheduled(store, program, scheduler, fuel, trace_cap):
+    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True, trace_cap=trace_cap)
     trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
     return run.store, run.residual, run.steps, run.loops, run.finished, run.choices, trace
 
@@ -156,17 +174,29 @@ def reference_explore(store, program):
 
 
 def fixture_program(name):
-    return parse(HEAD_GUARDS).program() if name == "head_guards" else load_source(name).program()
+    inline = {"head_guards": HEAD_GUARDS, "flip": FLIP}
+    return parse(inline[name]).program() if name in inline else load_source(name).program()
 
 
-@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards",))
+def capped(result, cap):
+    *fields, trace = result
+    return (*fields, trace[:cap])
+
+
+@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "flip"))
 def test_scheduled_runs_match_reference_loop(name):
+    # 1501 is no multiple of any period, and a cap of 333 cuts the trace
+    # off inside one, so runs that skip periods must stop where stepping
+    # would.
     program = fixture_program(name)
-    for scheduler in named_schedulers(seed=3).values():
-        for fuel in (25, 400):
-            for store in random_stores(program, sum(map(ord, name)) + fuel, 4):
-                want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
-                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
+    schedulers = [*named_schedulers(seed=3).values(), StorePeek(min(free_vars(program)))]
+    for scheduler in schedulers:
+        for fuel, cap, count in ((25, 10_000, 4), (400, 10_000, 4), (1500, 10_000, 2),
+                                 (1501, 333, 2)):
+            for store in random_stores(program, sum(map(ord, name)) + fuel, count):
+                want = outcome(lambda: capped(
+                    reference_scheduled(store, program, scheduler, fuel), cap))
+                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel, cap))
                 assert got == want, (name, scheduler.name, fuel, store)
 
 
@@ -249,3 +279,72 @@ def test_long_sequence_needs_no_recursion():
     gamma = {"x": Tier.ONE, "y": Tier.ZERO}
     tiers = tier_preservation(store, program, gamma, sig_env, registry, max_steps=5000)
     assert (tiers.passed, tiers.complete, tiers.edges_checked) == (True, True, 3000)
+
+
+def test_command_tiers_walks_long_loop_bodies_without_recursion():
+    # The body is one 1500-statement sequence inside a loop, so
+    # tier_preservation cannot split it per slot.
+    body = seq_all([Assign("x", OpCall("sub1", (Var("x"),)))] * 1500)
+    program = Program.single(While(OpCall("gt0", (Var("x"),)), body))
+    registry = default_registry()
+    sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "sub1")}
+    gamma = {"x": Tier.ONE}
+    assert command_tiers(gamma, sig_env, registry, program.command("main")) == {Tier.ONE}
+    report = tier_preservation(Store.of(x="1"), program, gamma, sig_env, registry,
+                               max_steps=5000)
+    assert (report.passed, report.complete, report.edges_checked) == (True, True, 1502)
+
+
+def test_one_table_serves_runs_of_several_programs():
+    zrange, spin = load_source("zrange.tier").program(), load_source("spin.tier").program()
+    table = ControlTable((cmd for _, cmd in zrange.threads), default_registry())
+    roots = table.roots
+    for program, store in ((zrange, Store.of(x="11", y="1")), (spin, Store.of(x="1")),
+                           (zrange, Store.of(x="1", y="111"))):
+        fresh = run_with_scheduler(store, program, RoundRobin(), fuel=300, keep_trace=True)
+        shared = run_with_scheduler(store, program, RoundRobin(), fuel=300, keep_trace=True,
+                                    table=table)
+        assert shared == fresh
+    assert table.roots == roots
+    assert table.commands[table.root(spin.command("spinner"))] == spin.command("spinner")
+
+
+# --- skipping the periods of a repeating run ------------------------------------------
+
+
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """How many steps runs actually take, counted on ``ControlTable.step``."""
+    taken = []
+    step = ControlTable.step
+
+    def counting(self, slot, store):
+        taken.append(slot)
+        return step(self, slot, store)
+
+    monkeypatch.setattr(ControlTable, "step", counting)
+    return taken
+
+
+@pytest.mark.parametrize("scheduler", [RoundRobin(), FirstAlive()], ids=lambda s: s.name)
+def test_repeating_runs_skip_to_the_fuel_bound(scheduler, counted_steps):
+    spin = load_source("spin.tier").program()
+    run = run_with_scheduler(Store.of(x="1"), spin, scheduler, fuel=1_000_001)
+    assert (run.finished, run.steps, run.loops, len(run.choices)) == (
+        False, 1_000_001, 500_001, 1_000_001)
+    assert run.residual == Program.of({"spinner": Seq(Skip(), spin.command("spinner"))})
+    assert len(counted_steps) < 100
+
+
+class Alternate(Scheduler):
+    """Round-robin without the claim that its choices can be replayed."""
+
+    def choose(self, tids, store, state):
+        return RoundRobin().choose(tids, store, state)
+
+
+@pytest.mark.parametrize("scheduler", [SeededRandom(3), Alternate()], ids=lambda s: s.name)
+def test_schedulers_that_do_not_opt_in_step_every_step(scheduler, counted_steps):
+    run = run_with_scheduler(Store.of(x="1"), load_source("spin.tier").program(), scheduler,
+                             fuel=2000)
+    assert (run.steps, len(counted_steps)) == (2000, 2000)
