@@ -14,6 +14,7 @@ runs with the same arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Mapping
@@ -212,6 +213,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
+    _at_least("--max-steps", args.max_steps, 0)
+    _at_least("--max-states", args.max_states, 1)
     source = _load_source(args.program)
     _, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
@@ -246,6 +249,7 @@ def cmd_ni(args: argparse.Namespace) -> int:
     _at_least("--trials", args.trials, 1)
     _at_least("--fuel", args.fuel, 0)
     _at_least("--max-len", args.max_len, 0)
+    _at_least("--max-steps", args.max_steps, 0)
     source = _load_source(args.program)
     report, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
@@ -341,6 +345,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
 
 
 def cmd_tm_compile(args: argparse.Namespace) -> int:
+    if args.verify_len is not None:
+        _at_least("--verify-len", args.verify_len, 0)
     text = _read_file(args.machine)
     try:
         spec = parse_tm(text)
@@ -410,7 +416,10 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
 # --- argument wiring ---------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged, and building it costs more than a small check."""
     parser = argparse.ArgumentParser(
         prog="tierlang",
         description="Type checker, interpreter, and test harnesses for tiered programs.",

@@ -4,7 +4,10 @@ A variable environment assigns each variable a tier; a signature
 environment assigns each operator a set of signatures ``args -> result``.
 An expression or command may type at several tiers, so the checker works
 with the full set of derivable tiers and reports a canonical derivation
-at the largest one.
+at the largest one.  The rules are syntax-directed, so one post-order
+pass with an explicit stack computes every node's tier set; derivations
+and failure diagnostics are then read off those sets, and no sequence
+length or nesting depth costs Python recursion.
 
 Safe signature sets keep growth under control: a signature's result must
 sit at or below every argument tier, and operators that can actually
@@ -41,9 +44,11 @@ from .parser import Sig, SourceFile, pretty_expr
 
 TierEnv = Mapping[str, Tier]
 SigEnv = Mapping[str, frozenset[Sig]]
+TierTable = dict[int, frozenset[Tier]]  # tier sets keyed by id(node)
 
 BOTH_TIERS = frozenset((Tier.ZERO, Tier.ONE))
 NO_TIERS: frozenset[Tier] = frozenset()
+_ONLY = {tier: frozenset((tier,)) for tier in Tier}
 
 
 class UnboundVariableError(KeyError):
@@ -233,7 +238,7 @@ def render_derivation(deriv: ExprDeriv | CmdDeriv, indent: int = 0) -> str:
     return "\n".join(parts)
 
 
-# --- expression typing --------------------------------------------------------
+# --- the typing pass ------------------------------------------------------------
 
 
 def _op_sigs(call: OpCall, sig_env: SigEnv, registry: Registry) -> frozenset[Sig]:
@@ -245,68 +250,72 @@ def _op_sigs(call: OpCall, sig_env: SigEnv, registry: Registry) -> frozenset[Sig
     return sigs
 
 
-def expr_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> frozenset[Tier]:
-    """The set of tiers the expression types at."""
-    if isinstance(expr, Var):
-        if expr.name not in gamma:
-            raise UnboundVariableError(expr.name)
-        return frozenset((gamma[expr.name],))
-    if isinstance(expr, OpCall):
-        sigs = _op_sigs(expr, sig_env, registry)
-        arg_tiers = [expr_tiers(gamma, sig_env, registry, a) for a in expr.args]
-        out = set()
-        for args, result in sigs:
-            if all(t in arg_tiers[i] for i, t in enumerate(args)):
-                out.add(result)
-        return frozenset(out)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-def expr_derivation(
-    gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr, tier: Tier
-) -> ExprDeriv | None:
-    """A derivation of ``expr : tier``, or ``None`` if there is none."""
-    if isinstance(expr, Var):
-        if gamma.get(expr.name) == tier:
-            return ExprDeriv("var", tier, expr)
-        return None
-    if isinstance(expr, OpCall):
-        sigs = _op_sigs(expr, sig_env, registry)
-        for args, result in sorted(sigs, reverse=True):
-            if result != tier:
-                continue
-            children = []
-            for i, arg_tier in enumerate(args):
-                child = expr_derivation(gamma, sig_env, registry, expr.args[i], arg_tier)
-                if child is None:
-                    break
-                children.append(child)
-            else:
-                return ExprDeriv("op", tier, expr, (args, result), tuple(children))
-        return None
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-@dataclass(frozen=True)
-class ExprTyping:
-    tiers: frozenset[Tier]
-    derivation: ExprDeriv | None
-
-
-def type_expr(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> ExprTyping:
-    tiers = expr_tiers(gamma, sig_env, registry, expr)
-    deriv = None
-    if tiers:
-        deriv = expr_derivation(gamma, sig_env, registry, expr, max(tiers))
-    return ExprTyping(tiers, deriv)
-
-
-# --- command typing ------------------------------------------------------------
-
-
 def seq_tiers(first: frozenset[Tier], second: frozenset[Tier]) -> frozenset[Tier]:
     """The tiers of ``first; second`` given the tiers of each half."""
     return frozenset(a.join(b) for a in first for b in second)
+
+
+def _tier_table(gamma: TierEnv, sig_env: SigEnv, registry: Registry, root: Expr | Command) -> TierTable:
+    """The tier set of every expression and command node under ``root``.
+
+    One post-order pass with an explicit stack combines each node's set
+    once from its children's, left to right; an assignment's target and an
+    operator's signatures are looked up on the way down, so errors raise
+    in reading order.  An exit entry is a ``(node, signatures)`` pair, with
+    ``None`` for a command.
+    """
+    tiers: TierTable = {}
+    stack: list = [root]
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            node, sigs = node
+            if sigs is not None:
+                combos = set(itertools.product(*[tiers[id(a)] for a in node.args]))
+                tiers[id(node)] = frozenset([result for sig, result in sigs if sig in combos])
+            elif isinstance(node, Assign):
+                target = gamma[node.var]
+                fits = any(target.leq(t) for t in tiers[id(node.expr)])
+                tiers[id(node)] = _ONLY[target] if fits else NO_TIERS
+            elif isinstance(node, Seq):
+                tiers[id(node)] = seq_tiers(tiers[id(node.first)], tiers[id(node.second)])
+            elif isinstance(node, If):
+                tiers[id(node)] = (tiers[id(node.guard)] & tiers[id(node.then_branch)]
+                                   & tiers[id(node.else_branch)])
+            else:
+                fits = Tier.ONE in tiers[id(node.guard)] and tiers[id(node.body)]
+                tiers[id(node)] = _ONLY[Tier.ONE] if fits else NO_TIERS
+            continue
+        key = id(node)
+        if key in tiers:
+            continue  # a subtree shared within the tree
+        if isinstance(node, Var):
+            if node.name not in gamma:
+                raise UnboundVariableError(node.name)
+            tiers[key] = _ONLY[gamma[node.name]]
+        elif isinstance(node, OpCall):
+            stack.append((node, _op_sigs(node, sig_env, registry)))
+            stack.extend(reversed(node.args))
+        elif isinstance(node, Skip):
+            tiers[key] = BOTH_TIERS
+        elif isinstance(node, Assign):
+            if node.var not in gamma:
+                raise UnboundVariableError(node.var)
+            stack += ((node, None), node.expr)
+        elif isinstance(node, Seq):
+            stack += ((node, None), node.second, node.first)
+        elif isinstance(node, If):
+            stack += ((node, None), node.else_branch, node.then_branch, node.guard)
+        elif isinstance(node, While):
+            stack += ((node, None), node.body, node.guard)
+        else:
+            raise TypeError(f"not an AST node: {node!r}")
+    return tiers
+
+
+def expr_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> frozenset[Tier]:
+    """The set of tiers the expression types at."""
+    return _tier_table(gamma, sig_env, registry, expr)[id(expr)]
 
 
 def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> frozenset[Tier]:
@@ -316,85 +325,102 @@ def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Comm
     driving the harnesses is that this set can only shrink toward lower
     tiers as the command runs, never empty out.
     """
-    if isinstance(cmd, Skip):
-        return BOTH_TIERS
-    if isinstance(cmd, Assign):
-        if cmd.var not in gamma:
-            raise UnboundVariableError(cmd.var)
-        target = gamma[cmd.var]
-        rhs = expr_tiers(gamma, sig_env, registry, cmd.expr)
-        if any(target.leq(t) for t in rhs):
-            return frozenset((target,))
-        return NO_TIERS
-    if isinstance(cmd, Seq):
-        # Walk the right spine in a loop, so a long sequence costs no
-        # recursion depth; the halves are visited in the same order.
-        firsts = []
-        while isinstance(cmd, Seq):
-            firsts.append(command_tiers(gamma, sig_env, registry, cmd.first))
-            cmd = cmd.second
-        tiers = command_tiers(gamma, sig_env, registry, cmd)
-        for first in reversed(firsts):
-            tiers = seq_tiers(first, tiers)
-        return tiers
-    if isinstance(cmd, If):
-        guard = expr_tiers(gamma, sig_env, registry, cmd.guard)
-        then_t = command_tiers(gamma, sig_env, registry, cmd.then_branch)
-        else_t = command_tiers(gamma, sig_env, registry, cmd.else_branch)
-        return guard & then_t & else_t
-    if isinstance(cmd, While):
-        guard = expr_tiers(gamma, sig_env, registry, cmd.guard)
-        body = command_tiers(gamma, sig_env, registry, cmd.body)
-        if Tier.ONE in guard and body:
-            return frozenset((Tier.ONE,))
-        return NO_TIERS
-    raise TypeError(f"not a command: {cmd!r}")
+    return _tier_table(gamma, sig_env, registry, cmd)[id(cmd)]
+
+
+def _derivation(
+    tiers: TierTable, sig_env: SigEnv, registry: Registry, root: Expr | Command, tier: Tier
+) -> ExprDeriv | CmdDeriv | None:
+    """The derivation of ``root : tier`` read off a tier table, or ``None``
+    if ``tier`` is not in the root's set.
+
+    Tier sets are exact, so the first choice in sorted order (higher
+    tiers first) whose children's tiers lie in their sets always has a
+    derivation.  One walk with an explicit stack picks the children's
+    tiers on the way down, never backtracking, and builds each derivation
+    on the way up; an exit entry carries the signature or the rule.
+    """
+    if tier not in tiers[id(root)]:
+        return None
+    order: dict[str, list] = {}  # each operator's signatures, highest first
+    done: list = []  # finished derivations of the children, left to right
+    stack: list = [(root, tier, None)]
+    while stack:
+        node, tier, rule = stack.pop()
+        if rule is not None:
+            if isinstance(node, OpCall):
+                cut = len(done) - len(node.args)
+                subs = tuple(done[cut:])
+                del done[cut:]
+                done.append(ExprDeriv("op", tier, node, rule, subs))
+            elif isinstance(node, Assign):
+                done.append(CmdDeriv("assign", tier, node, done.pop()))
+            elif isinstance(node, Seq):
+                second = done.pop()
+                done[-1] = CmdDeriv("seq", tier, node, None, (done[-1], second))
+            elif isinstance(node, If):
+                else_d, then_d = done.pop(), done.pop()
+                done[-1] = CmdDeriv("if", tier, node, done[-1], (then_d, else_d))
+            else:
+                body = done.pop()
+                done[-1] = CmdDeriv("while", tier, node, done[-1], (body,))
+            continue
+        if isinstance(node, Var):
+            done.append(ExprDeriv("var", tier, node))
+        elif isinstance(node, OpCall):
+            sigs = order.get(node.op)
+            if sigs is None:
+                sigs = order[node.op] = sorted(_op_sigs(node, sig_env, registry), reverse=True)
+            combos = set(itertools.product(*[tiers[id(a)] for a in node.args]))
+            sig = next(sig for sig in sigs if sig[1] == tier and sig[0] in combos)
+            stack.append((node, tier, sig))
+            stack.extend(zip(reversed(node.args), reversed(sig[0]), itertools.repeat(None)))
+        elif isinstance(node, Skip):
+            done.append(CmdDeriv("skip", tier, node))
+        elif isinstance(node, Assign):
+            low = min(t for t in tiers[id(node.expr)] if tier.leq(t))
+            stack += ((node, tier, "assign"), (node.expr, low, None))
+        elif isinstance(node, Seq):
+            a, b = next((a, b) for a in sorted(tiers[id(node.first)], reverse=True)
+                        for b in sorted(tiers[id(node.second)], reverse=True) if a.join(b) == tier)
+            stack += ((node, tier, "seq"), (node.second, b, None), (node.first, a, None))
+        elif isinstance(node, If):
+            stack += ((node, tier, "if"), (node.else_branch, tier, None),
+                      (node.then_branch, tier, None), (node.guard, tier, None))
+        else:
+            stack += ((node, tier, "while"), (node.body, max(tiers[id(node.body)]), None),
+                      (node.guard, Tier.ONE, None))
+    return done[0]
+
+
+def expr_derivation(
+    gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr, tier: Tier
+) -> ExprDeriv | None:
+    """A derivation of ``expr : tier``, or ``None`` if there is none."""
+    return _derivation(_tier_table(gamma, sig_env, registry, expr), sig_env, registry, expr, tier)
+
+
+def _typing(tiers: TierTable, sig_env: SigEnv, registry: Registry, node: Expr | Command) -> tuple:
+    """A node's tier set and its derivation at the largest of them."""
+    own = tiers[id(node)]
+    return own, _derivation(tiers, sig_env, registry, node, max(own)) if own else None
+
+
+@dataclass(frozen=True)
+class ExprTyping:
+    tiers: frozenset[Tier]
+    derivation: ExprDeriv | None
+
+
+def type_expr(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> ExprTyping:
+    return ExprTyping(*_typing(_tier_table(gamma, sig_env, registry, expr), sig_env, registry, expr))
 
 
 def command_derivation(
     gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command, tier: Tier
 ) -> CmdDeriv | None:
     """A derivation of ``cmd : tier``, or ``None`` if there is none."""
-    if isinstance(cmd, Skip):
-        return CmdDeriv("skip", tier, cmd)
-    if isinstance(cmd, Assign):
-        if tier not in command_tiers(gamma, sig_env, registry, cmd):
-            return None
-        rhs = expr_tiers(gamma, sig_env, registry, cmd.expr)
-        expr_tier = min(t for t in rhs if tier.leq(t))
-        sub = expr_derivation(gamma, sig_env, registry, cmd.expr, expr_tier)
-        return CmdDeriv("assign", tier, cmd, sub)
-    if isinstance(cmd, Seq):
-        first_t = command_tiers(gamma, sig_env, registry, cmd.first)
-        second_t = command_tiers(gamma, sig_env, registry, cmd.second)
-        for a in sorted(first_t, reverse=True):
-            for b in sorted(second_t, reverse=True):
-                if a.join(b) == tier:
-                    left = command_derivation(gamma, sig_env, registry, cmd.first, a)
-                    right = command_derivation(gamma, sig_env, registry, cmd.second, b)
-                    if left and right:
-                        return CmdDeriv("seq", tier, cmd, None, (left, right))
-        return None
-    if isinstance(cmd, If):
-        guard = expr_derivation(gamma, sig_env, registry, cmd.guard, tier)
-        then_d = command_derivation(gamma, sig_env, registry, cmd.then_branch, tier)
-        else_d = command_derivation(gamma, sig_env, registry, cmd.else_branch, tier)
-        if guard and then_d and else_d:
-            return CmdDeriv("if", tier, cmd, guard, (then_d, else_d))
-        return None
-    if isinstance(cmd, While):
-        if tier != Tier.ONE:
-            return None
-        guard = expr_derivation(gamma, sig_env, registry, cmd.guard, Tier.ONE)
-        if guard is None:
-            return None
-        body_t = command_tiers(gamma, sig_env, registry, cmd.body)
-        for b in sorted(body_t, reverse=True):
-            body = command_derivation(gamma, sig_env, registry, cmd.body, b)
-            if body:
-                return CmdDeriv("while", Tier.ONE, cmd, guard, (body,))
-        return None
-    raise TypeError(f"not a command: {cmd!r}")
+    return _derivation(_tier_table(gamma, sig_env, registry, cmd), sig_env, registry, cmd, tier)
 
 
 @dataclass(frozen=True)
@@ -404,11 +430,7 @@ class CommandTyping:
 
 
 def type_command(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> CommandTyping:
-    tiers = command_tiers(gamma, sig_env, registry, cmd)
-    deriv = None
-    if tiers:
-        deriv = command_derivation(gamma, sig_env, registry, cmd, max(tiers))
-    return CommandTyping(tiers, deriv)
+    return CommandTyping(*_typing(_tier_table(gamma, sig_env, registry, cmd), sig_env, registry, cmd))
 
 
 # --- failure explanation --------------------------------------------------------
@@ -420,14 +442,62 @@ def _tier_names(tiers: frozenset[Tier]) -> str:
     return ", ".join(str(t) for t in sorted(tiers))
 
 
-def _explain_expr(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> Diagnostic:
-    """Innermost operator application with an empty tier set."""
-    assert isinstance(expr, OpCall), "variables always type at their tier"
-    for arg in expr.args:
-        if not expr_tiers(gamma, sig_env, registry, arg):
-            return _explain_expr(gamma, sig_env, registry, arg)
-    arg_tiers = [expr_tiers(gamma, sig_env, registry, a) for a in expr.args]
-    shown = ", ".join(_tier_names(t) for t in arg_tiers) or "none"
+def _explain(tiers: TierTable, gamma: TierEnv, cmd: Command) -> Diagnostic:
+    """The first blocking constraint of an untypable command, found by
+    following the first untypable child down a tier table."""
+    while True:
+        if isinstance(cmd, Assign):
+            rhs = tiers[id(cmd.expr)]
+            if not rhs:
+                expr = cmd.expr
+                break
+            target = gamma[cmd.var]
+            return Diagnostic(
+                "assign",
+                f"variable {cmd.var!r} has tier {target} but {pretty_expr(cmd.expr)} only "
+                f"types at tier {_tier_names(rhs)}",
+                cmd.span,
+                (cmd.var,),
+            )
+        if isinstance(cmd, Seq):
+            cmd = cmd.second if tiers[id(cmd.first)] else cmd.first
+        elif isinstance(cmd, If):
+            guard = tiers[id(cmd.guard)]
+            then_t, else_t = tiers[id(cmd.then_branch)], tiers[id(cmd.else_branch)]
+            if not guard:
+                expr = cmd.guard
+                break
+            if not then_t or not else_t:
+                cmd = cmd.else_branch if then_t else cmd.then_branch
+                continue
+            return Diagnostic(
+                "if",
+                f"guard and branches share no tier (guard: {_tier_names(guard)}, "
+                f"then: {_tier_names(then_t)}, else: {_tier_names(else_t)})",
+                cmd.span,
+                tuple(sorted(free_vars(cmd.guard))),
+            )
+        elif isinstance(cmd, While):
+            if not tiers[id(cmd.body)]:
+                cmd = cmd.body
+                continue
+            return Diagnostic(
+                "while",
+                f"loop guard {pretty_expr(cmd.guard)} must type at tier 1 but only "
+                f"types at {_tier_names(tiers[id(cmd.guard)])}",
+                cmd.span,
+                tuple(sorted(free_vars(cmd.guard))),
+            )
+        else:
+            raise AssertionError(f"typable command reached explain_failure: {cmd!r}")
+    # The innermost operator application with an empty tier set.
+    while True:
+        assert isinstance(expr, OpCall), "variables always type at their tier"
+        blocked = next((arg for arg in expr.args if not tiers[id(arg)]), None)
+        if blocked is None:
+            break
+        expr = blocked
+    shown = ", ".join(_tier_names(tiers[id(a)]) for a in expr.args) or "none"
     return Diagnostic(
         "op",
         f"no declared signature of {expr.op!r} applies (argument tiers: {shown})",
@@ -438,50 +508,7 @@ def _explain_expr(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Exp
 
 def explain_failure(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> Diagnostic:
     """The first blocking constraint of an untypable command."""
-    if isinstance(cmd, Assign):
-        rhs = expr_tiers(gamma, sig_env, registry, cmd.expr)
-        if not rhs:
-            return _explain_expr(gamma, sig_env, registry, cmd.expr)
-        target = gamma[cmd.var]
-        return Diagnostic(
-            "assign",
-            f"variable {cmd.var!r} has tier {target} but {pretty_expr(cmd.expr)} only "
-            f"types at tier {_tier_names(rhs)}",
-            cmd.span,
-            (cmd.var,),
-        )
-    if isinstance(cmd, Seq):
-        if not command_tiers(gamma, sig_env, registry, cmd.first):
-            return explain_failure(gamma, sig_env, registry, cmd.first)
-        return explain_failure(gamma, sig_env, registry, cmd.second)
-    if isinstance(cmd, If):
-        guard = expr_tiers(gamma, sig_env, registry, cmd.guard)
-        if not guard:
-            return _explain_expr(gamma, sig_env, registry, cmd.guard)
-        for branch in (cmd.then_branch, cmd.else_branch):
-            if not command_tiers(gamma, sig_env, registry, branch):
-                return explain_failure(gamma, sig_env, registry, branch)
-        then_t = command_tiers(gamma, sig_env, registry, cmd.then_branch)
-        else_t = command_tiers(gamma, sig_env, registry, cmd.else_branch)
-        return Diagnostic(
-            "if",
-            f"guard and branches share no tier (guard: {_tier_names(guard)}, "
-            f"then: {_tier_names(then_t)}, else: {_tier_names(else_t)})",
-            cmd.span,
-            tuple(sorted(free_vars(cmd.guard))),
-        )
-    if isinstance(cmd, While):
-        if not command_tiers(gamma, sig_env, registry, cmd.body):
-            return explain_failure(gamma, sig_env, registry, cmd.body)
-        guard = expr_tiers(gamma, sig_env, registry, cmd.guard)
-        return Diagnostic(
-            "while",
-            f"loop guard {pretty_expr(cmd.guard)} must type at tier 1 but only "
-            f"types at {_tier_names(guard)}",
-            cmd.span,
-            tuple(sorted(free_vars(cmd.guard))),
-        )
-    raise AssertionError(f"typable command reached explain_failure: {cmd!r}")
+    return _explain(_tier_table(gamma, sig_env, registry, cmd), gamma, cmd)
 
 
 # --- whole-program checking -------------------------------------------------------
@@ -548,12 +575,10 @@ def check_program(source: SourceFile, registry: Registry | None = None) -> Check
         return CheckReport(False, tuple(sorted(gamma.items())), violations, ())
     threads = []
     for tid, cmd in source.threads:
-        tiers = command_tiers(gamma, sig_env, registry, cmd)
-        if tiers:
-            deriv = command_derivation(gamma, sig_env, registry, cmd, max(tiers))
-            threads.append(ThreadReport(tid, tiers, deriv, None))
-        else:
-            threads.append(ThreadReport(tid, tiers, None, explain_failure(gamma, sig_env, registry, cmd)))
+        table = _tier_table(gamma, sig_env, registry, cmd)
+        tiers, deriv = _typing(table, sig_env, registry, cmd)
+        diagnostic = None if tiers else _explain(table, gamma, cmd)
+        threads.append(ThreadReport(tid, tiers, deriv, diagnostic))
     safe = all(t.ok for t in threads)
     return CheckReport(safe, tuple(sorted(gamma.items())), (), tuple(threads))
 
@@ -615,35 +640,24 @@ class InferenceReport:
 
 
 def _occurrence_order(source: SourceFile) -> list[str]:
-    seen: list[str] = []
-
-    def visit_expr(expr: Expr) -> None:
-        if isinstance(expr, Var):
-            if expr.name not in seen:
-                seen.append(expr.name)
-        elif isinstance(expr, OpCall):
-            for arg in expr.args:
-                visit_expr(arg)
-
-    def visit(cmd: Command) -> None:
-        if isinstance(cmd, Assign):
-            if cmd.var not in seen:
-                seen.append(cmd.var)
-            visit_expr(cmd.expr)
-        elif isinstance(cmd, Seq):
-            visit(cmd.first)
-            visit(cmd.second)
-        elif isinstance(cmd, If):
-            visit_expr(cmd.guard)
-            visit(cmd.then_branch)
-            visit(cmd.else_branch)
-        elif isinstance(cmd, While):
-            visit_expr(cmd.guard)
-            visit(cmd.body)
-
-    for _, cmd in source.threads:
-        visit(cmd)
-    return seen
+    seen: dict[str, None] = {}
+    stack: list[Expr | Command] = [cmd for _, cmd in reversed(source.threads)]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Var):
+            seen.setdefault(node.name)
+        elif isinstance(node, OpCall):
+            stack.extend(reversed(node.args))
+        elif isinstance(node, Assign):
+            seen.setdefault(node.var)
+            stack.append(node.expr)
+        elif isinstance(node, Seq):
+            stack += (node.second, node.first)
+        elif isinstance(node, If):
+            stack += (node.else_branch, node.then_branch, node.guard)
+        elif isinstance(node, While):
+            stack += (node.body, node.guard)
+    return list(seen)
 
 
 def _collect_constraints(
@@ -678,45 +692,23 @@ def _collect_constraints(
             holds,
         )
 
-    def visit(cmd: Command) -> None:
+    stack = [cmd for _, cmd in reversed(source.threads)]
+    while stack:
+        cmd = stack.pop()
         if isinstance(cmd, Assign):
             out.append(assign_constraint(cmd))
         elif isinstance(cmd, Seq):
-            visit(cmd.first)
-            visit(cmd.second)
+            stack += (cmd.second, cmd.first)
         elif isinstance(cmd, If):
-            visit(cmd.then_branch)
-            visit(cmd.else_branch)
+            stack += (cmd.else_branch, cmd.then_branch)
         elif isinstance(cmd, While):
             out.append(guard_constraint(cmd.guard))
-            visit(cmd.body)
-
-    for _, cmd in source.threads:
-        visit(cmd)
+            stack.append(cmd.body)
     return out
 
 
 def _span(expr: Expr) -> Span | None:
     return getattr(expr, "span", None)
-
-
-def _guard_vars(source: SourceFile) -> set[str]:
-    forced: set[str] = set()
-
-    def visit(cmd: Command) -> None:
-        if isinstance(cmd, Seq):
-            visit(cmd.first)
-            visit(cmd.second)
-        elif isinstance(cmd, If):
-            visit(cmd.then_branch)
-            visit(cmd.else_branch)
-        elif isinstance(cmd, While):
-            forced.update(free_vars(cmd.guard))
-            visit(cmd.body)
-
-    for _, cmd in source.threads:
-        visit(cmd)
-    return forced
 
 
 _ENUM_CAP = 16
@@ -754,10 +746,8 @@ def infer_tiers(source: SourceFile, registry: Registry | None = None) -> Inferen
         return InferenceReport(False, None, None, (), "; ".join(str(d) for d in violations))
 
     annotated = source.annotations()
-    program = source.program()
-    names = [v for v in _occurrence_order(source) if v in free_vars(program)]
+    names = _occurrence_order(source)
     unknowns = [v for v in names if v not in annotated]
-    forced = _guard_vars(source)
 
     def full_check(env: dict[str, Tier]) -> bool:
         return all(
@@ -765,6 +755,8 @@ def infer_tiers(source: SourceFile, registry: Registry | None = None) -> Inferen
         )
 
     constraints = _collect_constraints(source, sig_env, registry)
+    # Safe signatures force every variable read by a loop guard to tier 1.
+    forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
 
     def search(idx: int, env: dict[str, Tier]) -> dict[str, Tier] | None:
         if idx == len(unknowns):
@@ -786,7 +778,7 @@ def infer_tiers(source: SourceFile, registry: Registry | None = None) -> Inferen
 
     solution = search(0, dict(annotated))
     if solution is not None:
-        gamma = {v: solution[v] for v in free_vars(program)}
+        gamma = {v: solution[v] for v in names}
         checked = check_program(source.with_annotations(gamma), registry)
         return InferenceReport(True, tuple(sorted(gamma.items())), checked)
 

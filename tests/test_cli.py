@@ -273,15 +273,43 @@ def test_measure_argument_validation(fx, capsys):
         (["ni", "--trials", "-3"], "--trials must be at least 1"),
         (["ni", "--fuel", "-5"], "--fuel must be at least 0"),
         (["run", "--fuel", "-1"], "--fuel must be at least 0"),
+        (["explore", "--max-steps", "-1"], "--max-steps must be at least 0, got -1"),
+        (["explore", "--max-states", "0"], "--max-states must be at least 1, got 0"),
+        (["ni", "--mode", "explore", "--max-steps", "-1"], "--max-steps must be at least 0"),
+        (["tm-compile", "--verify-len", "-1"], "--verify-len must be at least 0, got -1"),
     ],
     ids=["measure-sizes", "measure-negative-size", "measure-max-degree", "measure-fuel",
-         "ni-max-len", "ni-trials", "ni-fuel", "run-fuel"],
+         "ni-max-len", "ni-trials", "ni-fuel", "run-fuel", "explore-max-steps",
+         "explore-max-states", "ni-max-steps", "tm-compile-verify-len"],
 )
 def test_bad_numeric_arguments_are_usage_errors(fx, capsys, argv, message):
     command, *flags = argv
-    code, out, err = run_cli(capsys, command, fx("add.tier"), *flags)
+    target = fx("binary_inc.tm" if command == "tm-compile" else "add.tier")
+    code, out, err = run_cli(capsys, command, target, *flags)
     assert (code, out) == (2, "")
     assert message in err
+
+
+def test_the_argument_parser_is_built_once_and_keeps_no_state(fx, capsys):
+    from tierlang.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    # ``--input`` appends to a list default; each call must start empty.
+    code, out, _ = run_cli(capsys, "run", fx("add.tier"), "--input", "x=11", "--json")
+    assert (code, json.loads(out)["store"]) == (0, {"y": "11"})
+    code, out, _ = run_cli(capsys, "run", fx("add.tier"), "--input", "y=1", "--json")
+    assert (code, json.loads(out)["store"]) == (0, {"y": "1"})
+    code, out, _ = run_cli(capsys, "run", fx("add.tier"), "--json")
+    assert (code, json.loads(out)["store"]) == (0, {})
+
+
+def test_usage_errors_exit_2_on_every_call(fx, capsys):
+    for argv in (["run"], ["explore", fx("add.tier"), "--max-steps", "many"]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        assert "usage: tierlang" in capsys.readouterr().err
+        assert run_cli(capsys, "check", fx("add.tier"))[0] == 0
 
 
 # --- tm-compile ------------------------------------------------------------------
