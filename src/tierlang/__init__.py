@@ -26,12 +26,8 @@ from .lang import (
     Var,
     While,
     Word,
-    assigned_vars,
     free_vars,
     is_truth_value,
-    join_all,
-    meet_all,
-    ops_used,
     seq_all,
     subword,
     unary,
@@ -76,8 +72,6 @@ from .typecheck import (
     expr_tiers,
     infer_tiers,
     maximal_safe_sigs,
-    type_command,
-    type_expr,
 )
 from .tm import CompiledProgram, TMSpec, compile_tm, parse_tm, simulate_tm
 
@@ -86,8 +80,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ALPHABET", "Alphabet", "Assign", "Command", "Expr", "If", "OpCall",
     "Program", "Seq", "Skip", "Span", "Store", "Tier", "Var", "While", "Word",
-    "assigned_vars", "free_vars", "is_truth_value", "join_all", "meet_all",
-    "ops_used", "seq_all", "subword", "unary", "word_literal",
+    "free_vars", "is_truth_value", "seq_all", "subword", "unary", "word_literal",
     "OperatorDef", "Registry", "builtins", "default_registry", "validate_class",
     "ParseError", "SourceFile", "parse", "pretty",
     "ControlTable", "eval_expr", "run_sequential", "step_command",
@@ -97,7 +90,6 @@ __all__ = [
     "fit_polynomial", "measure_growth", "ni_suite", "scheduled_run_stores",
     "store_equiv", "subword_invariant", "tier_one_projection", "tier_preservation",
     "CheckReport", "Diagnostic", "InferenceReport", "check_program",
-    "check_safe_sigs", "command_tiers", "expr_tiers", "infer_tiers",
-    "maximal_safe_sigs", "type_command", "type_expr",
+    "check_safe_sigs", "command_tiers", "expr_tiers", "infer_tiers", "maximal_safe_sigs",
     "CompiledProgram", "TMSpec", "compile_tm", "parse_tm", "simulate_tm",
 ]

@@ -67,22 +67,6 @@ class Tier(enum.IntEnum):
         return str(int(self))
 
 
-def join_all(tiers: Iterable[Tier]) -> Tier:
-    """Least upper bound; the empty join is ZERO."""
-    out = Tier.ZERO
-    for t in tiers:
-        out = out.join(t)
-    return out
-
-
-def meet_all(tiers: Iterable[Tier]) -> Tier:
-    """Greatest lower bound; the empty meet is ONE."""
-    out = Tier.ONE
-    for t in tiers:
-        out = out.meet(t)
-    return out
-
-
 @dataclass(frozen=True)
 class Alphabet:
     """A finite, nonempty set of one-character letters."""
@@ -98,9 +82,6 @@ class Alphabet:
 
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
-
-    def admits(self, word: Word) -> bool:
-        return all(c in self.letters for c in word)
 
     def sorted_letters(self) -> tuple[str, ...]:
         return tuple(sorted(self.letters))
@@ -216,82 +197,44 @@ def seq_all(commands: Iterable[Command]) -> Command:
     return out
 
 
+def walk(node: Expr | Command) -> Iterator[Expr | Command]:
+    """Every expression and command node of a tree, in pre-order.
+
+    A node comes before its children, and children come in field order:
+    an assignment before its expression, an ``if`` guard before its then
+    and else branches, a loop guard before its body, operator arguments
+    left to right.  An explicit stack keeps deep trees off the Python
+    stack.
+    """
+    stack: list[Expr | Command] = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        cls = node.__class__  # exact classes: the node types are never subclassed
+        if cls is OpCall:
+            stack.extend(reversed(node.args))
+        elif cls is Assign:
+            stack.append(node.expr)
+        elif cls is Seq:
+            stack += (node.second, node.first)
+        elif cls is If:
+            stack += (node.else_branch, node.then_branch, node.guard)
+        elif cls is While:
+            stack += (node.body, node.guard)
+        elif cls is not Var and cls is not Skip:
+            raise TypeError(f"not an AST node: {node!r}")
+
+
 def free_vars(node: Expr | Command | "Program") -> frozenset[str]:
     """Variable names occurring in an expression, command, or program."""
+    roots = [cmd for _, cmd in node.threads] if isinstance(node, Program) else [node]
     out: set[str] = set()
-    stack: list[Expr | Command] = []
-    if isinstance(node, Program):
-        stack.extend(cmd for _, cmd in node.threads)
-    else:
-        stack.append(node)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Var):
-            out.add(item.name)
-        elif isinstance(item, OpCall):
-            stack.extend(item.args)
-        elif isinstance(item, Skip):
-            pass
-        elif isinstance(item, Assign):
-            out.add(item.var)
-            stack.append(item.expr)
-        elif isinstance(item, Seq):
-            stack.append(item.first)
-            stack.append(item.second)
-        elif isinstance(item, If):
-            stack.append(item.guard)
-            stack.append(item.then_branch)
-            stack.append(item.else_branch)
-        elif isinstance(item, While):
-            stack.append(item.guard)
-            stack.append(item.body)
-        else:
-            raise TypeError(f"not an AST node: {item!r}")
-    return frozenset(out)
-
-
-def assigned_vars(node: Command | "Program") -> frozenset[str]:
-    """Variables written by some assignment in the command or program."""
-    out: set[str] = set()
-    stack: list[Command] = []
-    if isinstance(node, Program):
-        stack.extend(cmd for _, cmd in node.threads)
-    else:
-        stack.append(node)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Assign):
-            out.add(item.var)
-        elif isinstance(item, Seq):
-            stack.extend((item.first, item.second))
-        elif isinstance(item, If):
-            stack.extend((item.then_branch, item.else_branch))
-        elif isinstance(item, While):
-            stack.append(item.body)
-    return frozenset(out)
-
-
-def ops_used(node: Expr | Command | "Program") -> frozenset[str]:
-    """Operator names occurring in the expression, command, or program."""
-    out: set[str] = set()
-    stack: list[Expr | Command] = []
-    if isinstance(node, Program):
-        stack.extend(cmd for _, cmd in node.threads)
-    else:
-        stack.append(node)
-    while stack:
-        item = stack.pop()
-        if isinstance(item, OpCall):
-            out.add(item.op)
-            stack.extend(item.args)
-        elif isinstance(item, Assign):
-            stack.append(item.expr)
-        elif isinstance(item, Seq):
-            stack.extend((item.first, item.second))
-        elif isinstance(item, If):
-            stack.extend((item.guard, item.then_branch, item.else_branch))
-        elif isinstance(item, While):
-            stack.extend((item.guard, item.body))
+    for root in roots:
+        for item in walk(root):
+            if isinstance(item, Var):
+                out.add(item.name)
+            elif isinstance(item, Assign):
+                out.add(item.var)
     return frozenset(out)
 
 
@@ -341,12 +284,6 @@ class Store:
         else:
             data.pop(var, None)
         return Store._normalized(data)
-
-    def bind_many(self, updates: Mapping[str, Word]) -> Store:
-        out = self
-        for name, word in updates.items():
-            out = out.bind(name, word)
-        return out
 
     def restrict(self, variables: Iterable[str]) -> Store:
         keep = set(variables)

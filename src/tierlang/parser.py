@@ -28,8 +28,8 @@ text reparses to a structurally equal tree.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .lang import (
     DEFAULT_ALPHABET,
@@ -46,6 +46,7 @@ from .lang import (
     Tier,
     Var,
     While,
+    walk,
 )
 
 Sig = tuple[tuple[Tier, ...], Tier]
@@ -70,7 +71,22 @@ RESERVED = frozenset(
     }
 )
 
-_PUNCT = (":=", "->", "{", "}", "(", ")", ";", ":", ",")
+# One alternative per token kind; every character starts a match, so
+# ``finditer`` reads the text without gaps.  Newlines are named so the
+# tokenizer can count lines, blanks and ``//`` comments produce no token,
+# and any other character is an error.  ``[^\W\d]`` is a word character
+# that is not a decimal digit, which also matches numeric signs such as
+# ``²``; ``_tokenize`` rejects those, so a name starts with a letter or
+# ``_``.
+_TOKEN = re.compile(
+    r"""(?P<newline>\n) | [ \t\r]+ | //[^\n]*
+    | (?P<punct>:= | -> | [{}();:,])
+    | (?P<string>"[^"\n]*")
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<digits>\d+)
+    | (?P<error>.)""",
+    re.VERBOSE,
+)
 
 
 class ParseError(ValueError):
@@ -95,63 +111,23 @@ class Token:
 
 def _tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        start = match.start()
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
+            line_start = start + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        two = text[i : i + 2]
-        if two in _PUNCT:
-            tokens.append(Token("punct", two, line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            while j < n and text[j] not in ('"', "\n"):
-                j += 1
-            if j >= n or text[j] != '"':
+        first, col = text[start], start - line_start + 1
+        if kind == "error" or kind == "ident" and not (first.isalpha() or first == "_"):
+            if first == '"':
                 raise ParseError("unterminated word literal", line, col)
-            tokens.append(Token("string", text[i : j + 1], line, col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(Token("digits", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            raise ParseError(f"unexpected character {first!r}", line, col)
+        tokens.append(Token(kind, match.group(), line, col))
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -375,7 +351,7 @@ class _Parser:
             items.append(self.statement())
         out = items[-1]
         for item in reversed(items[:-1]):
-            out = Seq(item, out, _span_of(item))
+            out = Seq(item, out, item.span)
         return out
 
     def statement(self) -> Command:
@@ -445,38 +421,16 @@ class _Parser:
         return Var(tok.text, tok.span)
 
 
-def _span_of(node: Expr | Command) -> Span | None:
-    return getattr(node, "span", None)
-
-
 def _validate(source: SourceFile) -> None:
     """Post-parse checks: operator usage against declarations, and word
     literal letters against the alphabet."""
     declared = {decl.name: decl for decl in source.op_decls}
     alphabet = source.alphabet()
 
-    def walk_expr(expr: Expr) -> Iterator[OpCall]:
-        if isinstance(expr, OpCall):
-            yield expr
-            for arg in expr.args:
-                yield from walk_expr(arg)
-
-    def walk_cmd(cmd: Command) -> Iterator[OpCall]:
-        if isinstance(cmd, Assign):
-            yield from walk_expr(cmd.expr)
-        elif isinstance(cmd, Seq):
-            yield from walk_cmd(cmd.first)
-            yield from walk_cmd(cmd.second)
-        elif isinstance(cmd, If):
-            yield from walk_expr(cmd.guard)
-            yield from walk_cmd(cmd.then_branch)
-            yield from walk_cmd(cmd.else_branch)
-        elif isinstance(cmd, While):
-            yield from walk_expr(cmd.guard)
-            yield from walk_cmd(cmd.body)
-
     for _, cmd in source.threads:
-        for call in walk_cmd(cmd):
+        for call in walk(cmd):
+            if not isinstance(call, OpCall):
+                continue
             span = call.span or Span(0, 0)
             if call.op.startswith('"'):
                 word = call.op[1:-1]
@@ -515,13 +469,26 @@ def parse(text: str) -> SourceFile:
 
 
 def pretty_expr(expr: Expr) -> str:
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, OpCall):
-        if expr.op.startswith('"') or expr.op in ("tt", "ff"):
-            return expr.op
-        return f"{expr.op}({', '.join(pretty_expr(a) for a in expr.args)})"
-    raise TypeError(f"not an expression: {expr!r}")
+    parts: list[str] = []
+    stack: list[Expr | str] = [expr]  # nodes to print, and text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Var):
+            parts.append(item.name)
+        elif isinstance(item, OpCall):
+            if item.op.startswith('"') or item.op in ("tt", "ff"):
+                parts.append(item.op)
+                continue
+            parts.append(item.op + "(")
+            stack.append(")")
+            for arg in reversed(item.args[1:]):
+                stack += (arg, ", ")
+            stack += item.args[:1]
+        else:
+            raise TypeError(f"not an expression: {item!r}")
+    return "".join(parts)
 
 
 def _statements(cmd: Command) -> list[Command]:
@@ -534,41 +501,42 @@ def _statements(cmd: Command) -> list[Command]:
     return out
 
 
-def _pretty_cmd(cmd: Command, indent: int) -> list[str]:
-    pad = "  " * indent
-    if isinstance(cmd, Skip):
-        return [pad + "skip"]
-    if isinstance(cmd, Assign):
-        return [pad + f"{cmd.var} := {pretty_expr(cmd.expr)}"]
-    if isinstance(cmd, If):
-        lines = [pad + f"if ({pretty_expr(cmd.guard)}) {{"]
-        lines += _pretty_block(cmd.then_branch, indent + 1)
-        lines.append(pad + "} else {")
-        lines += _pretty_block(cmd.else_branch, indent + 1)
-        lines.append(pad + "}")
-        return lines
-    if isinstance(cmd, While):
-        lines = [pad + f"while ({pretty_expr(cmd.guard)}) {{"]
-        lines += _pretty_block(cmd.body, indent + 1)
-        lines.append(pad + "}")
-        return lines
-    if isinstance(cmd, Seq):
-        # A sequence in statement position keeps its grouping via braces.
-        lines = [pad + "{"]
-        lines += _pretty_block(cmd, indent + 1)
-        lines.append(pad + "}")
-        return lines
-    raise TypeError(f"not a command: {cmd!r}")
-
-
 def _pretty_block(cmd: Command, indent: int) -> list[str]:
+    """The lines of a statement sequence, all but the last statement
+    closed by ``;``.  The stack holds finished lines and ``(command,
+    indent, end)`` entries, where ``end`` closes a statement's last line
+    and ``None`` marks a block still to be split into statements."""
     lines: list[str] = []
-    statements = _statements(cmd)
-    for pos, statement in enumerate(statements):
-        chunk = _pretty_cmd(statement, indent)
-        if pos < len(statements) - 1:
-            chunk[-1] += ";"
-        lines += chunk
+    stack: list = [(cmd, indent, None)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            lines.append(item)
+            continue
+        cmd, indent, end = item
+        if end is None:
+            statements = _statements(cmd)
+            stack.append((statements.pop(), indent, ""))
+            stack.extend((statement, indent, ";") for statement in reversed(statements))
+            continue
+        pad = "  " * indent
+        if isinstance(cmd, Skip):
+            lines.append(pad + "skip" + end)
+        elif isinstance(cmd, Assign):
+            lines.append(f"{pad}{cmd.var} := {pretty_expr(cmd.expr)}{end}")
+        elif isinstance(cmd, If):
+            lines.append(f"{pad}if ({pretty_expr(cmd.guard)}) {{")
+            stack += (pad + "}" + end, (cmd.else_branch, indent + 1, None),
+                      pad + "} else {", (cmd.then_branch, indent + 1, None))
+        elif isinstance(cmd, While):
+            lines.append(f"{pad}while ({pretty_expr(cmd.guard)}) {{")
+            stack += (pad + "}" + end, (cmd.body, indent + 1, None))
+        elif isinstance(cmd, Seq):
+            # A sequence in statement position keeps its grouping via braces.
+            lines.append(pad + "{")
+            stack += (pad + "}" + end, (cmd, indent + 1, None))
+        else:
+            raise TypeError(f"not a command: {cmd!r}")
     return lines
 
 

@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
+from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word, free_vars
 from .ops import Registry, default_registry
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
@@ -525,8 +525,6 @@ def quietness_test(
     """
     registry = registry or default_registry()
     rng = random.Random(seed)
-    from .lang import free_vars  # local import keeps module load order simple
-
     variables = sorted(free_vars(program))
     table = ControlTable((cmd for _, cmd in program.threads), registry)
     for trial in range(trials):

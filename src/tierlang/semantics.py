@@ -395,18 +395,3 @@ def run_sequential(
                 trace_complete = False
     return SequentialRun(store, None, steps, loops, True, tuple(trace), trace_complete)
 
-
-def dump_trace(run: SequentialRun) -> str:
-    """Text rendering of a trace: step index, rule, cumulative loop
-    count, and the assignment performed (if any), one line per step."""
-    lines = ["step\trule\tloops\tassignment"]
-    for entry in run.trace:
-        if entry.assigned is not None:
-            var, value = entry.assigned
-            shown = f"{var}={value!r}"
-        else:
-            shown = "-"
-        lines.append(f"{entry.index}\t{entry.rule}\t{entry.loops}\t{shown}")
-    if not run.trace_complete:
-        lines.append(f"... trace truncated; run continued to step {run.steps}")
-    return "\n".join(lines)

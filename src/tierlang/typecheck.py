@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .lang import (
     Assign,
@@ -38,6 +38,7 @@ from .lang import (
     Var,
     While,
     free_vars,
+    walk,
 )
 from .ops import OperatorDef, Registry, UnknownOperatorError, default_registry
 from .parser import Sig, SourceFile, pretty_expr
@@ -194,12 +195,6 @@ def _literal_sigs(name: str, registry: Registry) -> frozenset[Sig] | None:
     return None
 
 
-def maximal_sig_env(names: Iterator[str] | list[str], registry: Registry) -> dict[str, frozenset[Sig]]:
-    """Convenience environment giving each named operator its maximal
-    safe signature set."""
-    return {name: maximal_safe_sigs(registry.resolve(name)) for name in names}
-
-
 # --- derivations -------------------------------------------------------------
 
 
@@ -219,23 +214,6 @@ class CmdDeriv:
     cmd: Command
     guard: ExprDeriv | None = None
     children: tuple["CmdDeriv", ...] = ()
-
-
-def render_derivation(deriv: ExprDeriv | CmdDeriv, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(deriv, ExprDeriv):
-        head = f"{pad}[{deriv.rule}] {pretty_expr(deriv.expr)} : {deriv.tier}"
-        if deriv.sig is not None:
-            head += f"  via {render_sig(deriv.sig)}"
-        parts = [head]
-        parts += [render_derivation(child, indent + 1) for child in deriv.children]
-        return "\n".join(parts)
-    label = type(deriv.cmd).__name__.lower()
-    parts = [f"{pad}[{deriv.rule}] {label} : {deriv.tier}"]
-    if deriv.guard is not None:
-        parts.append(render_derivation(deriv.guard, indent + 1))
-    parts += [render_derivation(child, indent + 1) for child in deriv.children]
-    return "\n".join(parts)
 
 
 # --- the typing pass ------------------------------------------------------------
@@ -400,37 +378,11 @@ def expr_derivation(
     return _derivation(_tier_table(gamma, sig_env, registry, expr), sig_env, registry, expr, tier)
 
 
-def _typing(tiers: TierTable, sig_env: SigEnv, registry: Registry, node: Expr | Command) -> tuple:
-    """A node's tier set and its derivation at the largest of them."""
-    own = tiers[id(node)]
-    return own, _derivation(tiers, sig_env, registry, node, max(own)) if own else None
-
-
-@dataclass(frozen=True)
-class ExprTyping:
-    tiers: frozenset[Tier]
-    derivation: ExprDeriv | None
-
-
-def type_expr(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> ExprTyping:
-    return ExprTyping(*_typing(_tier_table(gamma, sig_env, registry, expr), sig_env, registry, expr))
-
-
 def command_derivation(
     gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command, tier: Tier
 ) -> CmdDeriv | None:
     """A derivation of ``cmd : tier``, or ``None`` if there is none."""
     return _derivation(_tier_table(gamma, sig_env, registry, cmd), sig_env, registry, cmd, tier)
-
-
-@dataclass(frozen=True)
-class CommandTyping:
-    tiers: frozenset[Tier]
-    derivation: CmdDeriv | None
-
-
-def type_command(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> CommandTyping:
-    return CommandTyping(*_typing(_tier_table(gamma, sig_env, registry, cmd), sig_env, registry, cmd))
 
 
 # --- failure explanation --------------------------------------------------------
@@ -576,7 +528,8 @@ def check_program(source: SourceFile, registry: Registry | None = None) -> Check
     threads = []
     for tid, cmd in source.threads:
         table = _tier_table(gamma, sig_env, registry, cmd)
-        tiers, deriv = _typing(table, sig_env, registry, cmd)
+        tiers = table[id(cmd)]
+        deriv = _derivation(table, sig_env, registry, cmd, max(tiers)) if tiers else None
         diagnostic = None if tiers else _explain(table, gamma, cmd)
         threads.append(ThreadReport(tid, tiers, deriv, diagnostic))
     safe = all(t.ok for t in threads)
@@ -641,22 +594,12 @@ class InferenceReport:
 
 def _occurrence_order(source: SourceFile) -> list[str]:
     seen: dict[str, None] = {}
-    stack: list[Expr | Command] = [cmd for _, cmd in reversed(source.threads)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Var):
-            seen.setdefault(node.name)
-        elif isinstance(node, OpCall):
-            stack.extend(reversed(node.args))
-        elif isinstance(node, Assign):
-            seen.setdefault(node.var)
-            stack.append(node.expr)
-        elif isinstance(node, Seq):
-            stack += (node.second, node.first)
-        elif isinstance(node, If):
-            stack += (node.else_branch, node.then_branch, node.guard)
-        elif isinstance(node, While):
-            stack += (node.body, node.guard)
+    for _, cmd in source.threads:
+        for node in walk(cmd):
+            if isinstance(node, Var):
+                seen.setdefault(node.name)
+            elif isinstance(node, Assign):
+                seen.setdefault(node.var)
     return list(seen)
 
 
@@ -671,7 +614,7 @@ def _collect_constraints(
         return Constraint(
             "guard",
             names,
-            _span(guard),
+            guard.span,
             f"loop guard {text} must type at tier 1",
             lambda env, g=guard: Tier.ONE in expr_tiers(env, sig_env, registry, g),
         )
@@ -692,23 +635,13 @@ def _collect_constraints(
             holds,
         )
 
-    stack = [cmd for _, cmd in reversed(source.threads)]
-    while stack:
-        cmd = stack.pop()
-        if isinstance(cmd, Assign):
-            out.append(assign_constraint(cmd))
-        elif isinstance(cmd, Seq):
-            stack += (cmd.second, cmd.first)
-        elif isinstance(cmd, If):
-            stack += (cmd.else_branch, cmd.then_branch)
-        elif isinstance(cmd, While):
-            out.append(guard_constraint(cmd.guard))
-            stack.append(cmd.body)
+    for _, cmd in source.threads:
+        for node in walk(cmd):
+            if isinstance(node, Assign):
+                out.append(assign_constraint(node))
+            elif isinstance(node, While):
+                out.append(guard_constraint(node.guard))
     return out
-
-
-def _span(expr: Expr) -> Span | None:
-    return getattr(expr, "span", None)
 
 
 _ENUM_CAP = 16

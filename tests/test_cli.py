@@ -73,10 +73,11 @@ def test_check_json(fx, capsys):
 
 def test_check_reports_parse_errors_as_usage_failures(tmp_path, capsys):
     path = tmp_path / "broken.tier"
-    path.write_text("thread t { x := }\n")
-    code, _, err = run_cli(capsys, "check", str(path))
-    assert code == 2
-    assert err.startswith("error:")
+    for text in ("thread t { x := }\n", "op f arity \u00b2 class neutral;\nthread t { skip }\n"):
+        path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(capsys, "check", str(path))
+        assert code == 2
+        assert err.startswith("error:")
 
 
 # --- run -------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Source format: tokenizing, grammar, validation, pretty round-trips."""
 
+import dataclasses
+import string
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tierlang import Assign, If, OpCall, Seq, Skip, Tier, Var, While, parse, pretty
 from tierlang.fixtures import MACHINE_FIXTURES, REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
-from tierlang.parser import ParseError, pretty_command
+from tierlang.parser import ParseError, _validate, pretty_command
 
 HEADER = """
 op gt0 arity 1 class neutral;
@@ -87,6 +90,13 @@ def test_error_positions_are_reported():
     err = bad("thread t {\n  x := !\n}")
     assert (err.line, err.col) == (2, 8)
     assert "2:8" in str(err)
+    err = bad("thread t {")
+    assert (err.line, err.col) == (1, 11)
+    err = bad("thread t { // open")
+    assert (err.line, err.col) == (1, 19)
+    # A numeric sign is neither a digit nor the start of a name.
+    err = bad("thread t { x := \u00b2 }")
+    assert (err.message, err.line, err.col) == ("unexpected character '\u00b2'", 1, 17)
 
 
 def test_reserved_words_cannot_name_things():
@@ -108,6 +118,55 @@ def test_usage_validation():
     assert "unterminated" in bad('thread t { x := "01 }').message
 
 
+@pytest.mark.parametrize(
+    "body, first",
+    [
+        ("x := eq(left(x), right(x))", "left"),
+        ("while (guard(x)) { x := body(x) }", "guard"),
+        ("if (guard(x)) { x := then(x) } else { x := other(x) }", "guard"),
+        ("x := first(x); x := second(x)", "first"),
+    ],
+    ids=["arguments", "while", "if", "sequence"],
+)
+def test_the_first_undeclared_operator_in_reading_order_is_reported(body, first):
+    assert bad(HEADER + "thread t { " + body + " }").message == (
+        f"operator {first!r} is not declared in an op header"
+    )
+
+
+def test_validation_walks_deep_trees_built_in_code():
+    source = parse(HEADER + "thread t { skip }")
+
+    def with_deep_expression(leaf):
+        expr = leaf
+        for _ in range(3000):
+            expr = OpCall("pred", (expr,))
+        return dataclasses.replace(source, threads=(("t", Assign("x", expr)),))
+
+    _validate(with_deep_expression(Var("x")))
+    with pytest.raises(ParseError, match="'mystery' is not declared"):
+        _validate(with_deep_expression(OpCall("mystery", ())))
+
+
+# Names and numbers in the grammar, mixed with runs of other characters.
+SOURCE_WORDS = st.sampled_from(
+    ["thread", "t", "op", "f", "arity", "class", "neutral", "sig", "vars", "alphabet",
+     "skip", "while", "if", "else", "x", "tt", "0", "1", "2", ":=", "->", "{", "}", "(", ")",
+     ";", ":", ","]
+)
+SOURCE_CHARS = string.punctuation + '" \n\té中ß١²½'
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(SOURCE_WORDS | st.text(SOURCE_CHARS, max_size=3), max_size=40).map(" ".join))
+@example("op f arity ² class neutral;\nthread t { skip }")
+def test_any_text_parses_or_raises_a_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
+
+
 # --- pretty round-trips ---------------------------------------------------------
 
 
@@ -115,6 +174,18 @@ def test_usage_validation():
 def test_fixtures_roundtrip(name):
     src = parse(fixture_text(name))
     assert parse(pretty(src)) == src
+
+
+def test_pretty_command_prints_a_deep_if_nest():
+    depth = 1500
+    cmd = Skip()
+    for _ in range(depth):
+        cmd = If(OpCall("gt0", (Var("x"),)), cmd, Skip())
+    closing = []
+    for level in reversed(range(depth)):
+        closing += ["  " * level + "} else {", "  " * (level + 1) + "skip", "  " * level + "}"]
+    opening = ["  " * level + "if (gt0(x)) {" for level in range(depth)]
+    assert pretty_command(cmd).split("\n") == opening + ["  " * depth + "skip"] + closing
 
 
 def test_machine_fixture_names_exist():

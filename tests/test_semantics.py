@@ -16,7 +16,7 @@ from tierlang import (
     unary,
 )
 from tierlang.fixtures import load_source
-from tierlang.semantics import StuckGuardError, dump_trace
+from tierlang.semantics import StuckGuardError
 
 
 def test_eval_expr():
@@ -118,13 +118,3 @@ def test_trace_records_stores():
     assert run.trace[-1].store == run.store
     assert run.trace[-1].residual is None
     assert [e.index for e in run.trace] == list(range(1, run.steps + 1))
-
-
-def test_dump_trace_format():
-    run = run_sequential(Store.of(x="1"), adder_command())
-    lines = dump_trace(run).splitlines()
-    assert lines[0] == "step\trule\tloops\tassignment"
-    assert lines[1] == "1\twhile-tt\t1\t-"
-    assert lines[2] == "2\tassign\t1\tx=''"
-    assert lines[3] == "3\tassign\t1\ty='1'"
-    assert lines[4] == "4\twhile-ff\t1\t-"

@@ -33,6 +33,7 @@ from tierlang.typecheck import (
     command_tiers,
     explain_failure,
     expr_derivation,
+    infer_tiers,
     expr_tiers,
     maximal_safe_sigs,
     seq_tiers,
@@ -401,6 +402,26 @@ def test_a_900_deep_expression_checks():
         assert deriv.sig == ((O,), O)
         deriv, depth = deriv.children[0], depth + 1
     assert (depth, deriv.rule, deriv.tier) == (900, "var", O)
+
+
+def nested(op, depth, leaf):
+    expr = leaf
+    for _ in range(depth):
+        expr = OpCall(op, (expr,))
+    return expr
+
+
+def test_tiers_of_a_900_deep_expression_are_inferred():
+    loop = While(OpCall("gt0", (Var("x"),)), Assign("x", nested("sub1", 900, Var("x"))))
+    report = infer_tiers(with_thread(loop).with_annotations({}))
+    assert report.ok and report.gamma_env() == {"x": O}
+
+
+def test_a_rejected_900_deep_expression_is_printed_in_its_diagnostic():
+    report = check_program(with_thread(Assign("x", nested("add1", 900, Var("x")))))
+    diag = report.threads[0].diagnostic
+    shown = "add1(" * 900 + "x" + ")" * 900
+    assert diag.message == f"variable 'x' has tier 1 but {shown} only types at tier 0"
 
 
 # 700 is the deepest nest in the benchmark; 1500 is past Python's default
