@@ -15,12 +15,12 @@ stated bounds and report the first counterexample found.
 from __future__ import annotations
 
 import io
+import math
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .lang import (
     DEFAULT_ALPHABET,
@@ -441,14 +441,14 @@ class GrowthRow:
 class GrowthTable:
     rows: tuple[GrowthRow, ...]
 
-    def sizes(self) -> np.ndarray:
-        return np.array([r.n for r in self.rows], dtype=float)
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(r.n for r in self.rows)
 
-    def column(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> tuple[int, ...]:
         if name == "max_t":
-            return np.array([r.max_loops for r in self.rows], dtype=float)
+            return tuple(r.max_loops for r in self.rows)
         if name == "max_k":
-            return np.array([r.max_steps for r in self.rows], dtype=float)
+            return tuple(r.max_steps for r in self.rows)
         raise KeyError(name)
 
     def to_csv(self) -> str:
@@ -500,6 +500,35 @@ class FitReport:
         }
 
 
+def _least_squares(power_sums: Sequence[int], moments: Sequence[int], degree: int) -> list[Fraction]:
+    """Exact least-squares coefficients, lowest power first, of the
+    degree-``degree`` polynomial through points with power sums
+    ``power_sums[k]`` = Σ x^k and moments ``moments[k]`` = Σ y·x^k.
+
+    The normal equations are an integer Hankel system.  Bareiss's
+    fraction-free elimination keeps every entry an integer: each
+    division by the previous pivot is exact.  With more distinct sizes
+    than unknowns the matrix is positive definite, so every pivot (a
+    leading principal minor) is positive and no row swaps are needed.
+    """
+    size = degree + 1
+    rows = [[*power_sums[i:i + size], moments[i]] for i in range(size)]
+    previous = 1
+    for k in range(size - 1):
+        pivot = rows[k]
+        for row in rows[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, size + 1):
+                row[j] = (row[j] * pivot[k] - factor * pivot[j]) // previous
+        previous = pivot[k]
+    coeffs: list[Fraction] = [Fraction(0)] * size
+    for i in reversed(range(size)):
+        row = rows[i]
+        known = sum(row[j] * coeffs[j] for j in range(i + 1, size))
+        coeffs[i] = (row[size] - known) / row[i]
+    return coeffs
+
+
 def fit_polynomial(
     table: GrowthTable,
     max_degree: int = 4,
@@ -513,20 +542,31 @@ def fit_polynomial(
     sizes carry constant overhead that even a correct degree will not
     match.  When no degree up to ``max_degree`` fits, the verdict is
     ``superpolynomial-suspect`` and the best attempt is reported.
+
+    Sizes and counts are integers, so the fit is solved exactly in
+    rationals; coefficients and residual become floats only at the end.
     """
-    if len(table.rows) < max_degree + 2:
-        raise ValueError(f"need at least {max_degree + 2} rows to fit degree {max_degree}")
     xs = table.sizes()
     ys = table.column(column)
+    if len(set(xs)) < max_degree + 2:
+        raise ValueError(f"need at least {max_degree + 2} distinct sizes to fit degree {max_degree}")
+    power_sums = [sum(x**k for x in xs) for k in range(2 * max_degree + 1)]
+    moments = [sum(y * x**k for x, y in zip(xs, ys)) for k in range(max_degree + 1)]
     half = len(xs) // 2
-    top_x, top_y = xs[half:], ys[half:]
+    top = list(zip(xs[half:], ys[half:]))
     best: FitReport | None = None
     for degree in range(1, max_degree + 1):
-        coeffs = np.polyfit(xs, ys, degree)
-        predicted = np.polyval(coeffs, top_x)
-        scale = np.maximum(np.abs(top_y), 1.0)
-        residual = float(np.sqrt(np.mean(((predicted - top_y) / scale) ** 2)))
-        report = FitReport("polynomial", degree, tuple(float(c) for c in coeffs), residual, column)
+        coeffs = _least_squares(power_sums, moments, degree)
+        squares = Fraction(0)
+        for x, y in top:
+            predicted = Fraction(0)
+            for c in reversed(coeffs):
+                predicted = predicted * x + c
+            squares += ((predicted - y) / max(abs(y), 1)) ** 2
+        residual = math.sqrt(squares / len(top))
+        report = FitReport(
+            "polynomial", degree, tuple(float(c) for c in reversed(coeffs)), residual, column
+        )
         if residual < threshold:
             return report
         if best is None or residual < best.residual:

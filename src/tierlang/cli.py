@@ -292,10 +292,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
     _at_least("--max-degree", args.max_degree, 1)
     sizes = _parse_sizes(args.sizes)
     _at_least("--sizes", min(sizes, default=0), 0)
-    if len(sizes) < args.max_degree + 2:
+    distinct = len(set(sizes))
+    if distinct < args.max_degree + 2:
         raise CliError(
-            f"--sizes gives {len(sizes)} sizes; a fit up to degree {args.max_degree} "
-            f"needs at least {args.max_degree + 2}"
+            f"--sizes: a fit up to degree {args.max_degree} needs at least "
+            f"{args.max_degree + 2} distinct sizes, got {distinct}"
         )
     source = _load_source(args.program)
     _, gate_code = _gate(source, args.unsafe_ok, args.json)

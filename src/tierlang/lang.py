@@ -292,9 +292,6 @@ class Store:
     def items(self) -> list[tuple[str, Word]]:
         return sorted(self._bindings.items())
 
-    def bound_names(self) -> frozenset[str]:
-        return frozenset(self._bindings)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Store):
             return NotImplemented

@@ -33,7 +33,9 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word, free_vars
@@ -165,6 +167,51 @@ class GlobalTraceStep:
     store: Store
 
 
+@dataclass(frozen=True, eq=False)
+class Choices(Sequence):
+    """The thread ids a scheduled run chose, one per step: ``prefix``,
+    then ``cycle`` ``repeats`` times, then ``tail``.
+
+    A run that skips whole periods keeps one copy of the period, so its
+    choices cost memory for the steps it took, not the steps it skipped.
+    Two ``Choices`` are equal when they hold the same ids in the same
+    order, however they are split.
+    """
+
+    prefix: tuple[str, ...]
+    cycle: tuple[str, ...] = ()
+    repeats: int = 0
+    tail: tuple[str, ...] = ()
+
+    def __len__(self) -> int:
+        return len(self.prefix) + len(self.cycle) * self.repeats + len(self.tail)
+
+    def __getitem__(self, index):
+        # Indexing a range resolves negative indices and slices and
+        # raises IndexError out of bounds, as a tuple would.
+        index = range(len(self))[index]
+        if isinstance(index, range):
+            return tuple(self[i] for i in index)
+        if index < len(self.prefix):
+            return self.prefix[index]
+        index -= len(self.prefix)
+        looped = len(self.cycle) * self.repeats
+        if index < looped:
+            return self.cycle[index % len(self.cycle)]
+        return self.tail[index - looped]
+
+    def __iter__(self):
+        return chain(self.prefix, chain.from_iterable(repeat(self.cycle, self.repeats)), self.tail)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Choices):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class ScheduledRun:
     store: Store
@@ -172,7 +219,7 @@ class ScheduledRun:
     steps: int
     loops: int
     finished: bool
-    choices: tuple[str, ...]
+    choices: Choices
     trace: tuple[GlobalTraceStep, ...] = field(repr=False, default=())
 
 
@@ -203,6 +250,9 @@ def run_with_scheduler(
     steps = 0
     loops = 0
     choices: list[str] = []
+    # After a skip, ``choices[start:end]`` is the period: stepped once,
+    # then skipped ``repeats`` more times.
+    skip: tuple[int, int, int] | None = None
     trace: list[GlobalTraceStep] = []
     # Brent's cycle detection on the configurations right after a loop
     # unfolds, since every cycle unfolds some loop: the checkpoint moves
@@ -214,7 +264,7 @@ def run_with_scheduler(
         if steps >= fuel:
             residual = Program(tuple((tid, table.commands[slots[tid]]) for tid in live))
             return ScheduledRun(
-                store, residual, steps, loops, False, tuple(choices), tuple(trace)
+                store, residual, steps, loops, False, _choices(choices, skip), tuple(trace)
             )
         tid, state = scheduler.choose(live, store, state)
         store, slot, rule, assigned = table.step(slots[tid], store)
@@ -235,7 +285,7 @@ def run_with_scheduler(
             start, start_loops = saved[3], saved[4]
             period, gained = steps - start, loops - start_loops
             repeats = (fuel - steps) // period
-            choices += choices[start:] * repeats
+            skip = (start, len(choices), repeats)
             if keep_trace:
                 # Below the cap the trace holds every step, so its tail
                 # from the checkpoint on is one period.
@@ -254,7 +304,18 @@ def run_with_scheduler(
         elif loops == mark:
             saved = (dict(slots), state, store, steps, loops)
             mark *= 2
-    return ScheduledRun(store, Program(()), steps, loops, True, tuple(choices), tuple(trace))
+    return ScheduledRun(
+        store, Program(()), steps, loops, True, _choices(choices, skip), tuple(trace)
+    )
+
+
+def _choices(stepped: list[str], skip: tuple[int, int, int] | None) -> Choices:
+    if skip is None:
+        return Choices(tuple(stepped))
+    start, end, repeats = skip
+    return Choices(
+        tuple(stepped[:start]), tuple(stepped[start:end]), repeats + 1, tuple(stepped[end:])
+    )
 
 
 def dump_global_trace(run: ScheduledRun) -> str:

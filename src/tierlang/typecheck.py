@@ -21,7 +21,7 @@ exercise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .lang import (
@@ -30,7 +30,6 @@ from .lang import (
     Expr,
     If,
     OpCall,
-    Program,
     Seq,
     Skip,
     Span,

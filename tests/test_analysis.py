@@ -204,9 +204,9 @@ def test_measure_growth_csv():
     src = load_source("add.tier")
     table = measure_growth(src.program(), lambda n: {"x": unary(n)}, [1, 2, 3], RoundRobin())
     assert table.to_csv() == "n,max_t,max_k,fuel_hit\n1,1,4,0\n2,2,7,0\n3,3,10,0\n"
-    assert list(table.sizes()) == [1.0, 2.0, 3.0]
-    assert list(table.column("max_t")) == [1.0, 2.0, 3.0]
-    assert list(table.column("max_k")) == [4.0, 7.0, 10.0]
+    assert table.sizes() == (1, 2, 3)
+    assert table.column("max_t") == (1, 2, 3)
+    assert table.column("max_k") == (4, 7, 10)
     with pytest.raises(KeyError):
         table.column("bogus")
 
@@ -224,7 +224,38 @@ def test_fit_recovers_exact_degrees():
     loops_fit = fit_polynomial(GrowthTable(rows), column="max_t")
     assert (steps_fit.verdict, steps_fit.degree) == ("polynomial", 2)
     assert (loops_fit.verdict, loops_fit.degree) == ("polynomial", 2)
-    assert steps_fit.residual < 1e-9
+    assert steps_fit.residual == 0.0
+
+
+@pytest.mark.parametrize(
+    "name, scaled, sizes, coefficients",
+    [
+        ("add.tier", ("x",), range(4, 41, 4), [3.0, 1.0]),
+        ("mul.tier", ("x", "y"), range(2, 21, 2), [3.0, 5.0, 2.0]),
+    ],
+    ids=["add", "mul"],
+)
+def test_fit_is_exact_on_polynomial_fixtures(name, scaled, sizes, coefficients):
+    table = measure_growth(
+        load_source(name).program(), lambda n: {v: unary(n) for v in scaled}, sizes, RoundRobin()
+    )
+    report = fit_polynomial(table)
+    assert (report.verdict, list(report.coefficients), report.residual) == (
+        "polynomial", coefficients, 0.0)
+
+
+def test_fit_of_the_doubler_agrees_with_floating_point_least_squares():
+    table = measure_growth(
+        load_source("exp.tier").program(), lambda n: {"x": unary(n), "y": "1"}, range(1, 12),
+        RoundRobin(),
+    )
+    report = fit_polynomial(table)
+    # Floating-point least squares (polyfit) on the same table, as printed.
+    assert report.verdict == "superpolynomial-suspect"
+    assert report.coefficients == pytest.approx(
+        [3.290209790209828, -57.2237762237775, 351.37412587414036, -814.8391608392228,
+         568.3636363637117], rel=1e-9)
+    assert report.residual == pytest.approx(0.08024593887139404, rel=1e-9)
 
 
 def test_fit_flags_exponential_growth():
@@ -239,4 +270,11 @@ def test_fit_flags_exponential_growth():
 def test_fit_needs_enough_rows():
     rows = tuple(GrowthRow(n, n, n, False) for n in range(5))
     with pytest.raises(ValueError):
+        fit_polynomial(GrowthTable(rows), max_degree=4)
+
+
+@pytest.mark.parametrize("sizes", [[5] * 6, [1, 2, 3, 4, 5, 5, 4]])
+def test_fit_needs_enough_distinct_sizes(sizes):
+    rows = tuple(GrowthRow(n, n, 3 * n + 1, False) for n in sizes)
+    with pytest.raises(ValueError, match="distinct sizes"):
         fit_polynomial(GrowthTable(rows), max_degree=4)

@@ -1,9 +1,14 @@
 """End-to-end command-line behavior: output text, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tierlang
 from tierlang import parse
 from tierlang.cli import main
 from tierlang.fixtures import fixture_text
@@ -253,6 +258,25 @@ def test_measure_flags_the_doubler_as_superpolynomial(fx, capsys):
     assert "fit: superpolynomial-suspect on max_k" in out
 
 
+def test_measure_needs_only_the_standard_library(fx):
+    # ``-S`` keeps site-packages off the path, so a third-party import
+    # would fail; the module check catches one reached some other way.
+    src = Path(tierlang.__file__).resolve().parent.parent
+    code = (
+        "import sys\nimport tierlang\nimport tierlang.cli\n"
+        f"status = tierlang.cli.main(['measure', {fx('add.tier')!r}, '--scale', 'x'])\n"
+        "assert status == 0, status\n"
+        "loaded = {name.partition('.')[0] for name in sys.modules}\n"
+        "extra = loaded - set(sys.stdlib_module_names) - {'__main__', 'tierlang'}\n"
+        "assert not extra, sorted(extra)\n"
+    )
+    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_measure_argument_validation(fx, capsys):
     code, _, err = run_cli(capsys, "measure", fx("add.tier"), "--sizes", "1:8")
     assert code == 2
@@ -267,6 +291,8 @@ def test_measure_argument_validation(fx, capsys):
     "argv, message",
     [
         (["measure", "--scale", "x", "--sizes", "1:3"], "a fit up to degree 4 needs at least 6"),
+        (["measure", "--scale", "x", "--sizes", "5,5,5,5,5,5"],
+         "a fit up to degree 4 needs at least 6 distinct sizes, got 1"),
         (["measure", "--scale", "x", "--sizes=-5:2"], "--sizes must be at least 0, got -5"),
         (["measure", "--scale", "x", "--max-degree", "0"], "--max-degree must be at least 1"),
         (["measure", "--scale", "x", "--fuel", "-1"], "--fuel must be at least 0"),
@@ -279,9 +305,9 @@ def test_measure_argument_validation(fx, capsys):
         (["ni", "--mode", "explore", "--max-steps", "-1"], "--max-steps must be at least 0"),
         (["tm-compile", "--verify-len", "-1"], "--verify-len must be at least 0, got -1"),
     ],
-    ids=["measure-sizes", "measure-negative-size", "measure-max-degree", "measure-fuel",
-         "ni-max-len", "ni-trials", "ni-fuel", "run-fuel", "explore-max-steps",
-         "explore-max-states", "ni-max-steps", "tm-compile-verify-len"],
+    ids=["measure-sizes", "measure-repeated-sizes", "measure-negative-size",
+         "measure-max-degree", "measure-fuel", "ni-max-len", "ni-trials", "ni-fuel", "run-fuel",
+         "explore-max-steps", "explore-max-states", "ni-max-steps", "tm-compile-verify-len"],
 )
 def test_bad_numeric_arguments_are_usage_errors(fx, capsys, argv, message):
     command, *flags = argv

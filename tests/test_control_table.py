@@ -2,6 +2,7 @@
 must match stepping command trees with ``step_command``."""
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -118,7 +119,7 @@ def reference_scheduled(store, program, scheduler, fuel):
 def table_scheduled(store, program, scheduler, fuel, trace_cap):
     run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True, trace_cap=trace_cap)
     trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
-    return run.store, run.residual, run.steps, run.loops, run.finished, run.choices, trace
+    return run.store, run.residual, run.steps, run.loops, run.finished, tuple(run.choices), trace
 
 
 def reference_sequential(store, cmd, fuel):
@@ -334,6 +335,18 @@ def test_repeating_runs_skip_to_the_fuel_bound(scheduler, counted_steps):
         False, 1_000_001, 500_001, 1_000_001)
     assert run.residual == Program.of({"spinner": Seq(Skip(), spin.command("spinner"))})
     assert len(counted_steps) < 100
+
+
+def test_skipped_periods_take_no_memory_for_their_choices():
+    spin = load_source("spin.tier").program()
+    tracemalloc.start()
+    try:
+        run = run_with_scheduler(Store.of(x="1"), spin, RoundRobin(), fuel=2_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(run.choices), run.choices[-1]) == (2_000_000, "spinner")
+    assert peak < 1_000_000
 
 
 class Alternate(Scheduler):

@@ -21,6 +21,7 @@ from tierlang.fixtures import load_source
 from tierlang.ops import default_registry
 from tierlang.semantics import DONE, ControlTable
 from tierlang.scheduling import (
+    Choices,
     FirstAlive,
     RoundRobin,
     SeededRandom,
@@ -66,7 +67,7 @@ def test_round_robin_alternates_in_name_order():
         Store.of(x="1", y="1"), zrange_program(), RoundRobin(), keep_trace=True
     )
     assert run.finished
-    assert run.choices == ("bump", "wipe") * 4
+    assert tuple(run.choices) == ("bump", "wipe") * 4
     assert run.steps == 8
     assert run.loops == 2
     # wipe zeroes z after bump grew it
@@ -92,7 +93,7 @@ def test_global_trace_dump():
 
 def test_first_alive_starves_the_second_thread():
     run = run_with_scheduler(Store.of(x="11", y="1"), zrange_program(), FirstAlive())
-    assert run.choices == ("bump",) * 7 + ("wipe",) * 4
+    assert tuple(run.choices) == ("bump",) * 7 + ("wipe",) * 4
     # bump finished untouched by wipe, so z held both letters before the wipe
     assert run.store.lookup("z") == ""
 
@@ -104,6 +105,20 @@ def test_seeded_random_is_reproducible():
     other = run_with_scheduler(store, zrange_program(), SeededRandom(6))
     assert first.choices == again.choices
     assert first.choices != other.choices
+
+
+def test_choices_index_and_compare_by_content():
+    lasso = Choices(("a",), ("b", "c"), 2, ("b",))
+    flat = Choices(("a", "b", "c", "b", "c", "b"))
+    assert (lasso, hash(lasso), len(lasso)) == (flat, hash(flat), 6)
+    assert tuple(lasso) == flat.prefix
+    assert [lasso[i] for i in range(-6, 6)] == list(flat) * 2
+    assert lasso[1:5] == ("b", "c", "b", "c")
+    assert lasso[::-2] == ("b", "b", "b")
+    assert lasso != Choices(("a", "b", "c", "b", "c", "c"))
+    assert lasso != Choices(("a", "b", "c", "b", "c"))
+    with pytest.raises(IndexError):
+        lasso[6]
 
 
 def test_scheduler_fuel_bound():
