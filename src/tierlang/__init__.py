@@ -35,7 +35,7 @@ from .lang import (
 )
 from .ops import OperatorDef, Registry, builtins, default_registry, validate_class
 from .parser import ParseError, SourceFile, parse, pretty
-from .semantics import ControlTable, eval_expr, run_sequential, step_command
+from .semantics import ControlTable, eval_expr, run_sequential
 from .scheduling import (
     ExplorationReport,
     FirstAlive,
@@ -83,7 +83,7 @@ __all__ = [
     "free_vars", "is_truth_value", "seq_all", "subword", "unary", "word_literal",
     "OperatorDef", "Registry", "builtins", "default_registry", "validate_class",
     "ParseError", "SourceFile", "parse", "pretty",
-    "ControlTable", "eval_expr", "run_sequential", "step_command",
+    "ControlTable", "eval_expr", "run_sequential",
     "ExplorationReport", "FirstAlive", "RoundRobin", "Scheduler",
     "SeededRandom", "explore", "quietness_test", "run_with_scheduler", "step_global",
     "FitReport", "GrowthTable", "NiReport", "SubwordReport", "TierPreservationReport",

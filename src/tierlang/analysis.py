@@ -5,11 +5,14 @@
   one fixed deterministic scheduler) step counts.
 * ``subword_invariant`` checks that tier-1 variables only ever hold
   truth words or contiguous factors of the initial tier-1 values.
+* ``tier_preservation`` checks subject reduction on every residual
+  command each thread can reach, independently of the store.
 * ``measure_growth`` and ``fit_polynomial`` chart how step and loop
   counts scale with input size and estimate the polynomial degree.
 
-These are test harnesses, not proofs: they sample or enumerate within
-stated bounds and report the first counterexample found.
+These are test harnesses, not proofs: apart from ``tier_preservation``
+they sample or enumerate within stated bounds, and each reports the
+first counterexample found.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ from .scheduling import (
     explore,
     random_equiv_stores,
     run_with_scheduler,
-    step_global,
 )
-from .semantics import DONE, ControlTable, StuckGuardError
+from .semantics import DONE, ControlTable
 from .typecheck import BOTH_TIERS, SigEnv, command_tiers, seq_tiers
 
 TierEnv = Mapping[str, Tier]
@@ -344,14 +346,21 @@ def tier_preservation(
     max_steps: int = 200,
     max_states: int = 200_000,
 ) -> TierPreservationReport:
-    """Walk every reachable configuration and check that stepping a
-    thread never makes its command harder to type.
+    """Check that stepping a thread never makes its command harder to type.
 
-    For each edge the stepped thread's residual must still check, at a
-    tier no higher than the lowest tier its predecessor checked at.  A
-    predecessor that does not check at all is reported immediately, so
-    a rejected program fails at depth zero.  The walk covers every
-    interleaving within the bounds; ``complete`` says whether it closed.
+    Subject reduction is syntactic, so the check walks the control table
+    rather than runs: from each thread's root it visits every residual
+    slot and checks each pair of a slot and a slot it can step to (both
+    outcomes of every guard, a loop's unfold and exit) once.  The
+    successor must still check, at a tier no higher than the lowest tier
+    its predecessor checked at; a predecessor that does not check at all
+    is reported immediately, so a rejected program fails at depth zero.
+
+    A thread has finitely many residuals, so the walk always closes and
+    covers every store and schedule at once: ``edges_checked`` counts the
+    pairs, ``complete`` is always true, and a violation's ``depth`` is
+    its slot's distance from the thread's root.  ``store``,
+    ``max_steps`` and ``max_states`` do not affect the result.
     """
     registry = registry or default_registry()
     table = ControlTable((cmd for _, cmd in program.threads), registry)
@@ -381,32 +390,24 @@ def tier_preservation(
                 stack.pop()
         return tiers[slot]
 
-    start = (store, table.roots)
-    seen = {start}
-    frontier = deque([(*start, 0)])
+    # Breadth first, so a slot is first taken at its distance from a root.
+    frontier = deque((index, root, 0) for index, root in enumerate(table.roots))
+    seen: set[int] = set()
     edges = 0
-    complete = True
     while frontier:
-        node_store, slots, depth = frontier.popleft()
-        if depth >= max_steps:
-            complete = False
+        index, slot, depth = frontier.popleft()
+        if slot in seen:
             continue
-        for index, slot in enumerate(slots):
-            if slot == DONE:
-                continue
-            before = tiers_of(slot)
-            try:
-                child_store, child_slots, _ = step_global(table, node_store, slots, index)
-            except StuckGuardError:
-                continue
+        seen.add(slot)
+        before = tiers_of(slot)
+        for after_slot in table.successors(slot):
             edges += 1
-            after_slot = child_slots[index]
             after = BOTH_TIERS if after_slot == DONE else tiers_of(after_slot)
             if not before or not after or min(after) > min(before):
                 return TierPreservationReport(
                     False,
                     edges,
-                    complete,
+                    True,
                     TierDropViolation(
                         tids[index],
                         depth,
@@ -416,14 +417,9 @@ def tier_preservation(
                         tuple(sorted(after)),
                     ),
                 )
-            key = (child_store, child_slots)
-            if key not in seen:
-                if len(seen) >= max_states:
-                    complete = False
-                    continue
-                seen.add(key)
-                frontier.append((child_store, child_slots, depth + 1))
-    return TierPreservationReport(True, edges, complete)
+            if after_slot != DONE:
+                frontier.append((index, after_slot, depth + 1))
+    return TierPreservationReport(True, edges, True)
 
 
 # --- growth measurement -------------------------------------------------------------
@@ -536,7 +532,8 @@ def fit_polynomial(
     threshold: float = 0.05,
 ) -> FitReport:
     """Smallest polynomial degree whose least-squares fit has relative
-    RMS error below ``threshold`` on the top half of the sizes.
+    RMS error below ``threshold`` on the top half of the rows, ordered
+    by size whatever the table's order.
 
     The top-half restriction makes the check about asymptotics: small
     sizes carry constant overhead that even a correct degree will not
@@ -552,8 +549,8 @@ def fit_polynomial(
         raise ValueError(f"need at least {max_degree + 2} distinct sizes to fit degree {max_degree}")
     power_sums = [sum(x**k for x in xs) for k in range(2 * max_degree + 1)]
     moments = [sum(y * x**k for x, y in zip(xs, ys)) for k in range(max_degree + 1)]
-    half = len(xs) // 2
-    top = list(zip(xs[half:], ys[half:]))
+    pairs = sorted(zip(xs, ys))
+    top = pairs[len(pairs) // 2:]
     best: FitReport | None = None
     for degree in range(1, max_degree + 1):
         coeffs = _least_squares(power_sums, moments, degree)

@@ -316,8 +316,6 @@ class Store:
 _set_bindings = Store._bindings.__set__  # type: ignore[attr-defined]
 _set_hash = Store._hash.__set__  # type: ignore[attr-defined]
 
-EMPTY_STORE = Store()
-
 
 # --- programs -------------------------------------------------------------
 

@@ -12,12 +12,12 @@ Conditionals and loops demand an exact truth word (``T`` or ``F``) from
 their guard; any other value is a hard error rather than a silent
 default, so ill-formed guards surface immediately.
 
-``step_command`` steps a command tree directly.  Runs instead step a
-``ControlTable``: every residual a command can reach gets a hash-consed
-slot number, and each slot records its redex's compiled expression and
-the slots that follow, so a run state is a store plus one int per
-thread and a step is a table lookup plus one operator call.  Both share
-one redex/context split and one list of step rules.
+Runs step a ``ControlTable``: every residual a command can reach gets
+a hash-consed slot number, and each slot records its redex's compiled
+expression and the slots that follow, so a run state is a store plus
+one int per thread and a step is a table lookup plus one operator call.
+The same table lists each slot's successors for questions that range
+over every store at once, such as subject reduction.
 """
 
 from __future__ import annotations
@@ -53,46 +53,31 @@ class StuckGuardError(RuntimeError):
         self.value = value
 
 
-class FuelExhausted(RuntimeError):
-    """A bounded run used up its step budget before terminating."""
-
-    def __init__(self, steps: int):
-        super().__init__(f"no terminal configuration within {steps} steps")
-        self.steps = steps
-
-
 def eval_expr(store: Store, expr: Expr, registry: Registry | None = None) -> Word:
-    """The word an expression denotes in the given store."""
+    """The word an expression denotes in the given store.
+
+    An operator is resolved before its arguments are evaluated, left to
+    right; an explicit stack keeps deep expressions off the Python stack.
+    """
     registry = registry or default_registry()
-    if isinstance(expr, Var):
-        return store.lookup(expr.name)
-    if isinstance(expr, OpCall):
-        op = registry.resolve(expr.op)
-        args = [eval_expr(store, a, registry) for a in expr.args]
-        return op.apply(*args)
-    raise TypeError(f"not an expression: {expr!r}")
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    """One atomic step: the new store, the residual command (``None``
-    when the command terminated), the innermost rule that fired, and
-    whether a loop guard was unfolded true."""
-
-    store: Store
-    residual: Command | None
-    rule: str
-    loop_increment: int
-    assigned: tuple[str, Word] | None = None
-
-
-def _guard_value(store: Store, cmd: If | While, registry: Registry) -> bool:
-    value = eval_expr(store, cmd.guard, registry)
-    if value == TT:
-        return True
-    if value == FF:
-        return False
-    raise StuckGuardError(cmd, value)
+    values: list[Word] = []
+    stack: list = [expr]  # expressions, and (operator, arity) exit entries
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            op, arity = node
+            cut = len(values) - arity
+            args = values[cut:]
+            del values[cut:]
+            values.append(op.apply(*args))
+        elif isinstance(node, Var):
+            values.append(store.lookup(node.name))
+        elif isinstance(node, OpCall):
+            stack.append((registry.resolve(node.op), len(node.args)))
+            stack.extend(reversed(node.args))
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return values[0]
 
 
 # --- the step rules ----------------------------------------------------------------
@@ -129,37 +114,15 @@ def _successors(redex: Command) -> tuple[tuple[str, Command | None], ...]:
     raise TypeError(f"not a command: {redex!r}")
 
 
-def _new_seq(residual: Command, outer: Seq) -> Command:
-    return Seq(residual, outer.second, outer.span)
-
-
 def _plug(
-    residual: Command | None,
-    context: list[Seq],
-    seq: Callable[[Command, Seq], Command] = _new_seq,
+    residual: Command | None, context: list[Seq], seq: Callable[[Command, Seq], Command]
 ) -> Command | None:
-    """Put a redex's residual back into its context; a finished redex
-    hands control to the innermost continuation."""
+    """Put a redex's residual back into its context, ``seq`` building
+    each enclosing sequence; a finished redex hands control to the
+    innermost continuation."""
     for outer in context:
         residual = outer.second if residual is None else seq(residual, outer)
     return residual
-
-
-def step_command(store: Store, cmd: Command, registry: Registry | None = None) -> StepOutcome:
-    """Perform exactly one atomic step of the command."""
-    registry = registry or default_registry()
-    redex, context = _split(cmd)
-    successors = _successors(redex)
-    assigned = None
-    choice = 0
-    if isinstance(redex, Assign):
-        value = eval_expr(store, redex.expr, registry)
-        store = store.bind(redex.var, value)
-        assigned = (redex.var, value)
-    elif len(successors) == 2 and not _guard_value(store, redex, registry):
-        choice = 1
-    rule, residual = successors[choice]
-    return StepOutcome(store, _plug(residual, context), rule, int(rule == UNFOLD), assigned)
 
 
 # --- control tables ----------------------------------------------------------------
@@ -171,24 +134,29 @@ _Bindings = dict[str, Word]
 _Entry = tuple[str, int, str, int, str | None, Callable[[_Bindings], Word] | None, Command]
 
 
-def _compile_expr(expr: Expr, registry: Registry) -> Callable[[_Bindings], Word]:
+_CLOSURE_DEPTH = 64  # nesting below this is evaluated by ``eval_expr``
+
+
+def _compile_expr(expr: Expr, registry: Registry, depth: int = 0) -> Callable[[_Bindings], Word]:
     """A closure that evaluates ``expr`` on a store's bindings.
 
     Operators are resolved once, here.  A call that cannot succeed (an
     unknown operator, a wrong argument count) is left to ``eval_expr``,
-    so it raises the same error at the same step as before.
+    so it raises the same error at the same step as before.  So is a
+    call ``_CLOSURE_DEPTH`` levels down, so that nested closures never
+    run deep enough to exhaust the Python stack.
     """
     if isinstance(expr, Var):
         name = expr.name
         return lambda b: b.get(name, EMPTY)
-    if isinstance(expr, OpCall):
+    if isinstance(expr, OpCall) and depth < _CLOSURE_DEPTH:
         try:
             op = registry.resolve(expr.op)
         except UnknownOperatorError:
             op = None
         if op is not None and op.arity == len(expr.args):
             fn = op.fn
-            args = [_compile_expr(a, registry) for a in expr.args]
+            args = [_compile_expr(a, registry, depth + 1) for a in expr.args]
             if not args:
                 return lambda b: fn()
             if len(args) == 1:
@@ -209,9 +177,11 @@ class ControlTable:
     ``Seq(body, loop)``, so a command has finitely many.  They are
     hash-consed: a node's slot number follows from its kind and its
     children's slots (spans ignored), so structurally equal residuals
-    share one slot and equal states compare as small ints.  Slots are
-    numbered children first and filled in on demand, the first time a
-    run steps them.
+    share one slot and equal states compare as small ints.  Guards and
+    assigned expressions are hash-consed to int ids the same way, so
+    building a table never hashes or compares an AST node, however deep.
+    Slots are numbered children first and filled in on demand, the
+    first time a run steps them.
 
     ``roots[i]`` is the slot of the i-th command, ``commands[s]``
     rebuilds slot ``s`` (the first structurally equal node seen), and
@@ -225,10 +195,11 @@ class ControlTable:
         self.commands: list[Command] = []
         self.halves: list[tuple[int, int] | None] = []
         self._entries: list[_Entry | None] = []
-        self._slots: dict[object, int] = {}
-        # id() -> slot for every node reachable from a command given to
-        # ``root`` (the constructor's included) or from ``self.commands``;
-        # both are kept alive, so no id is reused.
+        self._slots: dict[tuple, int] = {}
+        self._exprs: dict[object, int] = {}  # expression key -> expression id
+        # id() -> slot (or expression id) for every node reachable from a
+        # command given to ``root`` (the constructor's included) or from
+        # ``self.commands``; both are kept alive, so no id is reused.
         self._known: dict[int, int] = {}
         self._trees: list[Command] = []
         self.roots = tuple(self.root(cmd) for cmd in commands)
@@ -251,13 +222,16 @@ class ControlTable:
         halves = None
         if isinstance(node, Seq):
             halves = (known[id(node.first)], known[id(node.second)])
-            key: object = (Seq, *halves)
+            key: tuple = (Seq, *halves)
         elif isinstance(node, If):
-            key = (If, node.guard, known[id(node.then_branch)], known[id(node.else_branch)])
+            key = (If, known[id(node.guard)], known[id(node.then_branch)],
+                   known[id(node.else_branch)])
         elif isinstance(node, While):
-            key = (While, node.guard, known[id(node.body)])
+            key = (While, known[id(node.guard)], known[id(node.body)])
+        elif isinstance(node, Assign):
+            key = (Assign, node.var, known[id(node.expr)])
         else:
-            key = node
+            key = (node.__class__,)
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = len(self.commands)
@@ -267,30 +241,44 @@ class ControlTable:
             known[id(node)] = slot
         return slot
 
+    def _intern_expr(self, node: Expr) -> int:
+        """The id of an expression whose arguments are known."""
+        if isinstance(node, OpCall):
+            key: object = (node.op, *[self._known[id(arg)] for arg in node.args])
+        else:
+            key = node.name
+        return self._exprs.setdefault(key, len(self._exprs))
+
     def _intern_tree(self, root: Command) -> int:
-        stack: list[tuple[Command, bool]] = [(root, False)]
+        known = self._known
+        stack: list[tuple[Command | Expr, bool]] = [(root, False)]
         while stack:
             node, ready = stack.pop()
-            if id(node) in self._known:
+            if id(node) in known:
                 continue
             if ready:
-                self._known[id(node)] = self._intern(node)
+                is_expr = isinstance(node, Expr)
+                known[id(node)] = self._intern_expr(node) if is_expr else self._intern(node)
                 continue
             stack.append((node, True))
             if isinstance(node, Seq):
                 stack += ((node.second, False), (node.first, False))
             elif isinstance(node, If):
-                stack += ((node.else_branch, False), (node.then_branch, False))
+                stack += ((node.else_branch, False), (node.then_branch, False), (node.guard, False))
             elif isinstance(node, While):
-                stack.append((node.body, False))
-        return self._known[id(root)]
+                stack += ((node.body, False), (node.guard, False))
+            elif isinstance(node, Assign):
+                stack.append((node.expr, False))
+            elif isinstance(node, OpCall):
+                stack += ((arg, False) for arg in reversed(node.args))
+        return known[id(root)]
 
     def _seq(self, residual: Command, outer: Seq) -> Command:
         """The shared node for ``Seq(residual, outer.second)``."""
         first = self._intern(residual)
         slot = self._slots.get((Seq, first, self._known[id(outer.second)]))
         if slot is None:
-            slot = self._intern(_new_seq(self.commands[first], outer))
+            slot = self._intern(Seq(self.commands[first], outer.second, outer.span))
         return self.commands[slot]
 
     def _compile(self, slot: int) -> _Entry:
@@ -308,6 +296,16 @@ class ControlTable:
         elif isinstance(redex, (If, While)):
             fn = _compile_expr(redex.guard, self._registry)
         return (rule, nxt, other_rule, other, var, fn, redex)
+
+    def successors(self, slot: int) -> tuple[int, ...]:
+        """The slots that ``slot`` can step to in some store, ``DONE``
+        included: both outcomes of a guard (a loop's unfold and exit), or
+        the one next slot of a skip or an assignment."""
+        entry = self._entries[slot]
+        if entry is None:
+            entry = self._entries[slot] = self._compile(slot)
+        nxt, other = entry[1], entry[3]
+        return (nxt,) if nxt == other else (nxt, other)
 
     def step(self, slot: int, store: Store) -> tuple[Store, int, str, tuple[str, Word] | None]:
         """Fire the redex at ``slot``: the new store, the next slot (``DONE``

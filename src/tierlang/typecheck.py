@@ -1,13 +1,12 @@
-"""Tier type system: checking, derivations, diagnostics, and inference.
+"""Tier type system: checking, diagnostics, and inference.
 
 A variable environment assigns each variable a tier; a signature
 environment assigns each operator a set of signatures ``args -> result``.
 An expression or command may type at several tiers, so the checker works
-with the full set of derivable tiers and reports a canonical derivation
-at the largest one.  The rules are syntax-directed, so one post-order
-pass with an explicit stack computes every node's tier set; derivations
-and failure diagnostics are then read off those sets, and no sequence
-length or nesting depth costs Python recursion.
+with the full set of derivable tiers.  The rules are syntax-directed, so
+one post-order pass with an explicit stack computes every node's tier
+set exactly; a failure diagnostic is then read off those sets, and no
+sequence length or nesting depth costs Python recursion.
 
 Safe signature sets keep growth under control: a signature's result must
 sit at or below every argument tier, and operators that can actually
@@ -83,14 +82,7 @@ class Diagnostic:
 
 def sig_is_safe(sig: Sig, op: OperatorDef) -> bool:
     args, result = sig
-    floor = Tier.ONE
-    for tier in args:
-        floor = floor.meet(tier)
-    if not result.leq(floor):
-        return False
-    if not op.is_neutral and result != Tier.ZERO:
-        return False
-    return True
+    return result.leq(min(args, default=Tier.ONE)) and (op.is_neutral or result == Tier.ZERO)
 
 
 def maximal_safe_sigs(op: OperatorDef) -> frozenset[Sig]:
@@ -116,26 +108,15 @@ def check_safe_sigs(sig_env: SigEnv, registry: Registry) -> tuple[Diagnostic, ..
     for name in sorted(sig_env):
         op = registry.resolve(name)
         for sig in sorted(sig_env[name]):
+            if sig_is_safe(sig, op):
+                continue
             args, result = sig
-            floor = Tier.ONE
-            for tier in args:
-                floor = floor.meet(tier)
+            floor = min(args, default=Tier.ONE)
             if not result.leq(floor):
-                out.append(
-                    Diagnostic(
-                        "signature",
-                        f"signature {render_sig(sig)} of {name!r} returns tier {result} "
-                        f"above an argument of tier {floor}",
-                    )
-                )
-            elif not op.is_neutral and result != Tier.ZERO:
-                out.append(
-                    Diagnostic(
-                        "signature",
-                        f"signature {render_sig(sig)} of {name!r} must land in tier 0: "
-                        f"the operator can lengthen its input",
-                    )
-                )
+                why = f"returns tier {result} above an argument of tier {floor}"
+            else:
+                why = "must land in tier 0: the operator can lengthen its input"
+            out.append(Diagnostic("signature", f"signature {render_sig(sig)} of {name!r} {why}"))
     return tuple(out)
 
 
@@ -192,27 +173,6 @@ def _literal_sigs(name: str, registry: Registry) -> frozenset[Sig] | None:
     if name.startswith('"') or name in ("tt", "ff"):
         return maximal_safe_sigs(registry.resolve(name))
     return None
-
-
-# --- derivations -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExprDeriv:
-    rule: str
-    tier: Tier
-    expr: Expr
-    sig: Sig | None = None
-    children: tuple["ExprDeriv", ...] = ()
-
-
-@dataclass(frozen=True)
-class CmdDeriv:
-    rule: str
-    tier: Tier
-    cmd: Command
-    guard: ExprDeriv | None = None
-    children: tuple["CmdDeriv", ...] = ()
 
 
 # --- the typing pass ------------------------------------------------------------
@@ -305,85 +265,6 @@ def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Comm
     return _tier_table(gamma, sig_env, registry, cmd)[id(cmd)]
 
 
-def _derivation(
-    tiers: TierTable, sig_env: SigEnv, registry: Registry, root: Expr | Command, tier: Tier
-) -> ExprDeriv | CmdDeriv | None:
-    """The derivation of ``root : tier`` read off a tier table, or ``None``
-    if ``tier`` is not in the root's set.
-
-    Tier sets are exact, so the first choice in sorted order (higher
-    tiers first) whose children's tiers lie in their sets always has a
-    derivation.  One walk with an explicit stack picks the children's
-    tiers on the way down, never backtracking, and builds each derivation
-    on the way up; an exit entry carries the signature or the rule.
-    """
-    if tier not in tiers[id(root)]:
-        return None
-    order: dict[str, list] = {}  # each operator's signatures, highest first
-    done: list = []  # finished derivations of the children, left to right
-    stack: list = [(root, tier, None)]
-    while stack:
-        node, tier, rule = stack.pop()
-        if rule is not None:
-            if isinstance(node, OpCall):
-                cut = len(done) - len(node.args)
-                subs = tuple(done[cut:])
-                del done[cut:]
-                done.append(ExprDeriv("op", tier, node, rule, subs))
-            elif isinstance(node, Assign):
-                done.append(CmdDeriv("assign", tier, node, done.pop()))
-            elif isinstance(node, Seq):
-                second = done.pop()
-                done[-1] = CmdDeriv("seq", tier, node, None, (done[-1], second))
-            elif isinstance(node, If):
-                else_d, then_d = done.pop(), done.pop()
-                done[-1] = CmdDeriv("if", tier, node, done[-1], (then_d, else_d))
-            else:
-                body = done.pop()
-                done[-1] = CmdDeriv("while", tier, node, done[-1], (body,))
-            continue
-        if isinstance(node, Var):
-            done.append(ExprDeriv("var", tier, node))
-        elif isinstance(node, OpCall):
-            sigs = order.get(node.op)
-            if sigs is None:
-                sigs = order[node.op] = sorted(_op_sigs(node, sig_env, registry), reverse=True)
-            combos = set(itertools.product(*[tiers[id(a)] for a in node.args]))
-            sig = next(sig for sig in sigs if sig[1] == tier and sig[0] in combos)
-            stack.append((node, tier, sig))
-            stack.extend(zip(reversed(node.args), reversed(sig[0]), itertools.repeat(None)))
-        elif isinstance(node, Skip):
-            done.append(CmdDeriv("skip", tier, node))
-        elif isinstance(node, Assign):
-            low = min(t for t in tiers[id(node.expr)] if tier.leq(t))
-            stack += ((node, tier, "assign"), (node.expr, low, None))
-        elif isinstance(node, Seq):
-            a, b = next((a, b) for a in sorted(tiers[id(node.first)], reverse=True)
-                        for b in sorted(tiers[id(node.second)], reverse=True) if a.join(b) == tier)
-            stack += ((node, tier, "seq"), (node.second, b, None), (node.first, a, None))
-        elif isinstance(node, If):
-            stack += ((node, tier, "if"), (node.else_branch, tier, None),
-                      (node.then_branch, tier, None), (node.guard, tier, None))
-        else:
-            stack += ((node, tier, "while"), (node.body, max(tiers[id(node.body)]), None),
-                      (node.guard, Tier.ONE, None))
-    return done[0]
-
-
-def expr_derivation(
-    gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr, tier: Tier
-) -> ExprDeriv | None:
-    """A derivation of ``expr : tier``, or ``None`` if there is none."""
-    return _derivation(_tier_table(gamma, sig_env, registry, expr), sig_env, registry, expr, tier)
-
-
-def command_derivation(
-    gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command, tier: Tier
-) -> CmdDeriv | None:
-    """A derivation of ``cmd : tier``, or ``None`` if there is none."""
-    return _derivation(_tier_table(gamma, sig_env, registry, cmd), sig_env, registry, cmd, tier)
-
-
 # --- failure explanation --------------------------------------------------------
 
 
@@ -440,7 +321,7 @@ def _explain(tiers: TierTable, gamma: TierEnv, cmd: Command) -> Diagnostic:
                 tuple(sorted(free_vars(cmd.guard))),
             )
         else:
-            raise AssertionError(f"typable command reached explain_failure: {cmd!r}")
+            raise AssertionError(f"typable command reached _explain: {cmd!r}")
     # The innermost operator application with an empty tier set.
     while True:
         assert isinstance(expr, OpCall), "variables always type at their tier"
@@ -457,11 +338,6 @@ def _explain(tiers: TierTable, gamma: TierEnv, cmd: Command) -> Diagnostic:
     )
 
 
-def explain_failure(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> Diagnostic:
-    """The first blocking constraint of an untypable command."""
-    return _explain(_tier_table(gamma, sig_env, registry, cmd), gamma, cmd)
-
-
 # --- whole-program checking -------------------------------------------------------
 
 
@@ -469,7 +345,6 @@ def explain_failure(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Co
 class ThreadReport:
     tid: str
     tiers: frozenset[Tier]
-    derivation: CmdDeriv | None
     diagnostic: Diagnostic | None
 
     @property
@@ -505,7 +380,11 @@ class CheckReport:
 
 def check_program(source: SourceFile, registry: Registry | None = None) -> CheckReport:
     """Full safety check: complete annotations, safe signatures, and a
-    typing derivation for every thread."""
+    nonempty tier set for every thread.
+
+    A thread that types at no tier gets the diagnostic of its first
+    blocking constraint.
+    """
     registry = registry or default_registry()
     gamma = source.annotations()
     program = source.program()
@@ -528,9 +407,8 @@ def check_program(source: SourceFile, registry: Registry | None = None) -> Check
     for tid, cmd in source.threads:
         table = _tier_table(gamma, sig_env, registry, cmd)
         tiers = table[id(cmd)]
-        deriv = _derivation(table, sig_env, registry, cmd, max(tiers)) if tiers else None
         diagnostic = None if tiers else _explain(table, gamma, cmd)
-        threads.append(ThreadReport(tid, tiers, deriv, diagnostic))
+        threads.append(ThreadReport(tid, tiers, diagnostic))
     safe = all(t.ok for t in threads)
     return CheckReport(safe, tuple(sorted(gamma.items())), (), tuple(threads))
 

@@ -11,7 +11,9 @@ import pytest
 import tierlang
 from tierlang import parse
 from tierlang.cli import main
-from tierlang.fixtures import fixture_text
+from tierlang.fixtures import REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -74,6 +76,16 @@ def test_check_json(fx, capsys):
     assert code == 1
     assert data["mode"] == "infer"
     assert data["ok"] is False
+
+
+@pytest.mark.parametrize("name", SAFE_FIXTURES + REJECTED_FIXTURES)
+def test_check_json_matches_golden_output(name, fx, capsys):
+    # Refactors keep every byte of this output.  When it changes on purpose,
+    # rewrite the file with ``tierlang check --json FIXTURE > golden/...``.
+    code, out, _ = run_cli(capsys, "check", fx(name), "--json")
+    assert code == (1 if name in REJECTED_FIXTURES else 0)
+    golden = GOLDEN / "check_json" / name.replace(".tier", ".json")
+    assert out.encode() == golden.read_bytes()
 
 
 def test_check_reports_parse_errors_as_usage_failures(tmp_path, capsys):

@@ -1,12 +1,27 @@
 """Control tables: runs and explorations on hash-consed residual slots
-must match stepping command trees with ``step_command``."""
+must match stepping command trees with a reference ``step_command``."""
 
 import random
 import tracemalloc
+from typing import NamedTuple
 
 import pytest
 
-from tierlang import Assign, OpCall, Program, Seq, Skip, Store, Tier, Var, While, parse, seq_all
+from tierlang import (
+    Assign,
+    If,
+    OpCall,
+    Program,
+    Seq,
+    Skip,
+    Store,
+    Tier,
+    Var,
+    While,
+    eval_expr,
+    parse,
+    seq_all,
+)
 from tierlang.analysis import tier_preservation
 from tierlang.fixtures import (
     MACHINE_FIXTURES,
@@ -15,7 +30,7 @@ from tierlang.fixtures import (
     fixture_text,
     load_source,
 )
-from tierlang.lang import DEFAULT_ALPHABET, free_vars
+from tierlang.lang import DEFAULT_ALPHABET, FF, TT, free_vars
 from tierlang.ops import default_registry
 from tierlang.scheduling import (
     FirstAlive,
@@ -27,7 +42,7 @@ from tierlang.scheduling import (
     named_schedulers,
     run_with_scheduler,
 )
-from tierlang.semantics import ControlTable, StuckGuardError, run_sequential, step_command
+from tierlang.semantics import ControlTable, StuckGuardError, run_sequential
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import command_tiers, maximal_safe_sigs
 
@@ -94,6 +109,41 @@ def outcome(fn):
 
 
 # --- reference loops over command trees ---------------------------------------------
+
+
+class Stepped(NamedTuple):
+    store: Store
+    residual: object  # the command left to run, None once it terminated
+    rule: str
+    loop_increment: int
+    assigned: tuple | None
+
+
+def guard_holds(store, cmd):
+    value = eval_expr(store, cmd.guard)
+    if value not in (TT, FF):
+        raise StuckGuardError(cmd, value)
+    return value == TT
+
+
+def step_command(store, cmd):
+    """One atomic step of a command tree, by the rules as written."""
+    if isinstance(cmd, Seq):
+        out = step_command(store, cmd.first)
+        rest = cmd.second if out.residual is None else Seq(out.residual, cmd.second, cmd.span)
+        return out._replace(residual=rest)
+    if isinstance(cmd, Skip):
+        return Stepped(store, None, "skip", 0, None)
+    if isinstance(cmd, Assign):
+        value = eval_expr(store, cmd.expr)
+        return Stepped(store.bind(cmd.var, value), None, "assign", 0, (cmd.var, value))
+    if isinstance(cmd, If):
+        if guard_holds(store, cmd):
+            return Stepped(store, cmd.then_branch, "if-tt", 0, None)
+        return Stepped(store, cmd.else_branch, "if-ff", 0, None)
+    if guard_holds(store, cmd):
+        return Stepped(store, Seq(cmd.body, cmd, cmd.span), "while-tt", 1, None)
+    return Stepped(store, None, "while-ff", 0, None)
 
 
 def reference_scheduled(store, program, scheduler, fuel):
@@ -294,6 +344,24 @@ def test_command_tiers_walks_long_loop_bodies_without_recursion():
     report = tier_preservation(Store.of(x="1"), program, gamma, sig_env, registry,
                                max_steps=5000)
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 1502)
+
+
+def test_deep_expressions_need_no_recursion():
+    # A frozen dataclass hashes recursively, so building a table must key
+    # nothing on an AST node, and a compiled expression must not nest one
+    # closure per level.
+    expr = Var("x")
+    for _ in range(1500):
+        expr = OpCall("pred", (expr,))
+    program = Program.single(seq_all([Assign("x", expr), While(OpCall("gt0", (expr,)), Skip())]))
+    cmd = program.command("main")
+    run = run_sequential(Store.of(x="11"), cmd)
+    assert (run.finished, run.steps, run.store) == (True, 2, Store())
+    assert eval_expr(Store.of(x="1" * 1502), expr) == "11"
+    registry = default_registry()
+    sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "pred")}
+    report = tier_preservation(Store.of(x="11"), program, {"x": Tier.ONE}, sig_env, registry)
+    assert (report.passed, report.complete, report.edges_checked) == (True, True, 4)
 
 
 def test_one_table_serves_runs_of_several_programs():

@@ -12,11 +12,11 @@ from tierlang import (
     While,
     eval_expr,
     run_sequential,
-    step_command,
     unary,
 )
 from tierlang.fixtures import load_source
-from tierlang.semantics import StuckGuardError
+from tierlang.ops import UnknownOperatorError, default_registry
+from tierlang.semantics import DONE, ControlTable, StuckGuardError
 
 
 def test_eval_expr():
@@ -25,38 +25,40 @@ def test_eval_expr():
     assert eval_expr(store, Var("unbound")) == ""
     nested = OpCall("concat", (OpCall("head", (Var("x"),)), Var("y")))
     assert eval_expr(store, nested) == "11"
+    # an operator resolves before its arguments, outermost first
+    with pytest.raises(UnknownOperatorError) as err:
+        eval_expr(store, OpCall("outer", (OpCall("inner", (Var("x"),)),)))
+    assert err.value.args == ("outer",)
+
+
+def step(store, cmd):
+    """One step of ``cmd`` through its control table: the new store, the
+    residual command (``None`` once it terminated), the rule and the
+    assignment made."""
+    table = ControlTable((cmd,), default_registry())
+    store, slot, rule, assigned = table.step(table.roots[0], store)
+    return store, None if slot == DONE else table.commands[slot], rule, assigned
 
 
 def test_step_rules_one_by_one():
     store = Store.of(x="1")
-    done = step_command(store, Skip())
-    assert (done.rule, done.residual, done.loop_increment) == ("skip", None, 0)
-
-    assign = step_command(store, Assign("y", Var("x")))
-    assert assign.rule == "assign"
-    assert assign.assigned == ("y", "1")
-    assert assign.store.lookup("y") == "1"
+    assert step(store, Skip()) == (store, None, "skip", None)
+    assert step(store, Assign("y", Var("x"))) == (Store.of(x="1", y="1"), None, "assign", ("y", "1"))
 
     loop = While(OpCall("gt0", (Var("x"),)), Skip())
-    unfolded = step_command(store, loop)
-    assert (unfolded.rule, unfolded.loop_increment) == ("while-tt", 1)
-    assert unfolded.residual == Seq(Skip(), loop)
-
-    finished = step_command(Store(), loop)
-    assert (finished.rule, finished.residual, finished.loop_increment) == ("while-ff", None, 0)
+    assert step(store, loop) == (store, Seq(Skip(), loop), "while-tt", None)
+    assert step(Store(), loop) == (Store(), None, "while-ff", None)
 
 
 def test_seq_steps_into_first():
     cmd = Seq(Skip(), Assign("x", Var("y")))
-    outcome = step_command(Store(), cmd)
-    assert outcome.rule == "skip"
-    assert outcome.residual == Assign("x", Var("y"))
+    assert step(Store(), cmd) == (Store(), Assign("x", Var("y")), "skip", None)
 
 
 def test_stuck_guard():
     loop = While(OpCall("head", (Var("x"),)), Skip())
     with pytest.raises(StuckGuardError) as err:
-        step_command(Store.of(x="1"), loop)
+        step(Store.of(x="1"), loop)
     assert err.value.value == "1"
 
 

@@ -26,8 +26,9 @@ from tierlang import (
 from tierlang.fixtures import SAFE_FIXTURES, load_source
 from tierlang.typecheck import (
     UnboundVariableError,
+    _explain,
+    _tier_table,
     build_sig_env,
-    explain_failure,
     render_sig,
     sig_is_safe,
 )
@@ -157,9 +158,13 @@ def test_command_tiers_rules():
 
 def test_explain_failure_points_at_the_blocker():
     gamma = {"x": O, "y": Z}
-    diag = explain_failure(gamma, ENV, reg, Assign("x", OpCall("add1", (Var("x"),))))
+
+    def explain(cmd):
+        return _explain(_tier_table(gamma, ENV, reg, cmd), gamma, cmd)
+
+    diag = explain(Assign("x", OpCall("add1", (Var("x"),))))
     assert diag.rule == "assign" and "x" in diag.variables
-    diag = explain_failure(gamma, ENV, reg, While(OpCall("bit", (Var("y"),)), Skip()))
+    diag = explain(While(OpCall("bit", (Var("y"),)), Skip()))
     assert diag.rule == "while" and "y" in diag.variables
 
 

@@ -21,18 +21,15 @@ from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import (
     BOTH_TIERS,
     NO_TIERS,
-    CmdDeriv,
     UnboundVariableError,
     Diagnostic,
-    ExprDeriv,
+    _explain,
     _op_sigs,
     _tier_names,
+    _tier_table,
     build_sig_env,
     check_program,
-    command_derivation,
     command_tiers,
-    explain_failure,
-    expr_derivation,
     infer_tiers,
     expr_tiers,
     maximal_safe_sigs,
@@ -76,23 +73,6 @@ def ref_expr_tiers(gamma, sig_env, registry, expr):
     return frozenset(r for args, r in sigs if all(t in arg_tiers[i] for i, t in enumerate(args)))
 
 
-def ref_expr_derivation(gamma, sig_env, registry, expr, tier):
-    if isinstance(expr, Var):
-        return ExprDeriv("var", tier, expr) if gamma.get(expr.name) == tier else None
-    for args, result in sorted(_op_sigs(expr, sig_env, registry), reverse=True):
-        if result != tier:
-            continue
-        children = []
-        for i, arg_tier in enumerate(args):
-            child = ref_expr_derivation(gamma, sig_env, registry, expr.args[i], arg_tier)
-            if child is None:
-                break
-            children.append(child)
-        else:
-            return ExprDeriv("op", tier, expr, (args, result), tuple(children))
-    return None
-
-
 def ref_command_tiers(gamma, sig_env, registry, cmd):
     if isinstance(cmd, Skip):
         return BOTH_TIERS
@@ -110,46 +90,6 @@ def ref_command_tiers(gamma, sig_env, registry, cmd):
     guard = ref_expr_tiers(gamma, sig_env, registry, cmd.guard)
     body = ref_command_tiers(gamma, sig_env, registry, cmd.body)
     return frozenset((O,)) if O in guard and body else NO_TIERS
-
-
-def ref_command_derivation(gamma, sig_env, registry, cmd, tier):
-    if isinstance(cmd, Skip):
-        return CmdDeriv("skip", tier, cmd)
-    if isinstance(cmd, Assign):
-        if tier not in ref_command_tiers(gamma, sig_env, registry, cmd):
-            return None
-        rhs = ref_expr_tiers(gamma, sig_env, registry, cmd.expr)
-        expr_tier = min(t for t in rhs if tier.leq(t))
-        sub = ref_expr_derivation(gamma, sig_env, registry, cmd.expr, expr_tier)
-        return CmdDeriv("assign", tier, cmd, sub)
-    if isinstance(cmd, Seq):
-        first_t = ref_command_tiers(gamma, sig_env, registry, cmd.first)
-        second_t = ref_command_tiers(gamma, sig_env, registry, cmd.second)
-        for a in sorted(first_t, reverse=True):
-            for b in sorted(second_t, reverse=True):
-                if a.join(b) == tier:
-                    left = ref_command_derivation(gamma, sig_env, registry, cmd.first, a)
-                    right = ref_command_derivation(gamma, sig_env, registry, cmd.second, b)
-                    if left and right:
-                        return CmdDeriv("seq", tier, cmd, None, (left, right))
-        return None
-    if isinstance(cmd, If):
-        guard = ref_expr_derivation(gamma, sig_env, registry, cmd.guard, tier)
-        then_d = ref_command_derivation(gamma, sig_env, registry, cmd.then_branch, tier)
-        else_d = ref_command_derivation(gamma, sig_env, registry, cmd.else_branch, tier)
-        if guard and then_d and else_d:
-            return CmdDeriv("if", tier, cmd, guard, (then_d, else_d))
-        return None
-    if tier != O:
-        return None
-    guard = ref_expr_derivation(gamma, sig_env, registry, cmd.guard, O)
-    if guard is None:
-        return None
-    for b in sorted(ref_command_tiers(gamma, sig_env, registry, cmd.body), reverse=True):
-        body = ref_command_derivation(gamma, sig_env, registry, cmd.body, b)
-        if body:
-            return CmdDeriv("while", O, cmd, guard, (body,))
-    return None
 
 
 def ref_explain_expr(gamma, sig_env, registry, expr):
@@ -218,23 +158,22 @@ def subterms(cmd):
     return out
 
 
+def explain(gamma, sig_env, cmd):
+    """The diagnostic ``check_program`` gives an untypable thread ``cmd``."""
+    return _explain(_tier_table(gamma, sig_env, REGISTRY, cmd), gamma, cmd)
+
+
 def assert_agrees(gamma, sig_env, cmd, where):
-    """Tier sets, derivations at both tiers and diagnostics of every node."""
+    """Tier sets of every node, and the diagnostic of every untypable command."""
     args = (gamma, sig_env, REGISTRY)
     for node in subterms(cmd):
         if isinstance(node, (Var, OpCall)):
             assert expr_tiers(*args, node) == ref_expr_tiers(*args, node), where
-            for tier in (Z, O):
-                assert expr_derivation(*args, node, tier) == ref_expr_derivation(
-                    *args, node, tier), where
             continue
         tiers = command_tiers(*args, node)
         assert tiers == ref_command_tiers(*args, node), where
-        for tier in (Z, O):
-            assert command_derivation(*args, node, tier) == ref_command_derivation(
-                *args, node, tier), where
         if not tiers:
-            assert explain_failure(*args, node) == ref_explain_failure(*args, node), where
+            assert explain(gamma, sig_env, node) == ref_explain_failure(*args, node), where
 
 
 def every_env(source):
@@ -270,8 +209,6 @@ def test_check_program_reports_match_the_recursive_rules(name):
     for thread, (tid, cmd) in zip(report.threads, source.threads):
         tiers = ref_command_tiers(gamma, sig_env, REGISTRY, cmd)
         assert (thread.tid, thread.tiers) == (tid, tiers)
-        want = ref_command_derivation(gamma, sig_env, REGISTRY, cmd, max(tiers)) if tiers else None
-        assert thread.derivation == want
         want = None if tiers else ref_explain_failure(gamma, sig_env, REGISTRY, cmd)
         assert thread.diagnostic == want
 
@@ -288,19 +225,15 @@ def test_compiled_machines_type_as_the_recursive_rules(name):
 
 
 def test_shared_subtrees_are_typed_once_per_node_and_agree():
-    # One node object used twice, once at each tier: derivations are
-    # planned per occurrence, not per node.
+    # One node object used twice, once needed at each tier.
     gamma = {"x": O}
     sig_env = {"pred": frozenset({((O,), O), ((O,), Z)}), "eq": frozenset({((Z, O), Z)})}
     shared = OpCall("pred", (Var("x"),))
     cmd = Assign("x", OpCall("eq", (shared, shared)))
     assert command_tiers(gamma, sig_env, REGISTRY, cmd) == NO_TIERS
-    expr = cmd.expr
-    got = expr_derivation(gamma, sig_env, REGISTRY, expr, Z)
-    assert got == ref_expr_derivation(gamma, sig_env, REGISTRY, expr, Z)
-    assert [child.tier for child in got.children] == [Z, O]
-    assert explain_failure(gamma, sig_env, REGISTRY, cmd) == ref_explain_failure(
-        gamma, sig_env, REGISTRY, cmd)
+    table = _tier_table(gamma, sig_env, REGISTRY, cmd)
+    assert (table[id(shared)], table[id(cmd.expr)]) == ({Z, O}, {Z})
+    assert explain(gamma, sig_env, cmd) == ref_explain_failure(gamma, sig_env, REGISTRY, cmd)
 
 
 def test_errors_raise_in_reading_order():
@@ -362,23 +295,26 @@ def statements(n):
             Assign("y", OpCall("add1", (Var("y"),))) for i in range(n)]
 
 
-def spine(deriv, rule):
-    """The derivations along a chain of nested ``rule`` nodes, leaf last."""
-    chain = [deriv]
-    while chain[-1].rule == rule:
-        chain.append(chain[-1].children[-1] if rule == "seq" else chain[-1].children[0])
-    return chain
+def tier_table(source, root):
+    sig_env, _ = build_sig_env(source, REGISTRY)
+    return _tier_table(source.annotations(), sig_env, REGISTRY, root)
 
 
 def test_a_3000_statement_thread_checks():
-    report = check_program(with_thread(seq_all(statements(3000))))
+    cmd = seq_all(statements(3000))
+    source = with_thread(cmd)
+    report = check_program(source)
     assert report.safe
     thread = report.threads[0]
-    assert thread.tiers == {O}
-    chain = spine(thread.derivation, "seq")
+    assert (thread.tiers, thread.diagnostic) == ({O}, None)
+    assert report == check_program(source)  # a report holds no tree to compare recursively
+    tiers, chain = tier_table(source, cmd), [cmd]
+    while isinstance(chain[-1], Seq):
+        chain.append(chain[-1].second)
     assert len(chain) == 3000
-    assert [d.tier for d in chain[-2:]] == [O, O]
-    assert chain[-1].rule == "assign" and chain[-1].cmd.var == "x"
+    assert [tiers[id(c)] for c in chain[-2:]] == [{O}, {O}]
+    assert tiers[id(chain[-2].first)] == {Z}
+    assert isinstance(chain[-1], Assign) and chain[-1].var == "x"
 
 
 def test_a_3000_statement_thread_is_rejected_at_its_last_statement():
@@ -394,14 +330,14 @@ def test_a_900_deep_expression_checks():
     expr = Var("x")
     for _ in range(900):
         expr = OpCall("sub1", (expr,))
-    report = check_program(with_thread(Assign("x", expr)))
+    source = with_thread(Assign("x", expr))
+    report = check_program(source)
     assert report.safe and report.threads[0].tiers == {O}
-    deriv = report.threads[0].derivation.guard
-    depth = 0
-    while deriv.rule == "op":
-        assert deriv.sig == ((O,), O)
-        deriv, depth = deriv.children[0], depth + 1
-    assert (depth, deriv.rule, deriv.tier) == (900, "var", O)
+    tiers, depth = tier_table(source, expr), 0
+    while isinstance(expr, OpCall):
+        assert tiers[id(expr)] == {Z, O}
+        expr, depth = expr.args[0], depth + 1
+    assert (depth, expr, tiers[id(expr)]) == (900, Var("x"), {O})
 
 
 def nested(op, depth, leaf):
@@ -431,11 +367,15 @@ def test_a_deep_if_nest_checks(depth):
     cmd = Assign("x", OpCall("sub1", (Var("x"),)))
     for _ in range(depth):
         cmd = If(OpCall("gt0", (Var("x"),)), cmd, Skip())
-    report = check_program(with_thread(cmd))
+    source = with_thread(cmd)
+    report = check_program(source)
     assert report.safe and report.threads[0].tiers == {O}
-    chain = spine(report.threads[0].derivation, "if")
+    tiers, chain = tier_table(source, cmd), [cmd]
+    while isinstance(chain[-1], If):
+        assert tiers[id(chain[-1].guard)] == {Z, O}
+        chain.append(chain[-1].then_branch)
     assert len(chain) == depth + 1
-    assert all(d.tier == O and d.guard.tier == O for d in chain)
+    assert all(tiers[id(c)] == {O} for c in chain)
 
 
 def test_a_deep_rejected_thread_names_the_innermost_blocker():
