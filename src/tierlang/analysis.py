@@ -47,7 +47,7 @@ from .scheduling import (
     run_with_scheduler,
 )
 from .semantics import DONE, ControlTable
-from .typecheck import BOTH_TIERS, SigEnv, command_tiers, seq_tiers
+from .typecheck import BOTH_TIERS, SigEnv, TierTable, _tier_table
 
 TierEnv = Mapping[str, Tier]
 
@@ -355,6 +355,8 @@ def tier_preservation(
     successor must still check, at a tier no higher than the lowest tier
     its predecessor checked at; a predecessor that does not check at all
     is reported immediately, so a rejected program fails at depth zero.
+    Every slot is typed through one tier table shared by the whole walk,
+    so each distinct node is typed once, however many residuals hold it.
 
     A thread has finitely many residuals, so the walk always closes and
     covers every store and schedule at once: ``edges_checked`` counts the
@@ -365,30 +367,13 @@ def tier_preservation(
     registry = registry or default_registry()
     table = ControlTable((cmd for _, cmd in program.threads), registry)
     tids = program.thread_ids()
-    tiers: dict[int, frozenset[Tier]] = {}
+    # Residuals are built from nodes the control table keeps alive, so
+    # one tier table serves every slot and types each distinct node once.
+    tiers: TierTable = {}
 
-    def tiers_of(slot: int) -> frozenset[Tier]:
-        # A sequence combines its halves' tiers, so a long sequence costs
-        # one command_tiers call per statement and no deep recursion.
-        # Left halves go first, the order command_tiers itself visits in.
-        stack = [slot]
-        while stack:
-            node = stack[-1]
-            if node in tiers:
-                stack.pop()
-                continue
-            halves = table.halves[node]
-            if halves is None:
-                tiers[node] = command_tiers(gamma, sig_env, registry, table.commands[node])
-                stack.pop()
-                continue
-            missing = [half for half in reversed(halves) if half not in tiers]
-            if missing:
-                stack += missing
-            else:
-                tiers[node] = seq_tiers(tiers[halves[0]], tiers[halves[1]])
-                stack.pop()
-        return tiers[slot]
+    def typed(slot: int) -> frozenset[Tier]:
+        cmd = table.commands[slot]
+        return _tier_table(gamma, sig_env, registry, cmd, tiers)[id(cmd)]
 
     # Breadth first, so a slot is first taken at its distance from a root.
     frontier = deque((index, root, 0) for index, root in enumerate(table.roots))
@@ -399,10 +384,10 @@ def tier_preservation(
         if slot in seen:
             continue
         seen.add(slot)
-        before = tiers_of(slot)
+        before = typed(slot)
         for after_slot in table.successors(slot):
             edges += 1
-            after = BOTH_TIERS if after_slot == DONE else tiers_of(after_slot)
+            after = BOTH_TIERS if after_slot == DONE else typed(after_slot)
             if not before or not after or min(after) > min(before):
                 return TierPreservationReport(
                     False,

@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from typing import Callable, Mapping
 
 from .analysis import fit_polynomial, measure_growth, ni_suite
-from .lang import Store, Word, free_vars, unary
+from .lang import Alphabet, Store, Word, free_vars, unary
 from .ops import default_registry
 from .parser import ParseError, SourceFile, parse, pretty
 from .scheduling import (
@@ -62,12 +63,18 @@ def _load_source(path: str) -> SourceFile:
         raise CliError(f"{path}: {err}") from err
 
 
-def _parse_inputs(pairs: list[str]) -> dict[str, Word]:
+def _parse_inputs(pairs: list[str], alphabet: Alphabet) -> dict[str, Word]:
     out: dict[str, Word] = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name:
             raise CliError(f"--input takes VAR=WORD, got {pair!r}")
+        stray = sorted(set(value) - alphabet.letters)
+        if stray:
+            raise CliError(
+                f"--input {pair!r}: {', '.join(map(repr, stray))} not in the program's "
+                f"alphabet {' '.join(alphabet.sorted_letters())}"
+            )
         out[name] = value
     return out
 
@@ -179,7 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     _, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
-    store = Store(_parse_inputs(args.input))
+    store = Store(_parse_inputs(args.input, source.alphabet()))
     scheduler = _scheduler(args.scheduler, args.seed)
     run = run_with_scheduler(
         store,
@@ -219,7 +226,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     _, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
-    store = Store(_parse_inputs(args.input))
+    store = Store(_parse_inputs(args.input, source.alphabet()))
     report = explore(
         store,
         source.program(),
@@ -290,6 +297,8 @@ def cmd_ni(args: argparse.Namespace) -> int:
 def cmd_measure(args: argparse.Namespace) -> int:
     _at_least("--fuel", args.fuel, 0)
     _at_least("--max-degree", args.max_degree, 1)
+    if not (args.threshold > 0 and math.isfinite(args.threshold)):
+        raise CliError(f"--threshold must be positive and finite, got {args.threshold}")
     sizes = _parse_sizes(args.sizes)
     _at_least("--sizes", min(sizes, default=0), 0)
     distinct = len(set(sizes))
@@ -302,10 +311,13 @@ def cmd_measure(args: argparse.Namespace) -> int:
     _, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
-    fixed = _parse_inputs(args.input)
+    fixed = _parse_inputs(args.input, source.alphabet())
     scaled = args.scale
     if not scaled:
         raise CliError("measure needs at least one --scale VAR")
+    absent = sorted(set(scaled) - free_vars(source.program()))
+    if absent:
+        raise CliError(f"--scale {', '.join(absent)}: no such variable in the program")
 
     def input_gen(n: int) -> Mapping[str, Word]:
         values = dict(fixed)
@@ -427,13 +439,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_run_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", action="append", default=[], metavar="VAR=WORD",
-                       help="initial store binding (repeatable)")
-        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    def gate_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--json", action="store_true", help="machine-readable output")
         p.add_argument("--unsafe-ok", action="store_true",
                        help="proceed even if the program is rejected by the checker")
+
+    def input_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--input", action="append", default=[], metavar="VAR=WORD",
+                       help="initial store binding (repeatable)")
+
+    def seed_flag(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
 
     p_check = sub.add_parser("check", help="type-check a program, inferring missing tiers")
     p_check.add_argument("program")
@@ -444,7 +460,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run a program under a scheduler")
     p_run.add_argument("program")
-    common_run_flags(p_run)
+    gate_flags(p_run)
+    input_flag(p_run)
+    seed_flag(p_run)
     p_run.add_argument("--scheduler", default="round-robin")
     p_run.add_argument("--fuel", type=int, default=100_000)
     p_run.add_argument("--trace", metavar="PATH",
@@ -453,14 +471,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_explore = sub.add_parser("explore", help="enumerate all interleavings up to bounds")
     p_explore.add_argument("program")
-    common_run_flags(p_explore)
+    gate_flags(p_explore)
+    input_flag(p_explore)
     p_explore.add_argument("--max-steps", type=int, default=200)
     p_explore.add_argument("--max-states", type=int, default=200_000)
     p_explore.set_defaults(func=cmd_explore)
 
     p_ni = sub.add_parser("ni", help="probe non-interference with random store pairs")
     p_ni.add_argument("program")
-    common_run_flags(p_ni)
+    gate_flags(p_ni)
+    seed_flag(p_ni)
     p_ni.add_argument("--trials", type=int, default=200)
     p_ni.add_argument("--fuel", type=int, default=100_000)
     p_ni.add_argument("--scheduler", default="round-robin")
@@ -473,7 +493,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_measure = sub.add_parser("measure", help="chart step counts against input size")
     p_measure.add_argument("program")
-    common_run_flags(p_measure)
+    gate_flags(p_measure)
+    input_flag(p_measure)
+    seed_flag(p_measure)
     p_measure.add_argument("--scale", action="append", default=[], metavar="VAR",
                            help="variable set to n ones at size n (repeatable)")
     p_measure.add_argument("--sizes", default="1:16", metavar="START:STOP[:STEP]")

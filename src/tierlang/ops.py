@@ -296,16 +296,6 @@ class Registry:
         self._family_cache[name] = member
         return member
 
-    def knows(self, name: str) -> bool:
-        try:
-            self.resolve(name)
-        except UnknownOperatorError:
-            return False
-        return True
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(sorted(self._defs))
-
 
 def default_registry() -> Registry:
     return Registry(builtins())

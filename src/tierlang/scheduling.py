@@ -26,7 +26,9 @@ result is the one stepping to the bound would give, field for field.
 on the (store, slots) configuration.  Structurally equal residuals share
 a slot, so this is the same as memoizing on the store and the pool of
 residual commands.  A configuration revisited along one path is a
-cycle, which witnesses a non-terminating schedule.
+cycle, which witnesses a non-terminating schedule.  One depth-first
+pass over the explored graph finds such a cycle, or else the longest
+terminating step and loop counts.
 """
 
 from __future__ import annotations
@@ -378,7 +380,11 @@ def explore(
     max_steps: int = 200,
     max_states: int = 200_000,
 ) -> ExplorationReport:
-    """Enumerate all interleavings, memoizing on (store, slots) states."""
+    """Enumerate all interleavings, memoizing on (store, slots) states.
+
+    A breadth-first pass builds the state graph within the caps; one
+    depth-first pass from the root then looks for a cycle and, if there
+    is none, takes the longest terminating counts."""
     registry = registry or default_registry()
     table = ControlTable((cmd for _, cmd in program.threads), registry)
     root = (store, table.roots)
@@ -426,93 +432,56 @@ def explore(
             edges.append((child, int(rule == UNFOLD)))
         succ[nid] = tuple(edges)
 
-    cycle_found = _has_cycle(succ)
-    max_k: int | None = None
-    max_t: int | None = None
-    if not cycle_found:
-        max_k, max_t = _longest_paths(succ, terminal)
+    # One depth-first pass from the root (every node is reachable from
+    # it).  A child still on the path closes a cycle.  Otherwise a node's
+    # longest terminating step and loop counts are final once its
+    # children are finished: ``None`` when no explored path from it
+    # terminates.
+    NEW, ON_PATH, FINISHED = 0, 1, 2
+    mark = bytearray(len(nodes))
+    best_k: list[int | None] = [None] * len(nodes)
+    best_t: list[int | None] = [None] * len(nodes)
+    for nid in terminal:
+        best_k[nid] = best_t[nid] = 0
+    cycle_found = False
+    mark[0] = ON_PATH
+    path = [(0, iter(succ[0]))]
+    while path:
+        nid, children = path[-1]
+        for child, _ in children:
+            state = mark[child]
+            if state == ON_PATH:
+                cycle_found = True
+                path.clear()
+                break
+            if state == NEW:
+                mark[child] = ON_PATH
+                path.append((child, iter(succ[child])))
+                break
+        else:
+            path.pop()
+            mark[nid] = FINISHED
+            k = t = None
+            for child, inc in succ[nid]:
+                ck = best_k[child]
+                if ck is None:
+                    continue
+                if k is None or ck > k:
+                    k = ck
+                ct = best_t[child] + inc
+                if t is None or ct > t:
+                    t = ct
+            if k is not None:
+                best_k[nid], best_t[nid] = k + 1, t
     return ExplorationReport(
         terminal_stores=frozenset(nodes[n][0] for n in terminal),
-        max_steps_terminating=max_k,
-        max_loops_terminating=max_t,
+        max_steps_terminating=None if cycle_found else best_k[0],
+        max_loops_terminating=None if cycle_found else best_t[0],
         cycle_found=cycle_found,
         complete=complete and not stuck,
         visited_states=len(nodes),
         stuck_states=len(stuck),
     )
-
-
-def _has_cycle(succ: dict[int, tuple[tuple[int, int], ...]]) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {n: WHITE for n in succ}
-    for start in succ:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = GRAY
-        while stack:
-            node, idx = stack[-1]
-            children = succ[node]
-            if idx == len(children):
-                color[node] = BLACK
-                stack.pop()
-                continue
-            stack[-1] = (node, idx + 1)
-            child = children[idx][0]
-            if color[child] == GRAY:
-                return True
-            if color[child] == WHITE:
-                color[child] = GRAY
-                stack.append((child, 0))
-    return False
-
-
-def _longest_paths(
-    succ: dict[int, tuple[tuple[int, int], ...]], terminal: set[int]
-) -> tuple[int | None, int | None]:
-    """Longest step count and loop count over paths from node 0 to a
-    terminal node, on an acyclic graph.  ``None`` when no explored path
-    from the root terminates."""
-    memo_k: dict[int, int | None] = {}
-    memo_t: dict[int, int | None] = {}
-
-    order: list[int] = []
-    seen: set[int] = set()
-    stack: list[tuple[int, bool]] = [(0, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if node in seen:
-            continue
-        seen.add(node)
-        stack.append((node, True))
-        for child, _ in succ[node]:
-            if child not in seen:
-                stack.append((child, False))
-
-    for node in order:
-        if node in terminal:
-            memo_k[node] = 0
-            memo_t[node] = 0
-            continue
-        best_k: int | None = None
-        best_t: int | None = None
-        for child, inc in succ[node]:
-            ck = memo_k.get(child)
-            ct = memo_t.get(child)
-            if ck is None or ct is None:
-                continue
-            cand_k = 1 + ck
-            cand_t = inc + ct
-            if best_k is None or cand_k > best_k:
-                best_k = cand_k
-            if best_t is None or cand_t > best_t:
-                best_t = cand_t
-        memo_k[node] = best_k
-        memo_t[node] = best_t
-    return memo_k.get(0), memo_t.get(0)
 
 
 # --- store pairs and quietness -------------------------------------------------------

@@ -12,12 +12,13 @@ Conditionals and loops demand an exact truth word (``T`` or ``F``) from
 their guard; any other value is a hard error rather than a silent
 default, so ill-formed guards surface immediately.
 
-Runs step a ``ControlTable``: every residual a command can reach gets
-a hash-consed slot number, and each slot records its redex's compiled
-expression and the slots that follow, so a run state is a store plus
-one int per thread and a step is a table lookup plus one operator call.
-The same table lists each slot's successors for questions that range
-over every store at once, such as subject reduction.
+Runs step a ``ControlTable``, which owns the step rules: every residual
+a command can reach gets a hash-consed slot number, and each slot
+records its redex's compiled expression and the slots that follow, so a
+run state is a store plus one int per thread and a step is a table
+lookup plus one operator call.  The same table lists each slot's
+successors for questions that range over every store at once, such as
+subject reduction.
 """
 
 from __future__ import annotations
@@ -80,49 +81,7 @@ def eval_expr(store: Store, expr: Expr, registry: Registry | None = None) -> Wor
     return values[0]
 
 
-# --- the step rules ----------------------------------------------------------------
-#
-# A command steps at its redex, the first command down the left spine of
-# its sequences.  The redex picks a rule and leaves a residual (or
-# nothing), which is plugged back into the sequences around it.
-
 UNFOLD = "while-tt"  # the one rule that counts as a loop iteration
-
-
-def _split(cmd: Command) -> tuple[Command, list[Seq]]:
-    """The redex of a command and the sequences around it, innermost first."""
-    context: list[Seq] = []
-    while isinstance(cmd, Seq):
-        context.append(cmd)
-        cmd = cmd.first
-    context.reverse()
-    return cmd, context
-
-
-def _successors(redex: Command) -> tuple[tuple[str, Command | None], ...]:
-    """The rules a redex can fire, each with the residual it leaves
-    (``None`` when the redex is done): one rule for skip and assignment,
-    the true and then the false case for a guard."""
-    if isinstance(redex, Skip):
-        return (("skip", None),)
-    if isinstance(redex, Assign):
-        return (("assign", None),)
-    if isinstance(redex, If):
-        return (("if-tt", redex.then_branch), ("if-ff", redex.else_branch))
-    if isinstance(redex, While):
-        return ((UNFOLD, Seq(redex.body, redex, redex.span)), ("while-ff", None))
-    raise TypeError(f"not a command: {redex!r}")
-
-
-def _plug(
-    residual: Command | None, context: list[Seq], seq: Callable[[Command, Seq], Command]
-) -> Command | None:
-    """Put a redex's residual back into its context, ``seq`` building
-    each enclosing sequence; a finished redex hands control to the
-    innermost continuation."""
-    for outer in context:
-        residual = outer.second if residual is None else seq(residual, outer)
-    return residual
 
 
 # --- control tables ----------------------------------------------------------------
@@ -183,17 +142,16 @@ class ControlTable:
     Slots are numbered children first and filled in on demand, the
     first time a run steps them.
 
-    ``roots[i]`` is the slot of the i-th command, ``commands[s]``
-    rebuilds slot ``s`` (the first structurally equal node seen), and
-    ``halves[s]`` holds the two slots of a sequence, ``None`` otherwise.
-    One table serves any number of runs: ``root`` gives the slot of a
-    command, adding it first if the table has not seen it.
+    ``roots[i]`` is the slot of the i-th command and ``commands[s]``
+    rebuilds slot ``s`` (the first structurally equal node seen); the
+    table keeps every node under ``commands`` alive.  One table serves
+    any number of runs: ``root`` gives the slot of a command, adding it
+    first if the table has not seen it.
     """
 
     def __init__(self, commands: Iterable[Command], registry: Registry):
         self._registry = registry
         self.commands: list[Command] = []
-        self.halves: list[tuple[int, int] | None] = []
         self._entries: list[_Entry | None] = []
         self._slots: dict[tuple, int] = {}
         self._exprs: dict[object, int] = {}  # expression key -> expression id
@@ -219,10 +177,8 @@ class ControlTable:
         if slot is not None:
             return slot
         known = self._known
-        halves = None
         if isinstance(node, Seq):
-            halves = (known[id(node.first)], known[id(node.second)])
-            key: tuple = (Seq, *halves)
+            key: tuple = (Seq, known[id(node.first)], known[id(node.second)])
         elif isinstance(node, If):
             key = (If, known[id(node.guard)], known[id(node.then_branch)],
                    known[id(node.else_branch)])
@@ -236,7 +192,6 @@ class ControlTable:
         if slot is None:
             slot = self._slots[key] = len(self.commands)
             self.commands.append(node)
-            self.halves.append(halves)
             self._entries.append(None)
             known[id(node)] = slot
         return slot
@@ -273,28 +228,46 @@ class ControlTable:
                 stack += ((arg, False) for arg in reversed(node.args))
         return known[id(root)]
 
-    def _seq(self, residual: Command, outer: Seq) -> Command:
-        """The shared node for ``Seq(residual, outer.second)``."""
-        first = self._intern(residual)
-        slot = self._slots.get((Seq, first, self._known[id(outer.second)]))
-        if slot is None:
-            slot = self._intern(Seq(self.commands[first], outer.second, outer.span))
-        return self.commands[slot]
-
     def _compile(self, slot: int) -> _Entry:
-        redex, context = _split(self.commands[slot])
-        nexts: list[tuple[str, int]] = []
-        for rule, residual in _successors(redex):
-            residual = _plug(residual, context, self._seq)
-            nexts.append((rule, DONE if residual is None else self._intern(residual)))
-        (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
+        """The step rules at ``slot``.  A command steps at its redex, the
+        first command down the left spine of its sequences: the redex
+        picks a rule (the true, then the false case for a guard) and
+        leaves a residual or nothing, which is plugged back into the
+        sequences around it, innermost first."""
+        context: list[Seq] = []
+        redex = self.commands[slot]
+        while isinstance(redex, Seq):
+            context.append(redex)
+            redex = redex.first
         var = None
         fn = None
-        if isinstance(redex, Assign):
+        outcomes: tuple[tuple[str, Command | None], ...]
+        if isinstance(redex, Skip):
+            outcomes = (("skip", None),)
+        elif isinstance(redex, Assign):
+            outcomes = (("assign", None),)
             var = redex.var
             fn = _compile_expr(redex.expr, self._registry)
-        elif isinstance(redex, (If, While)):
+        elif isinstance(redex, If):
+            outcomes = (("if-tt", redex.then_branch), ("if-ff", redex.else_branch))
             fn = _compile_expr(redex.guard, self._registry)
+        elif isinstance(redex, While):
+            outcomes = ((UNFOLD, Seq(redex.body, redex, redex.span)), ("while-ff", None))
+            fn = _compile_expr(redex.guard, self._registry)
+        else:
+            raise TypeError(f"not a command: {redex!r}")
+        nexts: list[tuple[str, int]] = []
+        for rule, residual in outcomes:
+            for outer in reversed(context):
+                if residual is None:
+                    residual = outer.second
+                else:
+                    # A residual is rebuilt from kept nodes, so the table
+                    # keeps everything under it alive.
+                    first = self.commands[self._intern(residual)]
+                    residual = self.commands[self._intern(Seq(first, outer.second, outer.span))]
+            nexts.append((rule, DONE if residual is None else self._intern(residual)))
+        (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
         return (rule, nxt, other_rule, other, var, fn, redex)
 
     def successors(self, slot: int) -> tuple[int, ...]:

@@ -1,13 +1,14 @@
 """Turing machines: a small spec format, a simulator, and a compiler
 into safe tiered programs.
 
-The compiled program keeps the machine state and the two tape halves in
-tier-0 variables ``State``, ``Left``, ``Right`` (``Left`` reversed, so
-both tape heads sit at position 0) and drives the simulation with
-tier-1 clock loops over the untouched input variable.  One machine step
-becomes a cascade of conditionals that dispatches on the letter under
-the head and then on the state code; blanks are never stored beyond the
-written tape, they are read off the end of ``Right`` lazily.
+The compiled program keeps the machine state and the tape, split at the
+head, in tier-0 variables ``State``, ``Left``, ``Right`` (``Left``
+reversed, so both tape heads sit at position 0) and drives the
+simulation with tier-1 clock loops over the untouched input variable.
+One machine step becomes a cascade of conditionals that dispatches on
+the letter under the head and then on the state code; blanks are never
+stored beyond the written tape, they are read off the end of ``Right``
+lazily.
 
 A machine with clock degree ``k`` is assumed to halt within ``n^k``
 steps on inputs of length ``n``; the compiled program executes
@@ -180,20 +181,6 @@ def parse_tm(text: str) -> TMSpec:
     assert states is not None and alphabet is not None and init is not None
     assert halting is not None and clock is not None
     return TMSpec(states, alphabet, blank, init, frozenset(halting), clock, transitions)
-
-
-def render_tm(spec: TMSpec) -> str:
-    lines = [
-        "states " + " ".join(spec.states),
-        "alphabet " + " ".join(spec.alphabet),
-        f"blank {spec.blank}",
-        f"init {spec.init}",
-        "halt " + " ".join(sorted(spec.halting)),
-        f"clock {spec.clock_degree}",
-    ]
-    for (state, read), (target, written, move) in sorted(spec.transitions.items()):
-        lines.append(f"delta {state} {read} -> {target} {written} {move}")
-    return "\n".join(lines) + "\n"
 
 
 # --- simulation ---------------------------------------------------------------

@@ -187,21 +187,22 @@ def _op_sigs(call: OpCall, sig_env: SigEnv, registry: Registry) -> frozenset[Sig
     return sigs
 
 
-def seq_tiers(first: frozenset[Tier], second: frozenset[Tier]) -> frozenset[Tier]:
-    """The tiers of ``first; second`` given the tiers of each half."""
-    return frozenset(a.join(b) for a in first for b in second)
-
-
-def _tier_table(gamma: TierEnv, sig_env: SigEnv, registry: Registry, root: Expr | Command) -> TierTable:
+def _tier_table(
+    gamma: TierEnv, sig_env: SigEnv, registry: Registry, root: Expr | Command,
+    tiers: TierTable | None = None,
+) -> TierTable:
     """The tier set of every expression and command node under ``root``.
 
     One post-order pass with an explicit stack combines each node's set
     once from its children's, left to right; an assignment's target and an
     operator's signatures are looked up on the way down, so errors raise
     in reading order.  An exit entry is a ``(node, signatures)`` pair, with
-    ``None`` for a command.
+    ``None`` for a command.  Given a table, the pass extends it and skips
+    the nodes it already holds; its keys are ids, so the caller keeps
+    those nodes alive.
     """
-    tiers: TierTable = {}
+    if tiers is None:
+        tiers = {}
     stack: list = [root]
     while stack:
         node = stack.pop()
@@ -215,7 +216,8 @@ def _tier_table(gamma: TierEnv, sig_env: SigEnv, registry: Registry, root: Expr 
                 fits = any(target.leq(t) for t in tiers[id(node.expr)])
                 tiers[id(node)] = _ONLY[target] if fits else NO_TIERS
             elif isinstance(node, Seq):
-                tiers[id(node)] = seq_tiers(tiers[id(node.first)], tiers[id(node.second)])
+                tiers[id(node)] = frozenset(a.join(b) for a in tiers[id(node.first)]
+                                            for b in tiers[id(node.second)])
             elif isinstance(node, If):
                 tiers[id(node)] = (tiers[id(node.guard)] & tiers[id(node.then_branch)]
                                    & tiers[id(node.else_branch)])
@@ -366,9 +368,6 @@ class CheckReport:
     diagnostics: tuple[Diagnostic, ...]
     threads: tuple[ThreadReport, ...]
 
-    def gamma_env(self) -> dict[str, Tier]:
-        return dict(self.gamma)
-
     def to_dict(self) -> dict:
         return {
             "safe": self.safe,
@@ -452,9 +451,6 @@ class InferenceReport:
     check: CheckReport | None
     core: tuple[Constraint, ...] = ()
     note: str = ""
-
-    def gamma_env(self) -> dict[str, Tier]:
-        return dict(self.gamma or ())
 
     def core_variables(self) -> tuple[str, ...]:
         return tuple(sorted({v for c in self.core for v in c.variables}))

@@ -316,10 +316,17 @@ def test_measure_argument_validation(fx, capsys):
         (["explore", "--max-states", "0"], "--max-states must be at least 1, got 0"),
         (["ni", "--mode", "explore", "--max-steps", "-1"], "--max-steps must be at least 0"),
         (["tm-compile", "--verify-len", "-1"], "--verify-len must be at least 0, got -1"),
+        (["measure", "--scale", "x", "--threshold", "-1"],
+         "--threshold must be positive and finite, got -1.0"),
+        (["measure", "--scale", "x", "--threshold", "0"],
+         "--threshold must be positive and finite, got 0.0"),
+        (["measure", "--scale", "x", "--threshold", "nan"],
+         "--threshold must be positive and finite, got nan"),
     ],
     ids=["measure-sizes", "measure-repeated-sizes", "measure-negative-size",
          "measure-max-degree", "measure-fuel", "ni-max-len", "ni-trials", "ni-fuel", "run-fuel",
-         "explore-max-steps", "explore-max-states", "ni-max-steps", "tm-compile-verify-len"],
+         "explore-max-steps", "explore-max-states", "ni-max-steps", "tm-compile-verify-len",
+         "measure-negative-threshold", "measure-zero-threshold", "measure-nan-threshold"],
 )
 def test_bad_numeric_arguments_are_usage_errors(fx, capsys, argv, message):
     command, *flags = argv
@@ -327,6 +334,34 @@ def test_bad_numeric_arguments_are_usage_errors(fx, capsys, argv, message):
     code, out, err = run_cli(capsys, command, target, *flags)
     assert (code, out) == (2, "")
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "--input", "x=1a1"], "'a' not in the program's alphabet 0 1 F T"),
+        (["explore", "--input", "x=1a1"], "'a' not in the program's alphabet 0 1 F T"),
+        (["measure", "--scale", "x", "--input", "y=2"],
+         "'2' not in the program's alphabet 0 1 F T"),
+        (["measure", "--scale", "q"], "--scale q: no such variable in the program"),
+    ],
+    ids=["run-input-letter", "explore-input-letter", "measure-input-letter", "measure-scale"],
+)
+def test_inputs_outside_the_program_are_usage_errors(fx, capsys, argv, message):
+    command, *flags = argv
+    code, out, err = run_cli(capsys, command, fx("add.tier"), *flags)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv", [["ni", "--input", "x=1"], ["explore", "--seed", "3"]],
+                         ids=["ni-input", "explore-seed"])
+def test_flags_a_subcommand_does_not_read_are_refused(fx, capsys, argv):
+    command, *flags = argv
+    with pytest.raises(SystemExit) as exit_:
+        main([command, fx("add.tier"), *flags])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 def test_the_argument_parser_is_built_once_and_keeps_no_state(fx, capsys):

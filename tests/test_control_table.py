@@ -22,6 +22,7 @@ from tierlang import (
     parse,
     seq_all,
 )
+from tierlang import typecheck
 from tierlang.analysis import tier_preservation
 from tierlang.fixtures import (
     MACHINE_FIXTURES,
@@ -30,9 +31,10 @@ from tierlang.fixtures import (
     fixture_text,
     load_source,
 )
-from tierlang.lang import DEFAULT_ALPHABET, FF, TT, free_vars
+from tierlang.lang import DEFAULT_ALPHABET, FF, TT, free_vars, walk
 from tierlang.ops import default_registry
 from tierlang.scheduling import (
+    ExplorationReport,
     FirstAlive,
     RoundRobin,
     Scheduler,
@@ -191,17 +193,23 @@ def table_sequential(store, cmd, fuel):
 
 
 def reference_explore(store, program):
-    """Visited states, terminal stores and stuck states of a breadth-first
-    walk keyed on (store, pool of residual commands)."""
+    """The exploration report of a breadth-first walk keyed on (store, pool
+    of residual commands).  Cycles and the longest terminating counts come
+    from peeling sinks off the recorded graph (Kahn's algorithm on the
+    reversed edges): a node is peeled once all its successors are, and
+    nodes left unpeeled lie on or lead into a cycle."""
     root = (store, tuple(program.threads))
     seen = {root}
     frontier = [root]
+    edges = {}  # state -> [(successor, loop increment)], one per move
     terminal, stuck = set(), 0
     while frontier:
         nxt = []
-        for node_store, pool in frontier:
+        for node in frontier:
+            node_store, pool = node
             if not pool:
-                terminal.add(node_store)
+                terminal.add(node)
+            moves = edges[node] = []
             got_stuck = False
             for i, (tid, cmd) in enumerate(pool):
                 try:
@@ -213,12 +221,44 @@ def reference_explore(store, program):
                 if out.residual is not None:
                     rest = pool[:i] + ((tid, out.residual),) + pool[i + 1:]
                 key = (out.store, rest)
+                moves.append((key, out.loop_increment))
                 if key not in seen:
                     seen.add(key)
                     nxt.append(key)
             stuck += got_stuck
         frontier = nxt
-    return len(seen), frozenset(terminal), stuck
+    waiting = {node: len(moves) for node, moves in edges.items()}
+    preds = {node: [] for node in edges}
+    for node, moves in edges.items():
+        for child, _ in moves:
+            preds[child].append(node)
+    longest = {}  # node -> (steps, loops) of its longest terminating paths, or None
+    sinks = [node for node, count in waiting.items() if count == 0]
+    while sinks:
+        node = sinks.pop()
+        counts = [(1 + longest[child][0], inc + longest[child][1])
+                  for child, inc in edges[node] if longest[child] is not None]
+        if node in terminal:
+            longest[node] = (0, 0)
+        elif counts:
+            longest[node] = (max(k for k, _ in counts), max(t for _, t in counts))
+        else:
+            longest[node] = None
+        for pred in preds[node]:
+            waiting[pred] -= 1
+            if waiting[pred] == 0:
+                sinks.append(pred)
+    cycle = len(longest) < len(edges)
+    best = (None, None) if cycle or longest[root] is None else longest[root]
+    return ExplorationReport(
+        terminal_stores=frozenset(node_store for node_store, _ in terminal),
+        max_steps_terminating=best[0],
+        max_loops_terminating=best[1],
+        cycle_found=cycle,
+        complete=not stuck,
+        visited_states=len(seen),
+        stuck_states=stuck,
+    )
 
 
 # --- differential tests -------------------------------------------------------------
@@ -277,14 +317,14 @@ def test_compiled_machines_match_reference_loop(name):
 )
 def test_explore_matches_reference_walk(name):
     program = fixture_program(name)
-    stuck_seen = 0
+    stuck_seen = cycles_seen = 0
     for store in random_stores(program, 11, 6):
         report = explore(store, program)
-        states, terminal, stuck = reference_explore(store, program)
-        assert (report.visited_states, report.terminal_stores, report.stuck_states) == (
-            states, terminal, stuck)
-        stuck_seen += stuck
+        assert report == reference_explore(store, program), store
+        stuck_seen += report.stuck_states
+        cycles_seen += report.cycle_found
     assert (stuck_seen > 0) == (name == "head_guards")
+    assert (cycles_seen > 0) == (name in ("intro_sync.tier", "spin.tier"))
 
 
 def test_stuck_guard_reports_the_guard_command():
@@ -362,6 +402,31 @@ def test_deep_expressions_need_no_recursion():
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "pred")}
     report = tier_preservation(Store.of(x="11"), program, {"x": Tier.ONE}, sig_env, registry)
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 4)
+
+
+def test_tier_preservation_types_each_node_once(monkeypatch):
+    # Each unfolding of a nested loop leaves a residual that repeats the
+    # loops around it, so typing residuals one by one looks the same
+    # operator calls up again and again.
+    cmd = Assign("y", OpCall("pred", (Var("y"),)))
+    for _ in range(60):
+        step = Assign("x", OpCall("pred", (Var("x"),)))
+        cmd = While(OpCall("gt0", (Var("x"),)), Seq(step, cmd))
+    calls = sum(isinstance(node, OpCall) for node in walk(cmd))
+    registry = default_registry()
+    sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "pred")}
+    looked_up = []
+    op_sigs = typecheck._op_sigs
+
+    def counting(call, *args):
+        looked_up.append(call)
+        return op_sigs(call, *args)
+
+    monkeypatch.setattr(typecheck, "_op_sigs", counting)
+    report = tier_preservation(Store(), Program.single(cmd), {"x": Tier.ONE, "y": Tier.ONE},
+                               sig_env, registry)
+    assert report.passed
+    assert (calls, len(looked_up)) == (121, 121)
 
 
 def test_one_table_serves_runs_of_several_programs():

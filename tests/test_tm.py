@@ -8,7 +8,6 @@ from tierlang.tm import (
     TMFormatError,
     compile_tm,
     parse_tm,
-    render_tm,
     simulate_tm,
 )
 from tierlang.typecheck import check_program
@@ -40,12 +39,6 @@ def test_parse_tm_golden(inc):
     assert inc.transitions[("scan", "1")] == ("scan", "0", "R")
     assert inc.transitions[("scan", "0")] == ("done", "1", "R")
     assert inc.transitions[("scan", "B")] == ("done", "1", "R")
-
-
-@pytest.mark.parametrize("name", ["binary_inc.tm", "identity.tm", "busy.tm"])
-def test_render_round_trips(name):
-    spec = parse_tm(fixture_text(name))
-    assert parse_tm(render_tm(spec)) == spec
 
 
 BAD_MACHINES = {

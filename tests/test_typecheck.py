@@ -234,8 +234,8 @@ def test_inference_agrees_with_enumeration_on_add():
     report = infer_tiers(src)
     oracle = brute_force_safe_envs(src)
     assert report.ok == bool(oracle)
-    assert report.gamma_env() in oracle
-    assert report.gamma_env() == {"x": O, "y": Z}
+    assert dict(report.gamma) in oracle
+    assert dict(report.gamma) == {"x": O, "y": Z}
 
 
 def test_inference_agrees_with_enumeration_on_fixtures():
@@ -246,7 +246,7 @@ def test_inference_agrees_with_enumeration_on_fixtures():
         oracle = brute_force_safe_envs(stripped)
         assert report.ok == bool(oracle), name
         if report.ok:
-            assert report.gamma_env() in oracle, name
+            assert dict(report.gamma) in oracle, name
 
 
 def test_conflict_cores_name_the_culprits():
