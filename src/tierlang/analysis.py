@@ -343,8 +343,6 @@ def tier_preservation(
     gamma: TierEnv,
     sig_env: SigEnv,
     registry: Registry | None = None,
-    max_steps: int = 200,
-    max_states: int = 200_000,
 ) -> TierPreservationReport:
     """Check that stepping a thread never makes its command harder to type.
 
@@ -361,8 +359,8 @@ def tier_preservation(
     A thread has finitely many residuals, so the walk always closes and
     covers every store and schedule at once: ``edges_checked`` counts the
     pairs, ``complete`` is always true, and a violation's ``depth`` is
-    its slot's distance from the thread's root.  ``store``,
-    ``max_steps`` and ``max_states`` do not affect the result.
+    its slot's distance from the thread's root.  ``store`` does not
+    affect the result.
     """
     registry = registry or default_registry()
     table = ControlTable((cmd for _, cmd in program.threads), registry)

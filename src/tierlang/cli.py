@@ -253,10 +253,20 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_ni(args: argparse.Namespace) -> int:
+    if args.mode == "explore":
+        unread = {"--fuel": args.fuel, "--scheduler": args.scheduler}
+    else:
+        unread = {"--max-steps": args.max_steps}
+    for flag, value in unread.items():
+        if value is not None:
+            raise CliError(f"{flag} does not apply to --mode {args.mode}")
+    fuel = 100_000 if args.fuel is None else args.fuel
+    scheduler = "round-robin" if args.scheduler is None else args.scheduler
+    max_steps = 200 if args.max_steps is None else args.max_steps
     _at_least("--trials", args.trials, 1)
-    _at_least("--fuel", args.fuel, 0)
+    _at_least("--fuel", fuel, 0)
     _at_least("--max-len", args.max_len, 0)
-    _at_least("--max-steps", args.max_steps, 0)
+    _at_least("--max-steps", max_steps, 0)
     source = _load_source(args.program)
     report, gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
@@ -268,18 +278,17 @@ def cmd_ni(args: argparse.Namespace) -> int:
             "non-interference needs a tier for every variable; missing: "
             + ", ".join(sorted(missing))
         )
-    scheduler = _scheduler(args.scheduler, args.seed)
     ni = ni_suite(
         source.program(),
         gamma,
-        scheduler=scheduler,
+        scheduler=_scheduler(scheduler, args.seed) if args.mode == "scheduler" else None,
         trials=args.trials,
-        fuel=args.fuel,
+        fuel=fuel,
         seed=args.seed,
         alphabet=source.alphabet(),
         max_len=args.max_len,
         mode=args.mode,
-        explore_max_steps=args.max_steps,
+        explore_max_steps=max_steps,
     )
     if args.json:
         _emit_json({"command": "ni", **ni.to_dict()})
@@ -482,13 +491,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gate_flags(p_ni)
     seed_flag(p_ni)
     p_ni.add_argument("--trials", type=int, default=200)
-    p_ni.add_argument("--fuel", type=int, default=100_000)
-    p_ni.add_argument("--scheduler", default="round-robin")
+    p_ni.add_argument("--fuel", type=int, help="step bound in scheduler mode (default 100000)")
+    p_ni.add_argument("--scheduler", help="scheduler mode's scheduler (default round-robin)")
     p_ni.add_argument("--mode", choices=("scheduler", "explore"), default="scheduler")
     p_ni.add_argument("--max-len", type=int, default=6,
                       help="longest random word drawn for initial stores")
-    p_ni.add_argument("--max-steps", type=int, default=200,
-                      help="exploration depth bound in explore mode")
+    p_ni.add_argument("--max-steps", type=int,
+                      help="exploration depth bound in explore mode (default 200)")
     p_ni.set_defaults(func=cmd_ni)
 
     p_measure = sub.add_parser("measure", help="chart step counts against input size")

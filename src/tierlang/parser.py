@@ -97,20 +97,21 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "digits" | "string" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
-
-    @property
-    def span(self) -> Span:
-        return Span(self.line, self.col)
+# A token is a ``(kind, text, line, col)`` tuple; ``kind`` is "ident",
+# "digits", "string", "punct" or "eof".  Keywords are identifiers and
+# word literals keep their quotes, so the text of a keyword or a
+# punctuation mark is never the text of any other kind of token.
+# ``_tokenize`` lists the tokens last to first, so the parser, which
+# never looks back, pops each token it reads and frees it: a long file's
+# tokens and tree need not both be held whole.
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
+def _span(tok: tuple) -> Span:
+    return Span(tok[2], tok[3])
+
+
+def _tokenize(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
     line, line_start = 1, 0
     for match in _TOKEN.finditer(text):
         kind = match.lastgroup
@@ -126,8 +127,9 @@ def _tokenize(text: str) -> list[Token]:
             if first == '"':
                 raise ParseError("unterminated word literal", line, col)
             raise ParseError(f"unexpected character {first!r}", line, col)
-        tokens.append(Token(kind, match.group(), line, col))
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+        tokens.append((kind, match.group(), line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    tokens.reverse()
     return tokens
 
 
@@ -169,57 +171,45 @@ class SourceFile:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, tokens: list[tuple]):
+        self.tokens = tokens  # the next token last
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def peek(self) -> tuple:
+        return self.tokens[-1]
 
-    def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
+    def advance(self) -> tuple:
+        tok = self.tokens[-1]
+        if tok[0] != "eof":
+            self.tokens.pop()
         return tok
 
-    def fail(self, message: str, tok: Token | None = None) -> ParseError:
+    def fail(self, message: str, tok: tuple | None = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
+        return ParseError(message, tok[2], tok[3])
 
-    def expect_punct(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "punct" or tok.text != text:
-            raise self.fail(f"expected {text!r}, found {tok.text or 'end of file'!r}")
+    def at(self, text: str) -> bool:
+        """Whether the next token is the given keyword or punctuation mark."""
+        return self.tokens[-1][1] == text
+
+    def expect(self, text: str) -> tuple:
+        if not self.at(text):
+            raise self.fail(f"expected {text!r}, found {self.peek()[1] or 'end of file'!r}")
         return self.advance()
 
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident" or tok.text != word:
-            raise self.fail(f"expected {word!r}, found {tok.text or 'end of file'!r}")
-        return self.advance()
-
-    def at_punct(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "punct" and tok.text == text
-
-    def at_keyword(self, word: str) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and tok.text == word
-
-    def fresh_name(self, role: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.fail(f"expected a {role} name, found {tok.text or 'end of file'!r}")
-        if tok.text in RESERVED:
-            raise self.fail(f"{tok.text!r} is a reserved word and cannot name a {role}")
+    def fresh_name(self, role: str) -> tuple:
+        kind, text = self.peek()[:2]
+        if kind != "ident":
+            raise self.fail(f"expected a {role} name, found {text or 'end of file'!r}")
+        if text in RESERVED:
+            raise self.fail(f"{text!r} is a reserved word and cannot name a {role}")
         return self.advance()
 
     def tier(self) -> Tier:
-        tok = self.peek()
-        if tok.kind == "digits" and tok.text in ("0", "1"):
+        kind, text = self.peek()[:2]
+        if kind == "digits" and text in ("0", "1"):
             self.advance()
-            return Tier(int(tok.text))
-        raise self.fail(f"expected a tier (0 or 1), found {tok.text or 'end of file'!r}")
+            return Tier(int(text))
+        raise self.fail(f"expected a tier (0 or 1), found {text or 'end of file'!r}")
 
     # --- headers ---------------------------------------------------------
 
@@ -228,197 +218,207 @@ class _Parser:
         op_decls: list[OpDecl] = []
         var_tiers: list[tuple[str, Tier]] = []
         threads: list[tuple[str, Command]] = []
-        while self.peek().kind != "eof":
-            if self.at_keyword("alphabet"):
+        while self.peek()[0] != "eof":
+            if self.at("alphabet"):
                 if alphabet is not None:
                     raise self.fail("duplicate alphabet header")
                 alphabet = self.alphabet_decl()
-            elif self.at_keyword("op"):
+            elif self.at("op"):
                 decl = self.op_decl()
                 if any(d.name == decl.name for d in op_decls):
                     raise self.fail(f"duplicate declaration of operator {decl.name!r}")
                 op_decls.append(decl)
-            elif self.at_keyword("vars"):
+            elif self.at("vars"):
                 self.vars_decl(var_tiers)
-            elif self.at_keyword("thread"):
+            elif self.at("thread"):
                 name, cmd = self.thread_decl()
                 if any(tid == name for tid, _ in threads):
                     raise self.fail(f"duplicate thread name {name!r}")
                 threads.append((name, cmd))
             else:
-                tok = self.peek()
-                raise self.fail(
-                    f"expected a header or thread, found {tok.text or 'end of file'!r}", tok
-                )
+                raise self.fail(f"expected a header or thread, found {self.peek()[1]!r}")
         if not threads:
-            eof = self.peek()
-            raise ParseError("a program needs at least one thread", eof.line, eof.col)
+            raise self.fail("a program needs at least one thread")
         source = SourceFile(alphabet, tuple(op_decls), tuple(var_tiers), tuple(threads))
         _validate(source)
         return source
 
     def alphabet_decl(self) -> tuple[str, ...]:
-        self.expect_keyword("alphabet")
+        self.expect("alphabet")
         letters: list[str] = []
-        while not self.at_punct(";"):
-            tok = self.peek()
-            if tok.kind not in ("ident", "digits") or len(tok.text) != 1:
+        while not self.at(";"):
+            kind, text = self.peek()[:2]
+            if kind not in ("ident", "digits") or len(text) != 1:
                 raise self.fail("alphabet letters are single characters separated by spaces")
-            if tok.text in letters:
-                raise self.fail(f"duplicate alphabet letter {tok.text!r}")
-            letters.append(tok.text)
+            if text in letters:
+                raise self.fail(f"duplicate alphabet letter {text!r}")
+            letters.append(text)
             self.advance()
-        self.expect_punct(";")
+        self.expect(";")
         if not letters:
             raise self.fail("alphabet header needs at least one letter")
         return tuple(letters)
 
     def op_decl(self) -> OpDecl:
-        start = self.expect_keyword("op")
-        name_tok = self.peek()
-        if name_tok.kind == "string":
+        start = self.expect("op")
+        if self.peek()[0] == "string":
             raise self.fail("word literals need no declaration")
-        name = self.fresh_name("operator").text
-        self.expect_keyword("arity")
-        arity_tok = self.peek()
-        if arity_tok.kind != "digits":
+        name = self.fresh_name("operator")[1]
+        self.expect("arity")
+        if self.peek()[0] != "digits":
             raise self.fail("expected an arity")
-        arity = int(self.advance().text)
-        self.expect_keyword("class")
-        klass_tok = self.peek()
-        if klass_tok.kind == "ident" and klass_tok.text in ("neutral", "positive"):
-            klass = self.advance().text
-        else:
+        arity = int(self.advance()[1])
+        self.expect("class")
+        if not (self.at("neutral") or self.at("positive")):
             raise self.fail("operator class is 'neutral' or 'positive'")
+        klass = self.advance()[1]
         sigs: tuple[Sig, ...] | None = None
-        if self.at_keyword("sig"):
+        if self.at("sig"):
             self.advance()
             sig_list = [self.signature(arity)]
-            while self.at_punct(","):
+            while self.at(","):
                 self.advance()
                 sig_list.append(self.signature(arity))
             sigs = tuple(sig_list)
-        self.expect_punct(";")
-        return OpDecl(name, arity, klass, sigs, start.span)
+        self.expect(";")
+        return OpDecl(name, arity, klass, sigs, _span(start))
 
     def signature(self, arity: int) -> Sig:
         start = self.peek()
         tiers = [self.tier()]
-        while self.at_punct("->"):
+        while self.at("->"):
             self.advance()
             tiers.append(self.tier())
         if len(tiers) != arity + 1:
-            raise ParseError(
+            raise self.fail(
                 f"signature lists {len(tiers) - 1} argument tiers for an arity-{arity} operator",
-                start.line,
-                start.col,
+                start,
             )
         return tuple(tiers[:-1]), tiers[-1]
 
     def vars_decl(self, var_tiers: list[tuple[str, Tier]]) -> None:
-        self.expect_keyword("vars")
-        self.expect_punct("{")
-        while not self.at_punct("}"):
+        self.expect("vars")
+        self.expect("{")
+        while not self.at("}"):
             name_tok = self.fresh_name("variable")
-            self.expect_punct(":")
+            self.expect(":")
             tier = self.tier()
-            self.expect_punct(";")
-            if any(name == name_tok.text for name, _ in var_tiers):
-                raise ParseError(
-                    f"duplicate tier annotation for {name_tok.text!r}",
-                    name_tok.line,
-                    name_tok.col,
-                )
-            var_tiers.append((name_tok.text, tier))
-        self.expect_punct("}")
+            self.expect(";")
+            if any(name == name_tok[1] for name, _ in var_tiers):
+                raise self.fail(f"duplicate tier annotation for {name_tok[1]!r}", name_tok)
+            var_tiers.append((name_tok[1], tier))
+        self.expect("}")
 
     def thread_decl(self) -> tuple[str, Command]:
-        self.expect_keyword("thread")
-        name = self.fresh_name("thread").text
-        self.expect_punct("{")
+        self.expect("thread")
+        name = self.fresh_name("thread")[1]
+        self.expect("{")
         cmd = self.command()
-        self.expect_punct("}")
+        self.expect("}")
         return name, cmd
 
     # --- commands ---------------------------------------------------------
 
     def command(self) -> Command:
-        items = [self.statement()]
-        while self.at_punct(";"):
-            self.advance()
-            if self.at_punct("}"):
-                break
-            items.append(self.statement())
-        out = items[-1]
-        for item in reversed(items[:-1]):
-            out = Seq(item, out, item.span)
-        return out
+        """A ``;``-separated statement sequence, up to its closing brace.
 
-    def statement(self) -> Command:
-        tok = self.peek()
-        if self.at_punct("{"):
-            self.advance()
-            inner = self.command()
-            self.expect_punct("}")
-            return inner
-        if tok.kind != "ident":
-            raise self.fail(f"expected a statement, found {tok.text or 'end of file'!r}")
-        if tok.text == "skip":
-            self.advance()
-            return Skip(tok.span)
-        if tok.text == "if":
-            self.advance()
-            self.expect_punct("(")
-            guard = self.expression()
-            self.expect_punct(")")
-            self.expect_punct("{")
-            then_branch = self.command()
-            self.expect_punct("}")
-            self.expect_keyword("else")
-            self.expect_punct("{")
-            else_branch = self.command()
-            self.expect_punct("}")
-            return If(guard, then_branch, else_branch, tok.span)
-        if tok.text == "while":
-            self.advance()
-            self.expect_punct("(")
-            guard = self.expression()
-            self.expect_punct(")")
-            self.expect_punct("{")
-            body = self.command()
-            self.expect_punct("}")
-            return While(guard, body, tok.span)
-        name = self.fresh_name("variable")
-        self.expect_punct(":=")
-        expr = self.expression()
-        return Assign(name.text, expr, name.span)
+        Each open block sits on a stack as (the statements before it,
+        what opened it, what that opener read): a ``{`` in statement
+        position reads nothing, an ``if`` or ``while`` its token and
+        guard, and an ``else`` also the finished then-branch.
+        """
+        stack: list[tuple[list[Command], str, tuple]] = []
+        items: list[Command] = []
+        while True:
+            tok = self.peek()
+            kind, text = tok[:2]
+            if text == "{" or text == "if" or text == "while":
+                self.advance()
+                read: tuple = ()
+                if text != "{":
+                    self.expect("(")
+                    read = (tok, self.expression())
+                    self.expect(")")
+                    self.expect("{")
+                stack.append((items, text, read))
+                items = []
+                continue
+            if kind != "ident":
+                raise self.fail(f"expected a statement, found {text or 'end of file'!r}")
+            if text == "skip":
+                self.advance()
+                statement: Command = Skip(_span(tok))
+            else:
+                self.fresh_name("variable")
+                self.expect(":=")
+                statement = Assign(text, self.expression(), _span(tok))
+            # Close every block the statement ends; stop at a ";" that
+            # another statement follows.
+            while True:
+                items.append(statement)
+                if self.at(";"):
+                    self.advance()
+                    if not self.at("}"):
+                        break
+                block = items.pop()
+                for item in reversed(items):
+                    block = Seq(item, block, item.span)
+                if not stack:
+                    return block
+                self.expect("}")
+                items, opener, read = stack.pop()
+                if opener == "if":
+                    self.expect("else")
+                    self.expect("{")
+                    stack.append((items, "else", read + (block,)))
+                    items = []
+                    break
+                if opener == "{":
+                    statement = block
+                elif opener == "else":
+                    statement = If(read[1], read[2], block, _span(read[0]))
+                else:
+                    statement = While(read[1], block, _span(read[0]))
 
     # --- expressions ------------------------------------------------------
 
     def expression(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "string":
-            self.advance()
-            return OpCall(tok.text, (), tok.span)
-        if tok.kind != "ident":
-            raise self.fail(f"expected an expression, found {tok.text or 'end of file'!r}")
-        if tok.text in ("tt", "ff"):
-            self.advance()
-            return OpCall(tok.text, (), tok.span)
-        if tok.text in RESERVED:
-            raise self.fail(f"{tok.text!r} is a reserved word")
-        self.advance()
-        if self.at_punct("("):
-            self.advance()
-            args: list[Expr] = []
-            if not self.at_punct(")"):
-                args.append(self.expression())
-                while self.at_punct(","):
+        """An expression; each open operator call sits on a stack as
+        (operator token, arguments so far)."""
+        stack: list[tuple[tuple, list[Expr]]] = []
+        while True:
+            tok = self.peek()
+            kind, text = tok[:2]
+            if kind == "string" or text == "tt" or text == "ff":
+                self.advance()
+                expr: Expr = OpCall(text, (), _span(tok))
+            elif kind != "ident":
+                raise self.fail(f"expected an expression, found {text or 'end of file'!r}")
+            elif text in RESERVED:
+                raise self.fail(f"{text!r} is a reserved word")
+            else:
+                self.advance()
+                if not self.at("("):
+                    expr = Var(text, _span(tok))
+                else:
                     self.advance()
-                    args.append(self.expression())
-            self.expect_punct(")")
-            return OpCall(tok.text, tuple(args), tok.span)
-        return Var(tok.text, tok.span)
+                    if not self.at(")"):
+                        stack.append((tok, []))
+                        continue
+                    self.advance()
+                    expr = OpCall(text, (), _span(tok))
+            # Close every call the expression ends; stop at a ",".
+            while stack:
+                op, args = stack[-1]
+                args.append(expr)
+                if self.at(","):
+                    self.advance()
+                    break
+                self.expect(")")
+                stack.pop()
+                expr = OpCall(op[1], tuple(args), _span(op))
+            else:
+                return expr
 
 
 def _validate(source: SourceFile) -> None:

@@ -415,22 +415,16 @@ def check_program(source: SourceFile, registry: Registry | None = None) -> Check
 # --- tier inference ------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
 class Constraint:
-    """An atomic necessary condition extracted from the program text."""
+    """A necessary condition read off the program text: an assignment's or
+    a loop guard's, or a whole thread's typability."""
 
-    def __init__(
-        self,
-        kind: str,
-        variables: tuple[str, ...],
-        span: Span | None,
-        description: str,
-        holds: Callable[[TierEnv], bool],
-    ):
-        self.kind = kind
-        self.variables = variables
-        self.span = span
-        self.description = description
-        self.holds = holds
+    kind: str  # "assign" | "guard" | "thread"
+    variables: tuple[str, ...]
+    span: Span | None
+    description: str
+    holds: Callable[[TierEnv], bool]
 
     def __repr__(self) -> str:
         return f"Constraint({self.kind!r}, {self.description!r})"
@@ -465,83 +459,104 @@ class InferenceReport:
         }
 
 
-def _occurrence_order(source: SourceFile) -> list[str]:
-    seen: dict[str, None] = {}
+def _constraints(
+    source: SourceFile, sig_env: SigEnv, registry: Registry
+) -> tuple[list[str], list[Constraint], list[Constraint]]:
+    """The program's variables in order of first occurrence, each
+    assignment's and loop guard's constraint in reading order, and one
+    constraint per thread."""
+    names: dict[str, None] = {}
+    atomic: list[Constraint] = []
     for _, cmd in source.threads:
         for node in walk(cmd):
             if isinstance(node, Var):
-                seen.setdefault(node.name)
+                names.setdefault(node.name)
             elif isinstance(node, Assign):
-                seen.setdefault(node.var)
-    return list(seen)
-
-
-def _collect_constraints(
-    source: SourceFile, sig_env: SigEnv, registry: Registry
-) -> list[Constraint]:
-    out: list[Constraint] = []
-
-    def guard_constraint(guard: Expr) -> Constraint:
-        names = tuple(sorted(free_vars(guard)))
-        text = pretty_expr(guard)
-        return Constraint(
-            "guard",
-            names,
-            guard.span,
-            f"loop guard {text} must type at tier 1",
-            lambda env, g=guard: Tier.ONE in expr_tiers(env, sig_env, registry, g),
-        )
-
-    def assign_constraint(cmd: Assign) -> Constraint:
-        names = tuple(sorted({cmd.var} | free_vars(cmd.expr)))
-        text = f"{cmd.var} := {pretty_expr(cmd.expr)}"
-
-        def holds(env: TierEnv, a=cmd) -> bool:
-            rhs = expr_tiers(env, sig_env, registry, a.expr)
-            return any(env[a.var].leq(t) for t in rhs)
-
-        return Constraint(
-            "assign",
-            names,
-            cmd.span,
-            f"assignment {text} must store at or below the expression tier",
-            holds,
-        )
-
-    for _, cmd in source.threads:
-        for node in walk(cmd):
-            if isinstance(node, Assign):
-                out.append(assign_constraint(node))
+                names.setdefault(node.var)
+                atomic.append(Constraint(
+                    "assign",
+                    tuple(sorted({node.var} | free_vars(node.expr))),
+                    node.span,
+                    f"assignment {node.var} := {pretty_expr(node.expr)} must store at or "
+                    "below the expression tier",
+                    lambda env, a=node: any(
+                        env[a.var].leq(t) for t in expr_tiers(env, sig_env, registry, a.expr)),
+                ))
             elif isinstance(node, While):
-                out.append(guard_constraint(node.guard))
-    return out
+                atomic.append(Constraint(
+                    "guard",
+                    tuple(sorted(free_vars(node.guard))),
+                    node.guard.span,
+                    f"loop guard {pretty_expr(node.guard)} must type at tier 1",
+                    lambda env, g=node.guard: Tier.ONE in expr_tiers(env, sig_env, registry, g),
+                ))
+    threads = [
+        Constraint(
+            "thread",
+            tuple(sorted(free_vars(cmd))),
+            None,
+            f"thread {tid!r} must type at some tier",
+            lambda env, c=cmd: bool(command_tiers(env, sig_env, registry, c)),
+        )
+        for tid, cmd in source.threads
+    ]
+    return list(names), atomic, threads
 
 
 _ENUM_CAP = 16
 
 
-def _satisfiable(
-    constraints: list[Constraint], unknowns: list[str], fixed: dict[str, Tier]
-) -> bool:
-    if len(unknowns) > _ENUM_CAP:
-        raise OverflowError("too many unknowns for exhaustive satisfiability")
-    for combo in itertools.product((Tier.ZERO, Tier.ONE), repeat=len(unknowns)):
-        env = dict(fixed)
-        env.update(zip(unknowns, combo))
-        if all(c.holds(env) for c in constraints):
-            return True
-    return False
+def _solve(
+    constraints: list[Constraint],
+    unknowns: list[str],
+    fixed: Mapping[str, Tier],
+    forced: set[str],
+) -> dict[str, Tier] | None:
+    """The first tier environment, or ``None``, that extends ``fixed`` and
+    satisfies every constraint.
+
+    Backtracking over ``unknowns`` in order, with an explicit stack of the
+    next tier each decided variable tries: tier 0 before tier 1, except
+    that a variable in ``forced`` only tries tier 1.  A constraint is
+    tested once per assignment of its unknowns, when the last of them (in
+    ``unknowns`` order) is decided; one without unknowns is tested first.
+    """
+    last = {v: depth for depth, v in enumerate(unknowns, 1)}
+    due: list[list[Constraint]] = [[] for _ in range(len(unknowns) + 1)]
+    for c in constraints:
+        due[max((last.get(v, 0) for v in c.variables), default=0)].append(c)
+    env = dict(fixed)
+    if not all(c.holds(env) for c in due[0]):
+        return None
+    tried = [0] * len(unknowns)
+    depth = 0
+    while depth < len(unknowns):
+        var = unknowns[depth]
+        order = (Tier.ONE,) if var in forced else (Tier.ZERO, Tier.ONE)
+        if tried[depth] == len(order):
+            if depth == 0:
+                return None
+            tried[depth] = 0
+            depth -= 1
+            continue
+        env[var] = order[tried[depth]]
+        tried[depth] += 1
+        if all(c.holds(env) for c in due[depth + 1]):
+            depth += 1
+    return env
 
 
 def infer_tiers(source: SourceFile, registry: Registry | None = None) -> InferenceReport:
     """Complete missing tier annotations, or explain why none work.
 
-    The search assigns unannotated variables in order of first occurrence.
-    Variables read inside some loop guard are pinned to tier 1 up front
-    (safe signatures force every guard variable to tier 1); the rest try
-    tier 0 before tier 1.  On failure the report carries a minimized set
-    of conflicting constraints, shrunk greedily by re-testing
-    satisfiability with each constraint dropped.
+    The constraints are each assignment's and loop guard's, plus one per
+    thread that it types at some tier.  ``_solve`` assigns the unannotated
+    variables in order of first occurrence, pinning the variables a loop
+    guard reads to tier 1.  On failure the report carries a conflicting
+    set, minimized greedily: the atomic constraints, plus the thread
+    constraints if the atomic ones alone are satisfiable, each dropped in
+    turn if the rest stay unsatisfiable.  With more than ``_ENUM_CAP``
+    unknowns the atomic constraints come back unminimized, with a note.
     """
     registry = registry or default_registry()
     sig_env, env_diags = build_sig_env(source, registry)
@@ -552,64 +567,28 @@ def infer_tiers(source: SourceFile, registry: Registry | None = None) -> Inferen
         return InferenceReport(False, None, None, (), "; ".join(str(d) for d in violations))
 
     annotated = source.annotations()
-    names = _occurrence_order(source)
+    names, constraints, threads = _constraints(source, sig_env, registry)
     unknowns = [v for v in names if v not in annotated]
-
-    def full_check(env: dict[str, Tier]) -> bool:
-        return all(
-            bool(command_tiers(env, sig_env, registry, cmd)) for _, cmd in source.threads
-        )
-
-    constraints = _collect_constraints(source, sig_env, registry)
     # Safe signatures force every variable read by a loop guard to tier 1.
     forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
-
-    def search(idx: int, env: dict[str, Tier]) -> dict[str, Tier] | None:
-        if idx == len(unknowns):
-            return dict(env) if full_check(env) else None
-        var = unknowns[idx]
-        order = (Tier.ONE,) if var in forced else (Tier.ZERO, Tier.ONE)
-        for tier in order:
-            env[var] = tier
-            decided = set(env)
-            fine = all(
-                c.holds(env) for c in constraints if set(c.variables) <= decided
-            )
-            if fine:
-                found = search(idx + 1, env)
-                if found is not None:
-                    return found
-            del env[var]
-        return None
-
-    solution = search(0, dict(annotated))
+    solution = _solve(constraints + threads, unknowns, annotated, forced)
     if solution is not None:
         gamma = {v: solution[v] for v in names}
         checked = check_program(source.with_annotations(gamma), registry)
         return InferenceReport(True, tuple(sorted(gamma.items())), checked)
 
-    # No assignment works: minimize a conflicting constraint set.
-    note = ""
-    try:
-        core = list(constraints)
-        if _satisfiable(core, unknowns, dict(annotated)):
-            # The atomic conditions alone are satisfiable; the conflict
-            # needs whole-thread typability, so add it per thread.
-            for tid, cmd in source.threads:
-                core.append(
-                    Constraint(
-                        "thread",
-                        tuple(sorted(free_vars(cmd))),
-                        None,
-                        f"thread {tid!r} must type at some tier",
-                        lambda env, c=cmd: bool(command_tiers(env, sig_env, registry, c)),
-                    )
-                )
-        for candidate in list(core):
-            rest = [c for c in core if c is not candidate]
-            if not _satisfiable(rest, unknowns, dict(annotated)):
-                core = rest
-    except OverflowError:
-        core = constraints
-        note = "too many variables to minimize the conflict set"
-    return InferenceReport(False, None, None, tuple(core), note)
+    # No assignment works: minimize a conflicting constraint set.  A
+    # dropped guard constraint no longer forces its variables.
+    if len(unknowns) > _ENUM_CAP:
+        return InferenceReport(False, None, None, tuple(constraints),
+                               "too many variables to minimize the conflict set")
+    core = list(constraints)
+    if _solve(core, unknowns, annotated, set()) is not None:
+        # The atomic conditions alone are satisfiable; the conflict
+        # needs whole-thread typability.
+        core += threads
+    for candidate in list(core):
+        rest = [c for c in core if c is not candidate]
+        if _solve(rest, unknowns, annotated, set()) is None:
+            core = rest
+    return InferenceReport(False, None, None, tuple(core))

@@ -88,6 +88,19 @@ def test_check_json_matches_golden_output(name, fx, capsys):
     assert out.encode() == golden.read_bytes()
 
 
+def test_check_json_answers_a_deep_if_nest(tmp_path, capsys):
+    # Shaped like the benchmark's deep/if_700 job.
+    body = "a0 := pred(a0)"
+    for _ in range(700):
+        body = f"if (gt0(a0)) {{ {body} }} else {{ skip }}"
+    path = tmp_path / "deep_if.tier"
+    path.write_text("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+                    "vars { a0 : 1; }\nthread t {\n  " + body + "\n}\n")
+    code, out, _ = run_cli(capsys, "check", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["safe"] is True
+
+
 def test_check_reports_parse_errors_as_usage_failures(tmp_path, capsys):
     path = tmp_path / "broken.tier"
     for text in ("thread t { x := }\n", "op f arity \u00b2 class neutral;\nthread t { skip }\n"):
@@ -362,6 +375,23 @@ def test_flags_a_subcommand_does_not_read_are_refused(fx, capsys, argv):
         main([command, fx("add.tier"), *flags])
     assert exit_.value.code == 2
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--mode", "explore", "--fuel", "10"], "--fuel does not apply to --mode explore"),
+        (["--mode", "explore", "--scheduler", "random"],
+         "--scheduler does not apply to --mode explore"),
+        (["--max-steps", "10"], "--max-steps does not apply to --mode scheduler"),
+    ],
+    ids=["explore-fuel", "explore-scheduler", "scheduler-max-steps"],
+)
+def test_ni_refuses_the_flags_of_the_other_mode(tmp_path, capsys, flags, message):
+    # The file does not exist: the refusal comes before the program loads.
+    code, out, err = run_cli(capsys, "ni", str(tmp_path / "missing.tier"), *flags)
+    assert (code, out) == (2, "")
+    assert message in err
 
 
 def test_the_argument_parser_is_built_once_and_keeps_no_state(fx, capsys):

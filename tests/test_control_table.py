@@ -368,7 +368,7 @@ def test_long_sequence_needs_no_recursion():
     registry = default_registry()
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("sub1", "add1")}
     gamma = {"x": Tier.ONE, "y": Tier.ZERO}
-    tiers = tier_preservation(store, program, gamma, sig_env, registry, max_steps=5000)
+    tiers = tier_preservation(store, program, gamma, sig_env, registry)
     assert (tiers.passed, tiers.complete, tiers.edges_checked) == (True, True, 3000)
 
 
@@ -381,8 +381,7 @@ def test_command_tiers_walks_long_loop_bodies_without_recursion():
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "sub1")}
     gamma = {"x": Tier.ONE}
     assert command_tiers(gamma, sig_env, registry, program.command("main")) == {Tier.ONE}
-    report = tier_preservation(Store.of(x="1"), program, gamma, sig_env, registry,
-                               max_steps=5000)
+    report = tier_preservation(Store.of(x="1"), program, gamma, sig_env, registry)
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 1502)
 
 

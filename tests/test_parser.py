@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tierlang import Assign, If, OpCall, Seq, Skip, Tier, Var, While, parse, pretty
+from tierlang import Assign, If, OpCall, Seq, Skip, Span, Tier, Var, While, parse, pretty
 from tierlang.fixtures import MACHINE_FIXTURES, REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
-from tierlang.parser import ParseError, _validate, pretty_command
+from tierlang.lang import walk
+from tierlang.parser import RESERVED, ParseError, _Parser, _tokenize, _validate, pretty_command
 
 HEADER = """
 op gt0 arity 1 class neutral;
@@ -155,10 +156,11 @@ SOURCE_WORDS = st.sampled_from(
      ";", ":", ","]
 )
 SOURCE_CHARS = string.punctuation + '" \n\té中ß١²½'
+SOURCE_TEXTS = st.lists(SOURCE_WORDS | st.text(SOURCE_CHARS, max_size=3), max_size=40).map(" ".join)
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(st.lists(SOURCE_WORDS | st.text(SOURCE_CHARS, max_size=3), max_size=40).map(" ".join))
+@given(SOURCE_TEXTS)
 @example("op f arity ² class neutral;\nthread t { skip }")
 def test_any_text_parses_or_raises_a_parse_error(text):
     try:
@@ -224,7 +226,176 @@ commands = st.recursive(
 )
 
 
-@settings(max_examples=200, deadline=None)
+@settings(derandomize=True, max_examples=200, deadline=None)
 @given(commands)
 def test_random_commands_roundtrip(cmd):
     assert parse_main(pretty_command(cmd)) == cmd
+
+
+# --- deep and long sources --------------------------------------------------------
+
+
+def preorder(cmd):
+    """A tree as its pre-order list of (class, name) pairs.  Equal lists
+    mean equal trees, and unlike ``==`` on a deep tree the comparison
+    needs no recursion."""
+    out = []
+    for node in walk(cmd):
+        if isinstance(node, OpCall):
+            out.append((OpCall, node.op, len(node.args)))
+        else:
+            out.append((node.__class__, getattr(node, "name", None) or getattr(node, "var", None)))
+    return out
+
+
+def nest(depth, text, tree, wrap_text, wrap_tree):
+    """Source text and the tree built in code, each wrapped ``depth`` times."""
+    for _ in range(depth):
+        text, tree = wrap_text.format(text), wrap_tree(tree)
+    return text, tree
+
+
+GT0_X = OpCall("gt0", (Var("x"),))
+PRED_X = Assign("x", OpCall("pred", (Var("x"),)))
+DEEP_EXPRESSION = nest(1500, "x", Var("x"), "pred({})", lambda e: OpCall("pred", (e,)))
+DEEP_SOURCES = {
+    "expression": ("x := " + DEEP_EXPRESSION[0], Assign("x", DEEP_EXPRESSION[1])),
+    "if": nest(1500, "skip", Skip(), "if (gt0(x)) {{ {} }} else {{ skip }}",
+               lambda c: If(GT0_X, c, Skip())),
+    "while": nest(1500, "skip", Skip(), "while (gt0(x)) {{ {} }}", lambda c: While(GT0_X, c)),
+    "block": nest(1500, "skip", Skip(), "{{ {} }}; skip", lambda c: Seq(c, Skip())),
+    "sequence": nest(2999, "skip", Skip(), "x := pred(x); {}", lambda c: Seq(PRED_X, c)),
+}
+
+
+@pytest.mark.parametrize("body, tree", DEEP_SOURCES.values(), ids=DEEP_SOURCES)
+def test_deep_and_long_sources_parse_and_roundtrip(body, tree):
+    src = parse(HEADER + "vars { x : 1; }\nthread main {\n" + body + "\n}")
+    assert preorder(src.program().command("main")) == preorder(tree)
+    again = parse(pretty(src))
+    assert (again.op_decls, again.var_tiers) == (src.op_decls, src.var_tiers)
+    assert preorder(again.program().command("main")) == preorder(tree)
+
+
+# --- the recursive reference --------------------------------------------------------
+
+
+class RecursiveParser(_Parser):
+    """The recursive descent over statements and expressions that the
+    explicit-stack ``command`` and ``expression`` replaced."""
+
+    def command(self):
+        items = [self.statement()]
+        while self.at(";"):
+            self.advance()
+            if self.at("}"):
+                break
+            items.append(self.statement())
+        out = items[-1]
+        for item in reversed(items[:-1]):
+            out = Seq(item, out, item.span)
+        return out
+
+    def statement(self):
+        kind, text, line, col = self.peek()
+        if self.at("{"):
+            self.advance()
+            inner = self.command()
+            self.expect("}")
+            return inner
+        if kind != "ident":
+            raise self.fail(f"expected a statement, found {text or 'end of file'!r}")
+        if text == "skip":
+            self.advance()
+            return Skip(Span(line, col))
+        if text == "if":
+            self.advance()
+            self.expect("(")
+            guard = self.expression()
+            self.expect(")")
+            self.expect("{")
+            then_branch = self.command()
+            self.expect("}")
+            self.expect("else")
+            self.expect("{")
+            else_branch = self.command()
+            self.expect("}")
+            return If(guard, then_branch, else_branch, Span(line, col))
+        if text == "while":
+            self.advance()
+            self.expect("(")
+            guard = self.expression()
+            self.expect(")")
+            self.expect("{")
+            body = self.command()
+            self.expect("}")
+            return While(guard, body, Span(line, col))
+        self.fresh_name("variable")
+        self.expect(":=")
+        return Assign(text, self.expression(), Span(line, col))
+
+    def expression(self):
+        kind, text, line, col = self.peek()
+        if kind == "string":
+            self.advance()
+            return OpCall(text, (), Span(line, col))
+        if kind != "ident":
+            raise self.fail(f"expected an expression, found {text or 'end of file'!r}")
+        if text in ("tt", "ff"):
+            self.advance()
+            return OpCall(text, (), Span(line, col))
+        if text in RESERVED:
+            raise self.fail(f"{text!r} is a reserved word")
+        self.advance()
+        if self.at("("):
+            self.advance()
+            args = []
+            if not self.at(")"):
+                args.append(self.expression())
+                while self.at(","):
+                    self.advance()
+                    args.append(self.expression())
+            self.expect(")")
+            return OpCall(text, tuple(args), Span(line, col))
+        return Var(text, Span(line, col))
+
+
+def outcome(parser_class, text):
+    """The parsed file with the span of every node, or the error's message
+    and position."""
+    try:
+        source = parser_class(_tokenize(text)).source_file()
+    except ParseError as err:
+        return err.message, err.line, err.col
+    spans = [[node.span for node in walk(cmd)] for _, cmd in source.threads]
+    return source, spans, [decl.span for decl in source.op_decls]
+
+
+@pytest.mark.parametrize("name", SAFE_FIXTURES + REJECTED_FIXTURES)
+def test_parser_matches_the_recursive_reference_on_fixtures(name):
+    text = fixture_text(name)
+    # Each prefix that ends a line, too, which cuts every construct open.
+    for cut in [len(text)] + [i for i, char in enumerate(text) if char == "\n"]:
+        assert outcome(_Parser, text[:cut]) == outcome(RecursiveParser, text[:cut])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SOURCE_TEXTS)
+@example("op f arity ² class neutral;\nthread t { skip }")
+def test_parser_matches_the_recursive_reference_on_any_text(text):
+    assert outcome(_Parser, text) == outcome(RecursiveParser, text)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(commands, st.integers(min_value=0))
+def test_parser_matches_the_recursive_reference_on_printed_trees(cmd, drop):
+    # The printed tree, the same text with one word dropped, and with a
+    # trailing ";" after each statement's last line.
+    lines = pretty_command(cmd).split("\n")
+    closed = [line if line.endswith(("{", ";")) else line + ";" for line in lines]
+    text, trailing = (HEADER + "thread main {\n" + "\n".join(body) + "\n}"
+                      for body in (lines, closed))
+    words = text.split(" ")
+    cut = drop % len(words)
+    for text in (text, " ".join(words[:cut] + words[cut + 1:]), trailing):
+        assert outcome(_Parser, text) == outcome(RecursiveParser, text)

@@ -278,3 +278,14 @@ def test_inference_respects_existing_annotations():
     src = parse(ADD_UNANNOTATED).with_annotations({"y": O})
     report = infer_tiers(src)
     assert not report.ok
+
+
+def test_inference_decides_many_unannotated_variables():
+    # The search used to recurse once per variable and re-test every
+    # decided constraint at each step.
+    n = 1100
+    body = ";\n".join(f"v{i} := pred(v{i})" for i in range(n))
+    report = infer_tiers(parse("op pred arity 1 class neutral;\nthread t {\n" + body + "\n}\n"))
+    assert report.ok
+    assert dict(report.gamma) == {f"v{i}": Z for i in range(n)}
+    assert report.check.safe
