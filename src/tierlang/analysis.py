@@ -36,7 +36,6 @@ from .lang import (
     is_truth_value,
     subword,
 )
-from .ops import Registry, default_registry
 from .parser import pretty_command
 from .scheduling import (
     ExplorationReport,
@@ -85,7 +84,9 @@ def store_equiv(gamma: TierEnv, left: Store, right: Store) -> EquivWitness | Non
 @dataclass(frozen=True)
 class NiFailure:
     trial: int
-    reason: str  # "tier1-projection" | "loop-count" | "step-count" | "terminal-set" | "fuel"
+    # "termination" | "tier1-projection" | "loop-count" | "step-count" | "terminal-set",
+    # or "fuel" when an exploration did not close (inconclusive, not a counterexample)
+    reason: str
     detail: str
 
 
@@ -144,7 +145,6 @@ def ni_suite(
     scheduler: Scheduler | None = None,
     trials: int = 200,
     fuel: int = 100_000,
-    registry: Registry | None = None,
     seed: int = 0,
     alphabet: Alphabet = DEFAULT_ALPHABET,
     max_len: int = 6,
@@ -162,17 +162,16 @@ def ni_suite(
     interleaving of both runs; it needs the state graph to close within
     the given bounds.
     """
-    registry = registry or default_registry()
     rng = random.Random(seed)
     variables = sorted(free_vars(program))
     if mode == "scheduler":
         if scheduler is None:
             raise ValueError("scheduler mode needs a scheduler")
-        table = ControlTable((cmd for _, cmd in program.threads), registry)
+        table = ControlTable(cmd for _, cmd in program.threads)
         for trial in range(trials):
             a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-            run_a = run_with_scheduler(a, program, scheduler, fuel, registry, table=table)
-            run_b = run_with_scheduler(b, program, scheduler, fuel, registry, table=table)
+            run_a = run_with_scheduler(a, program, scheduler, fuel, table=table)
+            run_b = run_with_scheduler(b, program, scheduler, fuel, table=table)
             failure = _compare_runs(gamma, run_a, run_b, trial)
             if failure is not None:
                 return NiReport(False, trial + 1, mode, scheduler.name, failure)
@@ -181,7 +180,7 @@ def ni_suite(
         for trial in range(trials):
             a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
             failure = _compare_explorations(
-                program, gamma, a, b, trial, registry, explore_max_steps, explore_max_states
+                program, gamma, a, b, trial, explore_max_steps, explore_max_states
             )
             if failure is not None:
                 return NiReport(False, trial + 1, mode, None, failure)
@@ -201,12 +200,11 @@ def _compare_explorations(
     a: Store,
     b: Store,
     trial: int,
-    registry: Registry,
     max_steps: int,
     max_states: int,
 ) -> NiFailure | None:
-    rep_a = explore(a, program, registry, max_steps, max_states)
-    rep_b = explore(b, program, registry, max_steps, max_states)
+    rep_a = explore(a, program, max_steps, max_states)
+    rep_b = explore(b, program, max_steps, max_states)
     if not (rep_a.complete and rep_b.complete):
         return NiFailure(
             trial, "fuel", "exploration did not close within bounds; raise them for this program"
@@ -342,7 +340,6 @@ def tier_preservation(
     program: Program,
     gamma: TierEnv,
     sig_env: SigEnv,
-    registry: Registry | None = None,
 ) -> TierPreservationReport:
     """Check that stepping a thread never makes its command harder to type.
 
@@ -362,8 +359,7 @@ def tier_preservation(
     its slot's distance from the thread's root.  ``store`` does not
     affect the result.
     """
-    registry = registry or default_registry()
-    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    table = ControlTable(cmd for _, cmd in program.threads)
     tids = program.thread_ids()
     # Residuals are built from nodes the control table keeps alive, so
     # one tier table serves every slot and types each distinct node once.
@@ -371,7 +367,7 @@ def tier_preservation(
 
     def typed(slot: int) -> frozenset[Tier]:
         cmd = table.commands[slot]
-        return _tier_table(gamma, sig_env, registry, cmd, tiers)[id(cmd)]
+        return _tier_table(gamma, sig_env, cmd, tiers)[id(cmd)]
 
     # Breadth first, so a slot is first taken at its distance from a root.
     frontier = deque((index, root, 0) for index, root in enumerate(table.roots))
@@ -444,19 +440,17 @@ def measure_growth(
     sizes: Sequence[int],
     scheduler: Scheduler,
     fuel: int = 1_000_000,
-    registry: Registry | None = None,
 ) -> GrowthTable:
     """Run the program at each input size and record loop and step counts.
 
     A fuel-exhausted run is recorded with the counts reached so far and
     ``fuel_hit`` set, so a diverging program still produces a table.
     """
-    registry = registry or default_registry()
-    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    table = ControlTable(cmd for _, cmd in program.threads)
     rows = []
     for n in sizes:
         store = Store(dict(input_gen(n)))
-        run = run_with_scheduler(store, program, scheduler, fuel, registry, table=table)
+        run = run_with_scheduler(store, program, scheduler, fuel, table=table)
         rows.append(GrowthRow(n, run.loops, run.steps, not run.finished))
     return GrowthTable(tuple(rows))
 

@@ -22,7 +22,6 @@ from typing import Callable, Mapping
 
 from .analysis import fit_polynomial, measure_growth, ni_suite
 from .lang import Alphabet, Store, Word, free_vars, unary
-from .ops import default_registry
 from .parser import ParseError, SourceFile, parse, pretty
 from .scheduling import (
     dump_global_trace,
@@ -295,11 +294,12 @@ def cmd_ni(args: argparse.Namespace) -> int:
     elif ni.passed:
         print(f"no interference found in {ni.trials} trials ({ni.mode} mode)")
     else:
-        assert ni.failure is not None
-        print(
-            f"counterexample at trial {ni.failure.trial}: "
-            f"{ni.failure.reason}: {ni.failure.detail}"
-        )
+        failure = ni.failure
+        assert failure is not None
+        if failure.reason == "fuel":
+            print(f"inconclusive at trial {failure.trial}: {failure.detail}")
+        else:
+            print(f"counterexample at trial {failure.trial}: {failure.reason}: {failure.detail}")
     return 0 if ni.passed else 1
 
 
@@ -411,9 +411,8 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
     """Compare the compiled program against the simulator on every input
     up to ``max_len``; returns the input count or a mismatch message."""
     spec = compiled.spec
-    registry = default_registry()
     thread_cmd = compiled.source.program().command("machine")
-    table = ControlTable((thread_cmd,), registry)
+    table = ControlTable((thread_cmd,))
     inputs: list[str] = [""]
     frontier = [""]
     for _ in range(max_len):
@@ -425,7 +424,7 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
             return f"machine does not halt on {word!r} within the simulator budget"
         run = run_sequential(
             Store({compiled.input_var: word}), thread_cmd, fuel=10_000_000,
-            registry=registry, keep_trace=False, table=table,
+            keep_trace=False, table=table,
         )
         if not run.finished:
             return f"compiled program ran out of fuel on {word!r}"

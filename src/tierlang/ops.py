@@ -266,36 +266,31 @@ def _family_member(name: str) -> OperatorDef | None:
 class Registry:
     """Name-to-operator resolution with support for the word families.
 
-    Registration happens up front (duplicates are rejected); resolution
-    afterwards is read-only, so resolved family members are cached.
+    The definitions are fixed at construction (a repeated name is
+    rejected); resolution afterwards only adds family members, which are
+    cached beside them.
     """
 
-    def __init__(self, defs: tuple[OperatorDef, ...] = ()):
-        self._defs: dict[str, OperatorDef] = {}
-        self._family_cache: dict[str, OperatorDef] = {}
+    def __init__(self, defs: tuple[OperatorDef, ...]):
+        self._ops: dict[str, OperatorDef] = {}
         for op in defs:
-            self.register(op)
-
-    def register(self, op: OperatorDef) -> OperatorDef:
-        if op.name in self._defs:
-            raise DuplicateOperatorError(f"operator {op.name!r} already registered")
-        self._defs[op.name] = op
-        return op
+            if op.name in self._ops:
+                raise DuplicateOperatorError(f"operator {op.name!r} already registered")
+            self._ops[op.name] = op
 
     def resolve(self, name: str) -> OperatorDef:
-        try:
-            return self._defs[name]
-        except KeyError:
-            pass
-        cached = self._family_cache.get(name)
-        if cached is not None:
-            return cached
-        member = _family_member(name)
-        if member is None:
-            raise UnknownOperatorError(name)
-        self._family_cache[name] = member
-        return member
+        op = self._ops.get(name)
+        if op is None:
+            op = _family_member(name)
+            if op is None:
+                raise UnknownOperatorError(name)
+            self._ops[name] = op
+        return op
+
+
+OPERATORS = Registry(builtins())  # the one library, shared by the whole process
 
 
 def default_registry() -> Registry:
-    return Registry(builtins())
+    """The shared library ``OPERATORS``; every call returns the same instance."""
+    return OPERATORS

@@ -51,6 +51,12 @@ from .lang import (
 
 Sig = tuple[tuple[Tier, ...], Tier]
 
+
+def render_sig(sig: Sig) -> str:
+    args, result = sig
+    return "->".join(str(t) for t in list(args) + [result])
+
+
 RESERVED = frozenset(
     {
         "skip",
@@ -551,10 +557,7 @@ def pretty(source: SourceFile) -> str:
     for decl in source.op_decls:
         piece = f"op {decl.name} arity {decl.arity} class {decl.klass}"
         if decl.sigs is not None:
-            rendered = [
-                "->".join(str(t) for t in list(args) + [result]) for args, result in decl.sigs
-            ]
-            piece += " sig " + ", ".join(rendered)
+            piece += " sig " + ", ".join(map(render_sig, decl.sigs))
         lines.append(piece + ";")
     if source.var_tiers:
         lines.append("vars {")

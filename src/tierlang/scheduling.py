@@ -41,7 +41,6 @@ from itertools import chain, repeat
 from typing import Iterable
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word, free_vars
-from .ops import Registry, default_registry
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
 
@@ -230,7 +229,6 @@ def run_with_scheduler(
     program: Program,
     scheduler: Scheduler,
     fuel: int = 100_000,
-    registry: Registry | None = None,
     keep_trace: bool = False,
     trace_cap: int = 10_000,
     *,
@@ -238,14 +236,13 @@ def run_with_scheduler(
 ) -> ScheduledRun:
     """Drive the pool with the scheduler until it empties or fuel runs out.
 
-    Callers that run one program many times pass a shared ``table`` built
-    with the same registry; otherwise each call builds its own.  Under a
-    pure scheduler a run that revisits a configuration skips ahead by
+    Callers that run one program many times pass a shared ``table``;
+    otherwise each call builds its own.  Under a pure scheduler a run that revisits a configuration skips ahead by
     whole periods; steps, loops, choices and trace are those of stepping
     to the fuel bound.
     """
     if table is None:
-        table = ControlTable((cmd for _, cmd in program.threads), registry or default_registry())
+        table = ControlTable(cmd for _, cmd in program.threads)
     live = program.thread_ids()
     slots = {tid: table.root(cmd) for tid, cmd in program.threads}
     state = scheduler.fresh_state()
@@ -376,7 +373,6 @@ class ExplorationReport:
 def explore(
     store: Store,
     program: Program,
-    registry: Registry | None = None,
     max_steps: int = 200,
     max_states: int = 200_000,
 ) -> ExplorationReport:
@@ -385,8 +381,7 @@ def explore(
     A breadth-first pass builds the state graph within the caps; one
     depth-first pass from the root then looks for a cycle and, if there
     is none, takes the longest terminating counts."""
-    registry = registry or default_registry()
-    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    table = ControlTable(cmd for _, cmd in program.threads)
     root = (store, table.roots)
     finished = (DONE,) * len(table.roots)
     ids: dict[tuple[Store, tuple[int, ...]], int] = {root: 0}
@@ -540,7 +535,6 @@ def quietness_test(
     gamma: dict[str, Tier],
     trials: int = 100,
     fuel: int = 100_000,
-    registry: Registry | None = None,
     seed: int = 0,
     alphabet: Alphabet = DEFAULT_ALPHABET,
     max_len: int = 6,
@@ -553,14 +547,13 @@ def quietness_test(
     for programs whose tier-1 state evolves identically from equivalent
     stores (safe programs).
     """
-    registry = registry or default_registry()
     rng = random.Random(seed)
     variables = sorted(free_vars(program))
-    table = ControlTable((cmd for _, cmd in program.threads), registry)
+    table = ControlTable(cmd for _, cmd in program.threads)
     for trial in range(trials):
         a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-        run_a = run_with_scheduler(a, program, scheduler, fuel, registry, table=table)
-        run_b = run_with_scheduler(b, program, scheduler, fuel, registry, table=table)
+        run_a = run_with_scheduler(a, program, scheduler, fuel, table=table)
+        run_b = run_with_scheduler(b, program, scheduler, fuel, table=table)
         for i, (ca, cb) in enumerate(zip(run_a.choices, run_b.choices)):
             if ca != cb:
                 return QuietnessReport(False, trial + 1, scheduler.name, (trial, i, ca, cb))

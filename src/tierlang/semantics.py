@@ -42,7 +42,7 @@ from .lang import (
     While,
     Word,
 )
-from .ops import Registry, UnknownOperatorError, default_registry
+from .ops import OPERATORS, UnknownOperatorError
 
 
 class StuckGuardError(RuntimeError):
@@ -54,13 +54,12 @@ class StuckGuardError(RuntimeError):
         self.value = value
 
 
-def eval_expr(store: Store, expr: Expr, registry: Registry | None = None) -> Word:
+def eval_expr(store: Store, expr: Expr) -> Word:
     """The word an expression denotes in the given store.
 
     An operator is resolved before its arguments are evaluated, left to
     right; an explicit stack keeps deep expressions off the Python stack.
     """
-    registry = registry or default_registry()
     values: list[Word] = []
     stack: list = [expr]  # expressions, and (operator, arity) exit entries
     while stack:
@@ -74,7 +73,7 @@ def eval_expr(store: Store, expr: Expr, registry: Registry | None = None) -> Wor
         elif isinstance(node, Var):
             values.append(store.lookup(node.name))
         elif isinstance(node, OpCall):
-            stack.append((registry.resolve(node.op), len(node.args)))
+            stack.append((OPERATORS.resolve(node.op), len(node.args)))
             stack.extend(reversed(node.args))
         else:
             raise TypeError(f"not an expression: {node!r}")
@@ -96,7 +95,7 @@ _Entry = tuple[str, int, str, int, str | None, Callable[[_Bindings], Word] | Non
 _CLOSURE_DEPTH = 64  # nesting below this is evaluated by ``eval_expr``
 
 
-def _compile_expr(expr: Expr, registry: Registry, depth: int = 0) -> Callable[[_Bindings], Word]:
+def _compile_expr(expr: Expr, depth: int = 0) -> Callable[[_Bindings], Word]:
     """A closure that evaluates ``expr`` on a store's bindings.
 
     Operators are resolved once, here.  A call that cannot succeed (an
@@ -110,12 +109,12 @@ def _compile_expr(expr: Expr, registry: Registry, depth: int = 0) -> Callable[[_
         return lambda b: b.get(name, EMPTY)
     if isinstance(expr, OpCall) and depth < _CLOSURE_DEPTH:
         try:
-            op = registry.resolve(expr.op)
+            op = OPERATORS.resolve(expr.op)
         except UnknownOperatorError:
             op = None
         if op is not None and op.arity == len(expr.args):
             fn = op.fn
-            args = [_compile_expr(a, registry, depth + 1) for a in expr.args]
+            args = [_compile_expr(a, depth + 1) for a in expr.args]
             if not args:
                 return lambda b: fn()
             if len(args) == 1:
@@ -126,7 +125,7 @@ def _compile_expr(expr: Expr, registry: Registry, depth: int = 0) -> Callable[[_
                 return lambda b: fn(arg(b))
             return lambda b: fn(*[a(b) for a in args])
     # eval_expr only reads the store, so wrapping the live dict is safe.
-    return lambda b: eval_expr(Store._normalized(b), expr, registry)
+    return lambda b: eval_expr(Store._normalized(b), expr)
 
 
 class ControlTable:
@@ -149,8 +148,7 @@ class ControlTable:
     first if the table has not seen it.
     """
 
-    def __init__(self, commands: Iterable[Command], registry: Registry):
-        self._registry = registry
+    def __init__(self, commands: Iterable[Command]):
         self.commands: list[Command] = []
         self._entries: list[_Entry | None] = []
         self._slots: dict[tuple, int] = {}
@@ -247,13 +245,13 @@ class ControlTable:
         elif isinstance(redex, Assign):
             outcomes = (("assign", None),)
             var = redex.var
-            fn = _compile_expr(redex.expr, self._registry)
+            fn = _compile_expr(redex.expr)
         elif isinstance(redex, If):
             outcomes = (("if-tt", redex.then_branch), ("if-ff", redex.else_branch))
-            fn = _compile_expr(redex.guard, self._registry)
+            fn = _compile_expr(redex.guard)
         elif isinstance(redex, While):
             outcomes = ((UNFOLD, Seq(redex.body, redex, redex.span)), ("while-ff", None))
-            fn = _compile_expr(redex.guard, self._registry)
+            fn = _compile_expr(redex.guard)
         else:
             raise TypeError(f"not a command: {redex!r}")
         nexts: list[tuple[str, int]] = []
@@ -328,7 +326,6 @@ def run_sequential(
     store: Store,
     cmd: Command,
     fuel: int = 100_000,
-    registry: Registry | None = None,
     keep_trace: bool = True,
     trace_cap: int = 10_000,
     *,
@@ -339,11 +336,11 @@ def run_sequential(
     The trace keeps up to ``trace_cap`` steps (each with the full store,
     so exploration-sized runs can opt out via ``keep_trace=False``);
     step and loop counters always cover the whole run.  Callers that run
-    one command many times pass a shared ``table`` built with the same
-    registry; otherwise each call builds its own.
+    one command many times pass a shared ``table``; otherwise each call
+    builds its own.
     """
     if table is None:
-        table = ControlTable((cmd,), registry or default_registry())
+        table = ControlTable((cmd,))
     trace: list[TraceStep] = []
     loops = 0
     steps = 0

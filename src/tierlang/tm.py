@@ -38,7 +38,7 @@ from .lang import (
     seq_all,
     word_literal,
 )
-from .ops import Registry, default_registry
+from .ops import OPERATORS
 from .parser import OpDecl, SourceFile
 
 Move = str  # "R" | "L"
@@ -317,13 +317,12 @@ def _counting_nest(counters: list[str], body: Command) -> Command:
     return out
 
 
-def compile_tm(spec: TMSpec, registry: Registry | None = None) -> CompiledProgram:
+def compile_tm(spec: TMSpec) -> CompiledProgram:
     """Compile the machine into a one-thread safe program.
 
     The input stays in the tier-1 variable ``input`` and the output is
     the full materialized tape in ``Right`` after the rewind.
     """
-    registry = registry or default_registry()
     codes = _state_codes(spec.states)
     degree = spec.clock_degree
     step = _machine_step(spec, codes)
@@ -366,7 +365,7 @@ def compile_tm(spec: TMSpec, registry: Registry | None = None) -> CompiledProgra
     )
     decls = []
     for name in used_ops:
-        op = registry.resolve(name)
+        op = OPERATORS.resolve(name)
         decls.append(OpDecl(name, op.arity, "neutral" if op.is_neutral else "positive"))
 
     letters = sorted(set(spec.alphabet) | {spec.blank} | {"0", "1"})

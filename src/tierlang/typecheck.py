@@ -38,8 +38,8 @@ from .lang import (
     free_vars,
     walk,
 )
-from .ops import OperatorDef, Registry, UnknownOperatorError, default_registry
-from .parser import Sig, SourceFile, pretty_expr
+from .ops import OPERATORS, OperatorDef, Registry, UnknownOperatorError
+from .parser import Sig, SourceFile, pretty_expr, render_sig
 
 TierEnv = Mapping[str, Tier]
 SigEnv = Mapping[str, frozenset[Sig]]
@@ -97,16 +97,11 @@ def maximal_safe_sigs(op: OperatorDef) -> frozenset[Sig]:
     return frozenset(out)
 
 
-def render_sig(sig: Sig) -> str:
-    args, result = sig
-    return "->".join(str(t) for t in list(args) + [result])
-
-
-def check_safe_sigs(sig_env: SigEnv, registry: Registry) -> tuple[Diagnostic, ...]:
+def check_safe_sigs(sig_env: SigEnv) -> tuple[Diagnostic, ...]:
     """All violations of the safety conditions in a signature environment."""
     out: list[Diagnostic] = []
     for name in sorted(sig_env):
-        op = registry.resolve(name)
+        op = OPERATORS.resolve(name)
         for sig in sorted(sig_env[name]):
             if sig_is_safe(sig, op):
                 continue
@@ -169,27 +164,26 @@ def build_sig_env(
     return env, tuple(diags)
 
 
-def _literal_sigs(name: str, registry: Registry) -> frozenset[Sig] | None:
+def _literal_sigs(name: str) -> frozenset[Sig] | None:
     if name.startswith('"') or name in ("tt", "ff"):
-        return maximal_safe_sigs(registry.resolve(name))
+        return maximal_safe_sigs(OPERATORS.resolve(name))
     return None
 
 
 # --- the typing pass ------------------------------------------------------------
 
 
-def _op_sigs(call: OpCall, sig_env: SigEnv, registry: Registry) -> frozenset[Sig]:
+def _op_sigs(call: OpCall, sig_env: SigEnv) -> frozenset[Sig]:
     sigs = sig_env.get(call.op)
     if sigs is None:
-        sigs = _literal_sigs(call.op, registry)
+        sigs = _literal_sigs(call.op)
     if sigs is None:
         raise UnknownOperatorError(call.op)
     return sigs
 
 
 def _tier_table(
-    gamma: TierEnv, sig_env: SigEnv, registry: Registry, root: Expr | Command,
-    tiers: TierTable | None = None,
+    gamma: TierEnv, sig_env: SigEnv, root: Expr | Command, tiers: TierTable | None = None
 ) -> TierTable:
     """The tier set of every expression and command node under ``root``.
 
@@ -233,7 +227,7 @@ def _tier_table(
                 raise UnboundVariableError(node.name)
             tiers[key] = _ONLY[gamma[node.name]]
         elif isinstance(node, OpCall):
-            stack.append((node, _op_sigs(node, sig_env, registry)))
+            stack.append((node, _op_sigs(node, sig_env)))
             stack.extend(reversed(node.args))
         elif isinstance(node, Skip):
             tiers[key] = BOTH_TIERS
@@ -252,19 +246,19 @@ def _tier_table(
     return tiers
 
 
-def expr_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, expr: Expr) -> frozenset[Tier]:
+def expr_tiers(gamma: TierEnv, sig_env: SigEnv, expr: Expr) -> frozenset[Tier]:
     """The set of tiers the expression types at."""
-    return _tier_table(gamma, sig_env, registry, expr)[id(expr)]
+    return _tier_table(gamma, sig_env, expr)[id(expr)]
 
 
-def command_tiers(gamma: TierEnv, sig_env: SigEnv, registry: Registry, cmd: Command) -> frozenset[Tier]:
+def command_tiers(gamma: TierEnv, sig_env: SigEnv, cmd: Command) -> frozenset[Tier]:
     """The set of tiers the command types at.
 
     A command that fails every rule has the empty set; the invariant
     driving the harnesses is that this set can only shrink toward lower
     tiers as the command runs, never empty out.
     """
-    return _tier_table(gamma, sig_env, registry, cmd)[id(cmd)]
+    return _tier_table(gamma, sig_env, cmd)[id(cmd)]
 
 
 # --- failure explanation --------------------------------------------------------
@@ -377,14 +371,13 @@ class CheckReport:
         }
 
 
-def check_program(source: SourceFile, registry: Registry | None = None) -> CheckReport:
+def check_program(source: SourceFile) -> CheckReport:
     """Full safety check: complete annotations, safe signatures, and a
     nonempty tier set for every thread.
 
     A thread that types at no tier gets the diagnostic of its first
     blocking constraint.
     """
-    registry = registry or default_registry()
     gamma = source.annotations()
     program = source.program()
     missing = sorted(free_vars(program) - set(gamma))
@@ -396,15 +389,15 @@ def check_program(source: SourceFile, registry: Registry | None = None) -> Check
             tuple(missing),
         )
         return CheckReport(False, tuple(sorted(gamma.items())), (diag,), ())
-    sig_env, env_diags = build_sig_env(source, registry)
+    sig_env, env_diags = build_sig_env(source, OPERATORS)
     if env_diags:
         return CheckReport(False, tuple(sorted(gamma.items())), env_diags, ())
-    violations = check_safe_sigs(sig_env, registry)
+    violations = check_safe_sigs(sig_env)
     if violations:
         return CheckReport(False, tuple(sorted(gamma.items())), violations, ())
     threads = []
     for tid, cmd in source.threads:
-        table = _tier_table(gamma, sig_env, registry, cmd)
+        table = _tier_table(gamma, sig_env, cmd)
         tiers = table[id(cmd)]
         diagnostic = None if tiers else _explain(table, gamma, cmd)
         threads.append(ThreadReport(tid, tiers, diagnostic))
@@ -460,7 +453,7 @@ class InferenceReport:
 
 
 def _constraints(
-    source: SourceFile, sig_env: SigEnv, registry: Registry
+    source: SourceFile, sig_env: SigEnv
 ) -> tuple[list[str], list[Constraint], list[Constraint]]:
     """The program's variables in order of first occurrence, each
     assignment's and loop guard's constraint in reading order, and one
@@ -480,7 +473,7 @@ def _constraints(
                     f"assignment {node.var} := {pretty_expr(node.expr)} must store at or "
                     "below the expression tier",
                     lambda env, a=node: any(
-                        env[a.var].leq(t) for t in expr_tiers(env, sig_env, registry, a.expr)),
+                        env[a.var].leq(t) for t in expr_tiers(env, sig_env, a.expr)),
                 ))
             elif isinstance(node, While):
                 atomic.append(Constraint(
@@ -488,7 +481,7 @@ def _constraints(
                     tuple(sorted(free_vars(node.guard))),
                     node.guard.span,
                     f"loop guard {pretty_expr(node.guard)} must type at tier 1",
-                    lambda env, g=node.guard: Tier.ONE in expr_tiers(env, sig_env, registry, g),
+                    lambda env, g=node.guard: Tier.ONE in expr_tiers(env, sig_env, g),
                 ))
     threads = [
         Constraint(
@@ -496,7 +489,7 @@ def _constraints(
             tuple(sorted(free_vars(cmd))),
             None,
             f"thread {tid!r} must type at some tier",
-            lambda env, c=cmd: bool(command_tiers(env, sig_env, registry, c)),
+            lambda env, c=cmd: bool(command_tiers(env, sig_env, c)),
         )
         for tid, cmd in source.threads
     ]
@@ -546,7 +539,7 @@ def _solve(
     return env
 
 
-def infer_tiers(source: SourceFile, registry: Registry | None = None) -> InferenceReport:
+def infer_tiers(source: SourceFile) -> InferenceReport:
     """Complete missing tier annotations, or explain why none work.
 
     The constraints are each assignment's and loop guard's, plus one per
@@ -558,23 +551,22 @@ def infer_tiers(source: SourceFile, registry: Registry | None = None) -> Inferen
     turn if the rest stay unsatisfiable.  With more than ``_ENUM_CAP``
     unknowns the atomic constraints come back unminimized, with a note.
     """
-    registry = registry or default_registry()
-    sig_env, env_diags = build_sig_env(source, registry)
+    sig_env, env_diags = build_sig_env(source, OPERATORS)
     if env_diags:
         return InferenceReport(False, None, None, (), "; ".join(str(d) for d in env_diags))
-    violations = check_safe_sigs(sig_env, registry)
+    violations = check_safe_sigs(sig_env)
     if violations:
         return InferenceReport(False, None, None, (), "; ".join(str(d) for d in violations))
 
     annotated = source.annotations()
-    names, constraints, threads = _constraints(source, sig_env, registry)
+    names, constraints, threads = _constraints(source, sig_env)
     unknowns = [v for v in names if v not in annotated]
     # Safe signatures force every variable read by a loop guard to tier 1.
     forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
     solution = _solve(constraints + threads, unknowns, annotated, forced)
     if solution is not None:
         gamma = {v: solution[v] for v in names}
-        checked = check_program(source.with_annotations(gamma), registry)
+        checked = check_program(source.with_annotations(gamma))
         return InferenceReport(True, tuple(sorted(gamma.items())), checked)
 
     # No assignment works: minimize a conflicting constraint set.  A

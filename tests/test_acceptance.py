@@ -255,7 +255,7 @@ def test_tier_preservation():
         assert not diags, f"{name}: {diags}"
         report = tier_preservation(
             Store(SAFE_INPUTS[name](3)), source.program(), source.annotations(),
-            sig_env, registry,
+            sig_env,
         )
         assert report.passed, f"{name}: {report.violation}"
         assert report.complete, f"{name} walk should close within bounds"

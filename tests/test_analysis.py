@@ -176,7 +176,7 @@ def test_tiers_preserved_along_adder_runs():
     registry = default_registry()
     sig_env, diags = build_sig_env(src, registry)
     assert not diags
-    report = tier_preservation(Store.of(x="11"), src.program(), src.annotations(), sig_env, registry)
+    report = tier_preservation(Store.of(x="11"), src.program(), src.annotations(), sig_env)
     assert report.passed
     assert report.complete
     # loop unfold, loop exit, and the body's two assignments
@@ -188,7 +188,7 @@ def test_rejected_program_fails_tier_preservation_immediately():
     registry = default_registry()
     sig_env, _ = build_sig_env(src, registry)
     report = tier_preservation(
-        Store.of(secret="11"), src.program(), src.annotations(), sig_env, registry
+        Store.of(secret="11"), src.program(), src.annotations(), sig_env
     )
     assert not report.passed
     assert report.edges_checked == 1
@@ -210,8 +210,7 @@ def test_tier_preservation_does_not_depend_on_the_store(name):
     results = set()
     for n in range(6):
         for word in ("1" * n, ("01" * n)[:n], ("TF" * n)[:n]):
-            report = tier_preservation(Store({v: word for v in names}), program, gamma, sig_env,
-                                       registry)
+            report = tier_preservation(Store({v: word for v in names}), program, gamma, sig_env)
             results.add((report.passed, report.complete, report.edges_checked))
     assert len(results) == 1
     (passed, complete, edges), = results
@@ -219,7 +218,7 @@ def test_tier_preservation_does_not_depend_on_the_store(name):
     if name == "spin.tier":
         # The loop unfolds, its body steps back to it, and it exits: no
         # store both unfolds the loop and later leaves it.
-        table = ControlTable((program.command("spinner"),), registry)
+        table = ControlTable((program.command("spinner"),))
         unfold, exit_ = table.successors(table.roots[0])
         assert exit_ == DONE and table.successors(unfold) == (table.roots[0],)
         assert edges == 3

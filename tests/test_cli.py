@@ -237,6 +237,24 @@ def test_ni_prints_the_counterexample(fx, capsys):
     assert out.strip() == "counterexample at trial 0: loop-count: loop counts differ: 4 vs 3"
 
 
+def test_ni_explore_mode_out_of_bounds_is_inconclusive(fx, capsys):
+    argv = ["ni", fx("add.tier"), "--mode", "explore", "--max-steps", "3", "--max-len", "3",
+            "--trials", "2"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert out.strip() == (
+        "inconclusive at trial 0: "
+        "exploration did not close within bounds; raise them for this program"
+    )
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["failure"] == {
+        "trial": 0,
+        "reason": "fuel",
+        "detail": "exploration did not close within bounds; raise them for this program",
+    }
+
+
 def test_ni_needs_a_complete_tier_assignment(tmp_path, capsys):
     path = tmp_path / "noann.tier"
     path.write_text(

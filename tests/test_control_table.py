@@ -345,7 +345,7 @@ def test_converging_branches_share_one_slot():
     assert report.max_steps_terminating == 4
     assert report.terminal_stores == frozenset({Store(), Store.of(z="1")})
     branch = program.command("branch")
-    table = ControlTable((branch,), default_registry())
+    table = ControlTable((branch,))
     assert table.commands.count(branch.then_branch) == 1
     nested = parse(CONVERGING_NESTED).program()
     for store in (Store.of(x="1"), Store.of(x="1", z="1")):
@@ -368,7 +368,7 @@ def test_long_sequence_needs_no_recursion():
     registry = default_registry()
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("sub1", "add1")}
     gamma = {"x": Tier.ONE, "y": Tier.ZERO}
-    tiers = tier_preservation(store, program, gamma, sig_env, registry)
+    tiers = tier_preservation(store, program, gamma, sig_env)
     assert (tiers.passed, tiers.complete, tiers.edges_checked) == (True, True, 3000)
 
 
@@ -380,8 +380,8 @@ def test_command_tiers_walks_long_loop_bodies_without_recursion():
     registry = default_registry()
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "sub1")}
     gamma = {"x": Tier.ONE}
-    assert command_tiers(gamma, sig_env, registry, program.command("main")) == {Tier.ONE}
-    report = tier_preservation(Store.of(x="1"), program, gamma, sig_env, registry)
+    assert command_tiers(gamma, sig_env, program.command("main")) == {Tier.ONE}
+    report = tier_preservation(Store.of(x="1"), program, gamma, sig_env)
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 1502)
 
 
@@ -399,7 +399,7 @@ def test_deep_expressions_need_no_recursion():
     assert eval_expr(Store.of(x="1" * 1502), expr) == "11"
     registry = default_registry()
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "pred")}
-    report = tier_preservation(Store.of(x="11"), program, {"x": Tier.ONE}, sig_env, registry)
+    report = tier_preservation(Store.of(x="11"), program, {"x": Tier.ONE}, sig_env)
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 4)
 
 
@@ -423,14 +423,14 @@ def test_tier_preservation_types_each_node_once(monkeypatch):
 
     monkeypatch.setattr(typecheck, "_op_sigs", counting)
     report = tier_preservation(Store(), Program.single(cmd), {"x": Tier.ONE, "y": Tier.ONE},
-                               sig_env, registry)
+                               sig_env)
     assert report.passed
     assert (calls, len(looked_up)) == (121, 121)
 
 
 def test_one_table_serves_runs_of_several_programs():
     zrange, spin = load_source("zrange.tier").program(), load_source("spin.tier").program()
-    table = ControlTable((cmd for _, cmd in zrange.threads), default_registry())
+    table = ControlTable(cmd for _, cmd in zrange.threads)
     roots = table.roots
     for program, store in ((zrange, Store.of(x="11", y="1")), (spin, Store.of(x="1")),
                            (zrange, Store.of(x="1", y="111"))):

@@ -1,10 +1,16 @@
 """Built-in operators: exact values, growth classes, family resolution."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tierlang import OperatorDef, Registry, builtins, default_registry, validate_class
+import tierlang.fixtures
+from tierlang import OperatorDef, Registry, Store, builtins, default_registry, unary, validate_class
+from tierlang.analysis import measure_growth, ni_suite, tier_preservation
+from tierlang.cli import main
+from tierlang.fixtures import fixture_text, load_source
 from tierlang.ops import (
     NEUTRAL_PREDICATE,
     NEUTRAL_SUBWORD,
@@ -12,6 +18,10 @@ from tierlang.ops import (
     DuplicateOperatorError,
     UnknownOperatorError,
 )
+from tierlang.scheduling import RoundRobin, explore, run_with_scheduler
+from tierlang.semantics import run_sequential
+from tierlang.tm import compile_tm, parse_tm
+from tierlang.typecheck import build_sig_env, check_program, infer_tiers
 
 words = st.text(alphabet="01TF", max_size=6)
 reg = default_registry()
@@ -117,9 +127,36 @@ def test_unknown_operator():
 
 
 def test_registry_rejects_duplicates():
-    fresh = Registry(builtins())
     with pytest.raises(DuplicateOperatorError):
-        fresh.register(OperatorDef("pred", 1, lambda u: u, NEUTRAL_SUBWORD))
+        Registry(builtins() + (OperatorDef("pred", 1, lambda u: u, NEUTRAL_SUBWORD),))
+
+
+def test_every_layer_shares_one_library(monkeypatch, capsys):
+    assert default_registry() is default_registry()
+    built = []
+    init = Registry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    source = load_source("add.tier")
+    program, gamma = source.program(), source.annotations()
+    sig_env, _ = build_sig_env(source, default_registry())
+    store = Store.of(x="11")
+    monkeypatch.setattr(Registry, "__init__", counting_init)
+    check_program(source)
+    infer_tiers(source.with_annotations({}))
+    run_with_scheduler(store, program, RoundRobin())
+    run_sequential(store, program.command("adder"))
+    explore(store, program)
+    ni_suite(program, gamma, scheduler=RoundRobin(), trials=2)
+    ni_suite(program, gamma, trials=2, mode="explore")
+    tier_preservation(store, program, gamma, sig_env)
+    measure_growth(program, lambda n: {"x": unary(n)}, [1, 2], RoundRobin())
+    compile_tm(parse_tm(fixture_text("binary_inc.tm")))
+    assert main(["check", str(Path(tierlang.fixtures.__file__).parent / "add.tier")]) == 0
+    assert built == []
 
 
 # --- growth classes -----------------------------------------------------------

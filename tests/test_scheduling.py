@@ -18,7 +18,6 @@ from tierlang import (
     word_literal,
 )
 from tierlang.fixtures import load_source
-from tierlang.ops import default_registry
 from tierlang.semantics import DONE, ControlTable
 from tierlang.scheduling import (
     Choices,
@@ -40,7 +39,7 @@ def zrange_program():
 
 
 def program_table(program):
-    return ControlTable((cmd for _, cmd in program.threads), default_registry())
+    return ControlTable(cmd for _, cmd in program.threads)
 
 
 def test_step_global_removes_finished_thread():

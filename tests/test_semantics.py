@@ -15,7 +15,7 @@ from tierlang import (
     unary,
 )
 from tierlang.fixtures import load_source
-from tierlang.ops import UnknownOperatorError, default_registry
+from tierlang.ops import UnknownOperatorError
 from tierlang.semantics import DONE, ControlTable, StuckGuardError
 
 
@@ -35,7 +35,7 @@ def step(store, cmd):
     """One step of ``cmd`` through its control table: the new store, the
     residual command (``None`` once it terminated), the rule and the
     assignment made."""
-    table = ControlTable((cmd,), default_registry())
+    table = ControlTable((cmd,))
     store, slot, rule, assigned = table.step(table.roots[0], store)
     return store, None if slot == DONE else table.commands[slot], rule, assigned
 

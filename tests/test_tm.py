@@ -1,8 +1,10 @@
 """Machine format, direct simulator, and the compiler into tiered programs."""
 
+import itertools
+
 import pytest
 
-from tierlang import Store, parse, pretty, run_sequential
+from tierlang import ControlTable, Store, parse, pretty, run_sequential
 from tierlang.fixtures import fixture_text
 from tierlang.tm import (
     TMFormatError,
@@ -110,6 +112,33 @@ def test_left_move_bounces_at_the_tape_edge():
     )
     assert simulate_tm(bounce, "01").tape == "11"
     assert simulate_tm(bounce, "").tape == "1"
+
+
+# Runs to the first blank, writes a 1 there, then steps back onto the last
+# letter of the input, flips it, and steps left once more.
+WALK_BACK = (
+    "states right back done\nalphabet 0 1\nblank B\ninit right\nhalt done\nclock 1\n"
+    "delta right 0 -> right 0 R\ndelta right 1 -> right 1 R\ndelta right B -> back 1 L\n"
+    "delta back 0 -> done 1 L\ndelta back 1 -> done 0 L\ndelta back B -> done 0 L\n"
+)
+
+
+def test_left_moves_inside_the_tape():
+    spec = parse_tm(WALK_BACK)
+    compiled = compile_tm(spec)
+    cmd = compiled.source.program().command("machine")
+    table = ControlTable((cmd,))
+    words = ["".join(letters) for n in range(7) for letters in itertools.product("01", repeat=n)]
+    assert len(words) == 127
+    for word in words:
+        # the head bounces at the left edge on the empty input
+        closed_form = word[:-1] + {"0": "1", "1": "0"}[word[-1]] + "1" if word else "0"
+        expected = simulate_tm(spec, word)
+        assert expected.halted and expected.tape == closed_form, word
+        run = run_sequential(Store.of(input=word), cmd, fuel=1_000_000, keep_trace=False,
+                             table=table)
+        assert run.finished
+        assert run.store.lookup(compiled.output_var) == closed_form, word
 
 
 # --- compilation ----------------------------------------------------------------

@@ -82,11 +82,11 @@ def test_render_sig():
 
 
 def test_check_safe_sigs_flags_violations():
-    diags = check_safe_sigs({"pred": frozenset({((Z,), O)})}, reg)
+    diags = check_safe_sigs({"pred": frozenset({((Z,), O)})})
     assert len(diags) == 1 and diags[0].rule == "signature"
-    diags = check_safe_sigs({"suc_1": frozenset({((O,), O)})}, reg)
+    diags = check_safe_sigs({"suc_1": frozenset({((O,), O)})})
     assert len(diags) == 1 and "tier 0" in diags[0].message
-    assert check_safe_sigs({"pred": maximal_safe_sigs(reg.resolve("pred"))}, reg) == ()
+    assert check_safe_sigs({"pred": maximal_safe_sigs(reg.resolve("pred"))}) == ()
 
 
 def test_build_sig_env_diagnostics():
@@ -106,19 +106,19 @@ def test_build_sig_env_diagnostics():
 
 def test_expr_tiers():
     gamma = {"x": O, "y": Z}
-    assert expr_tiers(gamma, ENV, reg, Var("x")) == {O}
-    assert expr_tiers(gamma, ENV, reg, Var("y")) == {Z}
-    assert expr_tiers(gamma, ENV, reg, OpCall("pred", (Var("x"),))) == {Z, O}
-    assert expr_tiers(gamma, ENV, reg, OpCall("pred", (Var("y"),))) == {Z}
-    assert expr_tiers(gamma, ENV, reg, OpCall("add1", (Var("x"),))) == {Z}
-    assert expr_tiers(gamma, ENV, reg, OpCall("eq", (Var("x"), Var("y")))) == {Z}
-    assert expr_tiers(gamma, ENV, reg, word_literal("01")) == {Z}
-    assert expr_tiers(gamma, ENV, reg, OpCall("tt", ())) == {Z, O}
+    assert expr_tiers(gamma, ENV, Var("x")) == {O}
+    assert expr_tiers(gamma, ENV, Var("y")) == {Z}
+    assert expr_tiers(gamma, ENV, OpCall("pred", (Var("x"),))) == {Z, O}
+    assert expr_tiers(gamma, ENV, OpCall("pred", (Var("y"),))) == {Z}
+    assert expr_tiers(gamma, ENV, OpCall("add1", (Var("x"),))) == {Z}
+    assert expr_tiers(gamma, ENV, OpCall("eq", (Var("x"), Var("y")))) == {Z}
+    assert expr_tiers(gamma, ENV, word_literal("01")) == {Z}
+    assert expr_tiers(gamma, ENV, OpCall("tt", ())) == {Z, O}
 
 
 def test_expr_tiers_unbound_variable():
     with pytest.raises(UnboundVariableError):
-        expr_tiers({}, ENV, reg, Var("ghost"))
+        expr_tiers({}, ENV, Var("ghost"))
 
 
 # --- command tiers ---------------------------------------------------------------
@@ -134,33 +134,33 @@ def grow_y():
 
 def test_command_tiers_rules():
     gamma = {"x": O, "y": Z}
-    assert command_tiers(gamma, ENV, reg, Skip()) == {Z, O}
+    assert command_tiers(gamma, ENV, Skip()) == {Z, O}
     # an assignment checks at the target's tier when some signature reaches it
-    assert command_tiers(gamma, ENV, reg, shrink_x()) == {O}
-    assert command_tiers(gamma, ENV, reg, grow_y()) == {Z}
+    assert command_tiers(gamma, ENV, shrink_x()) == {O}
+    assert command_tiers(gamma, ENV, grow_y()) == {Z}
     # a tier-1 variable cannot receive a positive operator's output
-    assert command_tiers(gamma, ENV, reg, Assign("x", OpCall("add1", (Var("x"),)))) == set()
+    assert command_tiers(gamma, ENV, Assign("x", OpCall("add1", (Var("x"),)))) == set()
     # sequencing joins pairwise
-    assert command_tiers(gamma, ENV, reg, Seq(shrink_x(), grow_y())) == {O}
-    assert command_tiers(gamma, ENV, reg, Seq(grow_y(), grow_y())) == {Z}
+    assert command_tiers(gamma, ENV, Seq(shrink_x(), grow_y())) == {O}
+    assert command_tiers(gamma, ENV, Seq(grow_y(), grow_y())) == {Z}
     # branching intersects
     guard_high = OpCall("gt0", (Var("x"),))
     guard_low = OpCall("bit", (Var("y"),))
-    assert command_tiers(gamma, ENV, reg, If(guard_high, Skip(), Skip())) == {Z, O}
-    assert command_tiers(gamma, ENV, reg, If(guard_low, Skip(), Skip())) == {Z}
-    assert command_tiers(gamma, ENV, reg, If(guard_high, Skip(), grow_y())) == {Z}
+    assert command_tiers(gamma, ENV, If(guard_high, Skip(), Skip())) == {Z, O}
+    assert command_tiers(gamma, ENV, If(guard_low, Skip(), Skip())) == {Z}
+    assert command_tiers(gamma, ENV, If(guard_high, Skip(), grow_y())) == {Z}
     # loops demand a tier-1 guard and land exactly at tier 1
-    assert command_tiers(gamma, ENV, reg, While(guard_high, grow_y())) == {O}
-    assert command_tiers(gamma, ENV, reg, While(guard_low, grow_y())) == set()
+    assert command_tiers(gamma, ENV, While(guard_high, grow_y())) == {O}
+    assert command_tiers(gamma, ENV, While(guard_low, grow_y())) == set()
     untypable = Assign("x", OpCall("add1", (Var("x"),)))
-    assert command_tiers(gamma, ENV, reg, While(guard_high, untypable)) == set()
+    assert command_tiers(gamma, ENV, While(guard_high, untypable)) == set()
 
 
 def test_explain_failure_points_at_the_blocker():
     gamma = {"x": O, "y": Z}
 
     def explain(cmd):
-        return _explain(_tier_table(gamma, ENV, reg, cmd), gamma, cmd)
+        return _explain(_tier_table(gamma, ENV, cmd), gamma, cmd)
 
     diag = explain(Assign("x", OpCall("add1", (Var("x"),))))
     assert diag.rule == "assign" and "x" in diag.variables

@@ -64,72 +64,72 @@ def load(name):
 # --- reference: the recursive rules, one call per question ---------------------------
 
 
-def ref_expr_tiers(gamma, sig_env, registry, expr):
+def ref_expr_tiers(gamma, sig_env, expr):
     if isinstance(expr, Var):
         return frozenset((gamma[expr.name],))
-    sigs = _op_sigs(expr, sig_env, registry)
-    arg_tiers = [ref_expr_tiers(gamma, sig_env, registry, a) for a in expr.args]
+    sigs = _op_sigs(expr, sig_env)
+    arg_tiers = [ref_expr_tiers(gamma, sig_env, a) for a in expr.args]
     return frozenset(r for args, r in sigs if all(t in arg_tiers[i] for i, t in enumerate(args)))
 
 
-def ref_command_tiers(gamma, sig_env, registry, cmd):
+def ref_command_tiers(gamma, sig_env, cmd):
     if isinstance(cmd, Skip):
         return BOTH_TIERS
     if isinstance(cmd, Assign):
         target = gamma[cmd.var]
-        rhs = ref_expr_tiers(gamma, sig_env, registry, cmd.expr)
+        rhs = ref_expr_tiers(gamma, sig_env, cmd.expr)
         return frozenset((target,)) if any(target.leq(t) for t in rhs) else NO_TIERS
     if isinstance(cmd, Seq):
-        first = ref_command_tiers(gamma, sig_env, registry, cmd.first)
-        second = ref_command_tiers(gamma, sig_env, registry, cmd.second)
+        first = ref_command_tiers(gamma, sig_env, cmd.first)
+        second = ref_command_tiers(gamma, sig_env, cmd.second)
         return frozenset(a.join(b) for a in first for b in second)
     if isinstance(cmd, If):
-        return (ref_expr_tiers(gamma, sig_env, registry, cmd.guard)
-                & ref_command_tiers(gamma, sig_env, registry, cmd.then_branch)
-                & ref_command_tiers(gamma, sig_env, registry, cmd.else_branch))
-    guard = ref_expr_tiers(gamma, sig_env, registry, cmd.guard)
-    body = ref_command_tiers(gamma, sig_env, registry, cmd.body)
+        return (ref_expr_tiers(gamma, sig_env, cmd.guard)
+                & ref_command_tiers(gamma, sig_env, cmd.then_branch)
+                & ref_command_tiers(gamma, sig_env, cmd.else_branch))
+    guard = ref_expr_tiers(gamma, sig_env, cmd.guard)
+    body = ref_command_tiers(gamma, sig_env, cmd.body)
     return frozenset((O,)) if O in guard and body else NO_TIERS
 
 
-def ref_explain_expr(gamma, sig_env, registry, expr):
+def ref_explain_expr(gamma, sig_env, expr):
     for arg in expr.args:
-        if not ref_expr_tiers(gamma, sig_env, registry, arg):
-            return ref_explain_expr(gamma, sig_env, registry, arg)
-    arg_tiers = [ref_expr_tiers(gamma, sig_env, registry, a) for a in expr.args]
+        if not ref_expr_tiers(gamma, sig_env, arg):
+            return ref_explain_expr(gamma, sig_env, arg)
+    arg_tiers = [ref_expr_tiers(gamma, sig_env, a) for a in expr.args]
     shown = ", ".join(_tier_names(t) for t in arg_tiers) or "none"
     return Diagnostic("op", f"no declared signature of {expr.op!r} applies (argument tiers: "
                       f"{shown})", expr.span, tuple(sorted(free_vars(expr))))
 
 
-def ref_explain_failure(gamma, sig_env, registry, cmd):
+def ref_explain_failure(gamma, sig_env, cmd):
     if isinstance(cmd, Assign):
-        rhs = ref_expr_tiers(gamma, sig_env, registry, cmd.expr)
+        rhs = ref_expr_tiers(gamma, sig_env, cmd.expr)
         if not rhs:
-            return ref_explain_expr(gamma, sig_env, registry, cmd.expr)
+            return ref_explain_expr(gamma, sig_env, cmd.expr)
         return Diagnostic("assign", f"variable {cmd.var!r} has tier {gamma[cmd.var]} but "
                           f"{pretty_expr(cmd.expr)} only types at tier {_tier_names(rhs)}",
                           cmd.span, (cmd.var,))
     if isinstance(cmd, Seq):
-        if not ref_command_tiers(gamma, sig_env, registry, cmd.first):
-            return ref_explain_failure(gamma, sig_env, registry, cmd.first)
-        return ref_explain_failure(gamma, sig_env, registry, cmd.second)
+        if not ref_command_tiers(gamma, sig_env, cmd.first):
+            return ref_explain_failure(gamma, sig_env, cmd.first)
+        return ref_explain_failure(gamma, sig_env, cmd.second)
     if isinstance(cmd, If):
-        guard = ref_expr_tiers(gamma, sig_env, registry, cmd.guard)
+        guard = ref_expr_tiers(gamma, sig_env, cmd.guard)
         if not guard:
-            return ref_explain_expr(gamma, sig_env, registry, cmd.guard)
+            return ref_explain_expr(gamma, sig_env, cmd.guard)
         for branch in (cmd.then_branch, cmd.else_branch):
-            if not ref_command_tiers(gamma, sig_env, registry, branch):
-                return ref_explain_failure(gamma, sig_env, registry, branch)
-        then_t = ref_command_tiers(gamma, sig_env, registry, cmd.then_branch)
-        else_t = ref_command_tiers(gamma, sig_env, registry, cmd.else_branch)
+            if not ref_command_tiers(gamma, sig_env, branch):
+                return ref_explain_failure(gamma, sig_env, branch)
+        then_t = ref_command_tiers(gamma, sig_env, cmd.then_branch)
+        else_t = ref_command_tiers(gamma, sig_env, cmd.else_branch)
         return Diagnostic("if", f"guard and branches share no tier (guard: {_tier_names(guard)}, "
                           f"then: {_tier_names(then_t)}, else: {_tier_names(else_t)})",
                           cmd.span, tuple(sorted(free_vars(cmd.guard))))
     if isinstance(cmd, While):
-        if not ref_command_tiers(gamma, sig_env, registry, cmd.body):
-            return ref_explain_failure(gamma, sig_env, registry, cmd.body)
-        guard = ref_expr_tiers(gamma, sig_env, registry, cmd.guard)
+        if not ref_command_tiers(gamma, sig_env, cmd.body):
+            return ref_explain_failure(gamma, sig_env, cmd.body)
+        guard = ref_expr_tiers(gamma, sig_env, cmd.guard)
         return Diagnostic("while", f"loop guard {pretty_expr(cmd.guard)} must type at tier 1 "
                           f"but only types at {_tier_names(guard)}",
                           cmd.span, tuple(sorted(free_vars(cmd.guard))))
@@ -160,12 +160,12 @@ def subterms(cmd):
 
 def explain(gamma, sig_env, cmd):
     """The diagnostic ``check_program`` gives an untypable thread ``cmd``."""
-    return _explain(_tier_table(gamma, sig_env, REGISTRY, cmd), gamma, cmd)
+    return _explain(_tier_table(gamma, sig_env, cmd), gamma, cmd)
 
 
 def assert_agrees(gamma, sig_env, cmd, where):
     """Tier sets of every node, and the diagnostic of every untypable command."""
-    args = (gamma, sig_env, REGISTRY)
+    args = (gamma, sig_env)
     for node in subterms(cmd):
         if isinstance(node, (Var, OpCall)):
             assert expr_tiers(*args, node) == ref_expr_tiers(*args, node), where
@@ -192,7 +192,7 @@ def test_fixtures_type_as_the_recursive_rules_under_every_environment(name):
     for gamma in every_env(source):
         for tid, cmd in source.threads:
             assert_agrees(gamma, sig_env, cmd, (name, tid, gamma))
-            rejected += not command_tiers(gamma, sig_env, REGISTRY, cmd)
+            rejected += not command_tiers(gamma, sig_env, cmd)
     assert rejected > 0  # the diagnostics were compared too
 
 
@@ -207,9 +207,9 @@ def test_check_program_reports_match_the_recursive_rules(name):
     report = check_program(source)
     assert len(report.threads) == len(source.threads) or name == "unsafe_subword.tier"
     for thread, (tid, cmd) in zip(report.threads, source.threads):
-        tiers = ref_command_tiers(gamma, sig_env, REGISTRY, cmd)
+        tiers = ref_command_tiers(gamma, sig_env, cmd)
         assert (thread.tid, thread.tiers) == (tid, tiers)
-        want = None if tiers else ref_explain_failure(gamma, sig_env, REGISTRY, cmd)
+        want = None if tiers else ref_explain_failure(gamma, sig_env, cmd)
         assert thread.diagnostic == want
 
 
@@ -219,7 +219,7 @@ def test_compiled_machines_type_as_the_recursive_rules(name):
     sig_env, _ = build_sig_env(source, REGISTRY)
     gamma = source.annotations()
     for tid, cmd in source.threads:
-        assert ref_command_tiers(gamma, sig_env, REGISTRY, cmd)
+        assert ref_command_tiers(gamma, sig_env, cmd)
         assert_agrees(gamma, sig_env, cmd, (name, tid))
     assert check_program(source).safe
 
@@ -230,10 +230,10 @@ def test_shared_subtrees_are_typed_once_per_node_and_agree():
     sig_env = {"pred": frozenset({((O,), O), ((O,), Z)}), "eq": frozenset({((Z, O), Z)})}
     shared = OpCall("pred", (Var("x"),))
     cmd = Assign("x", OpCall("eq", (shared, shared)))
-    assert command_tiers(gamma, sig_env, REGISTRY, cmd) == NO_TIERS
-    table = _tier_table(gamma, sig_env, REGISTRY, cmd)
+    assert command_tiers(gamma, sig_env, cmd) == NO_TIERS
+    table = _tier_table(gamma, sig_env, cmd)
     assert (table[id(shared)], table[id(cmd.expr)]) == ({Z, O}, {Z})
-    assert explain(gamma, sig_env, cmd) == ref_explain_failure(gamma, sig_env, REGISTRY, cmd)
+    assert explain(gamma, sig_env, cmd) == ref_explain_failure(gamma, sig_env, cmd)
 
 
 def test_errors_raise_in_reading_order():
@@ -251,7 +251,7 @@ def test_errors_raise_in_reading_order():
     ]
     for cmd, error, name in cases:
         with pytest.raises(error) as raised:
-            command_tiers(gamma, sig_env, REGISTRY, cmd)
+            command_tiers(gamma, sig_env, cmd)
         assert type(raised.value) is error and raised.value.args == (name,)
 
 
@@ -271,7 +271,7 @@ def test_a_subtree_shared_within_a_tree_is_typed_once():
     expr = Var("x")
     for _ in range(12):
         expr = OpCall("eq", (expr, expr))
-    assert expr_tiers({"x": O}, sig_env, REGISTRY, expr) == {Z, O}
+    assert expr_tiers({"x": O}, sig_env, expr) == {Z, O}
     assert sig_env.lookups == 12
 
 
@@ -297,7 +297,7 @@ def statements(n):
 
 def tier_table(source, root):
     sig_env, _ = build_sig_env(source, REGISTRY)
-    return _tier_table(source.annotations(), sig_env, REGISTRY, root)
+    return _tier_table(source.annotations(), sig_env, root)
 
 
 def test_a_3000_statement_thread_checks():
