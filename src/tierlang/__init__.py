@@ -35,7 +35,7 @@ from .lang import (
 )
 from .ops import OperatorDef, Registry, builtins, default_registry, validate_class
 from .parser import ParseError, SourceFile, parse, pretty
-from .semantics import ControlTable, eval_expr, run_sequential
+from .semantics import ControlTable, eval_expr
 from .scheduling import (
     ExplorationReport,
     FirstAlive,
@@ -83,7 +83,7 @@ __all__ = [
     "free_vars", "is_truth_value", "seq_all", "subword", "unary", "word_literal",
     "OperatorDef", "Registry", "builtins", "default_registry", "validate_class",
     "ParseError", "SourceFile", "parse", "pretty",
-    "ControlTable", "eval_expr", "run_sequential",
+    "ControlTable", "eval_expr",
     "ExplorationReport", "FirstAlive", "RoundRobin", "Scheduler",
     "SeededRandom", "explore", "quietness_test", "run_with_scheduler", "step_global",
     "FitReport", "GrowthTable", "NiReport", "SubwordReport", "TierPreservationReport",

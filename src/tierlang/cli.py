@@ -24,12 +24,13 @@ from .analysis import fit_polynomial, measure_growth, ni_suite
 from .lang import Alphabet, Store, Word, free_vars, unary
 from .parser import ParseError, SourceFile, parse, pretty
 from .scheduling import (
+    FirstAlive,
     dump_global_trace,
     explore,
     named_schedulers,
     run_with_scheduler,
 )
-from .semantics import ControlTable, run_sequential
+from .semantics import ControlTable
 from .tm import TMFormatError, compile_tm, parse_tm, simulate_tm
 from .typecheck import CheckReport, check_program, infer_tiers
 
@@ -386,7 +387,7 @@ def cmd_tm_compile(args: argparse.Namespace) -> int:
             if args.json:
                 _emit_json({"command": "tm-compile", "safe": check.safe, "mismatch": verified})
             else:
-                print(f"mismatch against the simulator: {verified}")
+                print(f"mismatch against the simulator: {verified}", file=sys.stderr)
             return 1
     if args.json:
         _emit_json(
@@ -399,11 +400,14 @@ def cmd_tm_compile(args: argparse.Namespace) -> int:
             }
         )
     else:
+        # Status goes to stderr, so stdout holds nothing but the program.
         if not args.output:
             print(rendered, end="")
-        print(f"type-check of compiled program: {'safe' if check.safe else 'REJECTED'}")
+        print(f"type-check of compiled program: {'safe' if check.safe else 'REJECTED'}",
+              file=sys.stderr)
         if verified is not None:
-            print(f"agrees with the simulator on all {verified} inputs up to length {args.verify_len}")
+            print(f"agrees with the simulator on all {verified} inputs up to length "
+                  f"{args.verify_len}", file=sys.stderr)
     return 0 if check.safe else 1
 
 
@@ -411,8 +415,9 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
     """Compare the compiled program against the simulator on every input
     up to ``max_len``; returns the input count or a mismatch message."""
     spec = compiled.spec
-    thread_cmd = compiled.source.program().command("machine")
-    table = ControlTable((thread_cmd,))
+    program = compiled.source.program()  # the one thread ``machine``
+    table = ControlTable(cmd for _, cmd in program.threads)
+    scheduler = FirstAlive()  # never asked: a lone thread's choices are forced
     inputs: list[str] = [""]
     frontier = [""]
     for _ in range(max_len):
@@ -422,9 +427,8 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
         expected = simulate_tm(spec, word)
         if not expected.halted:
             return f"machine does not halt on {word!r} within the simulator budget"
-        run = run_sequential(
-            Store({compiled.input_var: word}), thread_cmd, fuel=10_000_000,
-            keep_trace=False, table=table,
+        run = run_with_scheduler(
+            Store({compiled.input_var: word}), program, scheduler, fuel=10_000_000, table=table
         )
         if not run.finished:
             return f"compiled program ran out of fuel on {word!r}"

@@ -57,9 +57,6 @@ class Tier(enum.IntEnum):
     def join(self, other: Tier) -> Tier:
         return Tier(max(self, other))
 
-    def meet(self, other: Tier) -> Tier:
-        return Tier(min(self, other))
-
     def leq(self, other: Tier) -> bool:
         return self <= other
 

@@ -13,7 +13,11 @@ Schedulers are deterministic: a choice function over the live thread
 ids and the store plus private state.  A scheduler is *quiet* when its
 choice never depends on tier-0 data; the flag on each scheduler records
 the claim and ``quietness_test`` probes it behaviorally by running the
-same program from stores that agree on tier-1 variables only.
+same program from stores that agree on tier-1 variables only.  A
+scheduler is only asked while two or more threads are live: with one
+left the choice is forced, reads no data, and so is quiet under every
+policy.  ``run_with_scheduler`` is the one run loop, so one command runs
+as a one-thread program.
 
 A scheduler is *pure* when its choice is a function of the live ids,
 the store and an immutable state.  Under such a scheduler a run whose
@@ -131,22 +135,6 @@ class SeededRandom(Scheduler):
         return state.choice(tids), state
 
 
-class StorePeek(Scheduler):
-    """Negative control: pick a thread by the length of one variable's
-    value.  When that variable is tier 0 the scheduler is not quiet, and
-    the quietness test should expose it."""
-
-    quiet = False
-    pure = True
-
-    def __init__(self, var: str):
-        self.var = var
-        self.name = f"peek-{var}"
-
-    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
-        return tids[len(store.lookup(self.var)) % len(tids)], None
-
-
 def named_schedulers(seed: int = 0) -> dict[str, Scheduler]:
     return {
         "round-robin": RoundRobin(),
@@ -236,10 +224,13 @@ def run_with_scheduler(
 ) -> ScheduledRun:
     """Drive the pool with the scheduler until it empties or fuel runs out.
 
-    Callers that run one program many times pass a shared ``table``;
-    otherwise each call builds its own.  Under a pure scheduler a run that revisits a configuration skips ahead by
-    whole periods; steps, loops, choices and trace are those of stepping
-    to the fuel bound.
+    Once one thread is left every choice is forced, so the scheduler is
+    not asked again: its state stays as it was, and the run keeps a count
+    of the forced steps instead of one id per step.  Callers that run one
+    program many times pass a shared ``table``; otherwise each call
+    builds its own.  Under a pure scheduler a run that revisits a
+    configuration skips ahead by whole periods; steps, loops, choices and
+    trace are those of stepping to the fuel bound.
     """
     if table is None:
         table = ControlTable(cmd for _, cmd in program.threads)
@@ -249,8 +240,10 @@ def run_with_scheduler(
     steps = 0
     loops = 0
     choices: list[str] = []
-    # After a skip, ``choices[start:end]`` is the period: stepped once,
-    # then skipped ``repeats`` more times.
+    forced = 0  # steps taken once one thread was left, all by ``tid``
+    tid = ""
+    # After a skip with more than one thread live, ``choices[start:end]``
+    # is the period: stepped once, then skipped ``repeats`` more times.
     skip: tuple[int, int, int] | None = None
     trace: list[GlobalTraceStep] = []
     # Brent's cycle detection on the configurations right after a loop
@@ -259,13 +252,13 @@ def run_with_scheduler(
     # ``mark`` is the next such loop count, and 0 once detection is off.
     mark = 1 if scheduler.pure else 0
     saved: tuple = (None, None, None, 0, 0)
-    while live:
-        if steps >= fuel:
-            residual = Program(tuple((tid, table.commands[slots[tid]]) for tid in live))
-            return ScheduledRun(
-                store, residual, steps, loops, False, _choices(choices, skip), tuple(trace)
-            )
-        tid, state = scheduler.choose(live, store, state)
+    while live and steps < fuel:
+        if len(live) > 1:
+            tid, state = scheduler.choose(live, store, state)
+            choices.append(tid)
+        else:
+            tid = live[0]
+            forced += 1
         store, slot, rule, assigned = table.step(slots[tid], store)
         steps += 1
         if rule == UNFOLD:
@@ -275,7 +268,6 @@ def run_with_scheduler(
             live = tuple(t for t in live if t != tid)
         else:
             slots[tid] = slot
-        choices.append(tid)
         if keep_trace and len(trace) < trace_cap:
             trace.append(GlobalTraceStep(steps, tid, rule, loops, assigned, store))
         if not (mark and rule == UNFOLD):
@@ -284,7 +276,12 @@ def run_with_scheduler(
             start, start_loops = saved[3], saved[4]
             period, gained = steps - start, loops - start_loops
             repeats = (fuel - steps) // period
-            skip = (start, len(choices), repeats)
+            # A repeat keeps the live threads, so a period is either all
+            # forced or holds no forced step.
+            if forced:
+                forced += repeats * period
+            else:
+                skip = (start, len(choices), repeats)
             if keep_trace:
                 # Below the cap the trace holds every step, so its tail
                 # from the checkpoint on is one period.
@@ -303,12 +300,17 @@ def run_with_scheduler(
         elif loops == mark:
             saved = (dict(slots), state, store, steps, loops)
             mark *= 2
+    residual = Program(tuple((t, table.commands[slots[t]]) for t in live))
     return ScheduledRun(
-        store, Program(()), steps, loops, True, _choices(choices, skip), tuple(trace)
+        store, residual, steps, loops, not live, _choices(choices, skip, tid, forced), tuple(trace)
     )
 
 
-def _choices(stepped: list[str], skip: tuple[int, int, int] | None) -> Choices:
+def _choices(
+    stepped: list[str], skip: tuple[int, int, int] | None, tid: str, forced: int
+) -> Choices:
+    if forced:
+        return Choices(tuple(stepped), (tid,), forced)
     if skip is None:
         return Choices(tuple(stepped))
     start, end, repeats = skip

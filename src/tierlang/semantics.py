@@ -18,12 +18,12 @@ records its redex's compiled expression and the slots that follow, so a
 run state is a store plus one int per thread and a step is a table
 lookup plus one operator call.  The same table lists each slot's
 successors for questions that range over every store at once, such as
-subject reduction.
+subject reduction.  ``scheduling.run_with_scheduler`` drives every run;
+one command runs as a one-thread ``Program.single``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .lang import (
@@ -35,6 +35,7 @@ from .lang import (
     Expr,
     If,
     OpCall,
+    Program,
     Seq,
     Skip,
     Store,
@@ -297,69 +298,11 @@ class ControlTable:
         raise StuckGuardError(redex, value)
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    """One recorded step of a sequential run."""
+def run_sequential(store: Store, cmd: Command, fuel: int = 100_000, keep_trace: bool = True):
+    """``cmd`` run as a one-thread program by ``run_with_scheduler``.
 
-    index: int
-    rule: str
-    loops: int
-    assigned: tuple[str, Word] | None
-    store: Store
-    residual: Command | None
-
-
-@dataclass(frozen=True)
-class SequentialRun:
-    """Outcome of running one command to termination (or out of fuel)."""
-
-    store: Store
-    residual: Command | None
-    steps: int
-    loops: int
-    finished: bool
-    trace: tuple[TraceStep, ...] = field(repr=False, default=())
-    trace_complete: bool = True
-
-
-def run_sequential(
-    store: Store,
-    cmd: Command,
-    fuel: int = 100_000,
-    keep_trace: bool = True,
-    trace_cap: int = 10_000,
-    *,
-    table: ControlTable | None = None,
-) -> SequentialRun:
-    """Run a command deterministically for at most ``fuel`` steps.
-
-    The trace keeps up to ``trace_cap`` steps (each with the full store,
-    so exploration-sized runs can opt out via ``keep_trace=False``);
-    step and loop counters always cover the whole run.  Callers that run
-    one command many times pass a shared ``table``; otherwise each call
-    builds its own.
+    Kept only for the benchmark in ``perfbench/``, its one caller.
     """
-    if table is None:
-        table = ControlTable((cmd,))
-    trace: list[TraceStep] = []
-    loops = 0
-    steps = 0
-    slot = table.root(cmd)
-    trace_complete = True
-    while slot != DONE:
-        if steps >= fuel:
-            return SequentialRun(
-                store, table.commands[slot], steps, loops, False, tuple(trace), trace_complete
-            )
-        store, slot, rule, assigned = table.step(slot, store)
-        steps += 1
-        if rule == UNFOLD:
-            loops += 1
-        if keep_trace:
-            if len(trace) < trace_cap:
-                residual = None if slot == DONE else table.commands[slot]
-                trace.append(TraceStep(steps, rule, loops, assigned, store, residual))
-            else:
-                trace_complete = False
-    return SequentialRun(store, None, steps, loops, True, tuple(trace), trace_complete)
+    from .scheduling import FirstAlive, run_with_scheduler  # it imports this module
 
+    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace)

@@ -19,7 +19,6 @@ from tierlang.analysis import (
 from tierlang.fixtures import SAFE_FIXTURES, fixture_text, load_source
 from tierlang.ops import default_registry
 from tierlang.scheduling import RoundRobin, explore, quietness_test, run_with_scheduler
-from tierlang.semantics import run_sequential
 from tierlang.tm import compile_tm, parse_tm, simulate_tm
 from tierlang.typecheck import build_sig_env, check_program, infer_tiers
 
@@ -225,14 +224,14 @@ def test_machine_compilation():
     compiled = compile_tm(spec)
     report = check_program(compiled.source)
     assert report.safe, "compiled machine program should type-check"
-    cmd = compiled.source.program().command("machine")
+    program = compiled.source.program()
     agreed = 0
     for value in range(256):
         word = format(value, "b").zfill(8)
         expected = simulate_tm(spec, word)
         assert expected.halted
-        run = run_sequential(
-            Store({compiled.input_var: word}), cmd, fuel=10_000_000, keep_trace=False
+        run = run_with_scheduler(
+            Store({compiled.input_var: word}), program, RoundRobin(), fuel=10_000_000
         )
         assert run.finished
         got = run.store.lookup(compiled.output_var)

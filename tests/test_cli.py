@@ -438,11 +438,22 @@ def test_usage_errors_exit_2_on_every_call(fx, capsys):
 
 
 def test_tm_compile_verifies_against_the_simulator(fx, capsys):
-    code, out, _ = run_cli(capsys, "tm-compile", fx("binary_inc.tm"), "--verify-len", "3")
+    code, out, err = run_cli(capsys, "tm-compile", fx("binary_inc.tm"), "--verify-len", "3")
     assert code == 0
-    lines = out.splitlines()
-    assert "type-check of compiled program: safe" in lines
-    assert "agrees with the simulator on all 15 inputs up to length 3" in lines
+    assert err.splitlines() == [
+        "type-check of compiled program: safe",
+        "agrees with the simulator on all 15 inputs up to length 3",
+    ]
+    assert "type-check" not in out and "simulator" not in out
+
+
+def test_tm_compile_stdout_is_the_program(fx, tmp_path, capsys):
+    path = tmp_path / "inc.tier"
+    code, out, _ = run_cli(capsys, "tm-compile", fx("binary_inc.tm"))
+    assert code == 0
+    assert run_cli(capsys, "tm-compile", fx("binary_inc.tm"), "-o", str(path))[0] == 0
+    assert out.encode() == path.read_bytes()
+    assert parse(out).program().thread_ids() == ("machine",)
 
 
 def test_tm_compile_writes_a_loadable_program(fx, tmp_path, capsys):

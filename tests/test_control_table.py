@@ -39,14 +39,14 @@ from tierlang.scheduling import (
     RoundRobin,
     Scheduler,
     SeededRandom,
-    StorePeek,
     explore,
     named_schedulers,
     run_with_scheduler,
 )
-from tierlang.semantics import ControlTable, StuckGuardError, run_sequential
+from tierlang.semantics import DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import command_tiers, maximal_safe_sigs
+from test_scheduling import StorePeek
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
 
@@ -187,9 +187,30 @@ def reference_sequential(store, cmd, fuel):
 
 
 def table_sequential(store, cmd, fuel):
-    run = run_sequential(store, cmd, fuel)
-    trace = [(e.index, e.rule, e.loops, e.assigned, e.store, e.residual) for e in run.trace]
-    return run.store, run.residual, run.steps, run.loops, run.finished, trace
+    """``reference_sequential`` stepped on ``cmd``'s control table."""
+    table = ControlTable((cmd,))
+    slot, steps, loops, trace = table.roots[0], 0, 0, []
+    while cmd is not None and steps < fuel:
+        store, slot, rule, assigned = table.step(slot, store)
+        cmd = None if slot == DONE else table.commands[slot]
+        steps += 1
+        loops += rule == "while-tt"
+        trace.append((steps, rule, loops, assigned, store, cmd))
+    return store, cmd, steps, loops, cmd is None, trace
+
+
+def scheduled_alone(store, cmd, fuel):
+    """``cmd`` run alone by ``run_with_scheduler``, in the fields of
+    ``reference_sequential`` apart from the residual of each step."""
+    run = run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=True)
+    trace = [(e.index, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
+    residual = run.residual.command("main") if run.residual.threads else None
+    return run.store, residual, run.steps, run.loops, run.finished, trace
+
+
+def drop_step_residuals(result):
+    *fields, trace = result
+    return (*fields, [entry[:-1] for entry in trace])
 
 
 def reference_explore(store, program):
@@ -299,6 +320,8 @@ def test_sequential_runs_match_reference_loop(name):
             for store in random_stores(program, fuel, 4):
                 want = outcome(lambda: reference_sequential(store, cmd, fuel))
                 assert outcome(lambda: table_sequential(store, cmd, fuel)) == want, (name, store)
+                want = outcome(lambda: drop_step_residuals(reference_sequential(store, cmd, fuel)))
+                assert outcome(lambda: scheduled_alone(store, cmd, fuel)) == want, (name, store)
 
 
 @pytest.mark.parametrize("name", MACHINE_FIXTURES)
@@ -309,6 +332,7 @@ def test_compiled_machines_match_reference_loop(name):
         store = Store({compiled.input_var: word})
         want = reference_sequential(store, cmd, 3000)
         assert table_sequential(store, cmd, 3000) == want, (name, word)
+        assert scheduled_alone(store, cmd, 3000) == drop_step_residuals(want), (name, word)
 
 
 @pytest.mark.parametrize(
@@ -393,8 +417,7 @@ def test_deep_expressions_need_no_recursion():
     for _ in range(1500):
         expr = OpCall("pred", (expr,))
     program = Program.single(seq_all([Assign("x", expr), While(OpCall("gt0", (expr,)), Skip())]))
-    cmd = program.command("main")
-    run = run_sequential(Store.of(x="11"), cmd)
+    run = run_with_scheduler(Store.of(x="11"), program, FirstAlive())
     assert (run.finished, run.steps, run.store) == (True, 2, Store())
     assert eval_expr(Store.of(x="1" * 1502), expr) == "11"
     registry = default_registry()
@@ -479,6 +502,18 @@ def test_skipped_periods_take_no_memory_for_their_choices():
         tracemalloc.stop()
     assert (len(run.choices), run.choices[-1]) == (2_000_000, "spinner")
     assert peak < 1_000_000
+
+
+def test_a_lone_thread_keeps_no_choice_per_step():
+    add = load_source("add.tier").program()
+    tracemalloc.start()
+    try:
+        run = run_with_scheduler(Store.of(x="1" * 20_000), add, RoundRobin(), fuel=1_000_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (run.finished, len(run.choices), set(run.choices)) == (True, 60_001, {"adder"})
+    assert peak < 200_000
 
 
 class Alternate(Scheduler):

@@ -40,9 +40,6 @@ def test_tier_lattice_tables():
     assert zero.join(one) == one
     assert one.join(zero) == one
     assert one.join(one) == one
-    assert zero.meet(zero) == zero
-    assert zero.meet(one) == zero
-    assert one.meet(one) == one
     assert zero.leq(zero) and zero.leq(one) and one.leq(one)
     assert not one.leq(zero)
 

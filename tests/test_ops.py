@@ -19,7 +19,6 @@ from tierlang.ops import (
     UnknownOperatorError,
 )
 from tierlang.scheduling import RoundRobin, explore, run_with_scheduler
-from tierlang.semantics import run_sequential
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import build_sig_env, check_program, infer_tiers
 
@@ -148,7 +147,6 @@ def test_every_layer_shares_one_library(monkeypatch, capsys):
     check_program(source)
     infer_tiers(source.with_annotations({}))
     run_with_scheduler(store, program, RoundRobin())
-    run_sequential(store, program.command("adder"))
     explore(store, program)
     ni_suite(program, gamma, scheduler=RoundRobin(), trials=2)
     ni_suite(program, gamma, trials=2, mode="explore")

@@ -23,10 +23,11 @@ from tierlang.scheduling import (
     Choices,
     FirstAlive,
     RoundRobin,
+    Scheduler,
     SeededRandom,
-    StorePeek,
     dump_global_trace,
     explore,
+    named_schedulers,
     quietness_test,
     random_equiv_stores,
     run_with_scheduler,
@@ -128,6 +129,34 @@ def test_scheduler_fuel_bound():
     assert run.residual.thread_ids() == ("spinner",)
 
 
+class Offered(Scheduler):
+    """A scheduler that records the live ids each choice is offered."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.name, self.quiet, self.pure = inner.name, inner.quiet, inner.pure
+        self.offered = []
+
+    def fresh_state(self):
+        return self.inner.fresh_state()
+
+    def choose(self, tids, store, state):
+        self.offered.append(tids)
+        return self.inner.choose(tids, store, state)
+
+
+@pytest.mark.parametrize("name", ["intro_sync", "mul", "zrange"])
+def test_a_lone_thread_steps_without_a_choice(name):
+    # Each of these runs ends with one thread left, finished or out of fuel.
+    program = load_source(f"{name}.tier").program()
+    for inner in named_schedulers(seed=3).values():
+        for store in (Store.of(x="1", y="11"), Store.of(x="TT", y="T"), Store.of(x="F", y="T")):
+            scheduler = Offered(inner)
+            run = run_with_scheduler(store, program, scheduler, fuel=500)
+            assert all(len(tids) > 1 for tids in scheduler.offered), (inner.name, store)
+            assert len(scheduler.offered) < len(run.choices), (inner.name, store)
+
+
 # --- exploration ---------------------------------------------------------------
 
 
@@ -201,6 +230,22 @@ def test_exploration_report_round_trips_to_dict():
 
 
 # --- equivalent stores and quietness ------------------------------------------
+
+
+class StorePeek(Scheduler):
+    """Negative control: pick a thread by the length of one variable's
+    value.  When that variable is tier 0 the scheduler is not quiet, and
+    the quietness test should expose it."""
+
+    quiet = False
+    pure = True
+
+    def __init__(self, var):
+        self.var = var
+        self.name = f"peek-{var}"
+
+    def choose(self, tids, store, state):
+        return tids[len(store.lookup(self.var)) % len(tids)], None
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -4,14 +4,16 @@ import pytest
 
 from tierlang import (
     Assign,
+    FirstAlive,
     OpCall,
+    Program,
     Seq,
     Skip,
     Store,
     Var,
     While,
     eval_expr,
-    run_sequential,
+    run_with_scheduler,
     unary,
 )
 from tierlang.fixtures import load_source
@@ -66,8 +68,14 @@ def adder_command():
     return load_source("add.tier").program().command("adder")
 
 
+def run_alone(store, cmd, fuel=100_000, trace_cap=10_000):
+    """``cmd`` run alone, with its trace kept."""
+    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=True,
+                              trace_cap=trace_cap)
+
+
 def test_add_rule_sequence_at_n2():
-    run = run_sequential(Store.of(x="11"), adder_command())
+    run = run_alone(Store.of(x="11"), adder_command())
     rules = [entry.rule for entry in run.trace]
     assert rules == [
         "while-tt", "assign", "assign",
@@ -80,7 +88,7 @@ def test_add_rule_sequence_at_n2():
 def test_add_run_formulas():
     # one unfold plus two assignments per letter, one failing guard
     for n in range(7):
-        run = run_sequential(Store.of(x=unary(n)), adder_command())
+        run = run_alone(Store.of(x=unary(n)), adder_command())
         assert run.finished
         assert run.steps == 3 * n + 1
         assert run.loops == n
@@ -91,7 +99,7 @@ def test_mul_run_formulas():
     cmd = load_source("mul.tier").program().command("multiplier")
     for m in range(5):
         for n in range(5):
-            run = run_sequential(Store.of(x=unary(m), y=unary(n), z="junk"), cmd)
+            run = run_alone(Store.of(x=unary(m), y=unary(n), z="junk"), cmd)
             assert run.finished
             assert run.steps == m * (3 * n + 5) + 2
             assert run.loops == m * (n + 1)
@@ -101,22 +109,23 @@ def test_mul_run_formulas():
 
 def test_fuel_runs_out():
     spin = load_source("spin.tier").program().command("spinner")
-    run = run_sequential(Store.of(x="1"), spin, fuel=50)
+    run = run_alone(Store.of(x="1"), spin, fuel=50)
     assert not run.finished
     assert run.steps == 50
-    assert run.residual is not None
+    assert run.residual == Program.single(spin)  # 25 unfoldings, 25 skips
 
 
 def test_trace_cap_marks_incomplete():
-    run = run_sequential(Store.of(x=unary(4)), adder_command(), trace_cap=5)
+    run = run_alone(Store.of(x=unary(4)), adder_command(), trace_cap=5)
     assert run.finished
     assert len(run.trace) == 5
-    assert not run.trace_complete
+    assert [e.index for e in run.trace] == [1, 2, 3, 4, 5]
     assert run.steps == 13
 
 
 def test_trace_records_stores():
-    run = run_sequential(Store.of(x="1"), adder_command())
+    run = run_alone(Store.of(x="1"), adder_command())
     assert run.trace[-1].store == run.store
-    assert run.trace[-1].residual is None
+    assert run.residual == Program(())
     assert [e.index for e in run.trace] == list(range(1, run.steps + 1))
+    assert {e.thread for e in run.trace} == {"main"}

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from tierlang import ControlTable, Store, parse, pretty, run_sequential
+from tierlang import ControlTable, FirstAlive, Store, parse, pretty, run_with_scheduler
 from tierlang.fixtures import fixture_text
 from tierlang.tm import (
     TMFormatError,
@@ -126,8 +126,8 @@ WALK_BACK = (
 def test_left_moves_inside_the_tape():
     spec = parse_tm(WALK_BACK)
     compiled = compile_tm(spec)
-    cmd = compiled.source.program().command("machine")
-    table = ControlTable((cmd,))
+    program = compiled.source.program()
+    table = ControlTable(cmd for _, cmd in program.threads)
     words = ["".join(letters) for n in range(7) for letters in itertools.product("01", repeat=n)]
     assert len(words) == 127
     for word in words:
@@ -135,8 +135,8 @@ def test_left_moves_inside_the_tape():
         closed_form = word[:-1] + {"0": "1", "1": "0"}[word[-1]] + "1" if word else "0"
         expected = simulate_tm(spec, word)
         assert expected.halted and expected.tape == closed_form, word
-        run = run_sequential(Store.of(input=word), cmd, fuel=1_000_000, keep_trace=False,
-                             table=table)
+        run = run_with_scheduler(Store.of(input=word), program, FirstAlive(), fuel=1_000_000,
+                                 table=table)
         assert run.finished
         assert run.store.lookup(compiled.output_var) == closed_form, word
 
@@ -176,9 +176,9 @@ def test_compiled_program_type_checks(inc):
 
 def test_compiled_program_matches_the_simulator(inc):
     compiled = compile_tm(inc)
-    cmd = compiled.source.program().command("machine")
+    program = compiled.source.program()
     for word in lsb_words(4):
-        run = run_sequential(Store.of(input=word), cmd)
+        run = run_with_scheduler(Store.of(input=word), program, FirstAlive())
         assert run.finished
         assert run.store.lookup(compiled.output_var) == simulate_tm(inc, word).tape
         # the tier-1 clock variable is read, never consumed
@@ -188,9 +188,9 @@ def test_compiled_program_matches_the_simulator(inc):
 
 def test_compiled_identity_copies_input_through():
     compiled = compile_tm(parse_tm(fixture_text("identity.tm")))
-    cmd = compiled.source.program().command("machine")
+    program = compiled.source.program()
     for word in ("", "0", "0110"):
-        run = run_sequential(Store.of(input=word), cmd)
+        run = run_with_scheduler(Store.of(input=word), program, FirstAlive())
         assert run.store.lookup("Right") == word
 
 
@@ -199,9 +199,9 @@ def test_compiled_busy_machine_exhausts_its_clock():
     # tape length counts exactly the cascades the clock paid for
     busy = parse_tm(fixture_text("busy.tm"))
     compiled = compile_tm(busy)
-    cmd = compiled.source.program().command("machine")
+    program = compiled.source.program()
     for n in (0, 1, 3, 5):
-        run = run_sequential(Store.of(input="0" * n), cmd, fuel=10_000_000)
+        run = run_with_scheduler(Store.of(input="0" * n), program, FirstAlive(), fuel=10_000_000)
         assert run.finished
         tape = run.store.lookup("Right")
         assert len(tape) == compiled.sim_cascades(n)
