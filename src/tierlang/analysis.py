@@ -164,10 +164,10 @@ def ni_suite(
     """
     rng = random.Random(seed)
     variables = sorted(free_vars(program))
+    table = ControlTable(cmd for _, cmd in program.threads)
     if mode == "scheduler":
         if scheduler is None:
             raise ValueError("scheduler mode needs a scheduler")
-        table = ControlTable(cmd for _, cmd in program.threads)
         for trial in range(trials):
             a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
             run_a = run_with_scheduler(a, program, scheduler, fuel, table=table)
@@ -176,16 +176,16 @@ def ni_suite(
             if failure is not None:
                 return NiReport(False, trial + 1, mode, scheduler.name, failure)
         return NiReport(True, trials, mode, scheduler.name)
-    if mode == "explore":
-        for trial in range(trials):
-            a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-            failure = _compare_explorations(
-                program, gamma, a, b, trial, explore_max_steps, explore_max_states
-            )
-            if failure is not None:
-                return NiReport(False, trial + 1, mode, None, failure)
-        return NiReport(True, trials, mode, None)
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "explore":
+        raise ValueError(f"unknown mode {mode!r}")
+    for trial in range(trials):
+        a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
+        failure = _compare_explorations(
+            program, table, gamma, a, b, trial, explore_max_steps, explore_max_states
+        )
+        if failure is not None:
+            return NiReport(False, trial + 1, mode, None, failure)
+    return NiReport(True, trials, mode, None)
 
 
 def _outcome_set(
@@ -196,6 +196,7 @@ def _outcome_set(
 
 def _compare_explorations(
     program: Program,
+    table: ControlTable,
     gamma: TierEnv,
     a: Store,
     b: Store,
@@ -203,8 +204,8 @@ def _compare_explorations(
     max_steps: int,
     max_states: int,
 ) -> NiFailure | None:
-    rep_a = explore(a, program, max_steps, max_states)
-    rep_b = explore(b, program, max_steps, max_states)
+    rep_a = explore(a, program, max_steps, max_states, table=table)
+    rep_b = explore(b, program, max_steps, max_states, table=table)
     if not (rep_a.complete and rep_b.complete):
         return NiFailure(
             trial, "fuel", "exploration did not close within bounds; raise them for this program"

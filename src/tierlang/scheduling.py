@@ -27,18 +27,20 @@ cycle detection and jumps whole periods towards the fuel bound.  The
 result is the one stepping to the bound would give, field for field.
 
 ``explore`` enumerates every interleaving up to bounded depth, memoizing
-on the (store, slots) configuration.  Structurally equal residuals share
-a slot, so this is the same as memoizing on the store and the pool of
-residual commands.  A configuration revisited along one path is a
-cycle, which witnesses a non-terminating schedule.  One depth-first
-pass over the explored graph finds such a cycle, or else the longest
-terminating step and loop counts.
+on flat states: one tuple holding the words of the program's free
+variables in sorted order, then one slot per thread.  The program never
+reads or writes any other variable, and structurally equal residuals
+share a slot, so this is the same as memoizing on the store and the
+pool of residual commands; ``Store`` objects are built only for the
+terminal states.  A configuration revisited along one path is a cycle,
+which witnesses a non-terminating schedule.  One depth-first pass over
+the explored graph finds such a cycle, or else the longest terminating
+step and loop counts.
 """
 
 from __future__ import annotations
 
 import random
-from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
@@ -49,13 +51,28 @@ from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
 
 def step_global(
-    table: ControlTable, store: Store, slots: tuple[int, ...], index: int
-) -> tuple[Store, tuple[int, ...], str]:
-    """Advance thread ``index`` of a compact state one step: the new
-    store, the new slots (``DONE`` for a thread that terminated), and the
-    rule that fired."""
-    store, slot, rule, _ = table.step(slots[index], store)
-    return store, slots[:index] + (slot,) + slots[index + 1:], rule
+    table: ControlTable,
+    where: dict[str, int],
+    state: tuple,
+    bindings: dict[str, Word],
+    index: int,
+) -> tuple[tuple, str]:
+    """Advance thread ``index`` of a flat state one step: the new state
+    and the rule that fired.
+
+    A flat state holds the words of the program's free variables, at
+    the positions ``where`` gives them, then one slot per thread
+    (``DONE`` for a thread that terminated); ``bindings`` maps each of
+    those variables to its word, leaving out empty words.
+    """
+    at = len(where) + index
+    slot, rule, assigned = table.step(state[at], bindings)
+    cells = list(state)
+    cells[at] = slot
+    if assigned is not None:
+        var, word = assigned
+        cells[where[var]] = word
+    return tuple(cells), rule
 
 
 # --- schedulers ---------------------------------------------------------------
@@ -259,7 +276,9 @@ def run_with_scheduler(
         else:
             tid = live[0]
             forced += 1
-        store, slot, rule, assigned = table.step(slots[tid], store)
+        slot, rule, assigned = table.step(slots[tid], store._bindings)
+        if assigned is not None:
+            store = store.bind(*assigned)
         steps += 1
         if rule == UNFOLD:
             loops += 1
@@ -377,57 +396,70 @@ def explore(
     program: Program,
     max_steps: int = 200,
     max_states: int = 200_000,
+    *,
+    table: ControlTable | None = None,
 ) -> ExplorationReport:
-    """Enumerate all interleavings, memoizing on (store, slots) states.
+    """Enumerate all interleavings, memoizing on flat states.
+
+    A state is one tuple: the words of the program's free variables in
+    sorted order, then one slot per thread.  Bindings of ``store`` to
+    other variables are never read or written, so they are left out of
+    the states and put back into the terminal stores.  Callers that
+    explore one program many times pass a shared ``table``; otherwise
+    each call builds its own.
 
     A breadth-first pass builds the state graph within the caps; one
     depth-first pass from the root then looks for a cycle and, if there
     is none, takes the longest terminating counts."""
-    table = ControlTable(cmd for _, cmd in program.threads)
-    root = (store, table.roots)
-    finished = (DONE,) * len(table.roots)
-    ids: dict[tuple[Store, tuple[int, ...]], int] = {root: 0}
-    nodes: list[tuple[Store, tuple[int, ...]]] = [root]
-    succ: dict[int, tuple[tuple[int, int], ...]] = {}
-    depth = {0: 0}
-    terminal: set[int] = set()
-    stuck: set[int] = set()
+    if table is None:
+        table = ControlTable(cmd for _, cmd in program.threads)
+    names = sorted(free_vars(program))
+    where = {name: i for i, name in enumerate(names)}
+    offset = len(names)
+    threads = range(len(program.threads))
+    finished = (DONE,) * len(program.threads)
+    root = (*map(store.lookup, names), *(table.root(cmd) for _, cmd in program.threads))
+    # The node list doubles as the breadth-first queue: node ``nid`` is
+    # expanded once every node before it has been.
+    nodes: list[tuple] = [root]
+    ids: dict[tuple, int] = {root: 0}
+    depth = [0]
+    succ: list[tuple[tuple[int, int], ...]] = []
+    terminal: list[int] = []
+    stuck = 0
     complete = True
 
-    frontier: deque[int] = deque((0,))
-    while frontier:
-        nid = frontier.popleft()
-        node_store, slots = nodes[nid]
-        if slots == finished:
-            terminal.add(nid)
-            succ[nid] = ()
+    for nid, state in enumerate(nodes):
+        if state[offset:] == finished:
+            terminal.append(nid)
+            succ.append(())
             continue
         if depth[nid] >= max_steps:
             complete = False
-            succ[nid] = ()
+            succ.append(())
             continue
+        bindings = {name: word for name, word in zip(names, state) if word}
         edges: list[tuple[int, int]] = []
-        for index, slot in enumerate(slots):
-            if slot == DONE:
+        got_stuck = False
+        for index in threads:
+            if state[offset + index] == DONE:
                 continue
             try:
-                child_store, child_slots, rule = step_global(table, node_store, slots, index)
+                child_state, rule = step_global(table, where, state, bindings, index)
             except StuckGuardError:
-                stuck.add(nid)
+                got_stuck = True
                 continue
-            key = (child_store, child_slots)
-            child = ids.get(key)
+            child = ids.get(child_state)
             if child is None:
                 if len(nodes) >= max_states:
                     complete = False
                     continue
-                child = len(nodes)
-                ids[key] = child
-                nodes.append(key)
-                depth[child] = depth[nid] + 1
-                frontier.append(child)
+                child = ids[child_state] = len(nodes)
+                nodes.append(child_state)
+                depth.append(depth[nid] + 1)
             edges.append((child, int(rule == UNFOLD)))
-        succ[nid] = tuple(edges)
+        stuck += got_stuck
+        succ.append(tuple(edges))
 
     # One depth-first pass from the root (every node is reachable from
     # it).  A child still on the path closes a cycle.  Otherwise a node's
@@ -446,12 +478,12 @@ def explore(
     while path:
         nid, children = path[-1]
         for child, _ in children:
-            state = mark[child]
-            if state == ON_PATH:
+            status = mark[child]
+            if status == ON_PATH:
                 cycle_found = True
                 path.clear()
                 break
-            if state == NEW:
+            if status == NEW:
                 mark[child] = ON_PATH
                 path.append((child, iter(succ[child])))
                 break
@@ -470,14 +502,15 @@ def explore(
                     t = ct
             if k is not None:
                 best_k[nid], best_t[nid] = k + 1, t
+    outside = [(name, word) for name, word in store.items() if name not in where]
     return ExplorationReport(
-        terminal_stores=frozenset(nodes[n][0] for n in terminal),
+        terminal_stores=frozenset(Store(chain(outside, zip(names, nodes[n]))) for n in terminal),
         max_steps_terminating=None if cycle_found else best_k[0],
         max_loops_terminating=None if cycle_found else best_t[0],
         cycle_found=cycle_found,
         complete=complete and not stuck,
         visited_states=len(nodes),
-        stuck_states=len(stuck),
+        stuck_states=stuck,
     )
 
 

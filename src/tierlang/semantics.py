@@ -16,7 +16,9 @@ Runs step a ``ControlTable``, which owns the step rules: every residual
 a command can reach gets a hash-consed slot number, and each slot
 records its redex's compiled expression and the slots that follow, so a
 run state is a store plus one int per thread and a step is a table
-lookup plus one operator call.  The same table lists each slot's
+lookup plus one operator call.  A step reads a store's bindings and
+returns the assignment to make, which each caller writes into its own
+state representation.  The same table lists each slot's
 successors for questions that range over every store at once, such as
 subject reduction.  ``scheduling.run_with_scheduler`` drives every run;
 one command runs as a one-thread ``Program.single``.
@@ -279,22 +281,24 @@ class ControlTable:
         nxt, other = entry[1], entry[3]
         return (nxt,) if nxt == other else (nxt, other)
 
-    def step(self, slot: int, store: Store) -> tuple[Store, int, str, tuple[str, Word] | None]:
-        """Fire the redex at ``slot``: the new store, the next slot (``DONE``
-        once the command has terminated), the rule, and the assignment made."""
+    def step(self, slot: int, bindings: _Bindings) -> tuple[int, str, tuple[str, Word] | None]:
+        """Fire the redex at ``slot`` on a store's bindings (nonempty words
+        only, as in ``Store``): the next slot (``DONE`` once the command has
+        terminated), the rule, and the assignment to make.  The caller
+        writes the assignment into its own state."""
         entry = self._entries[slot]
         if entry is None:
             entry = self._entries[slot] = self._compile(slot)
         rule, nxt, other_rule, other, var, fn, redex = entry
         if fn is None:
-            return store, nxt, rule, None
-        value = fn(store._bindings)
+            return nxt, rule, None
+        value = fn(bindings)
         if var is not None:
-            return store.bind(var, value), nxt, rule, (var, value)
+            return nxt, rule, (var, value)
         if value == TT:
-            return store, nxt, rule, None
+            return nxt, rule, None
         if value == FF:
-            return store, other, other_rule, None
+            return other, other_rule, None
         raise StuckGuardError(redex, value)
 
 

@@ -100,6 +100,23 @@ def test_ni_explore_mode_on_safe_fixture():
     assert report.scheduler is None
 
 
+def test_ni_explore_mode_builds_one_control_table(monkeypatch):
+    # Every trial explores the same program, so one table serves them all.
+    built = []
+    init = ControlTable.__init__
+
+    def counting(self, commands):
+        built.append(self)
+        init(self, commands)
+
+    monkeypatch.setattr(ControlTable, "__init__", counting)
+    src = load_source("add.tier")
+    report = ni_suite(src.program(), src.annotations(), trials=5, seed=7, max_len=3,
+                      mode="explore")
+    assert (report.passed, report.trials) == (True, 5)
+    assert len(built) == 1
+
+
 def test_ni_explore_mode_flags_worst_case_loops():
     src = load_source("unsafe_loop.tier")
     report = ni_suite(

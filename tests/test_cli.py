@@ -211,6 +211,42 @@ def test_explore_json(fx, capsys):
     assert data["cycle_found"] is True
 
 
+# Pinned inputs per fixture for the golden ``explore`` outputs.  ``w`` in
+# the adder's store is a variable the program never mentions; ``badd``
+# runs into the depth cap.
+EXPLORE_INPUTS = {
+    "add.tier": ("--input", "x=111", "--input", "y=1", "--input", "w=10"),
+    "badd.tier": ("--unsafe-ok", "--input", "x=101", "--input", "y=1"),
+    "binary_add.tier": ("--input", "x=10", "--input", "y=11", "--input", "c=F"),
+    "exp.tier": ("--unsafe-ok", "--input", "x=11", "--input", "y=1"),
+    "intro_sync.tier": ("--input", "x=11", "--input", "y=1"),
+    "intro_zero.tier": ("--input", "x=11", "--input", "z=1"),
+    "mul.tier": ("--input", "x=11", "--input", "y=11"),
+    "shuffle.tier": ("--input", "x=101", "--input", "y=01"),
+    "spin.tier": ("--input", "x=1"),
+    "unsafe_loop.tier": ("--unsafe-ok", "--input", "secret=11", "--input", "out=1"),
+    "unsafe_subword.tier": ("--unsafe-ok", "--input", "x=1"),
+    "zrange.tier": ("--input", "x=11", "--input", "y=1"),
+    "zrange2.tier": ("--input", "x=111"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORE_INPUTS))
+def test_explore_json_matches_golden_output(name, fx, capsys):
+    # As for check: rewrite the file with ``tierlang explore FIXTURE INPUTS
+    # --json > golden/explore_json/...`` when the output changes on purpose.
+    code, out, _ = run_cli(capsys, "explore", fx(name), *EXPLORE_INPUTS[name], "--json")
+    golden = (GOLDEN / "explore_json" / name.replace(".tier", ".json")).read_bytes()
+    assert out.encode() == golden
+    assert code == (0 if json.loads(golden)["strongly_terminating"] else 1)
+
+
+def test_explore_text_matches_golden_output(fx, capsys):
+    code, out, _ = run_cli(capsys, "explore", fx("zrange.tier"), *EXPLORE_INPUTS["zrange.tier"])
+    assert code == 0
+    assert out.encode() == (GOLDEN / "explore_json" / "zrange.txt").read_bytes()
+
+
 # --- ni --------------------------------------------------------------------------
 
 

@@ -43,7 +43,7 @@ from tierlang.scheduling import (
     named_schedulers,
     run_with_scheduler,
 )
-from tierlang.semantics import DONE, ControlTable, StuckGuardError
+from tierlang.semantics import _CLOSURE_DEPTH, DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import command_tiers, maximal_safe_sigs
 from test_scheduling import StorePeek
@@ -82,6 +82,17 @@ thread branch {
   }
 }
 thread reset { x := zero(x) }
+"""
+
+# ``y``'s expression nests deeper than closures are compiled, so its
+# innermost calls are evaluated by ``eval_expr`` on the bindings of
+# whichever state steps it.
+DEEP_ASSIGN = f"""
+op add1 arity 1 class positive;
+op pred arity 1 class neutral;
+vars {{ x : 1; y : 0; }}
+thread a {{ y := {"add1(" * (_CLOSURE_DEPTH + 6)}x{")" * (_CLOSURE_DEPTH + 6)} }}
+thread b {{ x := pred(x); x := pred(x) }}
 """
 
 # A loop whose period changes the store: y flips and flips back.
@@ -191,7 +202,9 @@ def table_sequential(store, cmd, fuel):
     table = ControlTable((cmd,))
     slot, steps, loops, trace = table.roots[0], 0, 0, []
     while cmd is not None and steps < fuel:
-        store, slot, rule, assigned = table.step(slot, store)
+        slot, rule, assigned = table.step(slot, store._bindings)
+        if assigned is not None:
+            store = store.bind(*assigned)
         cmd = None if slot == DONE else table.commands[slot]
         steps += 1
         loops += rule == "while-tt"
@@ -213,17 +226,21 @@ def drop_step_residuals(result):
     return (*fields, [entry[:-1] for entry in trace])
 
 
-def reference_explore(store, program):
+def reference_explore(store, program, max_steps=200, max_states=200_000):
     """The exploration report of a breadth-first walk keyed on (store, pool
-    of residual commands).  Cycles and the longest terminating counts come
-    from peeling sinks off the recorded graph (Kahn's algorithm on the
+    of residual commands), one level of depth at a time.  A node at depth
+    ``max_steps`` that has not terminated is not expanded, and a new node
+    beyond ``max_states`` is dropped with its edge; either leaves the walk
+    incomplete.  Cycles and the longest terminating counts come from
+    peeling sinks off the recorded graph (Kahn's algorithm on the
     reversed edges): a node is peeled once all its successors are, and
     nodes left unpeeled lie on or lead into a cycle."""
     root = (store, tuple(program.threads))
     seen = {root}
     frontier = [root]
     edges = {}  # state -> [(successor, loop increment)], one per move
-    terminal, stuck = set(), 0
+    terminal, stuck, cut = set(), 0, False
+    level = 0
     while frontier:
         nxt = []
         for node in frontier:
@@ -231,6 +248,9 @@ def reference_explore(store, program):
             if not pool:
                 terminal.add(node)
             moves = edges[node] = []
+            if pool and level >= max_steps:
+                cut = True
+                continue
             got_stuck = False
             for i, (tid, cmd) in enumerate(pool):
                 try:
@@ -242,12 +262,16 @@ def reference_explore(store, program):
                 if out.residual is not None:
                     rest = pool[:i] + ((tid, out.residual),) + pool[i + 1:]
                 key = (out.store, rest)
-                moves.append((key, out.loop_increment))
                 if key not in seen:
+                    if len(seen) >= max_states:
+                        cut = True
+                        continue
                     seen.add(key)
                     nxt.append(key)
+                moves.append((key, out.loop_increment))
             stuck += got_stuck
         frontier = nxt
+        level += 1
     waiting = {node: len(moves) for node, moves in edges.items()}
     preds = {node: [] for node in edges}
     for node, moves in edges.items():
@@ -276,7 +300,7 @@ def reference_explore(store, program):
         max_steps_terminating=best[0],
         max_loops_terminating=best[1],
         cycle_found=cycle,
-        complete=not stuck,
+        complete=not (stuck or cut),
         visited_states=len(seen),
         stuck_states=stuck,
     )
@@ -286,7 +310,7 @@ def reference_explore(store, program):
 
 
 def fixture_program(name):
-    inline = {"head_guards": HEAD_GUARDS, "flip": FLIP}
+    inline = {"head_guards": HEAD_GUARDS, "flip": FLIP, "deep_assign": DEEP_ASSIGN}
     return parse(inline[name]).program() if name in inline else load_source(name).program()
 
 
@@ -337,18 +361,31 @@ def test_compiled_machines_match_reference_loop(name):
 
 @pytest.mark.parametrize(
     "name", ["add.tier", "zrange.tier", "zrange2.tier", "shuffle.tier", "intro_sync.tier",
-             "spin.tier", "unsafe_loop.tier", "head_guards"],
+             "spin.tier", "unsafe_loop.tier", "head_guards", "deep_assign"],
 )
 def test_explore_matches_reference_walk(name):
     program = fixture_program(name)
-    stuck_seen = cycles_seen = 0
-    for store in random_stores(program, 11, 6):
+    stores = list(random_stores(program, 11, 6))
+    # Explored states leave out a binding the program never mentions;
+    # the terminal stores must still carry it.
+    assert "unmentioned" not in free_vars(program)
+    stores.append(Store([*stores[0].items(), ("unmentioned", "10")]))
+    stuck_seen = cycles_seen = cut = 0
+    for store in stores:
         report = explore(store, program)
         assert report == reference_explore(store, program), store
         stuck_seen += report.stuck_states
         cycles_seen += report.cycle_found
+        for caps in ({"max_steps": 0}, {"max_steps": 1}, {"max_steps": 3},
+                     {"max_states": 1}, {"max_states": 7}, {"max_states": 50}):
+            capped_report = explore(store, program, **caps)
+            assert capped_report == reference_explore(store, program, **caps), (store, caps)
+            cut += capped_report.visited_states < report.visited_states
+    assert all(Store.of(unmentioned="10") == s.restrict(["unmentioned"])
+               for s in explore(stores[-1], program).terminal_stores)
     assert (stuck_seen > 0) == (name == "head_guards")
     assert (cycles_seen > 0) == (name in ("intro_sync.tier", "spin.tier"))
+    assert cut > 0
 
 
 def test_stuck_guard_reports_the_guard_command():

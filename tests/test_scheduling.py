@@ -18,6 +18,7 @@ from tierlang import (
     word_literal,
 )
 from tierlang.fixtures import load_source
+from tierlang.lang import free_vars
 from tierlang.semantics import DONE, ControlTable
 from tierlang.scheduling import (
     Choices,
@@ -43,9 +44,21 @@ def program_table(program):
     return ControlTable(cmd for _, cmd in program.threads)
 
 
+def step_root(table, program, store, index):
+    """Step thread ``index`` of the program's flat root state from
+    ``store``: the store and the slots of the new state, and the rule."""
+    names = sorted(free_vars(program))
+    where = {name: i for i, name in enumerate(names)}
+    words = tuple(map(store.lookup, names))
+    bindings = {name: word for name, word in zip(names, words) if word}
+    state, rule = step_global(table, where, words + table.roots, bindings, index)
+    return Store(zip(names, state)), state[len(names):], rule
+
+
 def test_step_global_removes_finished_thread():
-    table = program_table(Program.of({"solo": Assign("y", Var("x"))}))
-    store, slots, rule = step_global(table, Store.of(x="1"), table.roots, 0)
+    program = Program.of({"solo": Assign("y", Var("x"))})
+    table = program_table(program)
+    store, slots, rule = step_root(table, program, Store.of(x="1"), 0)
     assert rule == "assign"
     assert store == Store.of(x="1", y="1")
     assert slots == (DONE,)
@@ -54,7 +67,7 @@ def test_step_global_removes_finished_thread():
 def test_step_global_counts_loop_unfoldings():
     program = zrange_program()
     table = program_table(program)
-    _, slots, rule = step_global(table, Store.of(x="1", y="1"), table.roots, 0)
+    _, slots, rule = step_root(table, program, Store.of(x="1", y="1"), 0)
     assert program.thread_ids() == ("bump", "wipe")
     assert rule == "while-tt"
     assert slots[1] == table.roots[1]

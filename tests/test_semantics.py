@@ -38,7 +38,9 @@ def step(store, cmd):
     residual command (``None`` once it terminated), the rule and the
     assignment made."""
     table = ControlTable((cmd,))
-    store, slot, rule, assigned = table.step(table.roots[0], store)
+    slot, rule, assigned = table.step(table.roots[0], store._bindings)
+    if assigned is not None:
+        store = store.bind(*assigned)
     return store, None if slot == DONE else table.commands[slot], rule, assigned
 
 
