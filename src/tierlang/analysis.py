@@ -32,7 +32,6 @@ from .lang import (
     Store,
     Tier,
     Word,
-    free_vars,
     is_truth_value,
     subword,
 )
@@ -45,7 +44,7 @@ from .scheduling import (
     random_equiv_stores,
     run_with_scheduler,
 )
-from .semantics import DONE, ControlTable
+from .semantics import DONE
 from .typecheck import BOTH_TIERS, SigEnv, TierTable, _tier_table
 
 TierEnv = Mapping[str, Tier]
@@ -163,15 +162,14 @@ def ni_suite(
     the given bounds.
     """
     rng = random.Random(seed)
-    variables = sorted(free_vars(program))
-    table = ControlTable(cmd for _, cmd in program.threads)
+    variables = program.table.variables
     if mode == "scheduler":
         if scheduler is None:
             raise ValueError("scheduler mode needs a scheduler")
         for trial in range(trials):
             a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-            run_a = run_with_scheduler(a, program, scheduler, fuel, table=table)
-            run_b = run_with_scheduler(b, program, scheduler, fuel, table=table)
+            run_a = run_with_scheduler(a, program, scheduler, fuel)
+            run_b = run_with_scheduler(b, program, scheduler, fuel)
             failure = _compare_runs(gamma, run_a, run_b, trial)
             if failure is not None:
                 return NiReport(False, trial + 1, mode, scheduler.name, failure)
@@ -180,9 +178,8 @@ def ni_suite(
         raise ValueError(f"unknown mode {mode!r}")
     for trial in range(trials):
         a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-        failure = _compare_explorations(
-            program, table, gamma, a, b, trial, explore_max_steps, explore_max_states
-        )
+        failure = _compare_explorations(program, gamma, a, b, trial, explore_max_steps,
+                                        explore_max_states)
         if failure is not None:
             return NiReport(False, trial + 1, mode, None, failure)
     return NiReport(True, trials, mode, None)
@@ -196,7 +193,6 @@ def _outcome_set(
 
 def _compare_explorations(
     program: Program,
-    table: ControlTable,
     gamma: TierEnv,
     a: Store,
     b: Store,
@@ -204,8 +200,8 @@ def _compare_explorations(
     max_steps: int,
     max_states: int,
 ) -> NiFailure | None:
-    rep_a = explore(a, program, max_steps, max_states, table=table)
-    rep_b = explore(b, program, max_steps, max_states, table=table)
+    rep_a = explore(a, program, max_steps, max_states)
+    rep_b = explore(b, program, max_steps, max_states)
     if not (rep_a.complete and rep_b.complete):
         return NiFailure(
             trial, "fuel", "exploration did not close within bounds; raise them for this program"
@@ -360,7 +356,7 @@ def tier_preservation(
     its slot's distance from the thread's root.  ``store`` does not
     affect the result.
     """
-    table = ControlTable(cmd for _, cmd in program.threads)
+    table = program.table
     tids = program.thread_ids()
     # Residuals are built from nodes the control table keeps alive, so
     # one tier table serves every slot and types each distinct node once.
@@ -447,11 +443,10 @@ def measure_growth(
     A fuel-exhausted run is recorded with the counts reached so far and
     ``fuel_hit`` set, so a diverging program still produces a table.
     """
-    table = ControlTable(cmd for _, cmd in program.threads)
     rows = []
     for n in sizes:
         store = Store(dict(input_gen(n)))
-        run = run_with_scheduler(store, program, scheduler, fuel, table=table)
+        run = run_with_scheduler(store, program, scheduler, fuel)
         rows.append(GrowthRow(n, run.loops, run.steps, not run.finished))
     return GrowthTable(tuple(rows))
 

@@ -30,7 +30,6 @@ from .scheduling import (
     named_schedulers,
     run_with_scheduler,
 )
-from .semantics import ControlTable
 from .tm import TMFormatError, compile_tm, parse_tm, simulate_tm
 from .typecheck import CheckReport, check_program, infer_tiers
 
@@ -43,8 +42,8 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as err:
-        raise CliError(f"cannot read {path}: {err.strerror or err}") from err
+    except (OSError, UnicodeDecodeError) as err:
+        raise CliError(f"cannot read {path}: {getattr(err, 'strerror', None) or err}") from err
 
 
 def _write_file(path: str, text: str) -> None:
@@ -416,7 +415,6 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
     up to ``max_len``; returns the input count or a mismatch message."""
     spec = compiled.spec
     program = compiled.source.program()  # the one thread ``machine``
-    table = ControlTable(cmd for _, cmd in program.threads)
     scheduler = FirstAlive()  # never asked: a lone thread's choices are forced
     inputs: list[str] = [""]
     frontier = [""]
@@ -427,9 +425,7 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
         expected = simulate_tm(spec, word)
         if not expected.halted:
             return f"machine does not halt on {word!r} within the simulator budget"
-        run = run_with_scheduler(
-            Store({compiled.input_var: word}), program, scheduler, fuel=10_000_000, table=table
-        )
+        run = run_with_scheduler(Store({compiled.input_var: word}), program, scheduler, 10_000_000)
         if not run.finished:
             return f"compiled program ran out of fuel on {word!r}"
         got = run.store.lookup(compiled.output_var)

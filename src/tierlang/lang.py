@@ -13,8 +13,12 @@ used as keys during state-space exploration.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from .semantics import ControlTable
 
 Word = str
 
@@ -322,7 +326,8 @@ class Program:
     """A finite set of named threads, each a command over the shared store.
 
     Threads are kept sorted by name so that equal programs compare equal
-    regardless of construction order.
+    regardless of construction order.  ``table`` is the program's one
+    ``ControlTable``, built the first time a run or walk asks for it.
     """
 
     threads: tuple[tuple[str, Command], ...]
@@ -341,6 +346,12 @@ class Program:
     @classmethod
     def single(cls, command: Command, tid: str = "main") -> Program:
         return cls(((tid, command),))
+
+    @functools.cached_property
+    def table(self) -> ControlTable:
+        from .semantics import ControlTable  # it imports this module
+
+        return ControlTable(cmd for _, cmd in self.threads)
 
     def thread_ids(self) -> tuple[str, ...]:
         return tuple(tid for tid, _ in self.threads)

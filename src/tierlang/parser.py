@@ -139,6 +139,16 @@ def _tokenize(text: str) -> list[tuple]:
     return tokens
 
 
+def alphabet_letter(text: str) -> bool:
+    """Whether ``text`` can be a letter of an ``alphabet`` header: one
+    character that reads as an identifier or digits token."""
+    try:
+        tokens = _tokenize(text)
+    except ParseError:
+        return False
+    return len(text) == 1 and len(tokens) == 2 and tokens[-1][0] in ("ident", "digits")
+
+
 @dataclass(frozen=True)
 class OpDecl:
     """A header line declaring an operator's arity, class, and optional
@@ -253,8 +263,8 @@ class _Parser:
         self.expect("alphabet")
         letters: list[str] = []
         while not self.at(";"):
-            kind, text = self.peek()[:2]
-            if kind not in ("ident", "digits") or len(text) != 1:
+            text = self.peek()[1]
+            if not alphabet_letter(text):
                 raise self.fail("alphabet letters are single characters separated by spaces")
             if text in letters:
                 raise self.fail(f"duplicate alphabet letter {text!r}")

@@ -1,8 +1,8 @@
 """Multi-threaded execution: global steps, schedulers, and exploration.
 
 A global configuration is a shared store plus one control slot per
-thread.  The slots index a ``ControlTable`` built from the program's
-threads (see ``semantics``): the table hash-conses every residual
+thread.  The slots index ``Program.table``, the program's one
+``ControlTable`` (see ``semantics``), which hash-conses every residual
 command, so a configuration is a store and a tuple of small ints, and
 a thread whose slot is ``DONE`` has terminated.  One global step picks
 a live thread and advances it one atomic step.  The ``loops`` counter
@@ -28,8 +28,8 @@ result is the one stepping to the bound would give, field for field.
 
 ``explore`` enumerates every interleaving up to bounded depth, memoizing
 on flat states: one tuple holding the words of the program's free
-variables in sorted order, then one slot per thread.  The program never
-reads or writes any other variable, and structurally equal residuals
+variables (``table.variables``), then one slot per thread.  The program
+never reads or writes any other variable, and structurally equal residuals
 share a slot, so this is the same as memoizing on the store and the
 pool of residual commands; ``Store`` objects are built only for the
 terminal states.  A configuration revisited along one path is a cycle,
@@ -46,8 +46,10 @@ from dataclasses import dataclass, field
 from itertools import chain, repeat
 from typing import Iterable
 
-from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word, free_vars
+from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
+
+TRACE_CAP = 10_000  # the most steps a kept trace records
 
 
 def step_global(
@@ -235,24 +237,19 @@ def run_with_scheduler(
     scheduler: Scheduler,
     fuel: int = 100_000,
     keep_trace: bool = False,
-    trace_cap: int = 10_000,
-    *,
-    table: ControlTable | None = None,
 ) -> ScheduledRun:
     """Drive the pool with the scheduler until it empties or fuel runs out.
 
     Once one thread is left every choice is forced, so the scheduler is
     not asked again: its state stays as it was, and the run keeps a count
-    of the forced steps instead of one id per step.  Callers that run one
-    program many times pass a shared ``table``; otherwise each call
-    builds its own.  Under a pure scheduler a run that revisits a
-    configuration skips ahead by whole periods; steps, loops, choices and
-    trace are those of stepping to the fuel bound.
+    of the forced steps instead of one id per step.  Under a pure
+    scheduler a run that revisits a configuration skips ahead by whole
+    periods; steps, loops, choices and trace (its first ``TRACE_CAP``
+    steps) are those of stepping to the fuel bound.
     """
-    if table is None:
-        table = ControlTable(cmd for _, cmd in program.threads)
+    table = program.table
     live = program.thread_ids()
-    slots = {tid: table.root(cmd) for tid, cmd in program.threads}
+    slots = dict(zip(live, table.roots))
     state = scheduler.fresh_state()
     steps = 0
     loops = 0
@@ -287,7 +284,7 @@ def run_with_scheduler(
             live = tuple(t for t in live if t != tid)
         else:
             slots[tid] = slot
-        if keep_trace and len(trace) < trace_cap:
+        if keep_trace and len(trace) < TRACE_CAP:
             trace.append(GlobalTraceStep(steps, tid, rule, loops, assigned, store))
         if not (mark and rule == UNFOLD):
             continue
@@ -306,12 +303,12 @@ def run_with_scheduler(
                 # from the checkpoint on is one period.
                 cycle = trace[start:]
                 for shift in range(1, repeats + 1):
-                    if len(trace) >= trace_cap:
+                    if len(trace) >= TRACE_CAP:
                         break
                     trace += (
                         GlobalTraceStep(e.index + shift * period, e.thread, e.rule,
                                         e.loops + shift * gained, e.assigned, e.store)
-                        for e in cycle[: trace_cap - len(trace)]
+                        for e in cycle[: TRACE_CAP - len(trace)]
                     )
             steps += repeats * period
             loops += repeats * gained
@@ -396,29 +393,24 @@ def explore(
     program: Program,
     max_steps: int = 200,
     max_states: int = 200_000,
-    *,
-    table: ControlTable | None = None,
 ) -> ExplorationReport:
     """Enumerate all interleavings, memoizing on flat states.
 
     A state is one tuple: the words of the program's free variables in
     sorted order, then one slot per thread.  Bindings of ``store`` to
     other variables are never read or written, so they are left out of
-    the states and put back into the terminal stores.  Callers that
-    explore one program many times pass a shared ``table``; otherwise
-    each call builds its own.
+    the states and put back into the terminal stores.
 
     A breadth-first pass builds the state graph within the caps; one
     depth-first pass from the root then looks for a cycle and, if there
     is none, takes the longest terminating counts."""
-    if table is None:
-        table = ControlTable(cmd for _, cmd in program.threads)
-    names = sorted(free_vars(program))
+    table = program.table
+    names = table.variables
     where = {name: i for i, name in enumerate(names)}
     offset = len(names)
     threads = range(len(program.threads))
     finished = (DONE,) * len(program.threads)
-    root = (*map(store.lookup, names), *(table.root(cmd) for _, cmd in program.threads))
+    root = (*map(store.lookup, names), *table.roots)
     # The node list doubles as the breadth-first queue: node ``nid`` is
     # expanded once every node before it has been.
     nodes: list[tuple] = [root]
@@ -583,12 +575,10 @@ def quietness_test(
     stores (safe programs).
     """
     rng = random.Random(seed)
-    variables = sorted(free_vars(program))
-    table = ControlTable(cmd for _, cmd in program.threads)
     for trial in range(trials):
-        a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-        run_a = run_with_scheduler(a, program, scheduler, fuel, table=table)
-        run_b = run_with_scheduler(b, program, scheduler, fuel, table=table)
+        a, b = random_equiv_stores(gamma, program.table.variables, rng, alphabet, max_len)
+        run_a = run_with_scheduler(a, program, scheduler, fuel)
+        run_b = run_with_scheduler(b, program, scheduler, fuel)
         for i, (ca, cb) in enumerate(zip(run_a.choices, run_b.choices)):
             if ca != cb:
                 return QuietnessReport(False, trial + 1, scheduler.name, (trial, i, ca, cb))

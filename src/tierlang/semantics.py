@@ -20,8 +20,9 @@ lookup plus one operator call.  A step reads a store's bindings and
 returns the assignment to make, which each caller writes into its own
 state representation.  The same table lists each slot's
 successors for questions that range over every store at once, such as
-subject reduction.  ``scheduling.run_with_scheduler`` drives every run;
-one command runs as a one-thread ``Program.single``.
+subject reduction.  A program builds its table on first use, as
+``Program.table``, and every later run, exploration and walk of it
+reuses that table; one command runs as a one-thread ``Program.single``.
 """
 
 from __future__ import annotations
@@ -144,11 +145,9 @@ class ControlTable:
     Slots are numbered children first and filled in on demand, the
     first time a run steps them.
 
-    ``roots[i]`` is the slot of the i-th command and ``commands[s]``
-    rebuilds slot ``s`` (the first structurally equal node seen); the
-    table keeps every node under ``commands`` alive.  One table serves
-    any number of runs: ``root`` gives the slot of a command, adding it
-    first if the table has not seen it.
+    ``roots[i]`` is the slot of the i-th command, ``variables`` lists
+    the names the commands read or assign, sorted, and ``commands[s]``
+    rebuilds slot ``s`` (the first structurally equal node seen).
     """
 
     def __init__(self, commands: Iterable[Command]):
@@ -156,27 +155,17 @@ class ControlTable:
         self._entries: list[_Entry | None] = []
         self._slots: dict[tuple, int] = {}
         self._exprs: dict[object, int] = {}  # expression key -> expression id
-        # id() -> slot (or expression id) for every node reachable from a
-        # command given to ``root`` (the constructor's included) or from
-        # ``self.commands``; both are kept alive, so no id is reused.
+        # id() -> slot (or expression id) for every node seen.  Once the
+        # roots are interned only nodes under ``self.commands``, which the
+        # table keeps alive, are looked up, so a freed id is never read.
         self._known: dict[int, int] = {}
-        self._trees: list[Command] = []
-        self.roots = tuple(self.root(cmd) for cmd in commands)
-
-    def root(self, cmd: Command) -> int:
-        """The slot of ``cmd``; a command the table has not seen is
-        interned and kept alive, so its ids stay valid."""
-        slot = self._known.get(id(cmd))
-        if slot is None:
-            self._trees.append(cmd)
-            slot = self._intern_tree(cmd)
-        return slot
+        commands = tuple(commands)
+        names: set[str] = set()
+        self.roots = tuple(self._intern_tree(cmd, names) for cmd in commands)
+        self.variables = tuple(sorted(names))
 
     def _intern(self, node: Command) -> int:
         """The slot of a node whose children are known."""
-        slot = self._known.get(id(node))
-        if slot is not None:
-            return slot
         known = self._known
         if isinstance(node, Seq):
             key: tuple = (Seq, known[id(node.first)], known[id(node.second)])
@@ -205,7 +194,8 @@ class ControlTable:
             key = node.name
         return self._exprs.setdefault(key, len(self._exprs))
 
-    def _intern_tree(self, root: Command) -> int:
+    def _intern_tree(self, root: Command, names: set[str]) -> int:
+        """The slot of ``root``; adds the names it reads or assigns to ``names``."""
         known = self._known
         stack: list[tuple[Command | Expr, bool]] = [(root, False)]
         while stack:
@@ -224,9 +214,12 @@ class ControlTable:
             elif isinstance(node, While):
                 stack += ((node.body, False), (node.guard, False))
             elif isinstance(node, Assign):
+                names.add(node.var)
                 stack.append((node.expr, False))
             elif isinstance(node, OpCall):
                 stack += ((arg, False) for arg in reversed(node.args))
+            elif isinstance(node, Var):
+                names.add(node.name)
         return known[id(root)]
 
     def _compile(self, slot: int) -> _Entry:

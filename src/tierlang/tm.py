@@ -39,7 +39,7 @@ from .lang import (
     word_literal,
 )
 from .ops import OPERATORS
-from .parser import OpDecl, SourceFile
+from .parser import OpDecl, SourceFile, alphabet_letter
 
 Move = str  # "R" | "L"
 TransitionKey = tuple[str, str]  # (state, read letter)
@@ -74,6 +74,9 @@ class TMSpec:
                 raise TMFormatError("tape letters T and F collide with the truth words")
         if len(self.blank) != 1 or self.blank in self.alphabet or self.blank in ("T", "F"):
             raise TMFormatError("the blank must be a fresh single character")
+        for letter in (*self.alphabet, self.blank):
+            if not alphabet_letter(letter):
+                raise TMFormatError(f"tape letter {letter!r} cannot be spelled in a .tier alphabet")
         if self.init not in self.states:
             raise TMFormatError(f"initial state {self.init!r} is not a state")
         if not self.halting <= set(self.states):

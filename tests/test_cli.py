@@ -11,7 +11,7 @@ import pytest
 import tierlang
 from tierlang import parse
 from tierlang.cli import main
-from tierlang.fixtures import REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
+from tierlang.fixtures import MACHINE_FIXTURES, REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -516,6 +516,35 @@ def test_tm_compile_rejects_malformed_machines(tmp_path, capsys):
     code, _, err = run_cli(capsys, "tm-compile", str(path))
     assert code == 2
     assert "missing sections" in err
+
+
+@pytest.mark.parametrize("blank", [False, True], ids=["letter", "blank"])
+def test_tm_compile_refuses_letters_a_tier_file_cannot_spell(tmp_path, capsys, blank):
+    path = tmp_path / "dash.tm"
+    header = "alphabet 0\nblank -\n" if blank else "alphabet 0 -\n"
+    deltas = "".join(f"delta s {c} -> h {c} R\n" for c in "0-B")
+    path.write_text(f"states s h\n{header}init s\nhalt h\nclock 1\n{deltas}")
+    code, out, err = run_cli(capsys, "tm-compile", str(path), "--verify-len", "2")
+    assert (code, out) == (2, "")
+    assert "tape letter '-' cannot be spelled in a .tier alphabet" in err
+
+
+@pytest.mark.parametrize("name", MACHINE_FIXTURES)
+def test_tm_compile_output_of_each_bundled_machine_checks(fx, tmp_path, capsys, name):
+    path = tmp_path / "out.tier"
+    # busy.tm never halts, so the simulator cannot verify it.
+    verify = [] if name == "busy.tm" else ["--verify-len", "2"]
+    assert run_cli(capsys, "tm-compile", fx(name), *verify, "-o", str(path))[0] == 0
+    assert run_cli(capsys, "check", str(path))[0] == 0
+
+
+@pytest.mark.parametrize("command, name", [("check", "b.tier"), ("tm-compile", "b.tm")])
+def test_input_that_is_not_utf8_is_a_read_error(tmp_path, capsys, command, name):
+    path = tmp_path / name
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff")
 
 
 # --- whole-pipeline determinism ----------------------------------------------------

@@ -22,8 +22,8 @@ from tierlang import (
     parse,
     seq_all,
 )
-from tierlang import typecheck
-from tierlang.analysis import tier_preservation
+from tierlang import lang, scheduling, typecheck
+from tierlang.analysis import measure_growth, ni_suite, tier_preservation
 from tierlang.fixtures import (
     MACHINE_FIXTURES,
     REJECTED_FIXTURES,
@@ -41,11 +41,12 @@ from tierlang.scheduling import (
     SeededRandom,
     explore,
     named_schedulers,
+    quietness_test,
     run_with_scheduler,
 )
 from tierlang.semantics import _CLOSURE_DEPTH, DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
-from tierlang.typecheck import command_tiers, maximal_safe_sigs
+from tierlang.typecheck import build_sig_env, command_tiers, maximal_safe_sigs
 from test_scheduling import StorePeek
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
@@ -179,8 +180,8 @@ def reference_scheduled(store, program, scheduler, fuel):
     return store, Program(tuple(pool.items())), steps, loops, not pool, tuple(choices), trace
 
 
-def table_scheduled(store, program, scheduler, fuel, trace_cap):
-    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True, trace_cap=trace_cap)
+def table_scheduled(store, program, scheduler, fuel):
+    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True)
     trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
     return run.store, run.residual, run.steps, run.loops, run.finished, tuple(run.choices), trace
 
@@ -320,7 +321,7 @@ def capped(result, cap):
 
 
 @pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "flip"))
-def test_scheduled_runs_match_reference_loop(name):
+def test_scheduled_runs_match_reference_loop(name, monkeypatch):
     # 1501 is no multiple of any period, and a cap of 333 cuts the trace
     # off inside one, so runs that skip periods must stop where stepping
     # would.
@@ -329,10 +330,11 @@ def test_scheduled_runs_match_reference_loop(name):
     for scheduler in schedulers:
         for fuel, cap, count in ((25, 10_000, 4), (400, 10_000, 4), (1500, 10_000, 2),
                                  (1501, 333, 2)):
+            monkeypatch.setattr(scheduling, "TRACE_CAP", cap)
             for store in random_stores(program, sum(map(ord, name)) + fuel, count):
                 want = outcome(lambda: capped(
                     reference_scheduled(store, program, scheduler, fuel), cap))
-                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel, cap))
+                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
                 assert got == want, (name, scheduler.name, fuel, store)
 
 
@@ -488,18 +490,45 @@ def test_tier_preservation_types_each_node_once(monkeypatch):
     assert (calls, len(looked_up)) == (121, 121)
 
 
-def test_one_table_serves_runs_of_several_programs():
-    zrange, spin = load_source("zrange.tier").program(), load_source("spin.tier").program()
-    table = ControlTable(cmd for _, cmd in zrange.threads)
-    roots = table.roots
-    for program, store in ((zrange, Store.of(x="11", y="1")), (spin, Store.of(x="1")),
-                           (zrange, Store.of(x="1", y="111"))):
-        fresh = run_with_scheduler(store, program, RoundRobin(), fuel=300, keep_trace=True)
-        shared = run_with_scheduler(store, program, RoundRobin(), fuel=300, keep_trace=True,
-                                    table=table)
-        assert shared == fresh
-    assert table.roots == roots
-    assert table.commands[table.root(spin.command("spinner"))] == spin.command("spinner")
+def test_a_program_builds_one_control_table(monkeypatch):
+    built = []
+    init = ControlTable.__init__
+
+    def counting(self, commands):
+        built.append(self)
+        init(self, commands)
+
+    monkeypatch.setattr(ControlTable, "__init__", counting)
+    source = load_source("zrange.tier")
+    program, gamma = source.program(), source.annotations()
+    sig_env, _ = build_sig_env(source, default_registry())
+    for _ in range(2):
+        run_with_scheduler(Store.of(x="11", y="1"), program, RoundRobin(), fuel=300)
+        explore(Store.of(x="1", y="11"), program)
+        for mode in ("scheduler", "explore"):
+            ni_suite(program, gamma, RoundRobin(), trials=3, max_len=3, mode=mode)
+        quietness_test(RoundRobin(), program, gamma, trials=3, max_len=3)
+        measure_growth(program, lambda n: {"x": "1" * n, "y": "1"}, [1, 2, 3], RoundRobin())
+        tier_preservation(Store(), program, gamma, sig_env)
+    assert built == [program.table]
+
+
+def test_explorations_read_the_table_for_the_free_variables(monkeypatch):
+    source = load_source("zrange.tier")
+    program, gamma = source.program(), source.annotations()
+    assert program.table.variables == tuple(sorted(free_vars(program))) == ("x", "y", "z")
+    walked = []
+    walk = lang.walk
+
+    def counting(node):
+        walked.append(node)
+        return walk(node)
+
+    monkeypatch.setattr(lang, "walk", counting)
+    explore(Store.of(x="1", y="11"), program)
+    for mode in ("scheduler", "explore"):
+        ni_suite(program, gamma, RoundRobin(), trials=3, max_len=3, mode=mode)
+    assert walked == []
 
 
 # --- skipping the periods of a repeating run ------------------------------------------

@@ -19,7 +19,7 @@ from tierlang import (
 )
 from tierlang.fixtures import load_source
 from tierlang.lang import free_vars
-from tierlang.semantics import DONE, ControlTable
+from tierlang.semantics import DONE
 from tierlang.scheduling import (
     Choices,
     FirstAlive,
@@ -40,10 +40,6 @@ def zrange_program():
     return load_source("zrange.tier").program()
 
 
-def program_table(program):
-    return ControlTable(cmd for _, cmd in program.threads)
-
-
 def step_root(table, program, store, index):
     """Step thread ``index`` of the program's flat root state from
     ``store``: the store and the slots of the new state, and the rule."""
@@ -57,7 +53,7 @@ def step_root(table, program, store, index):
 
 def test_step_global_removes_finished_thread():
     program = Program.of({"solo": Assign("y", Var("x"))})
-    table = program_table(program)
+    table = program.table
     store, slots, rule = step_root(table, program, Store.of(x="1"), 0)
     assert rule == "assign"
     assert store == Store.of(x="1", y="1")
@@ -66,7 +62,7 @@ def test_step_global_removes_finished_thread():
 
 def test_step_global_counts_loop_unfoldings():
     program = zrange_program()
-    table = program_table(program)
+    table = program.table
     _, slots, rule = step_root(table, program, Store.of(x="1", y="1"), 0)
     assert program.thread_ids() == ("bump", "wipe")
     assert rule == "while-tt"

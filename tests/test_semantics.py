@@ -16,6 +16,7 @@ from tierlang import (
     run_with_scheduler,
     unary,
 )
+from tierlang import scheduling
 from tierlang.fixtures import load_source
 from tierlang.ops import UnknownOperatorError
 from tierlang.semantics import DONE, ControlTable, StuckGuardError
@@ -70,10 +71,9 @@ def adder_command():
     return load_source("add.tier").program().command("adder")
 
 
-def run_alone(store, cmd, fuel=100_000, trace_cap=10_000):
+def run_alone(store, cmd, fuel=100_000):
     """``cmd`` run alone, with its trace kept."""
-    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=True,
-                              trace_cap=trace_cap)
+    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=True)
 
 
 def test_add_rule_sequence_at_n2():
@@ -117,8 +117,9 @@ def test_fuel_runs_out():
     assert run.residual == Program.single(spin)  # 25 unfoldings, 25 skips
 
 
-def test_trace_cap_marks_incomplete():
-    run = run_alone(Store.of(x=unary(4)), adder_command(), trace_cap=5)
+def test_trace_cap_marks_incomplete(monkeypatch):
+    monkeypatch.setattr(scheduling, "TRACE_CAP", 5)
+    run = run_alone(Store.of(x=unary(4)), adder_command())
     assert run.finished
     assert len(run.trace) == 5
     assert [e.index for e in run.trace] == [1, 2, 3, 4, 5]

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from tierlang import ControlTable, FirstAlive, Store, parse, pretty, run_with_scheduler
+from tierlang import FirstAlive, Store, parse, pretty, run_with_scheduler
 from tierlang.fixtures import fixture_text
 from tierlang.tm import (
     TMFormatError,
@@ -63,6 +63,15 @@ BAD_MACHINES = {
 def test_malformed_machines_rejected(label):
     with pytest.raises(TMFormatError):
         parse_tm(BAD_MACHINES[label])
+
+
+# ``{`` is punctuation to the .tier tokenizer, which refuses the other three.
+@pytest.mark.parametrize("letter", ["-", ".", '"', "{"])
+@pytest.mark.parametrize("role", ["letter", "blank"])
+def test_tape_letters_must_be_spelled_in_tier_files(letter, role):
+    header = f"alphabet 0 {letter}\n" if role == "letter" else f"alphabet 0\nblank {letter}\n"
+    with pytest.raises(TMFormatError, match="cannot be spelled"):
+        parse_tm(f"states s h\n{header}init s\nhalt h\nclock 1\n")
 
 
 def test_input_letters_must_be_on_the_tape_alphabet(inc):
@@ -127,7 +136,6 @@ def test_left_moves_inside_the_tape():
     spec = parse_tm(WALK_BACK)
     compiled = compile_tm(spec)
     program = compiled.source.program()
-    table = ControlTable(cmd for _, cmd in program.threads)
     words = ["".join(letters) for n in range(7) for letters in itertools.product("01", repeat=n)]
     assert len(words) == 127
     for word in words:
@@ -135,8 +143,7 @@ def test_left_moves_inside_the_tape():
         closed_form = word[:-1] + {"0": "1", "1": "0"}[word[-1]] + "1" if word else "0"
         expected = simulate_tm(spec, word)
         assert expected.halted and expected.tape == closed_form, word
-        run = run_with_scheduler(Store.of(input=word), program, FirstAlive(), fuel=1_000_000,
-                                 table=table)
+        run = run_with_scheduler(Store.of(input=word), program, FirstAlive(), fuel=1_000_000)
         assert run.finished
         assert run.store.lookup(compiled.output_var) == closed_form, word
 
