@@ -513,6 +513,24 @@ def test_a_program_builds_one_control_table(monkeypatch):
     assert built == [program.table]
 
 
+def test_one_table_serves_runs_of_several_programs():
+    # Each program's one table serves all its runs, with runs of other
+    # programs in between, and they match runs on freshly built tables.
+    zrange, spin = load_source("zrange.tier").program(), load_source("spin.tier").program()
+    tables = (zrange.table, spin.table)
+    roots = tuple(table.roots for table in tables)
+    for name, program, store in (("zrange.tier", zrange, Store.of(x="11", y="1")),
+                                 ("spin.tier", spin, Store.of(x="1")),
+                                 ("zrange.tier", zrange, Store.of(x="1", y="111"))):
+        fresh = run_with_scheduler(store, load_source(name).program(), RoundRobin(), fuel=300,
+                                   keep_trace=True)
+        shared = run_with_scheduler(store, program, RoundRobin(), fuel=300, keep_trace=True)
+        assert shared == fresh
+    assert (zrange.table, spin.table) == tables
+    assert tuple(table.roots for table in tables) == roots
+    assert spin.table.commands[spin.table.roots[0]] == spin.command("spinner")
+
+
 def test_explorations_read_the_table_for_the_free_variables(monkeypatch):
     source = load_source("zrange.tier")
     program, gamma = source.program(), source.annotations()
