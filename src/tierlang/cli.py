@@ -30,8 +30,10 @@ from .scheduling import (
     named_schedulers,
     run_with_scheduler,
 )
+from .ops import OPERATORS
+from .semantics import StuckGuardError
 from .tm import TMFormatError, compile_tm, parse_tm, simulate_tm
-from .typecheck import CheckReport, check_program, infer_tiers
+from .typecheck import CheckReport, Diagnostic, check_program, infer_tiers, interpret
 
 
 class CliError(Exception):
@@ -112,9 +114,16 @@ def _emit_json(payload: dict) -> None:
 
 
 def _gate(source: SourceFile, unsafe_ok: bool, json_out: bool) -> tuple[CheckReport | None, int]:
-    """Type-check before running; rejected programs need --unsafe-ok."""
+    """Type-check before running; rejected programs need --unsafe-ok,
+    and none runs with an operator the library lacks at its arity."""
     report = check_program(source)
-    if report.safe or unsafe_ok:
+    if report.safe:
+        return report, 0
+    if unsafe_ok:
+        for decl in source.op_decls:
+            found = interpret(decl, OPERATORS)
+            if isinstance(found, Diagnostic):
+                raise CliError(f"{found}; --unsafe-ok cannot run it")
         return report, 0
     if not json_out:
         print("rejected: the program does not type-check (--unsafe-ok runs it anyway)")
@@ -536,6 +545,9 @@ def main(argv: list[str] | None = None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except StuckGuardError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

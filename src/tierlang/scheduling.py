@@ -23,8 +23,10 @@ A scheduler is *pure* when its choice is a function of the live ids,
 the store and an immutable state.  Under such a scheduler a run whose
 configuration ``(store, slots, scheduler state)`` repeats is periodic
 from then on, so ``run_with_scheduler`` finds the repeat with Brent's
-cycle detection and jumps whole periods towards the fuel bound.  The
-result is the one stepping to the bound would give, field for field.
+cycle detection and jumps whole periods towards the fuel bound; a run
+that keeps a trace jumps only once the trace holds ``TRACE_CAP`` steps,
+so every trace entry is a step the run took.  The result is the one
+stepping to the bound would give, field for field.
 
 ``explore`` enumerates every interleaving up to bounded depth, memoizing
 on flat states: one tuple holding the words of the program's free
@@ -244,8 +246,9 @@ def run_with_scheduler(
     not asked again: its state stays as it was, and the run keeps a count
     of the forced steps instead of one id per step.  Under a pure
     scheduler a run that revisits a configuration skips ahead by whole
-    periods; steps, loops, choices and trace (its first ``TRACE_CAP``
-    steps) are those of stepping to the fuel bound.
+    periods, and a run that keeps a trace does so only once the trace
+    holds its first ``TRACE_CAP`` steps; steps, loops, choices and trace
+    are those of stepping to the fuel bound.
     """
     table = program.table
     live = program.thread_ids()
@@ -288,7 +291,10 @@ def run_with_scheduler(
             trace.append(GlobalTraceStep(steps, tid, rule, loops, assigned, store))
         if not (mark and rule == UNFOLD):
             continue
-        if slots == saved[0] and state == saved[1] and store == saved[2]:
+        # A kept trace holds only steps taken: skip once it is full.
+        if slots == saved[0] and state == saved[1] and store == saved[2] and (
+            not keep_trace or len(trace) == TRACE_CAP
+        ):
             start, start_loops = saved[3], saved[4]
             period, gained = steps - start, loops - start_loops
             repeats = (fuel - steps) // period
@@ -298,18 +304,6 @@ def run_with_scheduler(
                 forced += repeats * period
             else:
                 skip = (start, len(choices), repeats)
-            if keep_trace:
-                # Below the cap the trace holds every step, so its tail
-                # from the checkpoint on is one period.
-                cycle = trace[start:]
-                for shift in range(1, repeats + 1):
-                    if len(trace) >= TRACE_CAP:
-                        break
-                    trace += (
-                        GlobalTraceStep(e.index + shift * period, e.thread, e.rule,
-                                        e.loops + shift * gained, e.assigned, e.store)
-                        for e in cycle[: TRACE_CAP - len(trace)]
-                    )
             steps += repeats * period
             loops += repeats * gained
             mark = 0

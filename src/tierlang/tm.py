@@ -15,8 +15,9 @@ steps on inputs of length ``n``; the compiled program executes
 ``2*n^k + 2`` step cascades, after which it rewinds the head so the
 whole tape ends up in ``Right``.  Once a machine halts, further cascades
 fall through without touching anything, so overshooting is harmless.
-``simulate_tm`` implements the same tape convention directly and is the
-oracle the compiler is tested against.
+``simulate_tm`` runs the machine on one tape and a head index instead of
+the compiled program's split tape, and is the independent oracle the
+compiler is tested against.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ TransitionValue = tuple[str, str, Move]  # (next state, written letter, move)
 
 class TMFormatError(ValueError):
     pass
+
+
+MAX_CLOCK_DEGREE = 1000  # compile_tm declares two counters per degree
 
 
 @dataclass(frozen=True)
@@ -83,6 +87,8 @@ class TMSpec:
             raise TMFormatError("halting states must be states")
         if self.clock_degree < 1:
             raise TMFormatError("clock degree must be at least 1")
+        if self.clock_degree > MAX_CLOCK_DEGREE:
+            raise TMFormatError(f"clock degree must be at most {MAX_CLOCK_DEGREE}")
         letters = (*self.alphabet, self.blank)
         for (state, read), (target, written, move) in self.transitions.items():
             if state not in self.states:
@@ -154,9 +160,12 @@ def parse_tm(text: str) -> TMSpec:
         elif keyword == "halt":
             halting = tuple(rest)
         elif keyword == "clock":
-            if len(rest) != 1 or not rest[0].isdigit():
+            if len(rest) != 1 or not rest[0].isdecimal():
                 raise TMFormatError(f"line {lineno}: clock takes one integer degree")
-            clock = int(rest[0])
+            try:
+                clock = int(rest[0])
+            except ValueError:  # more digits than int() converts, so above the limit
+                clock = MAX_CLOCK_DEGREE + 1
         elif keyword == "delta":
             if len(rest) != 6 or rest[2] != "->":
                 raise TMFormatError(
@@ -197,35 +206,27 @@ class TMResult:
 
 
 def simulate_tm(spec: TMSpec, word: Word, max_steps: int = 1_000_000) -> TMResult:
-    """Run the machine directly, mirroring the compiled tape convention.
+    """Run the machine directly on one tape and a head index.
 
-    The tape is two words: ``left`` reversed (position 0 next to the
-    head) and ``right`` starting at the head.  Blanks are materialized
-    only when written, and the head bounces in place at the left edge.
-    The reported tape is everything materialized: ``reverse(left) +
-    right``, with no blank stripping.
+    The tape holds the input; a head that steps past its end adds a
+    blank cell there, which the step then overwrites.  The head stays in
+    place when it moves left from cell 0.  The reported tape is every
+    materialized cell, with no blank stripping.
     """
     spec.validate_input(word)
-    left: Word = ""
-    right: Word = word
+    tape = list(word)
+    head = 0
     state = spec.init
     steps = 0
     while state not in spec.halting:
         if steps >= max_steps:
             return TMResult(False, None, steps)
-        read = right[0] if right else spec.blank
-        target, written, move = spec.transitions[(state, read)]
-        right = written + right[1:]
-        if move == "R":
-            left = right[0] + left
-            right = right[1:]
-        else:
-            if left:
-                right = left[0] + right
-                left = left[1:]
-        state = target
+        if head == len(tape):
+            tape.append(spec.blank)
+        state, tape[head], move = spec.transitions[(state, tape[head])]
+        head = head + 1 if move == "R" else max(head - 1, 0)
         steps += 1
-    return TMResult(True, left[::-1] + right, steps)
+    return TMResult(True, "".join(tape), steps)
 
 
 # --- compilation ---------------------------------------------------------------
@@ -342,15 +343,7 @@ def compile_tm(spec: TMSpec) -> CompiledProgram:
             step,
             step,
             _counting_nest(rew_counters, Seq(rewind, rewind)),
-            seq_all(
-                (
-                    Assign("rew_0", Var(INPUT_VAR)),
-                    While(
-                        _op("gt0", Var("rew_0")),
-                        Seq(Assign("rew_0", _op("sub1", Var("rew_0"))), rewind),
-                    ),
-                )
-            ),
+            _counting_nest(["rew_0"], rewind),
             rewind,
             rewind,
         )

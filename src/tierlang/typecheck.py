@@ -39,7 +39,7 @@ from .lang import (
     walk,
 )
 from .ops import OPERATORS, OperatorDef, Registry, UnknownOperatorError
-from .parser import Sig, SourceFile, pretty_expr, render_sig
+from .parser import OpDecl, Sig, SourceFile, pretty_expr, render_sig
 
 TierEnv = Mapping[str, Tier]
 SigEnv = Mapping[str, frozenset[Sig]]
@@ -115,6 +115,21 @@ def check_safe_sigs(sig_env: SigEnv) -> tuple[Diagnostic, ...]:
     return tuple(out)
 
 
+def interpret(decl: OpDecl, registry: Registry) -> OperatorDef | Diagnostic:
+    """The registry's operator for a declaration, or the ``operator``
+    diagnostic when the registry lacks its name or arity; a program with
+    such a declaration cannot run."""
+    try:
+        op = registry.resolve(decl.name)
+    except UnknownOperatorError:
+        why = "has no interpretation in the registry"
+    else:
+        if op.arity == decl.arity:
+            return op
+        why = f"declared with arity {decl.arity} but interpreted with arity {op.arity}"
+    return Diagnostic("operator", f"operator {decl.name!r} {why}", decl.span)
+
+
 def build_sig_env(
     source: SourceFile, registry: Registry
 ) -> tuple[dict[str, frozenset[Sig]], tuple[Diagnostic, ...]]:
@@ -127,38 +142,14 @@ def build_sig_env(
     env: dict[str, frozenset[Sig]] = {}
     diags: list[Diagnostic] = []
     for decl in source.op_decls:
-        try:
-            op = registry.resolve(decl.name)
-        except UnknownOperatorError:
-            diags.append(
-                Diagnostic(
-                    "operator",
-                    f"operator {decl.name!r} has no interpretation in the registry",
-                    decl.span,
-                )
-            )
+        op = interpret(decl, registry)
+        if isinstance(op, Diagnostic):
+            diags.append(op)
             continue
-        if op.arity != decl.arity:
-            diags.append(
-                Diagnostic(
-                    "operator",
-                    f"operator {decl.name!r} declared with arity {decl.arity} but "
-                    f"interpreted with arity {op.arity}",
-                    decl.span,
-                )
-            )
-            continue
-        declared_neutral = decl.klass == "neutral"
-        if declared_neutral != op.is_neutral:
+        if (decl.klass == "neutral") != op.is_neutral:
             actual = "neutral" if op.is_neutral else "positive"
-            diags.append(
-                Diagnostic(
-                    "operator",
-                    f"operator {decl.name!r} declared {decl.klass} but its "
-                    f"interpretation is {actual}",
-                    decl.span,
-                )
-            )
+            why = f"declared {decl.klass} but its interpretation is {actual}"
+            diags.append(Diagnostic("operator", f"operator {decl.name!r} {why}", decl.span))
             continue
         env[decl.name] = frozenset(decl.sigs) if decl.sigs is not None else maximal_safe_sigs(op)
     return env, tuple(diags)

@@ -154,6 +154,65 @@ def test_run_gates_on_the_type_check(fx, capsys):
     assert out.splitlines()[0] == "terminated after 7 steps, 2 loop iterations"
 
 
+# The checker accepts the guard ``pred(x)``, which is a word, not a truth value.
+STUCK_GUARD = (
+    "op pred arity 1 class neutral;\nvars { x : 1; }\nthread a { while (pred(x)) { skip } }\n"
+)
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["run", "--input", "x=1"], "''"),
+    (["ni", "--trials", "3"], "'T0FTT'"),
+    (["measure", "--scale", "x", "--sizes", "1:8"], "''"),
+], ids=["run", "ni", "measure"])
+def test_a_stuck_guard_is_one_error_line(tmp_path, capsys, argv, value):
+    path = tmp_path / "stuck.tier"
+    path.write_text(STUCK_GUARD)
+    assert run_cli(capsys, "check", str(path))[0] == 0
+    code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == f"error: guard evaluated to {value}, expected 'T' or 'F'\n"
+
+
+UNRUNNABLE = {
+    "unknown": (STUCK_GUARD.replace("pred", "foo"),
+                "operator 'foo' has no interpretation in the registry"),
+    "arity": (STUCK_GUARD.replace("arity 1", "arity 2").replace("pred(x)", "pred(x, x)"),
+              "operator 'pred' declared with arity 2 but interpreted with arity 1"),
+}
+GATED_COMMANDS = {
+    "run": ["--input", "x=1"],
+    "explore": ["--input", "x=1"],
+    "ni": ["--trials", "3"],
+    "measure": ["--scale", "x", "--sizes", "1:8"],
+}
+
+
+@pytest.mark.parametrize("case", UNRUNNABLE)
+@pytest.mark.parametrize("command", GATED_COMMANDS)
+def test_unsafe_ok_refuses_operators_the_library_cannot_run(tmp_path, capsys, command, case):
+    text, message = UNRUNNABLE[case]
+    path = tmp_path / "prog.tier"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, command, str(path), "--unsafe-ok", *GATED_COMMANDS[command])
+    assert (code, out) == (2, "")
+    assert err == f"error: operator at 1:1: {message}; --unsafe-ok cannot run it\n"
+
+
+@pytest.mark.parametrize("text", [
+    fixture_text("unsafe_loop.tier"),  # typing
+    fixture_text("unsafe_subword.tier"),  # signature
+    "op add1 arity 1 class neutral;\nvars { x : 1; }\nthread a { x := add1(x) }\n",  # class
+], ids=["typing", "signature", "class"])
+def test_unsafe_ok_runs_programs_the_checker_rejects(tmp_path, capsys, text):
+    path = tmp_path / "prog.tier"
+    path.write_text(text)
+    assert run_cli(capsys, "run", str(path))[0] == 1
+    code, out, _ = run_cli(capsys, "run", str(path), "--unsafe-ok", "--input", "x=1")
+    assert code == 0
+    assert out.startswith("terminated after ")
+
+
 def test_run_rejects_malformed_input_bindings(fx, capsys):
     code, _, err = run_cli(capsys, "run", fx("add.tier"), "--input", "bogus")
     assert code == 2
@@ -527,6 +586,13 @@ def test_tm_compile_refuses_letters_a_tier_file_cannot_spell(tmp_path, capsys, b
     code, out, err = run_cli(capsys, "tm-compile", str(path), "--verify-len", "2")
     assert (code, out) == (2, "")
     assert "tape letter '-' cannot be spelled in a .tier alphabet" in err
+
+
+def test_tm_compile_reports_a_machine_that_never_halts(fx, capsys):
+    code, out, err = run_cli(capsys, "tm-compile", fx("busy.tm"), "--verify-len", "0")
+    assert (code, out) == (1, "")
+    assert err == "mismatch against the simulator: machine does not halt on '' within the " \
+        "simulator budget\n"
 
 
 @pytest.mark.parametrize("name", MACHINE_FIXTURES)

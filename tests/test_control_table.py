@@ -576,6 +576,24 @@ def test_repeating_runs_skip_to_the_fuel_bound(scheduler, counted_steps):
     assert len(counted_steps) < 100
 
 
+@pytest.mark.parametrize("name", ["spin.tier", "flip"])
+def test_a_traced_run_skips_once_its_trace_is_full(name, monkeypatch, counted_steps):
+    # Every trace entry is a step the run took, and the run still skips
+    # the periods after the cap.
+    monkeypatch.setattr(scheduling, "TRACE_CAP", 50)
+    program = fixture_program(name)
+    store = Store.of(x="1")
+    traced = run_with_scheduler(store, program, RoundRobin(), fuel=1_000_001, keep_trace=True)
+    assert 50 <= len(counted_steps) <= scheduling.TRACE_CAP + 100
+    plain = run_with_scheduler(store, program, RoundRobin(), fuel=1_000_001)
+    assert (traced.store, traced.residual, traced.steps, traced.loops, traced.finished) == (
+        plain.store, plain.residual, plain.steps, plain.loops, plain.finished)
+    assert tuple(traced.choices) == tuple(plain.choices)
+    *_, want = reference_scheduled(store, program, RoundRobin(), fuel=50)
+    assert [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store)
+            for e in traced.trace] == want
+
+
 def test_skipped_periods_take_no_memory_for_their_choices():
     spin = load_source("spin.tier").program()
     tracemalloc.start()

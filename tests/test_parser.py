@@ -112,6 +112,28 @@ def test_header_validation():
     assert "arity" in bad("op f arity 2 class neutral sig 1->1;\nthread t { skip }").message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("alphabet 0;\nalphabet 1;\nthread t { skip }", "2:1: duplicate alphabet header"),
+    ("op pred arity 1 class neutral;\nop pred arity 1 class neutral;\nthread t { skip }",
+     "3:1: duplicate declaration of operator 'pred'"),
+    ("alphabet ;\nthread t { skip }", "2:1: alphabet header needs at least one letter"),
+    ('op "01" arity 0 class positive;\nthread t { skip }',
+     "1:4: word literals need no declaration"),
+    ("vars { x : 1; x : 0; }\nthread t { skip }", "1:15: duplicate tier annotation for 'x'"),
+    ("thread t { x := while }", "1:17: 'while' is a reserved word"),
+    ("op gt0 arity 1 class neutral;\nthread t { x := gt0() }",
+     "2:17: operator 'gt0' declared with arity 1, applied to 0 arguments"),
+], ids=["alphabet twice", "operator twice", "empty alphabet", "declared literal",
+        "annotation twice", "reserved expression", "zero-argument call"])
+def test_each_header_and_expression_error_is_reported(text, message):
+    assert str(bad(text)) == message
+
+
+def test_a_zero_argument_call_parses():
+    source = parse("op f arity 0 class neutral;\nthread t { x := f() }")
+    assert source.program().command("t") == Assign("x", OpCall("f", ()))
+
+
 def test_usage_validation():
     assert "not declared" in bad("thread t { x := mystery(x) }").message
     assert "arity" in bad(HEADER + "thread t { x := gt0(x, x) }").message

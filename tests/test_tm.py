@@ -4,9 +4,10 @@ import itertools
 
 import pytest
 
-from tierlang import FirstAlive, Store, parse, pretty, run_with_scheduler
+from tierlang import FirstAlive, Store, cli, parse, pretty, run_with_scheduler
 from tierlang.fixtures import fixture_text
 from tierlang.tm import (
+    MAX_CLOCK_DEGREE,
     TMFormatError,
     compile_tm,
     parse_tm,
@@ -63,6 +64,70 @@ BAD_MACHINES = {
 def test_malformed_machines_rejected(label):
     with pytest.raises(TMFormatError):
         parse_tm(BAD_MACHINES[label])
+
+
+GOOD_MACHINE = (
+    "states s h\nalphabet 0\ninit s\nhalt h\nclock 1\ndelta s 0 -> h 0 R\ndelta s B -> h 0 R\n"
+)
+
+# Each case edits GOOD_MACHINE once: (old text, new text, message).
+MACHINE_ERRORS = {
+    "no states": ("states s h", "states", "a machine needs at least one state"),
+    "duplicate states": ("states s h", "states s h s", "duplicate state names"),
+    "long letter": ("alphabet 0", "alphabet 01", "tape letters are single characters, got '01'"),
+    "truth letter": ("alphabet 0", "alphabet 0 T",
+                     "tape letters T and F collide with the truth words"),
+    "blank in alphabet": ("alphabet 0", "alphabet 0 B",
+                          "the blank must be a fresh single character"),
+    "unspellable letter": ("alphabet 0", "alphabet 0 -",
+                           "tape letter '-' cannot be spelled in a .tier alphabet"),
+    "unknown init": ("init s", "init q", "initial state 'q' is not a state"),
+    "unknown halt": ("halt h", "halt q", "halting states must be states"),
+    "clock zero": ("clock 1", "clock 0", "clock degree must be at least 1"),
+    "clock above limit": ("clock 1", f"clock {MAX_CLOCK_DEGREE + 1}",
+                          f"clock degree must be at most {MAX_CLOCK_DEGREE}"),
+    "from unknown state": ("R\n", "R\ndelta q 0 -> h 0 R\n", "transition from unknown state 'q'"),
+    "from halting state": ("R\n", "R\ndelta h 0 -> h 0 R\n", "halting state 'h' has a transition"),
+    "reads unknown letter": ("R\n", "R\ndelta s 1 -> h 0 R\n",
+                             "transition reads unknown letter '1'"),
+    "to unknown state": ("0 -> h", "0 -> q", "transition to unknown state 'q'"),
+    "writes unknown letter": ("h 0 R", "h 1 R", "transition writes unknown letter '1'"),
+    "bad move": ("h 0 R", "h 0 X", "move must be R or L, got 'X'"),
+    "not total": ("delta s B -> h 0 R\n", "",
+                  "transition table is not total: no entry for ('s', 'B')"),
+    "blank arity": ("init s", "blank B C\ninit s", "line 3: blank takes exactly one letter"),
+    "init arity": ("init s", "init s h", "line 3: init takes exactly one state"),
+    "clock word": ("clock 1", "clock one", "line 5: clock takes one integer degree"),
+    "clock numeric sign": ("clock 1", "clock \u00b2", "line 5: clock takes one integer degree"),
+    # int() refuses this many digits; the degree is above the limit anyway.
+    "clock of 5000 digits": ("clock 1", "clock " + "9" * 5000,
+                             f"clock degree must be at most {MAX_CLOCK_DEGREE}"),
+    "delta shape": ("0 -> h", "0 h",
+                    "line 6: delta lines read 'delta STATE LETTER -> STATE LETTER MOVE'"),
+    "duplicate delta": ("B -> h 0 R\n", "B -> h 0 R\ndelta s 0 -> h 0 L\n",
+                        "line 8: duplicate transition for ('s', '0')"),
+    "unknown section": ("clock 1", "speed 1\nclock 1", "line 5: unknown section 'speed'"),
+    "missing section": ("halt h\n", "", "missing sections: halt"),
+}
+
+
+@pytest.mark.parametrize("label", MACHINE_ERRORS)
+def test_tm_compile_reports_each_malformed_machine(label, tmp_path, capsys, monkeypatch):
+    old, new, message = MACHINE_ERRORS[label]
+    assert old in GOOD_MACHINE
+    path = tmp_path / "bad.tm"
+    path.write_text(GOOD_MACHINE.replace(old, new, 1), encoding="utf-8")
+    # Every refusal comes before compilation builds a single counter.
+    monkeypatch.setattr(cli, "compile_tm", None)
+    code = cli.main(["tm-compile", str(path)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: {path}: ")
+    assert captured.err.endswith(f"{message}\n")
+
+
+def test_the_good_machine_compiles():
+    assert check_program(compile_tm(parse_tm(GOOD_MACHINE)).source).safe
 
 
 # ``{`` is punctuation to the .tier tokenizer, which refuses the other three.

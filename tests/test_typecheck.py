@@ -23,6 +23,7 @@ from tierlang import (
     parse,
     word_literal,
 )
+from tierlang.cli import main
 from tierlang.fixtures import SAFE_FIXTURES, load_source
 from tierlang.typecheck import (
     UnboundVariableError,
@@ -99,6 +100,30 @@ def test_build_sig_env_diagnostics():
     src = parse("op mystery arity 1 class neutral;\nthread t { skip }")
     _, diags = build_sig_env(src, reg)
     assert any("no interpretation" in d.message for d in diags)
+
+
+UNKNOWN_OP = "op foo arity 1 class neutral;\nvars { x : 1; }\nthread a { x := foo(x) }\n"
+NO_INTERPRETATION = "operator at 1:1: operator 'foo' has no interpretation in the registry"
+
+
+@pytest.mark.parametrize("flags, text, lines", [
+    ([], UNKNOWN_OP, ["rejected", f"  {NO_INTERPRETATION}"]),
+    (["--infer"], UNKNOWN_OP, [
+        "rejected: no tier assignment makes the program safe",
+        "conflicting constraints (variables: ):",
+        f"note: {NO_INTERPRETATION}",
+    ]),
+    ([], "op pred arity 1 class neutral sig 0 -> 1;\nthread a { x := pred(x) }\n", [
+        "rejected: no tier assignment makes the program safe",
+        "conflicting constraints (variables: ):",
+        "note: signature: signature 0->1 of 'pred' returns tier 1 above an argument of tier 0",
+    ]),
+], ids=["check unknown operator", "infer unknown operator", "infer unsafe signature"])
+def test_check_reports_what_stops_typing_before_it_starts(tmp_path, capsys, flags, text, lines):
+    path = tmp_path / "prog.tier"
+    path.write_text(text)
+    assert main(["check", str(path), *flags]) == 1
+    assert capsys.readouterr().out.splitlines() == lines
 
 
 # --- expression tiers -----------------------------------------------------------
