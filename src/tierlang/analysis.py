@@ -149,7 +149,6 @@ def ni_suite(
     max_len: int = 6,
     mode: str = "scheduler",
     explore_max_steps: int = 200,
-    explore_max_states: int = 200_000,
 ) -> NiReport:
     """Randomized non-interference probe.
 
@@ -178,8 +177,7 @@ def ni_suite(
         raise ValueError(f"unknown mode {mode!r}")
     for trial in range(trials):
         a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-        failure = _compare_explorations(program, gamma, a, b, trial, explore_max_steps,
-                                        explore_max_states)
+        failure = _compare_explorations(program, gamma, a, b, trial, explore_max_steps)
         if failure is not None:
             return NiReport(False, trial + 1, mode, None, failure)
     return NiReport(True, trials, mode, None)
@@ -198,10 +196,9 @@ def _compare_explorations(
     b: Store,
     trial: int,
     max_steps: int,
-    max_states: int,
 ) -> NiFailure | None:
-    rep_a = explore(a, program, max_steps, max_states)
-    rep_b = explore(b, program, max_steps, max_states)
+    rep_a = explore(a, program, max_steps)
+    rep_b = explore(b, program, max_steps)
     if not (rep_a.complete and rep_b.complete):
         return NiFailure(
             trial, "fuel", "exploration did not close within bounds; raise them for this program"

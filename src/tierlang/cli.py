@@ -167,7 +167,8 @@ def cmd_check(args: argparse.Namespace) -> int:
                 print(line)
             return 0
         print("rejected: no tier assignment makes the program safe")
-        print(f"conflicting constraints (variables: {', '.join(inference.core_variables())}):")
+        if inference.core:
+            print(f"conflicting constraints (variables: {', '.join(inference.core_variables())}):")
         for constraint in inference.core:
             where = f" at {constraint.span}" if constraint.span else ""
             print(f"  {constraint.description}{where}")

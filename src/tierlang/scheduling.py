@@ -11,13 +11,12 @@ counter counts global steps, so ``loops <= steps`` always.
 
 Schedulers are deterministic: a choice function over the live thread
 ids and the store plus private state.  A scheduler is *quiet* when its
-choice never depends on tier-0 data; the flag on each scheduler records
-the claim and ``quietness_test`` probes it behaviorally by running the
-same program from stores that agree on tier-1 variables only.  A
-scheduler is only asked while two or more threads are live: with one
-left the choice is forced, reads no data, and so is quiet under every
-policy.  ``run_with_scheduler`` is the one run loop, so one command runs
-as a one-thread program.
+choice never depends on tier-0 data; ``quietness_test`` probes that
+behaviorally by running the same program from stores that agree on
+tier-1 variables only.  A scheduler is only asked while two or more
+threads are live: with one left the choice is forced, reads no data,
+and so is quiet under every policy.  ``run_with_scheduler`` is the one
+run loop, so one command runs as a one-thread program.
 
 A scheduler is *pure* when its choice is a function of the live ids,
 the store and an immutable state.  Under such a scheduler a run whose
@@ -85,15 +84,12 @@ def step_global(
 class Scheduler:
     """Deterministic thread choice with private state.
 
-    ``quiet`` is the scheduler's claim that its choices ignore tier-0
-    data; it is what ``quietness_test`` puts on trial.  ``pure`` claims
-    that ``choose`` is a function of its arguments alone and that the
-    state is an immutable value compared by ``==``; it lets
+    ``pure`` claims that ``choose`` is a function of its arguments alone
+    and that the state is an immutable value compared by ``==``; it lets
     ``run_with_scheduler`` skip the periods of a repeating run.
     """
 
     name = "scheduler"
-    quiet = True
     pure = False
 
     def fresh_state(self) -> object:
@@ -108,7 +104,6 @@ class RoundRobin(Scheduler):
     """Cycle through live threads in name order."""
 
     name = "round-robin"
-    quiet = True
     pure = True
 
     def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
@@ -129,7 +124,6 @@ class FirstAlive(Scheduler):
     """
 
     name = "first-alive"
-    quiet = True
     pure = True
 
     def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
@@ -142,7 +136,6 @@ class SeededRandom(Scheduler):
     compares by identity, so equal-looking configurations do not repeat."""
 
     name = "random"
-    quiet = True
     pure = False
 
     def __init__(self, seed: int = 0):

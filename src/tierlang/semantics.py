@@ -13,14 +13,15 @@ their guard; any other value is a hard error rather than a silent
 default, so ill-formed guards surface immediately.
 
 Runs step a ``ControlTable``, which owns the step rules: every residual
-a command can reach gets a hash-consed slot number, and each slot
-records its redex's compiled expression and the slots that follow, so a
-run state is a store plus one int per thread and a step is a table
-lookup plus one operator call.  A step reads a store's bindings and
-returns the assignment to make, which each caller writes into its own
-state representation.  The same table lists each slot's
-successors for questions that range over every store at once, such as
-subject reduction.  A program builds its table on first use, as
+a command can reach gets a hash-consed slot number, each distinct
+expression is compiled into one closure as the table is built, and each
+slot, the first time it is stepped, records its redex's closure and the
+slots that follow.  So a run state is a store plus one int per thread
+and a step is a table lookup plus one operator call.  A step reads a
+store's bindings and returns the assignment to make, which each caller
+writes into its own state representation.  The same table lists each
+slot's successors for questions that range over every store at once,
+such as subject reduction.  A program builds its table on first use, as
 ``Program.table``, and every later run, exploration and walk of it
 reuses that table; one command runs as a one-thread ``Program.single``.
 """
@@ -45,6 +46,7 @@ from .lang import (
     Var,
     While,
     Word,
+    walk,
 )
 from .ops import OPERATORS, UnknownOperatorError
 
@@ -96,40 +98,42 @@ _Bindings = dict[str, Word]
 _Entry = tuple[str, int, str, int, str | None, Callable[[_Bindings], Word] | None, Command]
 
 
-_CLOSURE_DEPTH = 64  # nesting below this is evaluated by ``eval_expr``
+_CLOSURE_DEPTH = 64  # an expression whose closures would nest deeper is run by ``eval_expr``
+
+_Closure = tuple[Callable[[_Bindings], Word], int]  # a closure and how deep its calls nest
 
 
-def _compile_expr(expr: Expr, depth: int = 0) -> Callable[[_Bindings], Word]:
-    """A closure that evaluates ``expr`` on a store's bindings.
+def _closure(node: Var | OpCall, args: list[_Closure]) -> _Closure:
+    """``node``'s closure on a store's bindings, from its arguments' closures.
 
-    Operators are resolved once, here.  A call that cannot succeed (an
-    unknown operator, a wrong argument count) is left to ``eval_expr``,
-    so it raises the same error at the same step as before.  So is a
-    call ``_CLOSURE_DEPTH`` levels down, so that nested closures never
-    run deep enough to exhaust the Python stack.
+    Operators are resolved here, once.  A call that cannot succeed (an
+    unknown operator, a wrong argument count), or whose closures would
+    nest more than ``_CLOSURE_DEPTH`` deep, is left to ``eval_expr``: it
+    raises the same error at the same step, and a deep expression never
+    exhausts the Python stack.
     """
-    if isinstance(expr, Var):
-        name = expr.name
-        return lambda b: b.get(name, EMPTY)
-    if isinstance(expr, OpCall) and depth < _CLOSURE_DEPTH:
-        try:
-            op = OPERATORS.resolve(expr.op)
-        except UnknownOperatorError:
-            op = None
-        if op is not None and op.arity == len(expr.args):
-            fn = op.fn
-            args = [_compile_expr(a, depth + 1) for a in expr.args]
-            if not args:
-                return lambda b: fn()
-            if len(args) == 1:
-                if isinstance(expr.args[0], Var):
-                    name = expr.args[0].name
-                    return lambda b: fn(b.get(name, EMPTY))
-                (arg,) = args
-                return lambda b: fn(arg(b))
-            return lambda b: fn(*[a(b) for a in args])
-    # eval_expr only reads the store, so wrapping the live dict is safe.
-    return lambda b: eval_expr(Store._normalized(b), expr)
+    if node.__class__ is Var:
+        name = node.name
+        return (lambda b: b.get(name, EMPTY)), 1
+    depth = 1 + max((nested for _, nested in args), default=0)
+    try:
+        op = OPERATORS.resolve(node.op)
+    except UnknownOperatorError:
+        op = None
+    if op is None or op.arity != len(args) or depth > _CLOSURE_DEPTH:
+        # eval_expr only reads the store, so wrapping the live dict is safe.
+        return (lambda b: eval_expr(Store._normalized(b), node)), 1
+    fn = op.fn
+    if not args:
+        return (lambda b: fn()), depth
+    if len(args) == 1:
+        if node.args[0].__class__ is Var:
+            name = node.args[0].name
+            return (lambda b: fn(b.get(name, EMPTY))), depth
+        arg = args[0][0]
+        return (lambda b: fn(arg(b))), depth
+    fns = [arg for arg, _ in args]
+    return (lambda b: fn(*[a(b) for a in fns])), depth
 
 
 class ControlTable:
@@ -137,13 +141,15 @@ class ControlTable:
 
     The step rules only build residuals as ``Seq(residual, rest)`` or
     ``Seq(body, loop)``, so a command has finitely many.  They are
-    hash-consed: a node's slot number follows from its kind and its
-    children's slots (spans ignored), so structurally equal residuals
-    share one slot and equal states compare as small ints.  Guards and
-    assigned expressions are hash-consed to int ids the same way, so
-    building a table never hashes or compares an AST node, however deep.
-    Slots are numbered children first and filled in on demand, the
-    first time a run steps them.
+    hash-consed: a node's key is its kind and its children's slots
+    (spans ignored), and nodes with equal keys share one slot, so equal
+    states compare as small ints.  Guards and assigned expressions are
+    hash-consed to int ids the same way, so building a table never
+    hashes or compares an AST node, however deep.  One ``lang.walk``
+    pass per command interns its nodes, children first, and compiles
+    each distinct expression once, from its arguments' closures.  A
+    slot's step rules are compiled from the slot keys, not from AST
+    nodes, the first time a run steps it.
 
     ``roots[i]`` is the slot of the i-th command, ``variables`` lists
     the names the commands read or assign, sorted, and ``commands[s]``
@@ -152,117 +158,98 @@ class ControlTable:
 
     def __init__(self, commands: Iterable[Command]):
         self.commands: list[Command] = []
+        # slot -> its key: the kind, the guard's or assigned expression's id
+        # if any, then the child slots or the assigned variable
+        self._keys: list[tuple] = []
         self._entries: list[_Entry | None] = []
         self._slots: dict[tuple, int] = {}
-        self._exprs: dict[object, int] = {}  # expression key -> expression id
-        # id() -> slot (or expression id) for every node seen.  Once the
-        # roots are interned only nodes under ``self.commands``, which the
-        # table keeps alive, are looked up, so a freed id is never read.
-        self._known: dict[int, int] = {}
-        commands = tuple(commands)
+        self._closures: list[_Closure] = []  # expression id -> its closure
+        exprs: dict[object, int] = {}  # expression key -> expression id
         names: set[str] = set()
-        self.roots = tuple(self._intern_tree(cmd, names) for cmd in commands)
+        # The slots and expression ids of the nodes whose parent is still to
+        # come, the first child on top; after the loop, the roots' slots.
+        done: list[int] = []
+        pop = done.pop
+        for root in commands:
+            for node in reversed(list(walk(root))):  # each node after its children
+                cls = node.__class__
+                if cls is Seq:
+                    key: object = (Seq, pop(), pop())
+                elif cls is If:
+                    key = (If, pop(), pop(), pop())
+                elif cls is While:
+                    key = (While, pop(), pop())
+                elif cls is Assign:
+                    names.add(node.var)
+                    key = (Assign, pop(), node.var)
+                elif cls is Skip:
+                    key = (Skip,)
+                else:
+                    if cls is Var:
+                        names.add(node.name)
+                        key, args = node.name, []
+                    else:
+                        args = [pop() for _ in node.args]
+                        key = (node.op, *args)
+                    eid = exprs.get(key)
+                    if eid is None:
+                        eid = exprs[key] = len(self._closures)
+                        self._closures.append(_closure(node, [self._closures[i] for i in args]))
+                    done.append(eid)
+                    continue
+                done.append(self._intern(key, node))
+        self.roots = tuple(done)
         self.variables = tuple(sorted(names))
 
-    def _intern(self, node: Command) -> int:
-        """The slot of a node whose children are known."""
-        known = self._known
-        if isinstance(node, Seq):
-            key: tuple = (Seq, known[id(node.first)], known[id(node.second)])
-        elif isinstance(node, If):
-            key = (If, known[id(node.guard)], known[id(node.then_branch)],
-                   known[id(node.else_branch)])
-        elif isinstance(node, While):
-            key = (While, known[id(node.guard)], known[id(node.body)])
-        elif isinstance(node, Assign):
-            key = (Assign, node.var, known[id(node.expr)])
-        else:
-            key = (node.__class__,)
+    def _intern(self, key: tuple, node: Command) -> int:
+        """The slot of the command ``node``, whose key is ``key``."""
         slot = self._slots.get(key)
         if slot is None:
             slot = self._slots[key] = len(self.commands)
             self.commands.append(node)
+            self._keys.append(key)
             self._entries.append(None)
-            known[id(node)] = slot
         return slot
 
-    def _intern_expr(self, node: Expr) -> int:
-        """The id of an expression whose arguments are known."""
-        if isinstance(node, OpCall):
-            key: object = (node.op, *[self._known[id(arg)] for arg in node.args])
-        else:
-            key = node.name
-        return self._exprs.setdefault(key, len(self._exprs))
-
-    def _intern_tree(self, root: Command, names: set[str]) -> int:
-        """The slot of ``root``; adds the names it reads or assigns to ``names``."""
-        known = self._known
-        stack: list[tuple[Command | Expr, bool]] = [(root, False)]
-        while stack:
-            node, ready = stack.pop()
-            if id(node) in known:
-                continue
-            if ready:
-                is_expr = isinstance(node, Expr)
-                known[id(node)] = self._intern_expr(node) if is_expr else self._intern(node)
-                continue
-            stack.append((node, True))
-            if isinstance(node, Seq):
-                stack += ((node.second, False), (node.first, False))
-            elif isinstance(node, If):
-                stack += ((node.else_branch, False), (node.then_branch, False), (node.guard, False))
-            elif isinstance(node, While):
-                stack += ((node.body, False), (node.guard, False))
-            elif isinstance(node, Assign):
-                names.add(node.var)
-                stack.append((node.expr, False))
-            elif isinstance(node, OpCall):
-                stack += ((arg, False) for arg in reversed(node.args))
-            elif isinstance(node, Var):
-                names.add(node.name)
-        return known[id(root)]
+    def _seq(self, first: int, second: int, spanned: int) -> int:
+        """The slot of ``first; second``, at the source position of ``spanned``."""
+        commands = self.commands
+        node = Seq(commands[first], commands[second], commands[spanned].span)
+        return self._intern((Seq, first, second), node)
 
     def _compile(self, slot: int) -> _Entry:
         """The step rules at ``slot``.  A command steps at its redex, the
         first command down the left spine of its sequences: the redex
         picks a rule (the true, then the false case for a guard) and
-        leaves a residual or nothing, which is plugged back into the
-        sequences around it, innermost first."""
-        context: list[Seq] = []
-        redex = self.commands[slot]
-        while isinstance(redex, Seq):
+        leaves a residual or nothing (``DONE``), which is plugged back
+        into the sequences around it, innermost first."""
+        keys = self._keys
+        context: list[int] = []
+        redex = slot
+        while keys[redex][0] is Seq:
             context.append(redex)
-            redex = redex.first
-        var = None
-        fn = None
-        outcomes: tuple[tuple[str, Command | None], ...]
-        if isinstance(redex, Skip):
-            outcomes = (("skip", None),)
-        elif isinstance(redex, Assign):
-            outcomes = (("assign", None),)
-            var = redex.var
-            fn = _compile_expr(redex.expr)
-        elif isinstance(redex, If):
-            outcomes = (("if-tt", redex.then_branch), ("if-ff", redex.else_branch))
-            fn = _compile_expr(redex.guard)
-        elif isinstance(redex, While):
-            outcomes = ((UNFOLD, Seq(redex.body, redex, redex.span)), ("while-ff", None))
-            fn = _compile_expr(redex.guard)
+            redex = keys[redex][1]
+        key = keys[redex]
+        kind = key[0]
+        fn = None if kind is Skip else self._closures[key[1]][0]  # guard or assigned expression
+        var = key[2] if kind is Assign else None
+        outcomes: tuple[tuple[str, int], ...]
+        if kind is Skip:
+            outcomes = (("skip", DONE),)
+        elif kind is Assign:
+            outcomes = (("assign", DONE),)
+        elif kind is If:
+            outcomes = (("if-tt", key[2]), ("if-ff", key[3]))
         else:
-            raise TypeError(f"not a command: {redex!r}")
+            outcomes = ((UNFOLD, self._seq(key[2], redex, redex)), ("while-ff", DONE))
         nexts: list[tuple[str, int]] = []
         for rule, residual in outcomes:
             for outer in reversed(context):
-                if residual is None:
-                    residual = outer.second
-                else:
-                    # A residual is rebuilt from kept nodes, so the table
-                    # keeps everything under it alive.
-                    first = self.commands[self._intern(residual)]
-                    residual = self.commands[self._intern(Seq(first, outer.second, outer.span))]
-            nexts.append((rule, DONE if residual is None else self._intern(residual)))
+                rest = keys[outer][2]
+                residual = rest if residual == DONE else self._seq(residual, rest, outer)
+            nexts.append((rule, residual))
         (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
-        return (rule, nxt, other_rule, other, var, fn, redex)
+        return (rule, nxt, other_rule, other, var, fn, self.commands[redex])
 
     def successors(self, slot: int) -> tuple[int, ...]:
         """The slots that ``slot`` can step to in some store, ``DONE``

@@ -108,7 +108,7 @@ def test_non_interference():
         explored = ni_suite(
             source.program(), gamma, trials=trials, seed=7,
             alphabet=source.alphabet(), max_len=4, mode="explore",
-            explore_max_steps=300, explore_max_states=50_000,
+            explore_max_steps=300,
         )
         assert explored.passed, f"{name} explore-mode divergence: {explored.failure}"
     control = load_source("unsafe_loop.tier")
@@ -118,7 +118,7 @@ def test_non_interference():
     )
     neg_explored = ni_suite(
         control.program(), control.annotations(), trials=trials, seed=7,
-        max_len=4, mode="explore", explore_max_steps=300, explore_max_states=50_000,
+        max_len=4, mode="explore", explore_max_steps=300,
     )
     ok = not neg_sched.passed and not neg_explored.passed
     verdict(

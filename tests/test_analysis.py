@@ -93,7 +93,7 @@ def test_ni_explore_mode_on_safe_fixture():
     src = load_source("intro_zero.tier")
     report = ni_suite(
         src.program(), src.annotations(), trials=25, seed=7, max_len=4,
-        mode="explore", explore_max_steps=300, explore_max_states=50_000,
+        mode="explore", explore_max_steps=300,
     )
     assert report.passed
     assert report.mode == "explore"
@@ -121,7 +121,7 @@ def test_ni_explore_mode_flags_worst_case_loops():
     src = load_source("unsafe_loop.tier")
     report = ni_suite(
         src.program(), src.annotations(), trials=200, seed=7, max_len=4,
-        mode="explore", explore_max_steps=300, explore_max_states=50_000,
+        mode="explore", explore_max_steps=300,
     )
     assert not report.passed
     assert report.trials == 1

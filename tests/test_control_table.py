@@ -32,7 +32,7 @@ from tierlang.fixtures import (
     load_source,
 )
 from tierlang.lang import DEFAULT_ALPHABET, FF, TT, free_vars, walk
-from tierlang.ops import default_registry
+from tierlang.ops import UnknownOperatorError, default_registry
 from tierlang.scheduling import (
     ExplorationReport,
     FirstAlive,
@@ -463,6 +463,56 @@ def test_deep_expressions_need_no_recursion():
     sig_env = {op: maximal_safe_sigs(registry.resolve(op)) for op in ("gt0", "pred")}
     report = tier_preservation(Store.of(x="11"), program, {"x": Tier.ONE}, sig_env)
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 4)
+
+
+def test_each_distinct_expression_compiles_one_closure():
+    # The machine repeats its guards and assignments in every state
+    # branch: 70 slots step an expression, and 28 expressions are distinct.
+    program = compile_tm(parse_tm(fixture_text("binary_inc.tm"))).source.program()
+    nodes = list(walk(program.command("machine")))
+    expressions = {node for node in nodes if isinstance(node, (Var, OpCall))}
+    redex_exprs = {node.expr if isinstance(node, Assign) else node.guard
+                   for node in nodes if isinstance(node, (Assign, If, While))}
+    table = program.table
+    reached, frontier = set(), list(table.roots)
+    while frontier:
+        slot = frontier.pop()
+        if slot != DONE and slot not in reached:
+            reached.add(slot)
+            frontier.extend(table.successors(slot))
+    fns = [entry[5] for entry in table._entries if entry is not None and entry[5] is not None]
+    assert (len(expressions), len(fns)) == (28, 70)
+    assert len(table._closures) == len(expressions)
+    assert len({id(fn) for fn in fns}) == len(redex_exprs)
+    assert {id(fn) for fn in fns} <= {id(fn) for fn, _ in table._closures}
+
+
+def test_a_variable_and_a_call_of_the_same_name_stay_apart():
+    program = Program.single(Seq(Assign("z", OpCall("x")), Assign("y", Var("x"))))
+    with pytest.raises(UnknownOperatorError) as err:
+        run_with_scheduler(Store.of(x="1"), program, FirstAlive(), fuel=1)
+    assert err.value.args == ("x",)
+
+
+def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
+    # A clock of degree 1000 nests 2001 counting loops; compiling every
+    # slot up front takes seconds where the run on the empty word takes
+    # a few thousand steps.
+    text = fixture_text("binary_inc.tm").replace("\nclock 1\n", "\nclock 1000\n")
+    program = compile_tm(parse_tm(text)).source.program()
+    stepped = set()
+    step = ControlTable.step
+
+    def recording(self, slot, bindings):
+        stepped.add(slot)
+        return step(self, slot, bindings)
+
+    monkeypatch.setattr(ControlTable, "step", recording)
+    run = run_with_scheduler(Store(), program, FirstAlive())
+    assert run.finished
+    table = program.table
+    assert {slot for slot, entry in enumerate(table._entries) if entry is not None} == stepped
+    assert len(stepped) < len(table.commands)
 
 
 def test_tier_preservation_types_each_node_once(monkeypatch):

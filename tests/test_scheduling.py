@@ -143,7 +143,7 @@ class Offered(Scheduler):
 
     def __init__(self, inner):
         self.inner = inner
-        self.name, self.quiet, self.pure = inner.name, inner.quiet, inner.pure
+        self.name, self.pure = inner.name, inner.pure
         self.offered = []
 
     def fresh_state(self):
@@ -246,7 +246,6 @@ class StorePeek(Scheduler):
     value.  When that variable is tier 0 the scheduler is not quiet, and
     the quietness test should expose it."""
 
-    quiet = False
     pure = True
 
     def __init__(self, var):

@@ -110,12 +110,10 @@ NO_INTERPRETATION = "operator at 1:1: operator 'foo' has no interpretation in th
     ([], UNKNOWN_OP, ["rejected", f"  {NO_INTERPRETATION}"]),
     (["--infer"], UNKNOWN_OP, [
         "rejected: no tier assignment makes the program safe",
-        "conflicting constraints (variables: ):",
         f"note: {NO_INTERPRETATION}",
     ]),
     ([], "op pred arity 1 class neutral sig 0 -> 1;\nthread a { x := pred(x) }\n", [
         "rejected: no tier assignment makes the program safe",
-        "conflicting constraints (variables: ):",
         "note: signature: signature 0->1 of 'pred' returns tier 1 above an argument of tier 0",
     ]),
 ], ids=["check unknown operator", "infer unknown operator", "infer unsafe signature"])
