@@ -33,7 +33,7 @@ from .lang import (
     unary,
     word_literal,
 )
-from .ops import OperatorDef, Registry, builtins, default_registry, validate_class
+from .ops import OperatorDef, Registry, builtins, default_registry
 from .parser import ParseError, SourceFile, parse, pretty
 from .semantics import ControlTable, eval_expr
 from .scheduling import (
@@ -81,7 +81,7 @@ __all__ = [
     "DEFAULT_ALPHABET", "Alphabet", "Assign", "Command", "Expr", "If", "OpCall",
     "Program", "Seq", "Skip", "Span", "Store", "Tier", "Var", "While", "Word",
     "free_vars", "is_truth_value", "seq_all", "subword", "unary", "word_literal",
-    "OperatorDef", "Registry", "builtins", "default_registry", "validate_class",
+    "OperatorDef", "Registry", "builtins", "default_registry",
     "ParseError", "SourceFile", "parse", "pretty",
     "ControlTable", "eval_expr",
     "ExplorationReport", "FirstAlive", "RoundRobin", "Scheduler",

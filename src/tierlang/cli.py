@@ -113,25 +113,26 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _gate(source: SourceFile, unsafe_ok: bool, json_out: bool) -> tuple[CheckReport | None, int]:
-    """Type-check before running; rejected programs need --unsafe-ok,
-    and none runs with an operator the library lacks at its arity."""
+def _gate(source: SourceFile, unsafe_ok: bool, json_out: bool) -> int:
+    """Type-check before running and return the exit code to stop with,
+    or 0: rejected programs need --unsafe-ok, and none runs with an
+    operator the library lacks at its arity."""
     report = check_program(source)
     if report.safe:
-        return report, 0
+        return 0
     if unsafe_ok:
         for decl in source.op_decls:
             found = interpret(decl, OPERATORS)
             if isinstance(found, Diagnostic):
                 raise CliError(f"{found}; --unsafe-ok cannot run it")
-        return report, 0
+        return 0
     if not json_out:
         print("rejected: the program does not type-check (--unsafe-ok runs it anyway)")
         for line in _check_lines(report):
             print(line)
     else:
         _emit_json({"command": "gate", **report.to_dict()})
-    return report, 1
+    return 1
 
 
 def _check_lines(report: CheckReport) -> list[str]:
@@ -159,11 +160,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         if args.json:
             _emit_json({"command": "check", "mode": "infer", **inference.to_dict()})
             return 0 if inference.ok else 1
-        if inference.ok:
-            gamma = ", ".join(f"{v}:{int(t)}" for v, t in (inference.gamma or ()))
-            print(f"safe (tiers inferred): {gamma}")
-            assert inference.check is not None
-            for line in _check_lines(inference.check):
+        if inference.gamma is not None:
+            gamma = dict(inference.gamma)
+            print("safe (tiers inferred): " + ", ".join(f"{v}:{int(t)}" for v, t in gamma.items()))
+            for line in _check_lines(check_program(source.with_annotations(gamma))):
                 print(line)
             return 0
         print("rejected: no tier assignment makes the program safe")
@@ -192,7 +192,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     _at_least("--fuel", args.fuel, 0)
     source = _load_source(args.program)
-    _, gate_code = _gate(source, args.unsafe_ok, args.json)
+    gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
     store = Store(_parse_inputs(args.input, source.alphabet()))
@@ -232,7 +232,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     _at_least("--max-steps", args.max_steps, 0)
     _at_least("--max-states", args.max_states, 1)
     source = _load_source(args.program)
-    _, gate_code = _gate(source, args.unsafe_ok, args.json)
+    gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
     store = Store(_parse_inputs(args.input, source.alphabet()))
@@ -277,7 +277,7 @@ def cmd_ni(args: argparse.Namespace) -> int:
     _at_least("--max-len", args.max_len, 0)
     _at_least("--max-steps", max_steps, 0)
     source = _load_source(args.program)
-    report, gate_code = _gate(source, args.unsafe_ok, args.json)
+    gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
     gamma = source.annotations()
@@ -327,7 +327,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
             f"{args.max_degree + 2} distinct sizes, got {distinct}"
         )
     source = _load_source(args.program)
-    _, gate_code = _gate(source, args.unsafe_ok, args.json)
+    gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:
         return gate_code
     fixed = _parse_inputs(args.input, source.alphabet())

@@ -9,18 +9,15 @@ Operators come in three classes:
   fixed constant (the ``growth`` field).
 
 Every neutral operator is positive with constant 0; the class recorded
-here is the strongest claim the operator honestly satisfies, and
-``validate_class`` checks the claim by enumeration or sampling.
+here is the strongest claim the operator honestly satisfies.
 """
 
 from __future__ import annotations
 
-import itertools
-import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .lang import DEFAULT_ALPHABET, FF, TT, Alphabet, Word, subword
+from .lang import FF, TT, Word
 
 NEUTRAL_PREDICATE = "neutral-predicate"
 NEUTRAL_SUBWORD = "neutral-subword"
@@ -65,52 +62,6 @@ class OperatorDef:
         if len(args) != self.arity:
             raise TypeError(f"{self.name} expects {self.arity} arguments, got {len(args)}")
         return self.fn(*args)
-
-
-@dataclass(frozen=True)
-class ClassVerdict:
-    """Outcome of checking an operator against its declared class."""
-
-    ok: bool
-    checked: int
-    exhaustive: bool
-    counterexample: tuple[Word, ...] | None = None
-    output: Word | None = None
-
-
-def validate_class(
-    op: OperatorDef,
-    max_len: int = 4,
-    alphabet: Alphabet = DEFAULT_ALPHABET,
-    sample_cap: int = 20000,
-    seed: int = 0,
-) -> ClassVerdict:
-    """Check the declared growth class on all argument tuples of words up
-    to ``max_len``, falling back to a seeded random sample when the full
-    product exceeds ``sample_cap`` tuples.
-    """
-    words = list(alphabet.words_up_to(max_len))
-    total = len(words) ** op.arity
-    exhaustive = total <= sample_cap
-    if exhaustive:
-        tuples = itertools.product(words, repeat=op.arity)
-        count = total
-    else:
-        rng = random.Random(seed)
-        tuples = (tuple(rng.choice(words) for _ in range(op.arity)) for _ in range(sample_cap))
-        count = sample_cap
-    for args in tuples:
-        out = op.fn(*args)
-        if op.kind == NEUTRAL_PREDICATE:
-            good = out == TT or out == FF
-        elif op.kind == NEUTRAL_SUBWORD:
-            good = any(subword(out, arg) for arg in args)
-        else:
-            longest = max((len(a) for a in args), default=0)
-            good = len(out) <= longest + op.growth
-        if not good:
-            return ClassVerdict(False, count, exhaustive, tuple(args), out)
-    return ClassVerdict(True, count, exhaustive)
 
 
 # --- the builtin library ---------------------------------------------------

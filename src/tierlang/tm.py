@@ -245,12 +245,6 @@ class CompiledProgram:
     input_var: str = INPUT_VAR
     output_var: str = RIGHT_VAR
 
-    def sim_cascades(self, n: int) -> int:
-        return 2 * n**self.spec.clock_degree + 2
-
-    def rewind_cascades(self, n: int) -> int:
-        return 2 * n**self.spec.clock_degree + n + 2
-
 
 def _state_codes(states: tuple[str, ...]) -> dict[str, str]:
     width = max(1, (len(states) - 1).bit_length())

@@ -155,6 +155,12 @@ def build_sig_env(
     return env, tuple(diags)
 
 
+def _declared_sigs(source: SourceFile) -> dict[str, frozenset[Sig]]:
+    """The ``sig`` clauses a source file declares.  Only these need a
+    safety check: ``maximal_safe_sigs`` builds the others safe."""
+    return {d.name: frozenset(d.sigs) for d in source.op_decls if d.sigs is not None}
+
+
 def _literal_sigs(name: str) -> frozenset[Sig] | None:
     if name.startswith('"') or name in ("tt", "ff"):
         return maximal_safe_sigs(OPERATORS.resolve(name))
@@ -383,7 +389,7 @@ def check_program(source: SourceFile) -> CheckReport:
     sig_env, env_diags = build_sig_env(source, OPERATORS)
     if env_diags:
         return CheckReport(False, tuple(sorted(gamma.items())), env_diags, ())
-    violations = check_safe_sigs(sig_env)
+    violations = check_safe_sigs(_declared_sigs(source))
     if violations:
         return CheckReport(False, tuple(sorted(gamma.items())), violations, ())
     threads = []
@@ -424,11 +430,16 @@ class Constraint:
 
 @dataclass(frozen=True)
 class InferenceReport:
-    ok: bool
+    """The inferred tier of every variable, or ``None`` with a conflicting
+    constraint set or a note on what stopped inference."""
+
     gamma: tuple[tuple[str, Tier], ...] | None
-    check: CheckReport | None
     core: tuple[Constraint, ...] = ()
     note: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.gamma is not None
 
     def core_variables(self) -> tuple[str, ...]:
         return tuple(sorted({v for c in self.core for v in c.variables}))
@@ -436,7 +447,7 @@ class InferenceReport:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "gamma": {name: int(t) for name, t in self.gamma} if self.gamma else None,
+            "gamma": None if self.gamma is None else {name: int(t) for name, t in self.gamma},
             "core": [c.to_dict() for c in self.core],
             "core_variables": list(self.core_variables()),
             "note": self.note,
@@ -536,18 +547,20 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
     The constraints are each assignment's and loop guard's, plus one per
     thread that it types at some tier.  ``_solve`` assigns the unannotated
     variables in order of first occurrence, pinning the variables a loop
-    guard reads to tier 1.  On failure the report carries a conflicting
-    set, minimized greedily: the atomic constraints, plus the thread
-    constraints if the atomic ones alone are satisfiable, each dropped in
-    turn if the rest stay unsatisfiable.  With more than ``_ENUM_CAP``
-    unknowns the atomic constraints come back unminimized, with a note.
+    guard reads to tier 1.  A solution needs no second check: its thread
+    constraints already type every thread.  On failure the report carries
+    a conflicting set, minimized greedily: the atomic constraints, plus
+    the thread constraints if the atomic ones alone are satisfiable, each
+    dropped in turn if the rest stay unsatisfiable.  With more than
+    ``_ENUM_CAP`` unknowns the atomic constraints come back unminimized,
+    with a note.
     """
     sig_env, env_diags = build_sig_env(source, OPERATORS)
     if env_diags:
-        return InferenceReport(False, None, None, (), "; ".join(str(d) for d in env_diags))
-    violations = check_safe_sigs(sig_env)
+        return InferenceReport(None, note="; ".join(str(d) for d in env_diags))
+    violations = check_safe_sigs(_declared_sigs(source))
     if violations:
-        return InferenceReport(False, None, None, (), "; ".join(str(d) for d in violations))
+        return InferenceReport(None, note="; ".join(str(d) for d in violations))
 
     annotated = source.annotations()
     names, constraints, threads = _constraints(source, sig_env)
@@ -556,14 +569,12 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
     forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
     solution = _solve(constraints + threads, unknowns, annotated, forced)
     if solution is not None:
-        gamma = {v: solution[v] for v in names}
-        checked = check_program(source.with_annotations(gamma))
-        return InferenceReport(True, tuple(sorted(gamma.items())), checked)
+        return InferenceReport(tuple(sorted((v, solution[v]) for v in names)))
 
     # No assignment works: minimize a conflicting constraint set.  A
     # dropped guard constraint no longer forces its variables.
     if len(unknowns) > _ENUM_CAP:
-        return InferenceReport(False, None, None, tuple(constraints),
+        return InferenceReport(None, tuple(constraints),
                                "too many variables to minimize the conflict set")
     core = list(constraints)
     if _solve(core, unknowns, annotated, set()) is not None:
@@ -574,4 +585,4 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
         rest = [c for c in core if c is not candidate]
         if _solve(rest, unknowns, annotated, set()) is None:
             core = rest
-    return InferenceReport(False, None, None, tuple(core))
+    return InferenceReport(None, tuple(core))

@@ -78,6 +78,15 @@ def test_check_json(fx, capsys):
     assert data["ok"] is False
 
 
+def test_check_json_gives_an_empty_gamma_for_a_program_without_variables(tmp_path, capsys):
+    path = tmp_path / "novars.tier"
+    path.write_text("thread a { skip }\n")
+    for flags in ([], ["--infer"]):
+        code, out, _ = run_cli(capsys, "check", str(path), "--json", *flags)
+        assert code == 0
+        assert json.loads(out)["gamma"] == {}, flags
+
+
 @pytest.mark.parametrize("name", SAFE_FIXTURES + REJECTED_FIXTURES)
 def test_check_json_matches_golden_output(name, fx, capsys):
     # Refactors keep every byte of this output.  When it changes on purpose,
@@ -146,6 +155,12 @@ def test_run_gates_on_the_type_check(fx, capsys):
     assert out.splitlines()[0] == (
         "rejected: the program does not type-check (--unsafe-ok runs it anyway)"
     )
+
+    code, out, _ = run_cli(capsys, "run", fx("unsafe_loop.tier"), "--input", "secret=11", "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["command"] == "gate" and data["safe"] is False
+    assert data["threads"][0]["diagnostic"]["rule"] == "while"
 
     code, out, _ = run_cli(
         capsys, "run", fx("unsafe_loop.tier"), "--input", "secret=11", "--unsafe-ok"
@@ -332,6 +347,16 @@ def test_ni_prints_the_counterexample(fx, capsys):
     assert out.strip() == "counterexample at trial 0: loop-count: loop counts differ: 4 vs 3"
 
 
+def test_ni_reports_a_step_count_counterexample(tmp_path, capsys):
+    # A tier-0 guard picks between branches of different lengths.
+    path = tmp_path / "uneven.tier"
+    path.write_text("op gt0 arity 1 class neutral;\nvars { h : 0; v : 1; }\n"
+                    "thread t { if (gt0(h)) { v := v; skip } else { v := v } }\n")
+    code, out, _ = run_cli(capsys, "ni", str(path), "--unsafe-ok")
+    assert code == 1
+    assert out.strip() == "counterexample at trial 2: step-count: step counts differ: 3 vs 2"
+
+
 def test_ni_explore_mode_out_of_bounds_is_inconclusive(fx, capsys):
     argv = ["ni", fx("add.tier"), "--mode", "explore", "--max-steps", "3", "--max-len", "3",
             "--trials", "2"]
@@ -385,6 +410,13 @@ def test_measure_writes_csv_to_a_file(fx, tmp_path, capsys):
         "n,max_t,max_k,fuel_hit\n1,1,4,0\n2,2,7,0\n4,4,13,0\n8,8,25,0\n16,16,49,0\n32,32,97,0\n"
     )
     assert out.strip() == "fit: max_k looks degree 1 (residual 0.0000)"
+
+
+def test_measure_takes_a_size_range_with_a_step(fx, capsys):
+    code, out, _ = run_cli(capsys, "measure", fx("add.tier"), "--scale", "x", "--sizes", "2:12:2")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()[1:7]] == ["2", "4", "6", "8", "10", "12"]
+    assert out.splitlines()[7] == "fit: max_k looks degree 1 (residual 0.0000)"
 
 
 def test_measure_flags_the_doubler_as_superpolynomial(fx, capsys):

@@ -1,5 +1,8 @@
 """Built-in operators: exact values, growth classes, family resolution."""
 
+import itertools
+import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -7,10 +10,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import tierlang.fixtures
-from tierlang import OperatorDef, Registry, Store, builtins, default_registry, unary, validate_class
+from tierlang import OperatorDef, Registry, Store, builtins, default_registry, unary
 from tierlang.analysis import measure_growth, ni_suite, tier_preservation
 from tierlang.cli import main
 from tierlang.fixtures import fixture_text, load_source
+from tierlang.lang import DEFAULT_ALPHABET, FF, TT, Alphabet, Word, subword
 from tierlang.ops import (
     NEUTRAL_PREDICATE,
     NEUTRAL_SUBWORD,
@@ -168,6 +172,52 @@ def test_operator_def_validation():
     with pytest.raises(ValueError):
         # neutral operators must not claim growth
         OperatorDef("bad", 1, lambda u: u, NEUTRAL_SUBWORD, growth=1)
+
+
+@dataclass(frozen=True)
+class ClassVerdict:
+    """Outcome of checking an operator against its declared class."""
+
+    ok: bool
+    checked: int
+    exhaustive: bool
+    counterexample: tuple[Word, ...] | None = None
+    output: Word | None = None
+
+
+def validate_class(
+    op: OperatorDef,
+    max_len: int = 4,
+    alphabet: Alphabet = DEFAULT_ALPHABET,
+    sample_cap: int = 20000,
+    seed: int = 0,
+) -> ClassVerdict:
+    """Check the declared growth class on all argument tuples of words up
+    to ``max_len``, falling back to a seeded random sample when the full
+    product exceeds ``sample_cap`` tuples.
+    """
+    words = list(alphabet.words_up_to(max_len))
+    total = len(words) ** op.arity
+    exhaustive = total <= sample_cap
+    if exhaustive:
+        tuples = itertools.product(words, repeat=op.arity)
+        count = total
+    else:
+        rng = random.Random(seed)
+        tuples = (tuple(rng.choice(words) for _ in range(op.arity)) for _ in range(sample_cap))
+        count = sample_cap
+    for args in tuples:
+        out = op.fn(*args)
+        if op.kind == NEUTRAL_PREDICATE:
+            good = out == TT or out == FF
+        elif op.kind == NEUTRAL_SUBWORD:
+            good = any(subword(out, arg) for arg in args)
+        else:
+            longest = max((len(a) for a in args), default=0)
+            good = len(out) <= longest + op.growth
+        if not good:
+            return ClassVerdict(False, count, exhaustive, tuple(args), out)
+    return ClassVerdict(True, count, exhaustive)
 
 
 def test_every_builtin_validates():

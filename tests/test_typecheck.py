@@ -191,6 +191,28 @@ def test_explain_failure_points_at_the_blocker():
     assert diag.rule == "while" and "y" in diag.variables
 
 
+# Each branch types, and the guard types at both tiers, but the branches
+# share no tier: ``y`` grows at tier 0 while ``x`` shrinks at tier 1.
+SPLIT_IF = """op gt0 arity 1 class neutral;
+op sub1 arity 1 class neutral;
+op add1 arity 1 class positive;
+vars { x : 1; y : 0; }
+thread t {
+  while (gt0(x)) { x := sub1(x) };
+  if (gt0(x)) { y := add1(y) } else { x := sub1(x) }
+}
+"""
+
+
+def test_explain_names_an_if_whose_branches_share_no_tier():
+    report = check_program(parse(SPLIT_IF))
+    assert not report.safe
+    diag = report.threads[0].diagnostic
+    assert diag.rule == "if"
+    assert str(diag) == ("if at 7:3: guard and branches share no tier "
+                         "(guard: 0, 1, then: 0, else: 1) [variables: x]")
+
+
 # --- whole programs ---------------------------------------------------------------
 
 
@@ -308,7 +330,31 @@ def test_inference_decides_many_unannotated_variables():
     # decided constraint at each step.
     n = 1100
     body = ";\n".join(f"v{i} := pred(v{i})" for i in range(n))
-    report = infer_tiers(parse("op pred arity 1 class neutral;\nthread t {\n" + body + "\n}\n"))
+    src = parse("op pred arity 1 class neutral;\nthread t {\n" + body + "\n}\n")
+    report = infer_tiers(src)
     assert report.ok
     assert dict(report.gamma) == {f"v{i}": Z for i in range(n)}
-    assert report.check.safe
+    assert check_program(src.with_annotations(dict(report.gamma))).safe
+
+
+def test_a_conflict_that_needs_whole_thread_typing_keeps_the_thread_constraint():
+    # Every assignment and guard of SPLIT_IF is satisfiable on its own
+    # (x : 1, y : 0); only typing the whole thread fails.
+    report = infer_tiers(parse(SPLIT_IF).with_annotations({}))
+    assert not report.ok and report.note == ""
+    assert [(c.kind, c.description) for c in report.core] == [
+        ("thread", "thread 't' must type at some tier"),
+    ]
+    assert report.core_variables() == ("x", "y")
+
+
+def test_a_conflict_over_too_many_unknowns_comes_back_unminimized():
+    # 17 unknowns, one past the cap on minimizing the conflict set.
+    body = "".join(f"v{i} := pred(v{i}); " for i in range(16))
+    src = parse("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+                "op add1 arity 1 class positive;\n"
+                f"thread t {{ {body}while (gt0(x)) {{ x := add1(x) }} }}\n")
+    report = infer_tiers(src)
+    assert not report.ok
+    assert report.note == "too many variables to minimize the conflict set"
+    assert [c.kind for c in report.core] == ["assign"] * 16 + ["guard", "assign"]
