@@ -21,7 +21,7 @@ import io
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -98,19 +98,7 @@ class NiReport:
     failure: NiFailure | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "trials": self.trials,
-            "mode": self.mode,
-            "scheduler": self.scheduler,
-            "failure": None
-            if self.failure is None
-            else {
-                "trial": self.failure.trial,
-                "reason": self.failure.reason,
-                "detail": self.failure.detail,
-            },
-        }
+        return asdict(self)
 
 
 def _compare_runs(gamma: TierEnv, a: ScheduledRun, b: ScheduledRun, trial: int) -> NiFailure | None:
@@ -244,19 +232,6 @@ class SubwordReport:
     passed: bool
     steps_checked: int
     violation: SubwordViolation | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "steps_checked": self.steps_checked,
-            "violation": None
-            if self.violation is None
-            else {
-                "step": self.violation.step,
-                "var": self.violation.var,
-                "value": self.violation.value,
-            },
-        }
 
 
 def subword_invariant(
@@ -457,13 +432,7 @@ class FitReport:
     column: str
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "degree": self.degree,
-            "coefficients": list(self.coefficients),
-            "residual": self.residual,
-            "column": self.column,
-        }
+        return asdict(self)
 
 
 def _least_squares(power_sums: Sequence[int], moments: Sequence[int], degree: int) -> list[Fraction]:

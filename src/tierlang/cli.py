@@ -17,11 +17,12 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from typing import Callable, Mapping
 
 from .analysis import fit_polynomial, measure_growth, ni_suite
-from .lang import Alphabet, Store, Word, free_vars, unary
+from .lang import Alphabet, Store, Word, unary
 from .parser import ParseError, SourceFile, parse, pretty
 from .scheduling import (
     FirstAlive,
@@ -153,9 +154,9 @@ def _check_lines(report: CheckReport) -> list[str]:
 
 def cmd_check(args: argparse.Namespace) -> int:
     source = _load_source(args.program)
-    annotated = set(source.annotations())
-    missing = free_vars(source.program()) - annotated
-    if args.infer or missing:
+    report = None if args.infer else check_program(source)
+    # A program missing annotations goes to inference, as --infer does.
+    if report is None or any(d.rule == "annotations" for d in report.diagnostics):
         inference = infer_tiers(source)
         if args.json:
             _emit_json({"command": "check", "mode": "infer", **inference.to_dict()})
@@ -175,7 +176,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         if inference.note:
             print(f"note: {inference.note}")
         return 1
-    report = check_program(source)
     if args.json:
         _emit_json({"command": "check", "mode": "check", **report.to_dict()})
         return 0 if report.safe else 1
@@ -281,14 +281,14 @@ def cmd_ni(args: argparse.Namespace) -> int:
     if gate_code:
         return gate_code
     gamma = source.annotations()
-    missing = free_vars(source.program()) - set(gamma)
+    program = source.program()
+    missing = [v for v in program.table.variables if v not in gamma]
     if missing:
         raise CliError(
-            "non-interference needs a tier for every variable; missing: "
-            + ", ".join(sorted(missing))
+            "non-interference needs a tier for every variable; missing: " + ", ".join(missing)
         )
     ni = ni_suite(
-        source.program(),
+        program,
         gamma,
         scheduler=_scheduler(scheduler, args.seed) if args.mode == "scheduler" else None,
         trials=args.trials,
@@ -334,7 +334,8 @@ def cmd_measure(args: argparse.Namespace) -> int:
     scaled = args.scale
     if not scaled:
         raise CliError("measure needs at least one --scale VAR")
-    absent = sorted(set(scaled) - free_vars(source.program()))
+    program = source.program()
+    absent = sorted(set(scaled) - set(program.table.variables))
     if absent:
         raise CliError(f"--scale {', '.join(absent)}: no such variable in the program")
 
@@ -345,7 +346,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
         return values
 
     scheduler = _scheduler(args.scheduler, args.seed)
-    table = measure_growth(source.program(), input_gen, sizes, scheduler, fuel=args.fuel)
+    table = measure_growth(program, input_gen, sizes, scheduler, fuel=args.fuel)
     fit = fit_polynomial(table, args.max_degree, args.column, args.threshold)
     csv_text = table.to_csv()
     if args.csv:
@@ -542,7 +543,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     handler: Callable[[argparse.Namespace], int] = args.func
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early.  Point stdout at the null device,
+        # so the interpreter's final flush has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

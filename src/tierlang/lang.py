@@ -250,7 +250,7 @@ class Store:
     compare (and hash) equal.
     """
 
-    __slots__ = ("_bindings", "_hash")
+    __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Mapping[str, Word] | Iterable[tuple[str, Word]] | None = None):
         data: dict[str, Word] = {}
@@ -260,7 +260,6 @@ class Store:
                 if word:
                     data[name] = word
         object.__setattr__(self, "_bindings", data)
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _normalized(cls, data: dict[str, Word]) -> Store:
@@ -268,7 +267,6 @@ class Store:
         normalizing copy; the store takes ownership of ``data``."""
         store = object.__new__(cls)
         _set_bindings(store, data)
-        _set_hash(store, None)
         return store
 
     @classmethod
@@ -299,11 +297,7 @@ class Store:
         return self._bindings == other._bindings
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash(frozenset(self._bindings.items()))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash(frozenset(self._bindings.items()))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in self.items())
@@ -313,9 +307,8 @@ class Store:
         raise AttributeError("Store is immutable")
 
 
-# Slot setters that bypass the immutability guard in ``__setattr__``.
+# The slot setter that bypasses the immutability guard in ``__setattr__``.
 _set_bindings = Store._bindings.__set__  # type: ignore[attr-defined]
-_set_hash = Store._hash.__set__  # type: ignore[attr-defined]
 
 
 # --- programs -------------------------------------------------------------
@@ -344,8 +337,8 @@ class Program:
         return cls(tuple(threads.items()))
 
     @classmethod
-    def single(cls, command: Command, tid: str = "main") -> Program:
-        return cls(((tid, command),))
+    def single(cls, command: Command) -> Program:
+        return cls((("main", command),))
 
     @functools.cached_property
     def table(self) -> ControlTable:

@@ -556,8 +556,8 @@ def _pretty_block(cmd: Command, indent: int) -> list[str]:
     return lines
 
 
-def pretty_command(cmd: Command, indent: int = 0) -> str:
-    return "\n".join(_pretty_block(cmd, indent))
+def pretty_command(cmd: Command) -> str:
+    return "\n".join(_pretty_block(cmd, 0))
 
 
 def pretty(source: SourceFile) -> str:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Iterable
 
@@ -535,12 +535,7 @@ class QuietnessReport:
     divergence: tuple[int, int, str, str] | None = None  # trial, step, choice_a, choice_b
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "trials": self.trials,
-            "scheduler": self.scheduler,
-            "divergence": list(self.divergence) if self.divergence else None,
-        }
+        return asdict(self)
 
 
 def quietness_test(

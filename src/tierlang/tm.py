@@ -23,7 +23,7 @@ compiler is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .lang import (
     Assign,
@@ -242,8 +242,8 @@ class CompiledProgram:
     source: SourceFile
     spec: TMSpec
     state_codes: Mapping[str, str]
-    input_var: str = INPUT_VAR
-    output_var: str = RIGHT_VAR
+    input_var: ClassVar[str] = INPUT_VAR
+    output_var: ClassVar[str] = RIGHT_VAR
 
 
 def _state_codes(states: tuple[str, ...]) -> dict[str, str]:

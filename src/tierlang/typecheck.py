@@ -548,7 +548,8 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
     thread that it types at some tier.  ``_solve`` assigns the unannotated
     variables in order of first occurrence, pinning the variables a loop
     guard reads to tier 1.  A solution needs no second check: its thread
-    constraints already type every thread.  On failure the report carries
+    constraints already type every thread.  It keeps the annotated
+    variables, used or not, as ``check`` does.  On failure the report carries
     a conflicting set, minimized greedily: the atomic constraints, plus
     the thread constraints if the atomic ones alone are satisfiable, each
     dropped in turn if the rest stay unsatisfiable.  With more than
@@ -569,7 +570,7 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
     forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
     solution = _solve(constraints + threads, unknowns, annotated, forced)
     if solution is not None:
-        return InferenceReport(tuple(sorted((v, solution[v]) for v in names)))
+        return InferenceReport(tuple(sorted(solution.items())))
 
     # No assignment works: minimize a conflicting constraint set.  A
     # dropped guard constraint no longer forces its variables.

@@ -164,7 +164,7 @@ def test_subword_holds_along_an_adder_run():
     report = subword_invariant(store, scheduled_run_stores(run), src.annotations())
     assert report.passed
     assert report.steps_checked == 13
-    assert report.to_dict()["violation"] is None
+    assert report.violation is None
 
 
 def test_subword_violated_by_a_growing_tier_one_var():

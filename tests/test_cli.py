@@ -87,6 +87,19 @@ def test_check_json_gives_an_empty_gamma_for_a_program_without_variables(tmp_pat
         assert json.loads(out)["gamma"] == {}, flags
 
 
+def test_check_infer_keeps_annotated_variables_the_program_does_not_use(tmp_path, capsys):
+    path = tmp_path / "unused.tier"
+    path.write_text("op pred arity 1 class neutral;\nvars { z : 1; x : 0; }\n"
+                    "thread a { x := pred(x) }\n")
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert (code, out.splitlines()[0]) == (0, "safe: x:0, z:1")
+    code, out, _ = run_cli(capsys, "check", str(path), "--infer")
+    assert (code, out.splitlines()[0]) == (0, "safe (tiers inferred): x:0, z:1")
+    code, out, _ = run_cli(capsys, "check", str(path), "--infer", "--json")
+    assert code == 0
+    assert json.loads(out)["gamma"] == {"x": 0, "z": 1}
+
+
 @pytest.mark.parametrize("name", SAFE_FIXTURES + REJECTED_FIXTURES)
 def test_check_json_matches_golden_output(name, fx, capsys):
     # Refactors keep every byte of this output.  When it changes on purpose,
@@ -147,6 +160,13 @@ def test_run_out_of_fuel_exits_nonzero(fx, capsys):
     code, out, _ = run_cli(capsys, "run", fx("spin.tier"), "--input", "x=1", "--fuel", "30")
     assert code == 1
     assert out.splitlines()[0] == "out of fuel (30 steps) after 30 steps, 15 loop iterations"
+
+
+def test_an_unknown_scheduler_is_a_usage_error(fx, capsys):
+    code, out, err = run_cli(capsys, "run", fx("add.tier"), "--scheduler", "bogus")
+    assert (code, out) == (2, "")
+    assert err == ("error: unknown scheduler 'bogus'; "
+                   "pick one of first-alive, random, round-robin\n")
 
 
 def test_run_gates_on_the_type_check(fx, capsys):
@@ -250,6 +270,30 @@ def test_run_trace_to_stdout_and_file(fx, tmp_path, capsys):
     assert "step\t" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "add.tier", "--input", "x=" + "1" * 3000, "--trace", "-"],
+    ["check", "wide.tier", "--json"],
+], ids=["run-trace", "check-json"])
+def test_a_reader_that_closes_stdout_early_gets_no_traceback(fx, tmp_path, argv):
+    # Each output outgrows the pipe, so writing goes on after the reader left.
+    command, name, *flags = argv
+    if name == "wide.tier":
+        path = tmp_path / name
+        path.write_text("thread t { " + "; ".join(f"v{i} := v{i}" for i in range(10_000)) + " }\n")
+    else:
+        path = fx(name)
+    src = Path(tierlang.__file__).resolve().parent.parent
+    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.Popen([sys.executable, "-m", "tierlang.cli", command, path, *flags],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+
+
 # --- explore ---------------------------------------------------------------------
 
 
@@ -339,12 +383,18 @@ def test_ni_explore_mode(fx, capsys):
 
 
 def test_ni_prints_the_counterexample(fx, capsys):
-    code, out, _ = run_cli(
-        capsys, "ni", fx("unsafe_loop.tier"), "--unsafe-ok",
-        "--trials", "20", "--seed", "7", "--max-len", "5", "--fuel", "10000",
-    )
+    argv = ["ni", fx("unsafe_loop.tier"), "--unsafe-ok",
+            "--trials", "20", "--seed", "7", "--max-len", "5", "--fuel", "10000"]
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert out.strip() == "counterexample at trial 0: loop-count: loop counts differ: 4 vs 3"
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert out == (
+        '{\n  "command": "ni",\n  "failure": {\n    "detail": "loop counts differ: 4 vs 3",\n'
+        '    "reason": "loop-count",\n    "trial": 0\n  },\n  "mode": "scheduler",\n'
+        '  "passed": false,\n  "scheduler": "round-robin",\n  "trials": 1\n}\n'
+    )
 
 
 def test_ni_reports_a_step_count_counterexample(tmp_path, capsys):
@@ -375,6 +425,27 @@ def test_ni_explore_mode_out_of_bounds_is_inconclusive(fx, capsys):
     }
 
 
+def test_ni_explore_mode_reports_a_side_that_can_loop_forever(tmp_path, capsys):
+    # The loop spins exactly when the tier-0 ``h`` is nonempty.
+    path = tmp_path / "spin_on_h.tier"
+    path.write_text("op gt0 arity 1 class neutral;\nvars { h : 0; }\n"
+                    "thread a { while (gt0(h)) { skip } }\n")
+    argv = ["ni", str(path), "--mode", "explore", "--unsafe-ok", "--trials", "20"]
+    detail = "one side can loop forever, the other cannot (cycles: True vs False)"
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (1, f"counterexample at trial 3: termination: {detail}\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert out == json.dumps({
+        "command": "ni",
+        "failure": {"detail": detail, "reason": "termination", "trial": 3},
+        "mode": "explore",
+        "passed": False,
+        "scheduler": None,
+        "trials": 4,
+    }, indent=2, sort_keys=True) + "\n"
+
+
 def test_ni_needs_a_complete_tier_assignment(tmp_path, capsys):
     path = tmp_path / "noann.tier"
     path.write_text(
@@ -384,6 +455,21 @@ def test_ni_needs_a_complete_tier_assignment(tmp_path, capsys):
     code, _, err = run_cli(capsys, "ni", str(path), "--unsafe-ok", "--trials", "2")
     assert code == 2
     assert "needs a tier for every variable" in err
+
+
+@pytest.mark.parametrize("command", ["explore", "ni", "measure"])
+def test_the_gate_refuses_a_rejected_program(fx, capsys, command):
+    flags = {"explore": ["--input", "secret=11"], "ni": ["--trials", "3"],
+             "measure": ["--scale", "secret"]}[command]
+    code, out, _ = run_cli(capsys, command, fx("unsafe_loop.tier"), *flags)
+    assert code == 1
+    assert out.splitlines()[0] == (
+        "rejected: the program does not type-check (--unsafe-ok runs it anyway)"
+    )
+    code, out, _ = run_cli(capsys, command, fx("unsafe_loop.tier"), *flags, "--json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["command"] == "gate" and data["safe"] is False
 
 
 # --- measure ---------------------------------------------------------------------
@@ -417,6 +503,28 @@ def test_measure_takes_a_size_range_with_a_step(fx, capsys):
     assert code == 0
     assert [line.split(",")[0] for line in out.splitlines()[1:7]] == ["2", "4", "6", "8", "10", "12"]
     assert out.splitlines()[7] == "fit: max_k looks degree 1 (residual 0.0000)"
+
+
+def test_measure_json_gives_the_rows_and_the_fit(fx, capsys):
+    code, out, _ = run_cli(capsys, "measure", fx("add.tier"), "--scale", "x", "--sizes", "1:6",
+                           "--json")
+    assert code == 0
+    rows = [{"fuel_hit": False, "max_k": 3 * n + 1, "max_t": n, "n": n} for n in range(1, 7)]
+    assert out == json.dumps({
+        "command": "measure",
+        "fit": {"coefficients": [3.0, 1.0], "column": "max_k", "degree": 1, "residual": 0.0,
+                "verdict": "polynomial"},
+        "rows": rows,
+    }, indent=2, sort_keys=True) + "\n"
+
+
+def test_measure_warns_when_runs_hit_the_fuel_bound(fx, capsys):
+    code, out, _ = run_cli(capsys, "measure", fx("spin.tier"), "--scale", "x", "--sizes", "1:8",
+                           "--fuel", "20")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1:9] == [f"{n},10,20,1" for n in range(1, 9)]
+    assert lines[-1] == "warning: some runs hit the fuel bound; counts there are lower bounds"
 
 
 def test_measure_flags_the_doubler_as_superpolynomial(fx, capsys):
@@ -455,6 +563,10 @@ def test_measure_argument_validation(fx, capsys):
     code, _, err = run_cli(capsys, "measure", fx("add.tier"), "--scale", "x", "--sizes", "zz")
     assert code == 2
     assert "--sizes takes START:STOP[:STEP]" in err
+
+    code, _, err = run_cli(capsys, "measure", fx("add.tier"), "--scale", "x", "--sizes", "1:2:3:4")
+    assert code == 2
+    assert err == "error: --sizes takes START:STOP[:STEP] or a comma list, got '1:2:3:4'\n"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Thread pools, schedulers, bounded exhaustive exploration, quietness."""
 
+import json
 import random
 
 import pytest
@@ -284,3 +285,6 @@ def test_store_peeking_scheduler_fails_quietness():
     assert report.trials == 1
     assert report.divergence == (0, 0, "bump", "wipe")
     assert report.scheduler == "peek-z"
+    assert json.dumps(report.to_dict(), sort_keys=True) == (
+        '{"divergence": [0, 0, "bump", "wipe"], "passed": false, "scheduler": "peek-z", '
+        '"trials": 1}')

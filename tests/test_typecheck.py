@@ -213,6 +213,16 @@ def test_explain_names_an_if_whose_branches_share_no_tier():
                          "(guard: 0, 1, then: 0, else: 1) [variables: x]")
 
 
+def test_explain_names_a_loop_guard_that_types_at_no_tier():
+    # ``gt0`` only takes a tier-0 argument, so it cannot read tier-1 ``x``.
+    report = check_program(parse(
+        "op gt0 arity 1 class neutral sig 0->0;\nop sub1 arity 1 class neutral;\n"
+        "vars { x : 1; }\nthread a { while (gt0(x)) { x := sub1(x) } }\n"))
+    assert not report.safe
+    assert str(report.threads[0].diagnostic) == (
+        "while at 4:12: loop guard gt0(x) must type at tier 1 but only types at no tier "
+        "[variables: x]")
+
 # --- whole programs ---------------------------------------------------------------
 
 
