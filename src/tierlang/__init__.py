@@ -69,7 +69,6 @@ from .typecheck import (
     check_program,
     check_safe_sigs,
     command_tiers,
-    expr_tiers,
     infer_tiers,
     maximal_safe_sigs,
 )
@@ -90,6 +89,6 @@ __all__ = [
     "fit_polynomial", "measure_growth", "ni_suite", "scheduled_run_stores",
     "store_equiv", "subword_invariant", "tier_one_projection", "tier_preservation",
     "CheckReport", "Diagnostic", "InferenceReport", "check_program",
-    "check_safe_sigs", "command_tiers", "expr_tiers", "infer_tiers", "maximal_safe_sigs",
+    "check_safe_sigs", "command_tiers", "infer_tiers", "maximal_safe_sigs",
     "CompiledProgram", "TMSpec", "compile_tm", "parse_tm", "simulate_tm",
 ]

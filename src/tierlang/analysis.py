@@ -45,7 +45,7 @@ from .scheduling import (
     run_with_scheduler,
 )
 from .semantics import DONE
-from .typecheck import BOTH_TIERS, SigEnv, TierTable, _tier_table
+from .typecheck import BOTH_TIERS, SigEnv, type_table
 
 TierEnv = Mapping[str, Tier]
 
@@ -319,8 +319,8 @@ def tier_preservation(
     successor must still check, at a tier no higher than the lowest tier
     its predecessor checked at; a predecessor that does not check at all
     is reported immediately, so a rejected program fails at depth zero.
-    Every slot is typed through one tier table shared by the whole walk,
-    so each distinct node is typed once, however many residuals hold it.
+    Slots are typed by ``check_program``'s table pass, extended to the
+    residuals the walk adds, so each distinct command is typed once.
 
     A thread has finitely many residuals, so the walk always closes and
     covers every store and schedule at once: ``edges_checked`` counts the
@@ -330,14 +330,8 @@ def tier_preservation(
     """
     table = program.table
     tids = program.thread_ids()
-    # Residuals are built from nodes the control table keeps alive, so
-    # one tier table serves every slot and types each distinct node once.
-    tiers: TierTable = {}
-
-    def typed(slot: int) -> frozenset[Tier]:
-        cmd = table.commands[slot]
-        return _tier_table(gamma, sig_env, cmd, tiers)[id(cmd)]
-
+    typing = type_table(table, gamma, sig_env)
+    typed = typing[1]
     # Breadth first, so a slot is first taken at its distance from a root.
     frontier = deque((index, root, 0) for index, root in enumerate(table.roots))
     seen: set[int] = set()
@@ -347,10 +341,12 @@ def tier_preservation(
         if slot in seen:
             continue
         seen.add(slot)
-        before = typed(slot)
+        before = typed[slot]
         for after_slot in table.successors(slot):
             edges += 1
-            after = BOTH_TIERS if after_slot == DONE else typed(after_slot)
+            if after_slot >= len(typed):  # a residual this step made
+                type_table(table, gamma, sig_env, typing)
+            after = BOTH_TIERS if after_slot == DONE else typed[after_slot]
             if not before or not after or min(after) > min(before):
                 return TierPreservationReport(
                     False,

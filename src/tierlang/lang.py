@@ -320,7 +320,7 @@ class Program:
 
     Threads are kept sorted by name so that equal programs compare equal
     regardless of construction order.  ``table`` is the program's one
-    ``ControlTable``, built the first time a run or walk asks for it.
+    ``ControlTable``, built the first time a check, run or walk asks for it.
     """
 
     threads: tuple[tuple[str, Command], ...]

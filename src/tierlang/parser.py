@@ -28,6 +28,7 @@ text reparses to a structurally equal tree.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -179,6 +180,10 @@ class SourceFile:
         return dict(self.var_tiers)
 
     def program(self) -> Program:
+        return self._program  # one per file, so a check and its runs share a table
+
+    @functools.cached_property
+    def _program(self) -> Program:
         return Program(self.threads)
 
     def with_annotations(self, tiers: dict[str, Tier]) -> "SourceFile":
@@ -231,9 +236,9 @@ class _Parser:
 
     def source_file(self) -> SourceFile:
         alphabet: tuple[str, ...] | None = None
-        op_decls: list[OpDecl] = []
-        var_tiers: list[tuple[str, Tier]] = []
-        threads: list[tuple[str, Command]] = []
+        op_decls: dict[str, OpDecl] = {}  # each by name, so a duplicate is one lookup
+        var_tiers: dict[str, Tier] = {}
+        threads: dict[str, Command] = {}
         while self.peek()[0] != "eof":
             if self.at("alphabet"):
                 if alphabet is not None:
@@ -241,21 +246,22 @@ class _Parser:
                 alphabet = self.alphabet_decl()
             elif self.at("op"):
                 decl = self.op_decl()
-                if any(d.name == decl.name for d in op_decls):
+                if decl.name in op_decls:
                     raise self.fail(f"duplicate declaration of operator {decl.name!r}")
-                op_decls.append(decl)
+                op_decls[decl.name] = decl
             elif self.at("vars"):
                 self.vars_decl(var_tiers)
             elif self.at("thread"):
                 name, cmd = self.thread_decl()
-                if any(tid == name for tid, _ in threads):
+                if name in threads:
                     raise self.fail(f"duplicate thread name {name!r}")
-                threads.append((name, cmd))
+                threads[name] = cmd
             else:
                 raise self.fail(f"expected a header or thread, found {self.peek()[1]!r}")
         if not threads:
             raise self.fail("a program needs at least one thread")
-        source = SourceFile(alphabet, tuple(op_decls), tuple(var_tiers), tuple(threads))
+        source = SourceFile(alphabet, tuple(op_decls.values()), tuple(var_tiers.items()),
+                            tuple(threads.items()))
         _validate(source)
         return source
 
@@ -312,7 +318,7 @@ class _Parser:
             )
         return tuple(tiers[:-1]), tiers[-1]
 
-    def vars_decl(self, var_tiers: list[tuple[str, Tier]]) -> None:
+    def vars_decl(self, var_tiers: dict[str, Tier]) -> None:
         self.expect("vars")
         self.expect("{")
         while not self.at("}"):
@@ -320,9 +326,9 @@ class _Parser:
             self.expect(":")
             tier = self.tier()
             self.expect(";")
-            if any(name == name_tok[1] for name, _ in var_tiers):
+            if name_tok[1] in var_tiers:
                 raise self.fail(f"duplicate tier annotation for {name_tok[1]!r}", name_tok)
-            var_tiers.append((name_tok[1], tier))
+            var_tiers[name_tok[1]] = tier
         self.expect("}")
 
     def thread_decl(self) -> tuple[str, Command]:

@@ -14,16 +14,17 @@ default, so ill-formed guards surface immediately.
 
 Runs step a ``ControlTable``, which owns the step rules: every residual
 a command can reach gets a hash-consed slot number, each distinct
-expression is compiled into one closure as the table is built, and each
+expression is compiled into one closure on the first step, and each
 slot, the first time it is stepped, records its redex's closure and the
 slots that follow.  So a run state is a store plus one int per thread
 and a step is a table lookup plus one operator call.  A step reads a
 store's bindings and returns the assignment to make, which each caller
 writes into its own state representation.  The same table lists each
 slot's successors for questions that range over every store at once,
-such as subject reduction.  A program builds its table on first use, as
-``Program.table``, and every later run, exploration and walk of it
-reuses that table; one command runs as a one-thread ``Program.single``.
+such as subject reduction, and ``typecheck.type_table`` types its keys.
+A program builds its table on first use, as ``Program.table``, and
+every later run, exploration and walk of it reuses that table; one
+command runs as a one-thread ``Program.single``.
 """
 
 from __future__ import annotations
@@ -145,32 +146,37 @@ class ControlTable:
     (spans ignored), and nodes with equal keys share one slot, so equal
     states compare as small ints.  Guards and assigned expressions are
     hash-consed to int ids the same way, so building a table never
-    hashes or compares an AST node, however deep.  One ``lang.walk``
-    pass per command interns its nodes, children first, and compiles
-    each distinct expression once, from its arguments' closures.  A
-    slot's step rules are compiled from the slot keys, not from AST
-    nodes, the first time a run steps it.
+    hashes or compares an AST node, however deep.  One reversed
+    ``lang.walk`` pass per command interns its nodes children first, so
+    children have lower numbers than parents, residuals included.
+    The first step compiles each distinct expression once, from its
+    arguments' closures, and a slot's step rules from the slot keys the
+    first time a run steps it; a table that is only typed compiles none.
 
-    ``roots[i]`` is the slot of the i-th command, ``variables`` lists
+    ``roots[i]`` is the slot of the i-th command and ``node_ids[i]`` the
+    ids of its nodes, in reverse ``lang.walk`` order; ``variables`` lists
     the names the commands read or assign, sorted, and ``commands[s]``
-    rebuilds slot ``s`` (the first structurally equal node seen).
+    rebuilds slot ``s`` (the first equal node seen, maybe another thread's).
     """
 
     def __init__(self, commands: Iterable[Command]):
         self.commands: list[Command] = []
         # slot -> its key: the kind, the guard's or assigned expression's id
         # if any, then the child slots or the assigned variable
-        self._keys: list[tuple] = []
+        self.keys: list[tuple] = []
+        self.exprs: list[str | tuple] = []  # expression id -> a name, or (op, *arg ids)
+        self._eids: dict[object, int] = {}  # expression key -> expression id
+        self._nodes: list[Expr] = []  # expression id -> the first node seen
         self._entries: list[_Entry | None] = []
         self._slots: dict[tuple, int] = {}
         self._closures: list[_Closure] = []  # expression id -> its closure
-        exprs: dict[object, int] = {}  # expression key -> expression id
-        names: set[str] = set()
-        # The slots and expression ids of the nodes whose parent is still to
-        # come, the first child on top; after the loop, the roots' slots.
+        self.node_ids: list[list[int]] = []
+        # The ids of the nodes whose parent is still to come, the first
+        # child on top; after the loop, the roots' slots.
         done: list[int] = []
         pop = done.pop
         for root in commands:
+            ids: list[int] = []
             for node in reversed(list(walk(root))):  # each node after its children
                 cls = node.__class__
                 if cls is Seq:
@@ -180,26 +186,25 @@ class ControlTable:
                 elif cls is While:
                     key = (While, pop(), pop())
                 elif cls is Assign:
-                    names.add(node.var)
                     key = (Assign, pop(), node.var)
                 elif cls is Skip:
                     key = (Skip,)
                 else:
-                    if cls is Var:
-                        names.add(node.name)
-                        key, args = node.name, []
-                    else:
-                        args = [pop() for _ in node.args]
-                        key = (node.op, *args)
-                    eid = exprs.get(key)
-                    if eid is None:
-                        eid = exprs[key] = len(self._closures)
-                        self._closures.append(_closure(node, [self._closures[i] for i in args]))
-                    done.append(eid)
-                    continue
-                done.append(self._intern(key, node))
+                    key = node.name if cls is Var else (node.op, *[pop() for _ in node.args])
+                if cls is Var or cls is OpCall:
+                    i = self._eids.get(key)
+                    if i is None:
+                        i = self._eids[key] = len(self.exprs)
+                        self.exprs.append(key)
+                        self._nodes.append(node)
+                else:
+                    i = self._intern(key, node)
+                done.append(i)
+                ids.append(i)
+            self.node_ids.append(ids)
         self.roots = tuple(done)
-        self.variables = tuple(sorted(names))
+        self.variables = tuple(sorted({key for key in self.exprs if key.__class__ is str}
+                                      | {key[2] for key in self.keys if key[0] is Assign}))
 
     def _intern(self, key: tuple, node: Command) -> int:
         """The slot of the command ``node``, whose key is ``key``."""
@@ -207,7 +212,7 @@ class ControlTable:
         if slot is None:
             slot = self._slots[key] = len(self.commands)
             self.commands.append(node)
-            self._keys.append(key)
+            self.keys.append(key)
             self._entries.append(None)
         return slot
 
@@ -223,7 +228,12 @@ class ControlTable:
         picks a rule (the true, then the false case for a guard) and
         leaves a residual or nothing (``DONE``), which is plugged back
         into the sequences around it, innermost first."""
-        keys = self._keys
+        closures = self._closures
+        if not closures:  # the first step compiles every expression, in one pass
+            for node, key in zip(self._nodes, self.exprs):
+                closures.append(_closure(node, [] if node.__class__ is Var
+                                         else [closures[i] for i in key[1:]]))
+        keys = self.keys
         context: list[int] = []
         redex = slot
         while keys[redex][0] is Seq:
@@ -231,7 +241,7 @@ class ControlTable:
             redex = keys[redex][1]
         key = keys[redex]
         kind = key[0]
-        fn = None if kind is Skip else self._closures[key[1]][0]  # guard or assigned expression
+        fn = None if kind is Skip else closures[key[1]][0]  # guard or assigned expression
         var = key[2] if kind is Assign else None
         outcomes: tuple[tuple[str, int], ...]
         if kind is Skip:

@@ -4,9 +4,9 @@ A variable environment assigns each variable a tier; a signature
 environment assigns each operator a set of signatures ``args -> result``.
 An expression or command may type at several tiers, so the checker works
 with the full set of derivable tiers.  The rules are syntax-directed, so
-one post-order pass with an explicit stack computes every node's tier
-set exactly; a failure diagnostic is then read off those sets, and no
-sequence length or nesting depth costs Python recursion.
+one pass over a control table, whose keys are numbered children first,
+types each distinct node exactly; a diagnostic is read off those sets
+and the thread's own tree, and no size or depth costs Python recursion.
 
 Safe signature sets keep growth under control: a signature's result must
 sit at or below every argument tier, and operators that can actually
@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .lang import (
     Assign,
     Command,
-    Expr,
     If,
     OpCall,
     Seq,
@@ -40,10 +39,11 @@ from .lang import (
 )
 from .ops import OPERATORS, OperatorDef, Registry, UnknownOperatorError
 from .parser import OpDecl, Sig, SourceFile, pretty_expr, render_sig
+from .semantics import ControlTable
 
 TierEnv = Mapping[str, Tier]
 SigEnv = Mapping[str, frozenset[Sig]]
-TierTable = dict[int, frozenset[Tier]]  # tier sets keyed by id(node)
+Typing = tuple[list[frozenset[Tier]], list[frozenset[Tier]]]  # by expression id, by slot
 
 BOTH_TIERS = frozenset((Tier.ZERO, Tier.ONE))
 NO_TIERS: frozenset[Tier] = frozenset()
@@ -155,97 +155,68 @@ def build_sig_env(
     return env, tuple(diags)
 
 
-def _declared_sigs(source: SourceFile) -> dict[str, frozenset[Sig]]:
-    """The ``sig`` clauses a source file declares.  Only these need a
-    safety check: ``maximal_safe_sigs`` builds the others safe."""
-    return {d.name: frozenset(d.sigs) for d in source.op_decls if d.sigs is not None}
-
-
-def _literal_sigs(name: str) -> frozenset[Sig] | None:
-    if name.startswith('"') or name in ("tt", "ff"):
-        return maximal_safe_sigs(OPERATORS.resolve(name))
-    return None
+def _checked_sig_env(source: SourceFile) -> tuple[dict[str, frozenset[Sig]], tuple]:
+    """``build_sig_env`` on the library; its diagnostics, else unsafe ``sig`` clauses'."""
+    sig_env, diags = build_sig_env(source, OPERATORS)
+    declared = {d.name: frozenset(d.sigs) for d in source.op_decls if d.sigs is not None}
+    return sig_env, diags or check_safe_sigs(declared)
 
 
 # --- the typing pass ------------------------------------------------------------
 
 
-def _op_sigs(call: OpCall, sig_env: SigEnv) -> frozenset[Sig]:
-    sigs = sig_env.get(call.op)
+def _op_sigs(op: str, sig_env: SigEnv) -> frozenset[Sig]:
+    sigs = sig_env.get(op)
+    if sigs is None and (op.startswith('"') or op in ("tt", "ff")):
+        sigs = maximal_safe_sigs(OPERATORS.resolve(op))  # a literal
     if sigs is None:
-        sigs = _literal_sigs(call.op)
-    if sigs is None:
-        raise UnknownOperatorError(call.op)
+        raise UnknownOperatorError(op)
     return sigs
 
 
-def _tier_table(
-    gamma: TierEnv, sig_env: SigEnv, root: Expr | Command, tiers: TierTable | None = None
-) -> TierTable:
-    """The tier set of every expression and command node under ``root``.
+def type_table(table: ControlTable, gamma: TierEnv, sig_env: SigEnv, typing: Typing | None = None,
+               eids: Iterable = (), slots: Iterable | None = None) -> Typing:
+    """The tier set of every expression id and every slot of a control table.
 
-    One post-order pass with an explicit stack combines each node's set
-    once from its children's, left to right; an assignment's target and an
-    operator's signatures are looked up on the way down, so errors raise
-    in reading order.  An exit entry is a ``(node, signatures)`` pair, with
-    ``None`` for a command.  Given a table, the pass extends it and skips
-    the nodes it already holds; its keys are ids, so the caller keeps
-    those nodes alive.
+    The rules are syntax-directed, so a key's set follows from its kind
+    and its children's, which the table numbers first: one pass in index
+    order types each distinct expression and command once.  Given an
+    earlier typing of the table, the pass types the slots added since
+    (the residuals of a walk), or just the ``(id, key)`` pairs in
+    ``eids`` and ``slots``, whose children's sets are current.
     """
-    if tiers is None:
-        tiers = {}
-    stack: list = [root]
-    while stack:
-        node = stack.pop()
-        if node.__class__ is tuple:
-            node, sigs = node
-            if sigs is not None:
-                combos = set(itertools.product(*[tiers[id(a)] for a in node.args]))
-                tiers[id(node)] = frozenset([result for sig, result in sigs if sig in combos])
-            elif isinstance(node, Assign):
-                target = gamma[node.var]
-                fits = any(target.leq(t) for t in tiers[id(node.expr)])
-                tiers[id(node)] = _ONLY[target] if fits else NO_TIERS
-            elif isinstance(node, Seq):
-                tiers[id(node)] = frozenset(a.join(b) for a in tiers[id(node.first)]
-                                            for b in tiers[id(node.second)])
-            elif isinstance(node, If):
-                tiers[id(node)] = (tiers[id(node.guard)] & tiers[id(node.then_branch)]
-                                   & tiers[id(node.else_branch)])
-            else:
-                fits = Tier.ONE in tiers[id(node.guard)] and tiers[id(node.body)]
-                tiers[id(node)] = _ONLY[Tier.ONE] if fits else NO_TIERS
-            continue
-        key = id(node)
-        if key in tiers:
-            continue  # a subtree shared within the tree
-        if isinstance(node, Var):
-            if node.name not in gamma:
-                raise UnboundVariableError(node.name)
-            tiers[key] = _ONLY[gamma[node.name]]
-        elif isinstance(node, OpCall):
-            stack.append((node, _op_sigs(node, sig_env)))
-            stack.extend(reversed(node.args))
-        elif isinstance(node, Skip):
-            tiers[key] = BOTH_TIERS
-        elif isinstance(node, Assign):
-            if node.var not in gamma:
-                raise UnboundVariableError(node.var)
-            stack += ((node, None), node.expr)
-        elif isinstance(node, Seq):
-            stack += ((node, None), node.second, node.first)
-        elif isinstance(node, If):
-            stack += ((node, None), node.else_branch, node.then_branch, node.guard)
-        elif isinstance(node, While):
-            stack += ((node, None), node.body, node.guard)
+    if typing is None:
+        for name in table.variables:
+            if name not in gamma:
+                raise UnboundVariableError(name)
+        typing = ([NO_TIERS] * len(table.exprs), [])
+        eids = enumerate(table.exprs)
+    exprs, typed = typing
+    if slots is None:
+        slots = enumerate(table.keys[len(typed):], len(typed))
+        typed.extend([NO_TIERS] * (len(table.keys) - len(typed)))
+    for eid, key in eids:
+        if key.__class__ is str:
+            exprs[eid] = _ONLY[gamma[key]]
         else:
-            raise TypeError(f"not an AST node: {node!r}")
-    return tiers
-
-
-def expr_tiers(gamma: TierEnv, sig_env: SigEnv, expr: Expr) -> frozenset[Tier]:
-    """The set of tiers the expression types at."""
-    return _tier_table(gamma, sig_env, expr)[id(expr)]
+            combos = set(itertools.product(*[exprs[a] for a in key[1:]]))
+            exprs[eid] = frozenset([r for sig, r in _op_sigs(key[0], sig_env) if sig in combos])
+    for slot, key in slots:
+        kind = key[0]
+        if kind is Seq:
+            typed[slot] = frozenset([a.join(b) for a in typed[key[1]] for b in typed[key[2]]])
+        elif kind is If:
+            typed[slot] = exprs[key[1]] & typed[key[2]] & typed[key[3]]
+        elif kind is While:
+            fits = Tier.ONE in exprs[key[1]] and typed[key[2]]
+            typed[slot] = _ONLY[Tier.ONE] if fits else NO_TIERS
+        elif kind is Assign:
+            target = gamma[key[2]]
+            fits = any(target.leq(t) for t in exprs[key[1]])
+            typed[slot] = _ONLY[target] if fits else NO_TIERS
+        else:
+            typed[slot] = BOTH_TIERS
+    return typing
 
 
 def command_tiers(gamma: TierEnv, sig_env: SigEnv, cmd: Command) -> frozenset[Tier]:
@@ -253,9 +224,17 @@ def command_tiers(gamma: TierEnv, sig_env: SigEnv, cmd: Command) -> frozenset[Ti
 
     A command that fails every rule has the empty set; the invariant
     driving the harnesses is that this set can only shrink toward lower
-    tiers as the command runs, never empty out.
+    tiers as the command runs, never empty out.  An unbound variable or
+    an unknown operator raises at its first occurrence in reading order.
     """
-    return _tier_table(gamma, sig_env, cmd)[id(cmd)]
+    for node in walk(cmd):
+        name = node.name if node.__class__ is Var else getattr(node, "var", None)
+        if node.__class__ is OpCall:
+            _op_sigs(node.op, sig_env)
+        elif name is not None and name not in gamma:
+            raise UnboundVariableError(name)
+    table = ControlTable((cmd,))
+    return type_table(table, gamma, sig_env)[1][table.roots[0]]
 
 
 # --- failure explanation --------------------------------------------------------
@@ -267,62 +246,58 @@ def _tier_names(tiers: frozenset[Tier]) -> str:
     return ", ".join(str(t) for t in sorted(tiers))
 
 
-def _explain(tiers: TierTable, gamma: TierEnv, cmd: Command) -> Diagnostic:
-    """The first blocking constraint of an untypable command, found by
-    following the first untypable child down a tier table."""
+def _explain(typing: Typing, table: ControlTable, gamma: TierEnv, cmd: Command,
+             slot: int) -> Diagnostic:
+    """The first blocking constraint of an untypable command at ``slot``,
+    found by following the first untypable child down the command and
+    the slot keys side by side: the keys give the tier sets, and the
+    command its own spans and text, which hash-consing does not keep."""
+    exprs, slots = typing
     while True:
-        if isinstance(cmd, Assign):
-            rhs = tiers[id(cmd.expr)]
-            if not rhs:
-                expr = cmd.expr
-                break
-            target = gamma[cmd.var]
+        key = table.keys[slot]
+        if isinstance(cmd, Seq):
+            cmd, slot = (cmd.second, key[2]) if slots[key[1]] else (cmd.first, key[1])
+        elif isinstance(cmd, (Assign, If)) and not exprs[key[1]]:
+            expr, eid = (cmd.expr if isinstance(cmd, Assign) else cmd.guard), key[1]
+            break
+        elif isinstance(cmd, If) and not (slots[key[2]] and slots[key[3]]):
+            cmd, slot = (cmd.else_branch, key[3]) if slots[key[2]] else (cmd.then_branch, key[2])
+        elif isinstance(cmd, While) and not slots[key[2]]:
+            cmd, slot = cmd.body, key[2]
+        elif isinstance(cmd, Assign):
             return Diagnostic(
                 "assign",
-                f"variable {cmd.var!r} has tier {target} but {pretty_expr(cmd.expr)} only "
-                f"types at tier {_tier_names(rhs)}",
+                f"variable {cmd.var!r} has tier {gamma[cmd.var]} but {pretty_expr(cmd.expr)} "
+                f"only types at tier {_tier_names(exprs[key[1]])}",
                 cmd.span,
                 (cmd.var,),
             )
-        if isinstance(cmd, Seq):
-            cmd = cmd.second if tiers[id(cmd.first)] else cmd.first
         elif isinstance(cmd, If):
-            guard = tiers[id(cmd.guard)]
-            then_t, else_t = tiers[id(cmd.then_branch)], tiers[id(cmd.else_branch)]
-            if not guard:
-                expr = cmd.guard
-                break
-            if not then_t or not else_t:
-                cmd = cmd.else_branch if then_t else cmd.then_branch
-                continue
+            guard, then_t, else_t = map(_tier_names, (exprs[key[1]], slots[key[2]], slots[key[3]]))
             return Diagnostic(
                 "if",
-                f"guard and branches share no tier (guard: {_tier_names(guard)}, "
-                f"then: {_tier_names(then_t)}, else: {_tier_names(else_t)})",
+                f"guard and branches share no tier (guard: {guard}, then: {then_t}, "
+                f"else: {else_t})",
                 cmd.span,
                 tuple(sorted(free_vars(cmd.guard))),
             )
         elif isinstance(cmd, While):
-            if not tiers[id(cmd.body)]:
-                cmd = cmd.body
-                continue
             return Diagnostic(
                 "while",
                 f"loop guard {pretty_expr(cmd.guard)} must type at tier 1 but only "
-                f"types at {_tier_names(tiers[id(cmd.guard)])}",
+                f"types at {_tier_names(exprs[key[1]])}",
                 cmd.span,
                 tuple(sorted(free_vars(cmd.guard))),
             )
         else:
             raise AssertionError(f"typable command reached _explain: {cmd!r}")
-    # The innermost operator application with an empty tier set.
-    while True:
-        assert isinstance(expr, OpCall), "variables always type at their tier"
-        blocked = next((arg for arg in expr.args if not tiers[id(arg)]), None)
-        if blocked is None:
+    while True:  # down to the innermost operator application with an empty tier set
+        args = table.exprs[eid][1:]
+        blocked = [i for i, arg in enumerate(args) if not exprs[arg]]
+        if not blocked:
             break
-        expr = blocked
-    shown = ", ".join(_tier_names(tiers[id(a)]) for a in expr.args) or "none"
+        expr, eid = expr.args[blocked[0]], args[blocked[0]]
+    shown = ", ".join(_tier_names(exprs[arg]) for arg in args) or "none"
     return Diagnostic(
         "op",
         f"no declared signature of {expr.op!r} applies (argument tiers: {shown})",
@@ -376,27 +351,21 @@ def check_program(source: SourceFile) -> CheckReport:
     blocking constraint.
     """
     gamma = source.annotations()
-    program = source.program()
-    missing = sorted(free_vars(program) - set(gamma))
-    if missing:
-        diag = Diagnostic(
-            "annotations",
-            "no tier annotation for: " + ", ".join(missing),
-            None,
-            tuple(missing),
-        )
-        return CheckReport(False, tuple(sorted(gamma.items())), (diag,), ())
-    sig_env, env_diags = build_sig_env(source, OPERATORS)
-    if env_diags:
-        return CheckReport(False, tuple(sorted(gamma.items())), env_diags, ())
-    violations = check_safe_sigs(_declared_sigs(source))
-    if violations:
-        return CheckReport(False, tuple(sorted(gamma.items())), violations, ())
+    table = source.program().table
+    missing = tuple(sorted(set(table.variables) - gamma.keys()))
+    if missing:  # inference takes over from here
+        why = "no tier annotation for: " + ", ".join(missing)
+        return CheckReport(False, tuple(sorted(gamma.items())),
+                           (Diagnostic("annotations", why, None, missing),), ())
+    sig_env, diags = _checked_sig_env(source)
+    if diags:
+        return CheckReport(False, tuple(sorted(gamma.items())), diags, ())
+    typing = type_table(table, gamma, sig_env)
+    roots = dict(zip(source.program().thread_ids(), table.roots))
     threads = []
     for tid, cmd in source.threads:
-        table = _tier_table(gamma, sig_env, cmd)
-        tiers = table[id(cmd)]
-        diagnostic = None if tiers else _explain(table, gamma, cmd)
+        tiers = typing[1][roots[tid]]
+        diagnostic = None if tiers else _explain(typing, table, gamma, cmd, roots[tid])
         threads.append(ThreadReport(tid, tiers, diagnostic))
     safe = all(t.ok for t in threads)
     return CheckReport(safe, tuple(sorted(gamma.items())), (), tuple(threads))
@@ -414,7 +383,7 @@ class Constraint:
     variables: tuple[str, ...]
     span: Span | None
     description: str
-    holds: Callable[[TierEnv], bool]
+    holds: Callable[[Typing], bool]  # in a typing of the program's table
 
     def __repr__(self) -> str:
         return f"Constraint({self.kind!r}, {self.description!r})"
@@ -454,16 +423,17 @@ class InferenceReport:
         }
 
 
-def _constraints(
-    source: SourceFile, sig_env: SigEnv
-) -> tuple[list[str], list[Constraint], list[Constraint]]:
+def _constraints(source: SourceFile) -> tuple[list[str], list[Constraint], list[Constraint]]:
     """The program's variables in order of first occurrence, each
     assignment's and loop guard's constraint in reading order, and one
-    constraint per thread."""
+    constraint per thread, each on its entry of the program's table."""
+    table = source.program().table
     names: dict[str, None] = {}
     atomic: list[Constraint] = []
-    for _, cmd in source.threads:
-        for node in walk(cmd):
+    threads: list[Constraint] = []
+    node_ids = dict(zip(source.program().thread_ids(), table.node_ids))
+    for tid, cmd in source.threads:
+        for node, i in zip(walk(cmd), reversed(node_ids[tid])):
             if isinstance(node, Var):
                 names.setdefault(node.name)
             elif isinstance(node, Assign):
@@ -474,8 +444,7 @@ def _constraints(
                     node.span,
                     f"assignment {node.var} := {pretty_expr(node.expr)} must store at or "
                     "below the expression tier",
-                    lambda env, a=node: any(
-                        env[a.var].leq(t) for t in expr_tiers(env, sig_env, a.expr)),
+                    lambda typing, slot=i: bool(typing[1][slot]),
                 ))
             elif isinstance(node, While):
                 atomic.append(Constraint(
@@ -483,69 +452,89 @@ def _constraints(
                     tuple(sorted(free_vars(node.guard))),
                     node.guard.span,
                     f"loop guard {pretty_expr(node.guard)} must type at tier 1",
-                    lambda env, g=node.guard: Tier.ONE in expr_tiers(env, sig_env, g),
+                    lambda typing, eid=table.keys[i][1]: Tier.ONE in typing[0][eid],
                 ))
-    threads = [
-        Constraint(
-            "thread",
-            tuple(sorted(free_vars(cmd))),
-            None,
-            f"thread {tid!r} must type at some tier",
-            lambda env, c=cmd: bool(command_tiers(env, sig_env, c)),
-        )
-        for tid, cmd in source.threads
-    ]
+        threads.append(Constraint("thread", tuple(sorted(free_vars(cmd))), None,
+                                  f"thread {tid!r} must type at some tier",
+                                  lambda typing, slot=node_ids[tid][-1]: bool(typing[1][slot])))
     return list(names), atomic, threads
 
 
 _ENUM_CAP = 16
 
 
-def _solve(
-    constraints: list[Constraint],
-    unknowns: list[str],
-    fixed: Mapping[str, Tier],
-    forced: set[str],
-) -> dict[str, Tier] | None:
-    """The first tier environment, or ``None``, that extends ``fixed`` and
-    satisfies every constraint.
+def _solver(table: ControlTable, sig_env: SigEnv, unknowns: list[str], fixed: Mapping[str, Tier]
+            ) -> Callable[[list[Constraint], set[str]], dict[str, Tier] | None]:
+    """``solve(constraints, forced)``: the first tier environment, or
+    ``None``, that extends ``fixed`` and satisfies every constraint.
 
     Backtracking over ``unknowns`` in order, with an explicit stack of the
     next tier each decided variable tries: tier 0 before tier 1, except
-    that a variable in ``forced`` only tries tier 1.  A constraint is
-    tested once per assignment of its unknowns, when the last of them (in
-    ``unknowns`` order) is decided; one without unknowns is tested first.
+    that a variable in ``forced`` only tries tier 1.  Deciding a variable
+    types the table entries and tests the constraints it is the last
+    unknown of (in ``unknowns`` order), so each is typed and tested once
+    per assignment of its unknowns; those without unknowns come first.
     """
     last = {v: depth for depth, v in enumerate(unknowns, 1)}
-    due: list[list[Constraint]] = [[] for _ in range(len(unknowns) + 1)]
-    for c in constraints:
-        due[max((last.get(v, 0) for v in c.variables), default=0)].append(c)
-    env = dict(fixed)
-    if not all(c.holds(env) for c in due[0]):
-        return None
-    tried = [0] * len(unknowns)
-    depth = 0
-    while depth < len(unknowns):
-        var = unknowns[depth]
-        order = (Tier.ONE,) if var in forced else (Tier.ZERO, Tier.ONE)
-        if tried[depth] == len(order):
-            if depth == 0:
-                return None
-            tried[depth] = 0
-            depth -= 1
-            continue
-        env[var] = order[tried[depth]]
-        tried[depth] += 1
-        if all(c.holds(env) for c in due[depth + 1]):
-            depth += 1
-    return env
+    eids: list[list] = [[] for _ in range(len(unknowns) + 1)]  # (id, key) pairs by depth
+    slots: list[list] = [[] for _ in eids]
+    expr_depth: list[int] = []
+    for eid, key in enumerate(table.exprs):
+        expr_depth.append(last.get(key, 0) if key.__class__ is str
+                          else max([expr_depth[a] for a in key[1:]], default=0))
+        eids[expr_depth[-1]].append((eid, key))
+    slot_depth: list[int] = []
+    for slot, key in enumerate(table.keys):
+        if key[0] is Seq:
+            depth = max(slot_depth[key[1]], slot_depth[key[2]])
+        elif key[0] is Assign:
+            depth = max(expr_depth[key[1]], last.get(key[2], 0))
+        elif key[0] is Skip:
+            depth = 0
+        else:  # a guard, then the branches or the body
+            depth = max(expr_depth[key[1]], *[slot_depth[s] for s in key[2:]])
+        slot_depth.append(depth)
+        slots[depth].append((slot, key))
+    # Shared by every search: an entry is retyped before it is read.
+    typing: Typing = ([NO_TIERS] * len(table.exprs), [NO_TIERS] * len(table.keys))
+
+    def solve(constraints: list[Constraint], forced: set[str]) -> dict[str, Tier] | None:
+        due: list[list[Constraint]] = [[] for _ in eids]
+        for c in constraints:
+            due[max((last.get(v, 0) for v in c.variables), default=0)].append(c)
+        env = dict(fixed)
+
+        def holds(depth: int) -> bool:
+            type_table(table, env, sig_env, typing, eids[depth], slots[depth])
+            return all(c.holds(typing) for c in due[depth])
+
+        if not holds(0):
+            return None
+        tried = [0] * len(unknowns)
+        depth = 0
+        while depth < len(unknowns):
+            var = unknowns[depth]
+            order = (Tier.ONE,) if var in forced else (Tier.ZERO, Tier.ONE)
+            if tried[depth] == len(order):
+                if depth == 0:
+                    return None
+                tried[depth] = 0
+                depth -= 1
+                continue
+            env[var] = order[tried[depth]]
+            tried[depth] += 1
+            if holds(depth + 1):
+                depth += 1
+        return env
+
+    return solve
 
 
 def infer_tiers(source: SourceFile) -> InferenceReport:
     """Complete missing tier annotations, or explain why none work.
 
     The constraints are each assignment's and loop guard's, plus one per
-    thread that it types at some tier.  ``_solve`` assigns the unannotated
+    thread that it types at some tier.  ``_solver`` assigns the unannotated
     variables in order of first occurrence, pinning the variables a loop
     guard reads to tier 1.  A solution needs no second check: its thread
     constraints already type every thread.  It keeps the annotated
@@ -556,19 +545,17 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
     ``_ENUM_CAP`` unknowns the atomic constraints come back unminimized,
     with a note.
     """
-    sig_env, env_diags = build_sig_env(source, OPERATORS)
-    if env_diags:
-        return InferenceReport(None, note="; ".join(str(d) for d in env_diags))
-    violations = check_safe_sigs(_declared_sigs(source))
-    if violations:
-        return InferenceReport(None, note="; ".join(str(d) for d in violations))
+    sig_env, diags = _checked_sig_env(source)
+    if diags:
+        return InferenceReport(None, note="; ".join(str(d) for d in diags))
 
     annotated = source.annotations()
-    names, constraints, threads = _constraints(source, sig_env)
+    names, constraints, threads = _constraints(source)
     unknowns = [v for v in names if v not in annotated]
+    solve = _solver(source.program().table, sig_env, unknowns, annotated)
     # Safe signatures force every variable read by a loop guard to tier 1.
     forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
-    solution = _solve(constraints + threads, unknowns, annotated, forced)
+    solution = solve(constraints + threads, forced)
     if solution is not None:
         return InferenceReport(tuple(sorted(solution.items())))
 
@@ -578,12 +565,12 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
         return InferenceReport(None, tuple(constraints),
                                "too many variables to minimize the conflict set")
     core = list(constraints)
-    if _solve(core, unknowns, annotated, set()) is not None:
+    if solve(core, set()) is not None:
         # The atomic conditions alone are satisfiable; the conflict
         # needs whole-thread typability.
         core += threads
     for candidate in list(core):
         rest = [c for c in core if c is not candidate]
-        if _solve(rest, unknowns, annotated, set()) is None:
+        if solve(rest, set()) is None:
             core = rest
     return InferenceReport(None, tuple(core))

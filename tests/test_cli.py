@@ -123,6 +123,22 @@ def test_check_json_answers_a_deep_if_nest(tmp_path, capsys):
     assert json.loads(out)["safe"] is True
 
 
+def test_a_diagnostic_names_its_own_threads_position(tmp_path, capsys):
+    # Both threads are one slot of the control table, which keeps the
+    # first node it saw; each diagnostic must still point into its thread.
+    path = tmp_path / "twins.tier"
+    path.write_text("op add1 arity 1 class positive;\nvars { x : 1; }\n"
+                    "thread a { x := add1(x) }\nthread b {\n  skip;\n    x := add1(x)\n}\n")
+    why = "variable 'x' has tier 1 but add1(x) only types at tier 0 [variables: x]"
+    code, out, _ = run_cli(capsys, "check", str(path))
+    assert code == 1
+    assert out.splitlines()[1:] == [f"  thread 'a': assign at 3:12: {why}",
+                                    f"  thread 'b': assign at 6:5: {why}"]
+    code, out, _ = run_cli(capsys, "check", str(path), "--json")
+    spans = [t["diagnostic"]["span"] for t in json.loads(out)["threads"]]
+    assert (code, spans) == (1, ["3:12", "6:5"])
+
+
 def test_check_reports_parse_errors_as_usage_failures(tmp_path, capsys):
     path = tmp_path / "broken.tier"
     for text in ("thread t { x := }\n", "op f arity \u00b2 class neutral;\nthread t { skip }\n"):

@@ -22,8 +22,9 @@ from tierlang import (
     parse,
     seq_all,
 )
-from tierlang import lang, scheduling, typecheck
+from tierlang import lang, scheduling, semantics, typecheck
 from tierlang.analysis import measure_growth, ni_suite, tier_preservation
+from tierlang.cli import main
 from tierlang.fixtures import (
     MACHINE_FIXTURES,
     REJECTED_FIXTURES,
@@ -46,7 +47,7 @@ from tierlang.scheduling import (
 )
 from tierlang.semantics import _CLOSURE_DEPTH, DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
-from tierlang.typecheck import build_sig_env, command_tiers, maximal_safe_sigs
+from tierlang.typecheck import build_sig_env, check_program, command_tiers, maximal_safe_sigs
 from test_scheduling import StorePeek
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
@@ -518,7 +519,8 @@ def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
 def test_tier_preservation_types_each_node_once(monkeypatch):
     # Each unfolding of a nested loop leaves a residual that repeats the
     # loops around it, so typing residuals one by one looks the same
-    # operator calls up again and again.
+    # operator calls up again and again.  The table pass looks up each
+    # distinct expression's operator once: gt0(x), pred(x) and pred(y).
     cmd = Assign("y", OpCall("pred", (Var("y"),)))
     for _ in range(60):
         step = Assign("x", OpCall("pred", (Var("x"),)))
@@ -537,7 +539,7 @@ def test_tier_preservation_types_each_node_once(monkeypatch):
     report = tier_preservation(Store(), Program.single(cmd), {"x": Tier.ONE, "y": Tier.ONE},
                                sig_env)
     assert report.passed
-    assert (calls, len(looked_up)) == (121, 121)
+    assert (calls, sorted(looked_up)) == (121, ["gt0", "pred", "pred"])
 
 
 def test_a_program_builds_one_control_table(monkeypatch):
@@ -561,6 +563,45 @@ def test_a_program_builds_one_control_table(monkeypatch):
         measure_growth(program, lambda n: {"x": "1" * n, "y": "1"}, [1, 2, 3], RoundRobin())
         tier_preservation(Store(), program, gamma, sig_env)
     assert built == [program.table]
+
+
+def test_a_check_compiles_no_closure(monkeypatch):
+    # Typing reads the table's keys; closures wait for the first step.
+    compiled = []
+    closure = semantics._closure
+
+    def counting(node, args):
+        compiled.append(node)
+        return closure(node, args)
+
+    monkeypatch.setattr(semantics, "_closure", counting)
+    for source in (load_source("binary_add.tier"),
+                   compile_tm(parse_tm(fixture_text("binary_inc.tm"))).source):
+        assert check_program(source).safe
+        assert compiled == []
+        run_with_scheduler(Store(), source.program(), FirstAlive(), fuel=3)
+        assert len(compiled) == len(source.program().table.exprs)
+        compiled.clear()
+
+
+def test_a_run_after_a_check_builds_no_second_table(monkeypatch, tmp_path, capsys):
+    built = []
+    init = ControlTable.__init__
+
+    def counting(self, commands):
+        built.append(self)
+        init(self, commands)
+
+    monkeypatch.setattr(ControlTable, "__init__", counting)
+    source = load_source("zrange.tier")
+    assert check_program(source).safe
+    run_with_scheduler(Store.of(x="11", y="1"), source.program(), RoundRobin(), fuel=300)
+    assert built == [source.program().table]
+    path = tmp_path / "zrange.tier"
+    path.write_text(fixture_text("zrange.tier"))
+    assert main(["run", str(path), "--input", "x=11", "--input", "y=1"]) == 0
+    assert capsys.readouterr().out.startswith("terminated after 11 steps")
+    assert len(built) == 2  # the gate's check and the run share one table
 
 
 def test_one_table_serves_runs_of_several_programs():

@@ -129,6 +129,26 @@ def test_each_header_and_expression_error_is_reported(text, message):
     assert str(bad(text)) == message
 
 
+def test_many_headers_parse_and_a_late_duplicate_is_found():
+    # Each duplicate check is one lookup: scanning the earlier names made
+    # these quadratic, seconds for a file this size.
+    n = 20_000
+    ops = "".join(f"op o{i} arity 1 class neutral;\n" for i in range(n))
+    annotations = "vars {\n" + "".join(f"  v{i} : 1;\n" for i in range(n))
+    threads = "".join(f"thread t{i} {{ skip }}\n" for i in range(n))
+    source = parse(ops + annotations + "}\n" + threads)
+    assert (len(source.op_decls), len(source.var_tiers), len(source.threads)) == (n, n, n)
+    assert (source.op_decls[-1].name, source.var_tiers[-1], source.threads[-1][0]) == (
+        f"o{n - 1}", (f"v{n - 1}", Tier.ONE), f"t{n - 1}")
+    one = "thread t { skip }\n"
+    assert str(bad(ops + "op o7 arity 1 class neutral;\n" + one)) == (
+        f"{n + 2}:1: duplicate declaration of operator 'o7'")
+    assert str(bad(annotations + "  v7 : 0;\n}\n" + one)) == (
+        f"{n + 2}:3: duplicate tier annotation for 'v7'")
+    assert str(bad(threads + "thread t7 { skip }")) == (
+        f"{n + 1}:19: duplicate thread name 't7'")
+
+
 def test_a_zero_argument_call_parses():
     source = parse("op f arity 0 class neutral;\nthread t { x := f() }")
     assert source.program().command("t") == Assign("x", OpCall("f", ()))

@@ -17,7 +17,6 @@ from tierlang import (
     check_safe_sigs,
     command_tiers,
     default_registry,
-    expr_tiers,
     infer_tiers,
     maximal_safe_sigs,
     parse,
@@ -25,13 +24,14 @@ from tierlang import (
 )
 from tierlang.cli import main
 from tierlang.fixtures import SAFE_FIXTURES, load_source
+from tierlang.semantics import ControlTable
 from tierlang.typecheck import (
     UnboundVariableError,
     _explain,
-    _tier_table,
     build_sig_env,
     render_sig,
     sig_is_safe,
+    type_table,
 )
 
 Z, O = Tier.ZERO, Tier.ONE
@@ -127,6 +127,12 @@ def test_check_reports_what_stops_typing_before_it_starts(tmp_path, capsys, flag
 # --- expression tiers -----------------------------------------------------------
 
 
+def expr_tiers(gamma, sig_env, expr):
+    """The tier set the table pass gives ``expr``, as a loop's guard."""
+    table = ControlTable((While(expr, Skip()),))
+    return type_table(table, gamma, sig_env)[0][table.keys[table.roots[0]][1]]
+
+
 def test_expr_tiers():
     gamma = {"x": O, "y": Z}
     assert expr_tiers(gamma, ENV, Var("x")) == {O}
@@ -183,7 +189,8 @@ def test_explain_failure_points_at_the_blocker():
     gamma = {"x": O, "y": Z}
 
     def explain(cmd):
-        return _explain(_tier_table(gamma, ENV, cmd), gamma, cmd)
+        table = ControlTable((cmd,))
+        return _explain(type_table(table, gamma, ENV), table, gamma, cmd, table.roots[0])
 
     diag = explain(Assign("x", OpCall("add1", (Var("x"),))))
     assert diag.rule == "assign" and "x" in diag.variables
@@ -314,17 +321,20 @@ def test_conflict_cores_name_the_culprits():
 
 
 def test_conflict_core_is_minimal():
-    report = infer_tiers(load_source("exp.tier"))
+    source = load_source("exp.tier")
+    report = infer_tiers(source)
     constraints = list(report.core)
     assert constraints
+    # Constraints name entries of the program's one table.
+    table = source.program().table
+    sig_env, _ = build_sig_env(source, reg)
+    names = table.variables
+    typings = [type_table(table, dict(zip(names, combo)), sig_env)
+               for combo in itertools.product((Z, O), repeat=len(names))]
     # dropping any single member must make the rest satisfiable
     for leave_out in range(len(constraints)):
         rest = constraints[:leave_out] + constraints[leave_out + 1 :]
-        names = sorted({v for c in rest for v in c.variables})
-        satisfiable = any(
-            all(c.holds(dict(zip(names, combo))) for c in rest)
-            for combo in itertools.product((Z, O), repeat=len(names))
-        )
+        satisfiable = any(all(c.holds(typing) for c in rest) for typing in typings)
         assert satisfiable, [c.description for c in rest]
 
 

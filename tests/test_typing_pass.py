@@ -14,9 +14,10 @@ from tierlang.fixtures import (
     fixture_text,
     load_source,
 )
-from tierlang.lang import free_vars
+from tierlang.lang import free_vars, walk
 from tierlang.ops import UnknownOperatorError, default_registry
 from tierlang.parser import pretty_expr
+from tierlang.semantics import DONE, ControlTable
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import (
     BOTH_TIERS,
@@ -26,13 +27,12 @@ from tierlang.typecheck import (
     _explain,
     _op_sigs,
     _tier_names,
-    _tier_table,
     build_sig_env,
     check_program,
     command_tiers,
     infer_tiers,
-    expr_tiers,
     maximal_safe_sigs,
+    type_table,
 )
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
@@ -67,7 +67,7 @@ def load(name):
 def ref_expr_tiers(gamma, sig_env, expr):
     if isinstance(expr, Var):
         return frozenset((gamma[expr.name],))
-    sigs = _op_sigs(expr, sig_env)
+    sigs = _op_sigs(expr.op, sig_env)
     arg_tiers = [ref_expr_tiers(gamma, sig_env, a) for a in expr.args]
     return frozenset(r for args, r in sigs if all(t in arg_tiers[i] for i, t in enumerate(args)))
 
@@ -139,41 +139,45 @@ def ref_explain_failure(gamma, sig_env, cmd):
 # --- differential checks -------------------------------------------------------------
 
 
-def subterms(cmd):
-    """Every command and expression node of a (small) thread, pre-order."""
-    out, stack = [], [cmd]
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, OpCall):
-            stack.extend(reversed(node.args))
-        elif isinstance(node, Assign):
-            stack.append(node.expr)
-        elif isinstance(node, Seq):
-            stack += (node.second, node.first)
-        elif isinstance(node, If):
-            stack += (node.else_branch, node.then_branch, node.guard)
-        elif isinstance(node, While):
-            stack += (node.body, node.guard)
-    return out
+def reach(table):
+    """Step every slot reachable from the roots, so the table holds the
+    residuals that stepping makes."""
+    seen, frontier = set(), list(table.roots)
+    while frontier:
+        slot = frontier.pop()
+        if slot != DONE and slot not in seen:
+            seen.add(slot)
+            frontier.extend(table.successors(slot))
 
 
 def explain(gamma, sig_env, cmd):
     """The diagnostic ``check_program`` gives an untypable thread ``cmd``."""
-    return _explain(_tier_table(gamma, sig_env, cmd), gamma, cmd)
+    table = ControlTable((cmd,))
+    return _explain(type_table(table, gamma, sig_env), table, gamma, cmd, table.roots[0])
 
 
-def assert_agrees(gamma, sig_env, cmd, where):
-    """Tier sets of every node, and the diagnostic of every untypable command."""
-    args = (gamma, sig_env)
-    for node in subterms(cmd):
-        if isinstance(node, (Var, OpCall)):
-            assert expr_tiers(*args, node) == ref_expr_tiers(*args, node), where
-            continue
-        tiers = command_tiers(*args, node)
-        assert tiers == ref_command_tiers(*args, node), where
+def assert_agrees(commands, gamma, sig_env, where):
+    """The pass, on a fresh table of ``commands`` and then extended to
+    its residual slots, against the recursive rules: the tier set of
+    every expression id and slot, and the diagnostic of every untypable
+    slot.  Returns the table, the typing and how many residual slots
+    the extension typed."""
+    table = ControlTable(commands)
+    typing = type_table(table, gamma, sig_env)
+    built = len(typing[1])
+    reach(table)
+    assert type_table(table, gamma, sig_env, typing) is typing
+    exprs, slots = typing
+    assert (len(exprs), len(slots)) == (len(table.exprs), len(table.commands)), where
+    for eid, tiers in enumerate(exprs):
+        assert tiers == ref_expr_tiers(gamma, sig_env, table._nodes[eid]), where
+    for slot, tiers in enumerate(slots):
+        cmd = table.commands[slot]
+        assert tiers == ref_command_tiers(gamma, sig_env, cmd), where
         if not tiers:
-            assert explain(gamma, sig_env, node) == ref_explain_failure(*args, node), where
+            want = ref_explain_failure(gamma, sig_env, cmd)
+            assert _explain(typing, table, gamma, cmd, slot) == want, where
+    return table, typing, len(slots) - built
 
 
 def every_env(source):
@@ -188,12 +192,14 @@ def test_fixtures_type_as_the_recursive_rules_under_every_environment(name):
     source = load(name)
     sig_env, diags = build_sig_env(source, REGISTRY)
     assert diags == ()
+    commands = [cmd for _, cmd in source.threads]
     rejected = 0
     for gamma in every_env(source):
-        for tid, cmd in source.threads:
-            assert_agrees(gamma, sig_env, cmd, (name, tid, gamma))
-            rejected += not command_tiers(gamma, sig_env, cmd)
+        table, (_, slots), residuals = assert_agrees(commands, gamma, sig_env, (name, gamma))
+        rejected += sum(not slots[root] for root in table.roots)
     assert rejected > 0  # the diagnostics were compared too
+    loops = any(isinstance(node, While) for cmd in commands for node in walk(cmd))
+    assert residuals > 0 or not loops  # and the slots that stepping adds
 
 
 @pytest.mark.parametrize("name", TIER_FIXTURES + ("mixed",))
@@ -220,20 +226,26 @@ def test_compiled_machines_type_as_the_recursive_rules(name):
     gamma = source.annotations()
     for tid, cmd in source.threads:
         assert ref_command_tiers(gamma, sig_env, cmd)
-        assert_agrees(gamma, sig_env, cmd, (name, tid))
-    assert check_program(source).safe
+    residuals = assert_agrees([cmd for _, cmd in source.threads], gamma, sig_env, (name,))[2]
+    assert residuals > 0 and check_program(source).safe
 
 
 def test_shared_subtrees_are_typed_once_per_node_and_agree():
-    # One node object used twice, once needed at each tier.
+    # One node object used twice, once needed at each tier, and an equal
+    # copy of it: all three are one expression id of the table.
     gamma = {"x": O}
     sig_env = {"pred": frozenset({((O,), O), ((O,), Z)}), "eq": frozenset({((Z, O), Z)})}
     shared = OpCall("pred", (Var("x"),))
-    cmd = Assign("x", OpCall("eq", (shared, shared)))
-    assert command_tiers(gamma, sig_env, cmd) == NO_TIERS
-    table = _tier_table(gamma, sig_env, cmd)
-    assert (table[id(shared)], table[id(cmd.expr)]) == ({Z, O}, {Z})
-    assert explain(gamma, sig_env, cmd) == ref_explain_failure(gamma, sig_env, cmd)
+    for cmd in (Assign("x", OpCall("eq", (shared, shared))),
+                Assign("x", OpCall("eq", (shared, OpCall("pred", (Var("x"),)))))):
+        assert command_tiers(gamma, sig_env, cmd) == NO_TIERS
+        table = ControlTable((cmd,))
+        exprs, _ = type_table(table, gamma, sig_env)
+        eq = table.keys[table.roots[0]][1]
+        pred = table.exprs[eq][1]
+        assert (table.exprs[eq], len(table.exprs)) == (("eq", pred, pred), 3)
+        assert (exprs[pred], exprs[eq]) == ({Z, O}, {Z})
+        assert explain(gamma, sig_env, cmd) == ref_explain_failure(gamma, sig_env, cmd)
 
 
 def test_errors_raise_in_reading_order():
@@ -271,8 +283,10 @@ def test_a_subtree_shared_within_a_tree_is_typed_once():
     expr = Var("x")
     for _ in range(12):
         expr = OpCall("eq", (expr, expr))
-    assert expr_tiers({"x": O}, sig_env, expr) == {Z, O}
-    assert sig_env.lookups == 12
+    table = ControlTable((Assign("x", expr),))
+    exprs, _ = type_table(table, {"x": O}, sig_env)
+    assert exprs[table.keys[table.roots[0]][1]] == {Z, O}
+    assert (len(exprs), sig_env.lookups) == (13, 12)
 
 
 # --- scale: no recursion per statement, nesting level or expression depth -------------
@@ -295,9 +309,11 @@ def statements(n):
             Assign("y", OpCall("add1", (Var("y"),))) for i in range(n)]
 
 
-def tier_table(source, root):
+def typed_table(source):
+    """The program's table and its typing under the file's annotations."""
     sig_env, _ = build_sig_env(source, REGISTRY)
-    return _tier_table(source.annotations(), sig_env, root)
+    table = source.program().table
+    return table, type_table(table, source.annotations(), sig_env)
 
 
 def test_a_3000_statement_thread_checks():
@@ -308,13 +324,14 @@ def test_a_3000_statement_thread_checks():
     thread = report.threads[0]
     assert (thread.tiers, thread.diagnostic) == ({O}, None)
     assert report == check_program(source)  # a report holds no tree to compare recursively
-    tiers, chain = tier_table(source, cmd), [cmd]
-    while isinstance(chain[-1], Seq):
-        chain.append(chain[-1].second)
+    table, (_, slots) = typed_table(source)
+    keys, chain = table.keys, [table.roots[0]]
+    while keys[chain[-1]][0] is Seq:
+        chain.append(keys[chain[-1]][2])
     assert len(chain) == 3000
-    assert [tiers[id(c)] for c in chain[-2:]] == [{O}, {O}]
-    assert tiers[id(chain[-2].first)] == {Z}
-    assert isinstance(chain[-1], Assign) and chain[-1].var == "x"
+    assert [slots[s] for s in chain[-2:]] == [{O}, {O}]
+    assert slots[keys[chain[-2]][1]] == {Z}
+    assert keys[chain[-1]][0] is Assign and keys[chain[-1]][2] == "x"
 
 
 def test_a_3000_statement_thread_is_rejected_at_its_last_statement():
@@ -333,11 +350,12 @@ def test_a_900_deep_expression_checks():
     source = with_thread(Assign("x", expr))
     report = check_program(source)
     assert report.safe and report.threads[0].tiers == {O}
-    tiers, depth = tier_table(source, expr), 0
-    while isinstance(expr, OpCall):
-        assert tiers[id(expr)] == {Z, O}
-        expr, depth = expr.args[0], depth + 1
-    assert (depth, expr, tiers[id(expr)]) == (900, Var("x"), {O})
+    table, (exprs, _) = typed_table(source)
+    eid, depth = table.keys[table.roots[0]][1], 0
+    while table.exprs[eid] != "x":
+        assert exprs[eid] == {Z, O} and table.exprs[eid][0] == "sub1"
+        eid, depth = table.exprs[eid][1], depth + 1
+    assert (depth, len(exprs), exprs[eid]) == (900, 901, {O})
 
 
 def nested(op, depth, leaf):
@@ -370,12 +388,13 @@ def test_a_deep_if_nest_checks(depth):
     source = with_thread(cmd)
     report = check_program(source)
     assert report.safe and report.threads[0].tiers == {O}
-    tiers, chain = tier_table(source, cmd), [cmd]
-    while isinstance(chain[-1], If):
-        assert tiers[id(chain[-1].guard)] == {Z, O}
-        chain.append(chain[-1].then_branch)
+    table, (exprs, slots) = typed_table(source)
+    keys, chain = table.keys, [table.roots[0]]
+    while keys[chain[-1]][0] is If:
+        assert exprs[keys[chain[-1]][1]] == {Z, O}
+        chain.append(keys[chain[-1]][2])
     assert len(chain) == depth + 1
-    assert all(tiers[id(c)] == {O} for c in chain)
+    assert all(slots[s] == {O} for s in chain)
 
 
 def test_a_deep_rejected_thread_names_the_innermost_blocker():
