@@ -27,9 +27,7 @@ from .lang import (
     While,
     Word,
     free_vars,
-    is_truth_value,
     seq_all,
-    subword,
     unary,
     word_literal,
 )
@@ -57,9 +55,7 @@ from .analysis import (
     measure_growth,
     ni_suite,
     scheduled_run_stores,
-    store_equiv,
     subword_invariant,
-    tier_one_projection,
     tier_preservation,
 )
 from .typecheck import (
@@ -79,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ALPHABET", "Alphabet", "Assign", "Command", "Expr", "If", "OpCall",
     "Program", "Seq", "Skip", "Span", "Store", "Tier", "Var", "While", "Word",
-    "free_vars", "is_truth_value", "seq_all", "subword", "unary", "word_literal",
+    "free_vars", "seq_all", "unary", "word_literal",
     "OperatorDef", "Registry", "builtins", "default_registry",
     "ParseError", "SourceFile", "parse", "pretty",
     "ControlTable", "eval_expr",
@@ -87,7 +83,7 @@ __all__ = [
     "SeededRandom", "explore", "quietness_test", "run_with_scheduler", "step_global",
     "FitReport", "GrowthTable", "NiReport", "SubwordReport", "TierPreservationReport",
     "fit_polynomial", "measure_growth", "ni_suite", "scheduled_run_stores",
-    "store_equiv", "subword_invariant", "tier_one_projection", "tier_preservation",
+    "subword_invariant", "tier_preservation",
     "CheckReport", "Diagnostic", "InferenceReport", "check_program",
     "check_safe_sigs", "command_tiers", "infer_tiers", "maximal_safe_sigs",
     "CompiledProgram", "TMSpec", "compile_tm", "parse_tm", "simulate_tm",

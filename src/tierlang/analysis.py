@@ -7,12 +7,13 @@
   truth words or contiguous factors of the initial tier-1 values.
 * ``tier_preservation`` checks subject reduction on every residual
   command each thread can reach, independently of the store.
-* ``measure_growth`` and ``fit_polynomial`` chart how step and loop
-  counts scale with input size and estimate the polynomial degree.
+* ``measure_growth`` and ``fit_polynomial`` chart how loop (``max_t``)
+  and step (``max_k``) counts scale with input size and estimate the
+  polynomial degree.
 
 These are test harnesses, not proofs: apart from ``tier_preservation``
 they sample or enumerate within stated bounds, and each reports the
-first counterexample found.
+first counterexample found, reading tier-1 variables in name order.
 """
 
 from __future__ import annotations
@@ -27,13 +28,13 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .lang import (
     DEFAULT_ALPHABET,
+    FF,
+    TT,
     Alphabet,
     Program,
     Store,
     Tier,
     Word,
-    is_truth_value,
-    subword,
 )
 from .parser import pretty_command
 from .scheduling import (
@@ -48,33 +49,6 @@ from .semantics import DONE
 from .typecheck import BOTH_TIERS, SigEnv, type_table
 
 TierEnv = Mapping[str, Tier]
-
-
-def tier_one_vars(gamma: TierEnv) -> tuple[str, ...]:
-    return tuple(sorted(v for v, t in gamma.items() if t == Tier.ONE))
-
-
-def tier_one_projection(store: Store, gamma: TierEnv) -> Store:
-    return store.restrict(tier_one_vars(gamma))
-
-
-@dataclass(frozen=True)
-class EquivWitness:
-    """Why two stores are not tier-1 equivalent."""
-
-    var: str
-    left: Word
-    right: Word
-
-
-def store_equiv(gamma: TierEnv, left: Store, right: Store) -> EquivWitness | None:
-    """``None`` when the stores agree on every tier-1 variable, else the
-    first disagreeing variable in name order."""
-    for var in tier_one_vars(gamma):
-        a, b = left.lookup(var), right.lookup(var)
-        if a != b:
-            return EquivWitness(var, a, b)
-    return None
 
 
 # --- non-interference ------------------------------------------------------------
@@ -101,24 +75,23 @@ class NiReport:
         return asdict(self)
 
 
-def _compare_runs(gamma: TierEnv, a: ScheduledRun, b: ScheduledRun, trial: int) -> NiFailure | None:
+def _compare_runs(ones: list[str], a: ScheduledRun, b: ScheduledRun, trial: int) -> NiFailure | None:
     """Both runs used the same deterministic scheduler, so they must
-    stay in lockstep on everything tier-1 visible.  Runs that both hit
-    the fuel bound are compared at that common horizon; one run
-    terminating without the other is itself a temporal divergence."""
+    stay in lockstep on everything tier-1 visible (the ``ones``).  Runs
+    that both hit the fuel bound are compared at that common horizon;
+    one run terminating without the other is a temporal divergence."""
     if a.finished != b.finished:
         return NiFailure(
             trial,
             "termination",
             f"one run terminated ({a.steps} vs {b.steps} steps), the other did not",
         )
-    witness = store_equiv(gamma, a.store, b.store)
-    if witness is not None:
-        return NiFailure(
-            trial,
-            "tier1-projection",
-            f"final values of {witness.var!r} differ: {witness.left!r} vs {witness.right!r}",
-        )
+    for var in ones:
+        left, right = a.store.lookup(var), b.store.lookup(var)
+        if left != right:
+            return NiFailure(
+                trial, "tier1-projection", f"final values of {var!r} differ: {left!r} vs {right!r}"
+            )
     if a.loops != b.loops:
         return NiFailure(trial, "loop-count", f"loop counts differ: {a.loops} vs {b.loops}")
     if a.steps != b.steps:
@@ -150,6 +123,7 @@ def ni_suite(
     """
     rng = random.Random(seed)
     variables = program.table.variables
+    ones = sorted(v for v, t in gamma.items() if t == Tier.ONE)
     if mode == "scheduler":
         if scheduler is None:
             raise ValueError("scheduler mode needs a scheduler")
@@ -157,7 +131,7 @@ def ni_suite(
             a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
             run_a = run_with_scheduler(a, program, scheduler, fuel)
             run_b = run_with_scheduler(b, program, scheduler, fuel)
-            failure = _compare_runs(gamma, run_a, run_b, trial)
+            failure = _compare_runs(ones, run_a, run_b, trial)
             if failure is not None:
                 return NiReport(False, trial + 1, mode, scheduler.name, failure)
         return NiReport(True, trials, mode, scheduler.name)
@@ -165,21 +139,19 @@ def ni_suite(
         raise ValueError(f"unknown mode {mode!r}")
     for trial in range(trials):
         a, b = random_equiv_stores(gamma, variables, rng, alphabet, max_len)
-        failure = _compare_explorations(program, gamma, a, b, trial, explore_max_steps)
+        failure = _compare_explorations(program, ones, a, b, trial, explore_max_steps)
         if failure is not None:
             return NiReport(False, trial + 1, mode, None, failure)
     return NiReport(True, trials, mode, None)
 
 
-def _outcome_set(
-    report: ExplorationReport, gamma: TierEnv
-) -> frozenset[Store]:
-    return frozenset(tier_one_projection(s, gamma) for s in report.terminal_stores)
+def _outcome_set(report: ExplorationReport, ones: list[str]) -> frozenset[Store]:
+    return frozenset(s.restrict(ones) for s in report.terminal_stores)
 
 
 def _compare_explorations(
     program: Program,
-    gamma: TierEnv,
+    ones: list[str],
     a: Store,
     b: Store,
     trial: int,
@@ -198,8 +170,8 @@ def _compare_explorations(
             f"one side can loop forever, the other cannot "
             f"(cycles: {rep_a.cycle_found} vs {rep_b.cycle_found})",
         )
-    set_a = _outcome_set(rep_a, gamma)
-    set_b = _outcome_set(rep_b, gamma)
+    set_a = _outcome_set(rep_a, ones)
+    set_b = _outcome_set(rep_b, ones)
     if set_a != set_b:
         return NiFailure(
             trial,
@@ -245,16 +217,14 @@ def subword_invariant(
     ``stores`` yields (step index, store) pairs; pair the initial store
     as step 0 yourself if it should be checked too.
     """
-    ones = tier_one_vars(gamma)
+    ones = sorted(v for v, t in gamma.items() if t == Tier.ONE)
     sources = [initial.lookup(v) for v in ones]
     checked = 0
     for step, store in stores:
         checked += 1
         for var in ones:
             value = store.lookup(var)
-            if is_truth_value(value):
-                continue
-            if any(subword(value, src) for src in sources):
+            if value in (TT, FF) or any(value in src for src in sources):
                 continue
             return SubwordReport(False, checked, SubwordViolation(step, var, value))
     return SubwordReport(True, checked)
@@ -275,8 +245,8 @@ class TierDropViolation:
     depth: int
     before: str
     after: str | None
-    tiers_before: tuple[Tier, ...]
-    tiers_after: tuple[Tier, ...]
+    tiers_before: tuple[str, ...]
+    tiers_after: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -287,21 +257,7 @@ class TierPreservationReport:
     violation: TierDropViolation | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "edges_checked": self.edges_checked,
-            "complete": self.complete,
-            "violation": None
-            if self.violation is None
-            else {
-                "thread": self.violation.thread,
-                "depth": self.violation.depth,
-                "before": self.violation.before,
-                "after": self.violation.after,
-                "tiers_before": [str(t) for t in self.violation.tiers_before],
-                "tiers_after": [str(t) for t in self.violation.tiers_after],
-            },
-        }
+        return asdict(self)
 
 
 def tier_preservation(
@@ -357,8 +313,8 @@ def tier_preservation(
                         depth,
                         pretty_command(table.commands[slot]),
                         None if after_slot == DONE else pretty_command(table.commands[after_slot]),
-                        tuple(sorted(before)),
-                        tuple(sorted(after)),
+                        tuple(str(t) for t in sorted(before)),
+                        tuple(str(t) for t in sorted(after)),
                     ),
                 )
             if after_slot != DONE:
@@ -372,8 +328,8 @@ def tier_preservation(
 @dataclass(frozen=True)
 class GrowthRow:
     n: int
-    max_loops: int
-    max_steps: int
+    max_t: int
+    max_k: int
     fuel_hit: bool
 
 
@@ -381,21 +337,11 @@ class GrowthRow:
 class GrowthTable:
     rows: tuple[GrowthRow, ...]
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(r.n for r in self.rows)
-
-    def column(self, name: str) -> tuple[int, ...]:
-        if name == "max_t":
-            return tuple(r.max_loops for r in self.rows)
-        if name == "max_k":
-            return tuple(r.max_steps for r in self.rows)
-        raise KeyError(name)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         out.write("n,max_t,max_k,fuel_hit\n")
         for r in self.rows:
-            out.write(f"{r.n},{r.max_loops},{r.max_steps},{int(r.fuel_hit)}\n")
+            out.write(f"{r.n},{r.max_t},{r.max_k},{int(r.fuel_hit)}\n")
         return out.getvalue()
 
 
@@ -478,8 +424,10 @@ def fit_polynomial(
     Sizes and counts are integers, so the fit is solved exactly in
     rationals; coefficients and residual become floats only at the end.
     """
-    xs = table.sizes()
-    ys = table.column(column)
+    if column not in ("max_t", "max_k"):
+        raise KeyError(column)
+    xs = [r.n for r in table.rows]
+    ys = [getattr(r, column) for r in table.rows]
     if len(set(xs)) < max_degree + 2:
         raise ValueError(f"need at least {max_degree + 2} distinct sizes to fit degree {max_degree}")
     power_sums = [sum(x**k for x in xs) for k in range(2 * max_degree + 1)]

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from typing import Callable, Mapping
 
 from .analysis import fit_polynomial, measure_growth, ni_suite
@@ -352,16 +354,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     if args.csv:
         _write_file(args.csv, csv_text)
     if args.json:
-        _emit_json(
-            {
-                "command": "measure",
-                "rows": [
-                    {"n": r.n, "max_t": r.max_loops, "max_k": r.max_steps, "fuel_hit": r.fuel_hit}
-                    for r in table.rows
-                ],
-                "fit": fit.to_dict(),
-            }
-        )
+        _emit_json({"command": "measure", **asdict(table), "fit": fit.to_dict()})
     else:
         if not args.csv:
             print(csv_text, end="")
@@ -423,16 +416,17 @@ def cmd_tm_compile(args: argparse.Namespace) -> int:
 
 def _verify_compiled(compiled, max_len: int) -> int | str:
     """Compare the compiled program against the simulator on every input
-    up to ``max_len``; returns the input count or a mismatch message."""
+    up to ``max_len``, made one at a time, shortest first and in the
+    spec's letter order; returns the input count or a mismatch message."""
     spec = compiled.spec
     program = compiled.source.program()  # the one thread ``machine``
     scheduler = FirstAlive()  # never asked: a lone thread's choices are forced
-    inputs: list[str] = [""]
-    frontier = [""]
-    for _ in range(max_len):
-        frontier = [w + c for w in frontier for c in spec.alphabet]
-        inputs.extend(frontier)
-    for word in inputs:
+    inputs = (
+        "".join(letters)
+        for length in range(max_len + 1)
+        for letters in itertools.product(spec.alphabet, repeat=length)
+    )
+    for checked, word in enumerate(inputs, 1):
         expected = simulate_tm(spec, word)
         if not expected.halted:
             return f"machine does not halt on {word!r} within the simulator budget"
@@ -442,7 +436,7 @@ def _verify_compiled(compiled, max_len: int) -> int | str:
         got = run.store.lookup(compiled.output_var)
         if got != expected.tape:
             return f"on {word!r}: compiled gives {got!r}, simulator gives {expected.tape!r}"
-    return len(inputs)
+    return checked
 
 
 # --- argument wiring ---------------------------------------------------------------

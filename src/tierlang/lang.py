@@ -29,18 +29,6 @@ EMPTY: Word = ""
 DEFAULT_LETTERS = frozenset({"0", "1", "T", "F"})
 
 
-def is_truth_value(word: Word) -> bool:
-    return word == TT or word == FF
-
-
-def subword(needle: Word, haystack: Word) -> bool:
-    """Whether ``needle`` occurs as a contiguous factor of ``haystack``.
-
-    The empty word is a subword of everything.
-    """
-    return needle in haystack
-
-
 def unary(n: int) -> Word:
     """The unary encoding of a natural number: ``n`` copies of ``1``."""
     if n < 0:
@@ -58,12 +46,6 @@ class Tier(enum.IntEnum):
     ZERO = 0
     ONE = 1
 
-    def join(self, other: Tier) -> Tier:
-        return Tier(max(self, other))
-
-    def leq(self, other: Tier) -> bool:
-        return self <= other
-
     def __str__(self) -> str:
         return str(int(self))
 
@@ -80,9 +62,6 @@ class Alphabet:
         for letter in self.letters:
             if len(letter) != 1:
                 raise ValueError(f"alphabet letters are single characters, got {letter!r}")
-
-    def __contains__(self, letter: str) -> bool:
-        return letter in self.letters
 
     def sorted_letters(self) -> tuple[str, ...]:
         return tuple(sorted(self.letters))

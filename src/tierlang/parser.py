@@ -188,7 +188,9 @@ class SourceFile:
 
     def with_annotations(self, tiers: dict[str, Tier]) -> "SourceFile":
         ordered = tuple(sorted(tiers.items()))
-        return SourceFile(self.alphabet_letters, self.op_decls, ordered, self.threads)
+        other = SourceFile(self.alphabet_letters, self.op_decls, ordered, self.threads)
+        vars(other)["_program"] = self._program  # the same threads, so the same table
+        return other
 
 
 class _Parser:
@@ -456,7 +458,7 @@ def _validate(source: SourceFile) -> None:
             span = call.span or Span(0, 0)
             if call.op.startswith('"'):
                 word = call.op[1:-1]
-                bad = [c for c in word if c not in alphabet]
+                bad = [c for c in word if c not in alphabet.letters]
                 if bad:
                     raise ParseError(
                         f"word literal uses letters outside the alphabet: {bad}",

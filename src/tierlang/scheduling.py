@@ -16,7 +16,8 @@ behaviorally by running the same program from stores that agree on
 tier-1 variables only.  A scheduler is only asked while two or more
 threads are live: with one left the choice is forced, reads no data,
 and so is quiet under every policy.  ``run_with_scheduler`` is the one
-run loop, so one command runs as a one-thread program.
+run loop, so one command runs as a one-thread program.  A run's
+``choices`` (a ``Choices``) iterate over the ids the scheduler chose.
 
 A scheduler is *pure* when its choice is a function of the live ids,
 the store and an immutable state.  Under such a scheduler a run whose
@@ -42,7 +43,6 @@ step and loop counts.
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Iterable
@@ -171,7 +171,7 @@ class GlobalTraceStep:
 
 
 @dataclass(frozen=True, eq=False)
-class Choices(Sequence):
+class Choices:
     """The thread ids a scheduled run chose, one per step: ``prefix``,
     then ``cycle`` ``repeats`` times, then ``tail``.
 
@@ -188,20 +188,6 @@ class Choices(Sequence):
 
     def __len__(self) -> int:
         return len(self.prefix) + len(self.cycle) * self.repeats + len(self.tail)
-
-    def __getitem__(self, index):
-        # Indexing a range resolves negative indices and slices and
-        # raises IndexError out of bounds, as a tuple would.
-        index = range(len(self))[index]
-        if isinstance(index, range):
-            return tuple(self[i] for i in index)
-        if index < len(self.prefix):
-            return self.prefix[index]
-        index -= len(self.prefix)
-        looped = len(self.cycle) * self.repeats
-        if index < looped:
-            return self.cycle[index % len(self.cycle)]
-        return self.tail[index - looped]
 
     def __iter__(self):
         return chain(self.prefix, chain.from_iterable(repeat(self.cycle, self.repeats)), self.tail)

@@ -17,7 +17,8 @@ whole tape ends up in ``Right``.  Once a machine halts, further cascades
 fall through without touching anything, so overshooting is harmless.
 ``simulate_tm`` runs the machine on one tape and a head index instead of
 the compiled program's split tape, and is the independent oracle the
-compiler is tested against.
+compiler is tested against.  ``compile_tm`` returns a
+``CompiledProgram``: the safe source and the spec it was compiled from.
 """
 
 from __future__ import annotations
@@ -241,7 +242,6 @@ RIGHT_VAR = "Right"
 class CompiledProgram:
     source: SourceFile
     spec: TMSpec
-    state_codes: Mapping[str, str]
     input_var: ClassVar[str] = INPUT_VAR
     output_var: ClassVar[str] = RIGHT_VAR
 
@@ -365,4 +365,4 @@ def compile_tm(spec: TMSpec) -> CompiledProgram:
         var_tiers=tuple(sorted(var_tiers)),
         threads=(("machine", body),),
     )
-    return CompiledProgram(source, spec, codes)
+    return CompiledProgram(source, spec)

@@ -82,7 +82,7 @@ class Diagnostic:
 
 def sig_is_safe(sig: Sig, op: OperatorDef) -> bool:
     args, result = sig
-    return result.leq(min(args, default=Tier.ONE)) and (op.is_neutral or result == Tier.ZERO)
+    return result <= min(args, default=Tier.ONE) and (op.is_neutral or result == Tier.ZERO)
 
 
 def maximal_safe_sigs(op: OperatorDef) -> frozenset[Sig]:
@@ -107,7 +107,7 @@ def check_safe_sigs(sig_env: SigEnv) -> tuple[Diagnostic, ...]:
                 continue
             args, result = sig
             floor = min(args, default=Tier.ONE)
-            if not result.leq(floor):
+            if result > floor:
                 why = f"returns tier {result} above an argument of tier {floor}"
             else:
                 why = "must land in tier 0: the operator can lengthen its input"
@@ -204,7 +204,7 @@ def type_table(table: ControlTable, gamma: TierEnv, sig_env: SigEnv, typing: Typ
     for slot, key in slots:
         kind = key[0]
         if kind is Seq:
-            typed[slot] = frozenset([a.join(b) for a in typed[key[1]] for b in typed[key[2]]])
+            typed[slot] = frozenset([max(a, b) for a in typed[key[1]] for b in typed[key[2]]])
         elif kind is If:
             typed[slot] = exprs[key[1]] & typed[key[2]] & typed[key[3]]
         elif kind is While:
@@ -212,7 +212,7 @@ def type_table(table: ControlTable, gamma: TierEnv, sig_env: SigEnv, typing: Typ
             typed[slot] = _ONLY[Tier.ONE] if fits else NO_TIERS
         elif kind is Assign:
             target = gamma[key[2]]
-            fits = any(target.leq(t) for t in exprs[key[1]])
+            fits = any(target <= t for t in exprs[key[1]])
             typed[slot] = _ONLY[target] if fits else NO_TIERS
         else:
             typed[slot] = BOTH_TIERS
@@ -474,10 +474,13 @@ def _solver(table: ControlTable, sig_env: SigEnv, unknowns: list[str], fixed: Ma
     types the table entries and tests the constraints it is the last
     unknown of (in ``unknowns`` order), so each is typed and tested once
     per assignment of its unknowns; those without unknowns come first.
+    Only thread constraints read ``Seq``/``If``/``While`` slots, so a
+    search without one leaves them untyped.
     """
     last = {v: depth for depth, v in enumerate(unknowns, 1)}
     eids: list[list] = [[] for _ in range(len(unknowns) + 1)]  # (id, key) pairs by depth
-    slots: list[list] = [[] for _ in eids]
+    slots: list[list] = [[] for _ in eids]  # assignments and skips
+    compound: dict[int, list] = {}  # the rest by depth, which only threads read
     expr_depth: list[int] = []
     for eid, key in enumerate(table.exprs):
         expr_depth.append(last.get(key, 0) if key.__class__ is str
@@ -494,7 +497,10 @@ def _solver(table: ControlTable, sig_env: SigEnv, unknowns: list[str], fixed: Ma
         else:  # a guard, then the branches or the body
             depth = max(expr_depth[key[1]], *[slot_depth[s] for s in key[2:]])
         slot_depth.append(depth)
-        slots[depth].append((slot, key))
+        if key[0] is Assign or key[0] is Skip:
+            slots[depth].append((slot, key))
+        else:
+            compound.setdefault(depth, []).append((slot, key))
     # Shared by every search: an entry is retyped before it is read.
     typing: Typing = ([NO_TIERS] * len(table.exprs), [NO_TIERS] * len(table.keys))
 
@@ -503,9 +509,12 @@ def _solver(table: ControlTable, sig_env: SigEnv, unknowns: list[str], fixed: Ma
         for c in constraints:
             due[max((last.get(v, 0) for v in c.variables), default=0)].append(c)
         env = dict(fixed)
+        threads = any(c.kind == "thread" for c in constraints)
 
         def holds(depth: int) -> bool:
             type_table(table, env, sig_env, typing, eids[depth], slots[depth])
+            if threads and depth in compound:
+                type_table(table, env, sig_env, typing, (), compound[depth])
             return all(c.holds(typing) for c in due[depth])
 
         if not holds(0):

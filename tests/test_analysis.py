@@ -1,16 +1,21 @@
 """Non-interference probes, the subword scan, tier preservation, growth fits."""
 
+import json
+import re
+
 import pytest
 
 from tierlang import (
     Assign,
     OpCall,
     Program,
+    Seq,
     Skip,
     Store,
     Tier,
     Var,
     While,
+    parse,
     unary,
 )
 from tierlang.analysis import (
@@ -20,9 +25,7 @@ from tierlang.analysis import (
     measure_growth,
     ni_suite,
     scheduled_run_stores,
-    store_equiv,
     subword_invariant,
-    tier_one_projection,
     tier_preservation,
 )
 from tierlang.fixtures import SAFE_FIXTURES, load_source
@@ -34,16 +37,28 @@ from tierlang.typecheck import build_sig_env
 
 
 def test_store_equiv_ignores_tier_zero():
-    gamma = {"x": Tier.ONE, "s": Tier.ZERO}
-    assert store_equiv(gamma, Store.of(x="1", s="a"), Store.of(x="1", s="b")) is None
-    witness = store_equiv(gamma, Store.of(x="1"), Store.of(x="11"))
-    assert (witness.var, witness.left, witness.right) == ("x", "1", "11")
+    # Final tier-0 values differ between the stores of every trial, and
+    # only tier-1 values are compared; the first tier-1 variable in name
+    # order that differs is named.
+    gamma = {"x": Tier.ONE, "y": Tier.ONE, "s": Tier.ZERO}
+    keep = Program.of({"t": Seq(Assign("s", Var("s")), Assign("x", Var("x")))})
+    assert ni_suite(keep, gamma, scheduler=RoundRobin(), trials=20, seed=0).passed
+    leaky = Program.of({"t": Seq(Assign("y", Var("s")), Assign("x", Var("s")))})
+    report = ni_suite(leaky, gamma, scheduler=RoundRobin(), trials=20, seed=0)
+    assert report.failure.reason == "tier1-projection"
+    assert re.fullmatch(r"final values of 'x' differ: '[01TF]*' vs '[01TF]*'",
+                        report.failure.detail)
 
 
 def test_tier_one_projection():
+    # Explore mode compares terminal stores restricted to tier-1 variables.
     gamma = {"x": Tier.ONE, "s": Tier.ZERO}
-    proj = tier_one_projection(Store.of(x="1", s="hidden"), gamma)
-    assert proj == Store.of(x="1")
+    keep = Program.of({"t": Seq(Assign("s", Var("s")), Assign("x", Var("x")))})
+    assert ni_suite(keep, gamma, trials=20, mode="explore").passed
+    leaky = Program.of({"t": Assign("x", Var("s"))})
+    report = ni_suite(leaky, gamma, trials=20, mode="explore")
+    assert report.failure.reason == "terminal-set"
+    assert "'x'" in report.failure.detail and "'s'" not in report.failure.detail
 
 
 def test_ni_passes_on_the_adder():
@@ -217,6 +232,18 @@ def test_rejected_program_fails_tier_preservation_immediately():
     assert report.to_dict()["violation"]["thread"] == "leak"
 
 
+def test_tier_drop_violation_serializes_tier_names():
+    src = parse("op add1 arity 1 class positive;\nvars { s : 0; x : 1; }\n"
+                "thread t { x := add1(s); skip }\n")
+    sig_env, _ = build_sig_env(src, default_registry())
+    report = tier_preservation(Store(), src.program(), src.annotations(), sig_env)
+    assert json.dumps(report.to_dict(), sort_keys=True) == (
+        '{"complete": true, "edges_checked": 1, "passed": false, "violation": '
+        '{"after": "skip", "before": "x := add1(s);\\nskip", "depth": 0, "thread": "t", '
+        '"tiers_after": ["0", "1"], "tiers_before": []}}'
+    )
+
+
 @pytest.mark.parametrize("name", SAFE_FIXTURES)
 def test_tier_preservation_does_not_depend_on_the_store(name):
     src = load_source(name)
@@ -248,18 +275,16 @@ def test_measure_growth_csv():
     src = load_source("add.tier")
     table = measure_growth(src.program(), lambda n: {"x": unary(n)}, [1, 2, 3], RoundRobin())
     assert table.to_csv() == "n,max_t,max_k,fuel_hit\n1,1,4,0\n2,2,7,0\n3,3,10,0\n"
-    assert table.sizes() == (1, 2, 3)
-    assert table.column("max_t") == (1, 2, 3)
-    assert table.column("max_k") == (4, 7, 10)
+    assert [(r.n, r.max_t, r.max_k) for r in table.rows] == [(1, 1, 4), (2, 2, 7), (3, 3, 10)]
     with pytest.raises(KeyError):
-        table.column("bogus")
+        fit_polynomial(table, column="bogus")
 
 
 def test_measure_growth_marks_fuel_exhaustion():
     src = load_source("spin.tier")
     table = measure_growth(src.program(), lambda n: {"x": unary(n)}, [1], RoundRobin(), fuel=40)
     assert table.rows[0].fuel_hit
-    assert table.rows[0].max_steps == 40
+    assert table.rows[0].max_k == 40
 
 
 def test_fit_recovers_exact_degrees():

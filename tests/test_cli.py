@@ -2,14 +2,17 @@
 
 import json
 import os
+import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import tierlang
-from tierlang import parse
+from tierlang import ControlTable, parse
 from tierlang.cli import main
 from tierlang.fixtures import MACHINE_FIXTURES, REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
 
@@ -30,6 +33,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env():
+    """The environment for a child interpreter that imports this package."""
+    src = Path(tierlang.__file__).resolve().parent.parent
+    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
 
 
 # --- check -----------------------------------------------------------------------
@@ -76,6 +86,25 @@ def test_check_json(fx, capsys):
     assert code == 1
     assert data["mode"] == "infer"
     assert data["ok"] is False
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_check_builds_one_control_table(tmp_path, capsys, monkeypatch, flags):
+    # Without annotations the tiers are inferred; the text report then
+    # checks the threads under them, on the same table.
+    path = tmp_path / "add.tier"
+    path.write_text(re.sub(r"vars \{.*?\}", "", fixture_text("add.tier"), flags=re.S))
+    built = []
+    init = ControlTable.__init__
+
+    def counting_init(table, commands):
+        built.append(table)
+        init(table, commands)
+
+    monkeypatch.setattr(ControlTable, "__init__", counting_init)
+    code, out, _ = run_cli(capsys, "check", str(path), *flags)
+    assert code == 0 and "x" in out
+    assert len(built) == 1
 
 
 def test_check_json_gives_an_empty_gamma_for_a_program_without_variables(tmp_path, capsys):
@@ -298,11 +327,8 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback(fx, tmp_path, argv)
         path.write_text("thread t { " + "; ".join(f"v{i} := v{i}" for i in range(10_000)) + " }\n")
     else:
         path = fx(name)
-    src = Path(tierlang.__file__).resolve().parent.parent
-    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     proc = subprocess.Popen([sys.executable, "-m", "tierlang.cli", command, path, *flags],
-                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -555,7 +581,6 @@ def test_measure_flags_the_doubler_as_superpolynomial(fx, capsys):
 def test_measure_needs_only_the_standard_library(fx):
     # ``-S`` keeps site-packages off the path, so a third-party import
     # would fail; the module check catches one reached some other way.
-    src = Path(tierlang.__file__).resolve().parent.parent
     code = (
         "import sys\nimport tierlang\nimport tierlang.cli\n"
         f"status = tierlang.cli.main(['measure', {fx('add.tier')!r}, '--scale', 'x'])\n"
@@ -564,10 +589,8 @@ def test_measure_needs_only_the_standard_library(fx):
         "extra = loaded - set(sys.stdlib_module_names) - {'__main__', 'tierlang'}\n"
         "assert not extra, sorted(extra)\n"
     )
-    paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=child_env(),
+                          capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
 
 
@@ -753,6 +776,24 @@ def test_tm_compile_reports_a_machine_that_never_halts(fx, capsys):
     assert (code, out) == (1, "")
     assert err == "mismatch against the simulator: machine does not halt on '' within the " \
         "simulator budget\n"
+
+
+def test_tm_compile_checks_inputs_as_it_generates_them(fx):
+    # Lengths up to 40 make 2**41 - 1 inputs; the empty word comes first
+    # and ends the check.  The cap on the child's address space turns a
+    # list of all inputs into a quick failure, not an exhausted host.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    start = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-m", "tierlang.cli", "tm-compile", fx("busy.tm"), "--verify-len", "40"],
+        env=child_env(), capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == "mismatch against the simulator: machine does not halt on '' within " \
+        "the simulator budget\n"
+    assert time.perf_counter() - start < 10
 
 
 @pytest.mark.parametrize("name", MACHINE_FIXTURES)

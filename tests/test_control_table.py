@@ -693,7 +693,7 @@ def test_skipped_periods_take_no_memory_for_their_choices():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert (len(run.choices), run.choices[-1]) == (2_000_000, "spinner")
+    assert (len(run.choices), set(run.choices)) == (2_000_000, {"spinner"})
     assert peak < 1_000_000
 
 

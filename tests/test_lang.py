@@ -19,7 +19,7 @@ from tierlang import (
     While,
     free_vars,
     seq_all,
-    subword,
+    subword_invariant,
     unary,
     word_literal,
 )
@@ -35,13 +35,14 @@ words = st.text(alphabet="01TF", max_size=8)
 
 
 def test_tier_lattice_tables():
+    # The checker joins tiers with max and orders them with <=.
     zero, one = Tier.ZERO, Tier.ONE
-    assert zero.join(zero) == zero
-    assert zero.join(one) == one
-    assert one.join(zero) == one
-    assert one.join(one) == one
-    assert zero.leq(zero) and zero.leq(one) and one.leq(one)
-    assert not one.leq(zero)
+    assert max(zero, zero) is zero
+    assert max(zero, one) is one
+    assert max(one, zero) is one
+    assert max(one, one) is one
+    assert zero <= zero and zero <= one and one <= one
+    assert not one <= zero
 
 
 def test_tier_strings():
@@ -52,8 +53,15 @@ def test_tier_strings():
 # --- words ------------------------------------------------------------------
 
 
+def subword(needle, haystack):
+    """Whether the subword invariant accepts ``needle`` as the later value
+    of a tier-1 variable that started as ``haystack``."""
+    gamma = {"x": Tier.ONE}
+    return subword_invariant(Store.of(x=haystack), [(1, Store.of(x=needle))], gamma).passed
+
+
 def test_subword_is_contiguous_factor():
-    assert subword("", "anything")
+    assert subword("", "0110")
     assert subword("01", "1011")
     assert subword("101", "101")
     assert not subword("11", "101")
@@ -67,7 +75,7 @@ def test_unary():
 
 @given(words, words)
 def test_subword_matches_python_containment(needle, haystack):
-    assert subword(needle, haystack) == (needle in haystack)
+    assert subword(needle, haystack) == (needle in haystack or needle in ("T", "F"))
 
 
 # --- alphabet ---------------------------------------------------------------
@@ -75,7 +83,7 @@ def test_subword_matches_python_containment(needle, haystack):
 
 def test_alphabet_membership_and_words():
     ab = Alphabet(frozenset("01"))
-    assert "0" in ab and "x" not in ab
+    assert "0" in ab.letters and "x" not in ab.letters
     assert sorted(ab.words_up_to(2)) == sorted(["", "0", "1", "00", "01", "10", "11"])
 
 
@@ -85,7 +93,7 @@ def test_alphabet_rejects_multichar_letters():
 
 
 def test_default_alphabet_has_truth_letters():
-    assert "T" in DEFAULT_ALPHABET and "F" in DEFAULT_ALPHABET
+    assert {"T", "F"} <= DEFAULT_ALPHABET.letters
 
 
 # --- syntax -----------------------------------------------------------------

@@ -14,7 +14,7 @@ from tierlang import OperatorDef, Registry, Store, builtins, default_registry, u
 from tierlang.analysis import measure_growth, ni_suite, tier_preservation
 from tierlang.cli import main
 from tierlang.fixtures import fixture_text, load_source
-from tierlang.lang import DEFAULT_ALPHABET, FF, TT, Alphabet, Word, subword
+from tierlang.lang import DEFAULT_ALPHABET, FF, TT, Alphabet, Word
 from tierlang.ops import (
     NEUTRAL_PREDICATE,
     NEUTRAL_SUBWORD,
@@ -211,7 +211,7 @@ def validate_class(
         if op.kind == NEUTRAL_PREDICATE:
             good = out == TT or out == FF
         elif op.kind == NEUTRAL_SUBWORD:
-            good = any(subword(out, arg) for arg in args)
+            good = any(out in arg for arg in args)
         else:
             longest = max((len(a) for a in args), default=0)
             good = len(out) <= longest + op.growth

@@ -47,7 +47,7 @@ def test_parse_small_file_shape():
         """
     )
     assert src.alphabet_letters == ("0", "1")
-    assert "T" in src.alphabet() and "0" in src.alphabet()
+    assert "T" in src.alphabet().letters and "0" in src.alphabet().letters
     assert src.annotations() == {"x": Tier.ONE, "y": Tier.ZERO}
     decls = {d.name: d for d in src.op_decls}
     assert decls["gt0"].sigs == (((Tier.ONE,), Tier.ONE), ((Tier.ZERO,), Tier.ZERO))

@@ -117,18 +117,13 @@ def test_seeded_random_is_reproducible():
     assert first.choices != other.choices
 
 
-def test_choices_index_and_compare_by_content():
+def test_choices_iterate_and_compare_by_content():
     lasso = Choices(("a",), ("b", "c"), 2, ("b",))
     flat = Choices(("a", "b", "c", "b", "c", "b"))
     assert (lasso, hash(lasso), len(lasso)) == (flat, hash(flat), 6)
     assert tuple(lasso) == flat.prefix
-    assert [lasso[i] for i in range(-6, 6)] == list(flat) * 2
-    assert lasso[1:5] == ("b", "c", "b", "c")
-    assert lasso[::-2] == ("b", "b", "b")
     assert lasso != Choices(("a", "b", "c", "b", "c", "c"))
     assert lasso != Choices(("a", "b", "c", "b", "c"))
-    with pytest.raises(IndexError):
-        lasso[6]
 
 
 def test_scheduler_fuel_bound():

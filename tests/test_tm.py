@@ -9,6 +9,7 @@ from tierlang.fixtures import fixture_text
 from tierlang.tm import (
     MAX_CLOCK_DEGREE,
     TMFormatError,
+    _state_codes,
     compile_tm,
     parse_tm,
     simulate_tm,
@@ -217,13 +218,13 @@ def test_left_moves_inside_the_tape():
 
 
 def test_state_codes_are_fixed_width(inc):
-    assert dict(compile_tm(inc).state_codes) == {"scan": "0", "done": "1"}
+    assert _state_codes(inc.states) == {"scan": "0", "done": "1"}
     three = parse_tm(
         "states a b h\nalphabet 0\ninit a\nhalt h\nclock 1\n"
         "delta a 0 -> b 0 R\ndelta a B -> b 0 R\n"
         "delta b 0 -> h 0 R\ndelta b B -> h 0 R\n"
     )
-    assert dict(compile_tm(three).state_codes) == {"a": "00", "b": "01", "h": "10"}
+    assert _state_codes(three.states) == {"a": "00", "b": "01", "h": "10"}
 
 
 def sim_cascades(spec, n):

@@ -378,3 +378,38 @@ def test_a_conflict_over_too_many_unknowns_comes_back_unminimized():
     assert not report.ok
     assert report.note == "too many variables to minimize the conflict set"
     assert [c.kind for c in report.core] == ["assign"] * 16 + ["guard", "assign"]
+
+
+def test_searches_without_a_thread_constraint_type_no_compound_slot(monkeypatch):
+    # Only thread constraints read Seq/If/While slots.  The doubler's
+    # conflict minimization runs searches both with and without them.
+    from tierlang import typecheck
+
+    make_solver, typing_pass = typecheck._solver, typecheck.type_table
+    searching = []  # per running search: whether it carries a thread constraint
+    kinds = {True: set(), False: set()}
+
+    def solver(*args):
+        solve = make_solver(*args)
+
+        def search(constraints, forced):
+            searching.append(any(c.kind == "thread" for c in constraints))
+            try:
+                return solve(constraints, forced)
+            finally:
+                searching.pop()
+
+        return search
+
+    def recording_type_table(table, gamma, sig_env, typing=None, eids=(), slots=None):
+        if searching and slots is not None:
+            slots = list(slots)
+            kinds[searching[-1]].update(key[0] for _, key in slots)
+        return typing_pass(table, gamma, sig_env, typing, eids, slots)
+
+    monkeypatch.setattr(typecheck, "_solver", solver)
+    monkeypatch.setattr(typecheck, "type_table", recording_type_table)
+    report = infer_tiers(load_source("exp.tier"))
+    assert [c.kind for c in report.core] == ["assign", "guard", "assign"]
+    assert kinds[False] == {Assign}
+    assert kinds[True] == {Assign, Seq, While}

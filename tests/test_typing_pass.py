@@ -78,11 +78,11 @@ def ref_command_tiers(gamma, sig_env, cmd):
     if isinstance(cmd, Assign):
         target = gamma[cmd.var]
         rhs = ref_expr_tiers(gamma, sig_env, cmd.expr)
-        return frozenset((target,)) if any(target.leq(t) for t in rhs) else NO_TIERS
+        return frozenset((target,)) if any(target <= t for t in rhs) else NO_TIERS
     if isinstance(cmd, Seq):
         first = ref_command_tiers(gamma, sig_env, cmd.first)
         second = ref_command_tiers(gamma, sig_env, cmd.second)
-        return frozenset(a.join(b) for a in first for b in second)
+        return frozenset(max(a, b) for a in first for b in second)
     if isinstance(cmd, If):
         return (ref_expr_tiers(gamma, sig_env, cmd.guard)
                 & ref_command_tiers(gamma, sig_env, cmd.then_branch)
