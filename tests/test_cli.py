@@ -407,6 +407,35 @@ def test_explore_text_matches_golden_output(fx, capsys):
     assert out.encode() == (GOLDEN / "explore_json" / "zrange.txt").read_bytes()
 
 
+# The ``run`` calls of each golden transcript, from the pinned explore inputs.
+RUN_SCHEDULERS = ("round-robin", "first-alive", "random")
+RUN_CALLS = (
+    *(("--json", "--scheduler", s, "--seed", "3", *fuel)
+      for s in RUN_SCHEDULERS for fuel in ((), ("--fuel", "1000001"))),
+    *(("--trace", "-", "--fuel", "300", "--scheduler", s, "--seed", "3") for s in RUN_SCHEDULERS),
+)
+
+
+def run_transcript(capsys, path: str, name: str) -> str:
+    """Each of ``RUN_CALLS`` on one fixture: the call, its exit code, its
+    stdout, and its stderr if any."""
+    parts = []
+    for flags in RUN_CALLS:
+        args = (*EXPLORE_INPUTS[name], *flags)
+        code, out, err = run_cli(capsys, "run", path, *args)
+        parts.append(f"$ tierlang run {name} {' '.join(args)}\nexit {code}\n{out}")
+        if err:
+            parts.append(f"stderr:\n{err}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("name", sorted(EXPLORE_INPUTS))
+def test_run_matches_golden_output(name, fx, capsys):
+    # Rewrite the file with ``run_transcript`` when the output changes on purpose.
+    golden = GOLDEN / "run" / name.replace(".tier", ".txt")
+    assert run_transcript(capsys, fx(name), name).encode() == golden.read_bytes()
+
+
 # --- ni --------------------------------------------------------------------------
 
 
