@@ -325,6 +325,9 @@ def tier_preservation(
 # --- growth measurement -------------------------------------------------------------
 
 
+GROWTH_COLUMNS = ("max_k", "max_t")  # the counts ``fit_polynomial`` can fit
+
+
 @dataclass(frozen=True)
 class GrowthRow:
     n: int
@@ -424,7 +427,7 @@ def fit_polynomial(
     Sizes and counts are integers, so the fit is solved exactly in
     rationals; coefficients and residual become floats only at the end.
     """
-    if column not in ("max_t", "max_k"):
+    if column not in GROWTH_COLUMNS:
         raise KeyError(column)
     xs = [r.n for r in table.rows]
     ys = [getattr(r, column) for r in table.rows]

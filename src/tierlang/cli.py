@@ -23,7 +23,7 @@ import sys
 from dataclasses import asdict
 from typing import Callable, Mapping
 
-from .analysis import fit_polynomial, measure_growth, ni_suite
+from .analysis import GROWTH_COLUMNS, fit_polynomial, measure_growth, ni_suite
 from .lang import Alphabet, Store, Word, unary
 from .parser import ParseError, SourceFile, parse, pretty
 from .scheduling import (
@@ -79,6 +79,8 @@ def _parse_inputs(pairs: list[str], alphabet: Alphabet) -> dict[str, Word]:
                 f"--input {pair!r}: {', '.join(map(repr, stray))} not in the program's "
                 f"alphabet {' '.join(alphabet.sorted_letters())}"
             )
+        if name in out:
+            raise CliError(f"--input {name} given twice")
         out[name] = value
     return out
 
@@ -515,7 +517,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_measure.add_argument("--scheduler", default="round-robin")
     p_measure.add_argument("--fuel", type=int, default=1_000_000)
     p_measure.add_argument("--csv", metavar="PATH", help="write the table to PATH")
-    p_measure.add_argument("--column", choices=("max_k", "max_t"), default="max_k")
+    p_measure.add_argument("--column", choices=GROWTH_COLUMNS, default="max_k")
     p_measure.add_argument("--max-degree", type=int, default=4)
     p_measure.add_argument("--threshold", type=float, default=0.05)
     p_measure.set_defaults(func=cmd_measure)

@@ -66,15 +66,6 @@ class Alphabet:
     def sorted_letters(self) -> tuple[str, ...]:
         return tuple(sorted(self.letters))
 
-    def words_up_to(self, max_len: int) -> Iterator[Word]:
-        """All words of length at most ``max_len``, shortest first."""
-        letters = self.sorted_letters()
-        frontier: list[Word] = [""]
-        yield ""
-        for _ in range(max_len):
-            frontier = [w + c for w in frontier for c in letters]
-            yield from frontier
-
 
 DEFAULT_ALPHABET = Alphabet(DEFAULT_LETTERS)
 
@@ -254,14 +245,6 @@ class Store:
 
     def lookup(self, var: str) -> Word:
         return self._bindings.get(var, EMPTY)
-
-    def bind(self, var: str, word: Word) -> Store:
-        data = dict(self._bindings)
-        if word:
-            data[var] = word
-        else:
-            data.pop(var, None)
-        return Store._normalized(data)
 
     def restrict(self, variables: Iterable[str]) -> Store:
         keep = set(variables)

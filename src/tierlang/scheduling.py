@@ -1,13 +1,19 @@
 """Multi-threaded execution: global steps, schedulers, and exploration.
 
-A global configuration is a shared store plus one control slot per
-thread.  The slots index ``Program.table``, the program's one
-``ControlTable`` (see ``semantics``), which hash-conses every residual
-command, so a configuration is a store and a tuple of small ints, and
-a thread whose slot is ``DONE`` has terminated.  One global step picks
-a live thread and advances it one atomic step.  The ``loops`` counter
+A global configuration is one flat state: the words of the program's
+free variables (``table.variables``), then one control slot per thread.
+The slots index ``Program.table``, the program's one ``ControlTable``
+(see ``semantics``), which hash-conses every residual command, and a
+thread whose slot is ``DONE`` has terminated.  One global step picks a
+live thread and advances it one atomic step.  The ``loops`` counter
 accumulates loop unfoldings across all threads and the ``steps``
 counter counts global steps, so ``loops <= steps`` always.
+
+``run_with_scheduler`` steps one list in place, and ``step_global``
+copies a state into a new tuple for ``explore``.  ``Store`` objects are
+built from a state only at the edges (a run's result and trace, the
+store a scheduler chooses by, the terminal stores of ``explore``), each
+with the input's bindings of the variables the program never mentions.
 
 Schedulers are deterministic: a choice function over the live thread
 ids and the store plus private state.  A scheduler is *quiet* when its
@@ -21,7 +27,7 @@ run loop, so one command runs as a one-thread program.  A run's
 
 A scheduler is *pure* when its choice is a function of the live ids,
 the store and an immutable state.  Under such a scheduler a run whose
-configuration ``(store, slots, scheduler state)`` repeats is periodic
+configuration (flat state and scheduler state) repeats is periodic
 from then on, so ``run_with_scheduler`` finds the repeat with Brent's
 cycle detection and jumps whole periods towards the fuel bound; a run
 that keeps a trace jumps only once the trace holds ``TRACE_CAP`` steps,
@@ -29,15 +35,11 @@ so every trace entry is a step the run took.  The result is the one
 stepping to the bound would give, field for field.
 
 ``explore`` enumerates every interleaving up to bounded depth, memoizing
-on flat states: one tuple holding the words of the program's free
-variables (``table.variables``), then one slot per thread.  The program
-never reads or writes any other variable, and structurally equal residuals
-share a slot, so this is the same as memoizing on the store and the
-pool of residual commands; ``Store`` objects are built only for the
-terminal states.  A configuration revisited along one path is a cycle,
-which witnesses a non-terminating schedule.  One depth-first pass over
-the explored graph finds such a cycle, or else the longest terminating
-step and loop counts.
+on flat states.  Structurally equal residuals share a slot, so this is
+the same as memoizing on the store and the pool of residual commands.
+A configuration revisited along one path is a cycle, which witnesses a
+non-terminating schedule.  One depth-first pass over the explored
+graph finds such a cycle, or else the longest terminating counts.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
@@ -53,29 +55,25 @@ from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 TRACE_CAP = 10_000  # the most steps a kept trace records
 
 
-def step_global(
-    table: ControlTable,
-    where: dict[str, int],
-    state: tuple,
-    bindings: dict[str, Word],
-    index: int,
-) -> tuple[tuple, str]:
-    """Advance thread ``index`` of a flat state one step: the new state
-    and the rule that fired.
-
-    A flat state holds the words of the program's free variables, at
-    the positions ``where`` gives them, then one slot per thread
-    (``DONE`` for a thread that terminated); ``bindings`` maps each of
-    those variables to its word, leaving out empty words.
-    """
-    at = len(where) + index
-    slot, rule, assigned = table.step(state[at], bindings)
+def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, str]:
+    """Advance thread ``index`` of a flat state (the words of
+    ``table.variables``, then one slot per thread) one step: a new state
+    tuple and the rule that fired."""
+    at = len(table.variables) + index
+    slot, rule, assigned = table.step(state[at], state)
     cells = list(state)
     cells[at] = slot
     if assigned is not None:
-        var, word = assigned
-        cells[where[var]] = word
+        cells[assigned[0]] = assigned[1]
     return tuple(cells), rule
+
+
+def _store(names: tuple[str, ...], state: Sequence, outside: dict[str, Word]) -> Store:
+    """The store of a flat state whose words are those of ``names``, with
+    ``outside``: the bindings of the variables the program never mentions."""
+    data = {name: word for name, word in zip(names, state) if word}
+    data.update(outside)
+    return Store._normalized(data)
 
 
 # --- schedulers ---------------------------------------------------------------
@@ -230,8 +228,15 @@ def run_with_scheduler(
     are those of stepping to the fuel bound.
     """
     table = program.table
+    names = table.variables
+    outside = dict(store.items())  # the input's bindings of variables the program never mentions
+    for name in names:
+        outside.pop(name, None)
     live = program.thread_ids()
-    slots = dict(zip(live, table.roots))
+    at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
+    cells = [*map(store.lookup, names), *table.roots]  # the flat state, stepped in place
+    step = table.step
+    seen: Store | None = store  # the store of ``cells``, or None until it is needed again
     state = scheduler.fresh_state()
     steps = 0
     loops = 0
@@ -246,35 +251,41 @@ def run_with_scheduler(
     # unfolds, since every cycle unfolds some loop: the checkpoint moves
     # to the live configuration at the 1st, 2nd, 4th, 8th, ... unfolding.
     # ``mark`` is the next such loop count, and 0 once detection is off.
+    # The saved cells are a list, so that they can equal the live ones.
     mark = 1 if scheduler.pure else 0
-    saved: tuple = (None, None, None, 0, 0)
+    saved: tuple = (None, None, 0, 0)
     while live and steps < fuel:
         if len(live) > 1:
-            tid, state = scheduler.choose(live, store, state)
+            if seen is None:
+                seen = _store(names, cells, outside)
+            tid, state = scheduler.choose(live, seen, state)
             choices.append(tid)
         else:
             tid = live[0]
             forced += 1
-        slot, rule, assigned = table.step(slots[tid], store._bindings)
+        i = at[tid]
+        slot, rule, assigned = step(cells[i], cells)
+        cells[i] = slot
         if assigned is not None:
-            store = store.bind(*assigned)
+            cells[assigned[0]] = assigned[1]
+            seen = None
         steps += 1
         if rule == UNFOLD:
             loops += 1
         if slot == DONE:
-            del slots[tid]
             live = tuple(t for t in live if t != tid)
-        else:
-            slots[tid] = slot
         if keep_trace and len(trace) < TRACE_CAP:
-            trace.append(GlobalTraceStep(steps, tid, rule, loops, assigned, store))
+            if seen is None:
+                seen = _store(names, cells, outside)
+            made = None if assigned is None else (names[assigned[0]], assigned[1])
+            trace.append(GlobalTraceStep(steps, tid, rule, loops, made, seen))
         if not (mark and rule == UNFOLD):
             continue
         # A kept trace holds only steps taken: skip once it is full.
-        if slots == saved[0] and state == saved[1] and store == saved[2] and (
+        if cells == saved[0] and state == saved[1] and (
             not keep_trace or len(trace) == TRACE_CAP
         ):
-            start, start_loops = saved[3], saved[4]
+            start, start_loops = saved[2], saved[3]
             period, gained = steps - start, loops - start_loops
             repeats = (fuel - steps) // period
             # A repeat keeps the live threads, so a period is either all
@@ -287,11 +298,12 @@ def run_with_scheduler(
             loops += repeats * gained
             mark = 0
         elif loops == mark:
-            saved = (dict(slots), state, store, steps, loops)
+            saved = (cells[:], state, steps, loops)
             mark *= 2
-    residual = Program(tuple((t, table.commands[slots[t]]) for t in live))
+    residual = Program(tuple((t, table.commands[cells[at[t]]]) for t in live))
     return ScheduledRun(
-        store, residual, steps, loops, not live, _choices(choices, skip, tid, forced), tuple(trace)
+        _store(names, cells, outside), residual, steps, loops, not live,
+        _choices(choices, skip, tid, forced), tuple(trace),
     )
 
 
@@ -369,17 +381,14 @@ def explore(
 ) -> ExplorationReport:
     """Enumerate all interleavings, memoizing on flat states.
 
-    A state is one tuple: the words of the program's free variables in
-    sorted order, then one slot per thread.  Bindings of ``store`` to
-    other variables are never read or written, so they are left out of
-    the states and put back into the terminal stores.
+    Bindings of ``store`` to variables the program never mentions are
+    left out of the states and put back into the terminal stores.
 
     A breadth-first pass builds the state graph within the caps; one
     depth-first pass from the root then looks for a cycle and, if there
     is none, takes the longest terminating counts."""
     table = program.table
     names = table.variables
-    where = {name: i for i, name in enumerate(names)}
     offset = len(names)
     threads = range(len(program.threads))
     finished = (DONE,) * len(program.threads)
@@ -403,14 +412,13 @@ def explore(
             complete = False
             succ.append(())
             continue
-        bindings = {name: word for name, word in zip(names, state) if word}
         edges: list[tuple[int, int]] = []
         got_stuck = False
         for index in threads:
             if state[offset + index] == DONE:
                 continue
             try:
-                child_state, rule = step_global(table, where, state, bindings, index)
+                child_state, rule = step_global(table, state, index)
             except StuckGuardError:
                 got_stuck = True
                 continue
@@ -467,9 +475,11 @@ def explore(
                     t = ct
             if k is not None:
                 best_k[nid], best_t[nid] = k + 1, t
-    outside = [(name, word) for name, word in store.items() if name not in where]
+    outside = dict(store.items())  # the input's bindings of variables the program never mentions
+    for name in names:
+        outside.pop(name, None)
     return ExplorationReport(
-        terminal_stores=frozenset(Store(chain(outside, zip(names, nodes[n]))) for n in terminal),
+        terminal_stores=frozenset(_store(names, nodes[n], outside) for n in terminal),
         max_steps_terminating=None if cycle_found else best_k[0],
         max_loops_terminating=None if cycle_found else best_t[0],
         cycle_found=cycle_found,

@@ -16,23 +16,26 @@ Runs step a ``ControlTable``, which owns the step rules: every residual
 a command can reach gets a hash-consed slot number, each distinct
 expression is compiled into one closure on the first step, and each
 slot, the first time it is stepped, records its redex's closure and the
-slots that follow.  So a run state is a store plus one int per thread
-and a step is a table lookup plus one operator call.  A step reads a
-store's bindings and returns the assignment to make, which each caller
-writes into its own state representation.  The same table lists each
-slot's successors for questions that range over every store at once,
-such as subject reduction, and ``typecheck.type_table`` types its keys.
-A program builds its table on first use, as ``Program.table``, and
-every later run, exploration and walk of it reuses that table; one
-command runs as a one-thread ``Program.single``.
+slots that follow.  A configuration is one flat state: the words of the
+table's ``variables`` in order, then one slot per thread.  Closures read
+words by position, and a step returns the assignment to make as a
+position and a word, so a step is a table lookup plus one operator call
+and no store is built; ``scheduling`` makes ``Store`` objects from a
+state only where a caller reads one.  The same table lists each slot's
+successors for questions that range over every store at once, such as
+subject reduction, and ``typecheck.type_table`` types its keys.  A
+program builds its table on first use, as ``Program.table``, and every
+later run, exploration and walk of it reuses that table; one command
+runs as a one-thread ``Program.single``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from bisect import bisect_left
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
 from .lang import (
-    EMPTY,
     FF,
     TT,
     Assign,
@@ -94,18 +97,18 @@ UNFOLD = "while-tt"  # the one rule that counts as a loop iteration
 
 DONE = -1  # the slot of a command that has terminated
 
-_Bindings = dict[str, Word]
-# rule, next slot, other rule, other slot, assigned variable, expression, redex
-_Entry = tuple[str, int, str, int, str | None, Callable[[_Bindings], Word] | None, Command]
+# rule, next slot, other rule, other slot, assigned position, expression, redex
+_Entry = tuple[str, int, str, int, int | None, Callable[[Sequence], Word] | None, Command]
 
 
 _CLOSURE_DEPTH = 64  # an expression whose closures would nest deeper is run by ``eval_expr``
 
-_Closure = tuple[Callable[[_Bindings], Word], int]  # a closure and how deep its calls nest
+_Closure = tuple[Callable[[Sequence], Word], int]  # a closure and how deep its calls nest
 
 
-def _closure(node: Var | OpCall, args: list[_Closure]) -> _Closure:
-    """``node``'s closure on a store's bindings, from its arguments' closures.
+def _closure(node: Var | OpCall, args: list[_Closure], names: tuple[str, ...]) -> _Closure:
+    """``node``'s closure on a flat state whose words are those of the
+    sorted ``names``, from its arguments' closures.
 
     Operators are resolved here, once.  A call that cannot succeed (an
     unknown operator, a wrong argument count), or whose closures would
@@ -114,27 +117,25 @@ def _closure(node: Var | OpCall, args: list[_Closure]) -> _Closure:
     exhausts the Python stack.
     """
     if node.__class__ is Var:
-        name = node.name
-        return (lambda b: b.get(name, EMPTY)), 1
+        return itemgetter(bisect_left(names, node.name)), 1
     depth = 1 + max((nested for _, nested in args), default=0)
     try:
         op = OPERATORS.resolve(node.op)
     except UnknownOperatorError:
         op = None
     if op is None or op.arity != len(args) or depth > _CLOSURE_DEPTH:
-        # eval_expr only reads the store, so wrapping the live dict is safe.
-        return (lambda b: eval_expr(Store._normalized(b), node)), 1
+        return (lambda s: eval_expr(Store(zip(names, s)), node)), 1
     fn = op.fn
     if not args:
-        return (lambda b: fn()), depth
+        return (lambda s: fn()), depth
     if len(args) == 1:
         if node.args[0].__class__ is Var:
-            name = node.args[0].name
-            return (lambda b: fn(b.get(name, EMPTY))), depth
+            at = bisect_left(names, node.args[0].name)
+            return (lambda s: fn(s[at])), depth
         arg = args[0][0]
-        return (lambda b: fn(arg(b))), depth
+        return (lambda s: fn(arg(s))), depth
     fns = [arg for arg, _ in args]
-    return (lambda b: fn(*[a(b) for a in fns])), depth
+    return (lambda s: fn(*[a(s) for a in fns])), depth
 
 
 class ControlTable:
@@ -232,7 +233,7 @@ class ControlTable:
         if not closures:  # the first step compiles every expression, in one pass
             for node, key in zip(self._nodes, self.exprs):
                 closures.append(_closure(node, [] if node.__class__ is Var
-                                         else [closures[i] for i in key[1:]]))
+                                         else [closures[i] for i in key[1:]], self.variables))
         keys = self.keys
         context: list[int] = []
         redex = slot
@@ -242,7 +243,7 @@ class ControlTable:
         key = keys[redex]
         kind = key[0]
         fn = None if kind is Skip else closures[key[1]][0]  # guard or assigned expression
-        var = key[2] if kind is Assign else None
+        var = bisect_left(self.variables, key[2]) if kind is Assign else None
         outcomes: tuple[tuple[str, int], ...]
         if kind is Skip:
             outcomes = (("skip", DONE),)
@@ -271,18 +272,18 @@ class ControlTable:
         nxt, other = entry[1], entry[3]
         return (nxt,) if nxt == other else (nxt, other)
 
-    def step(self, slot: int, bindings: _Bindings) -> tuple[int, str, tuple[str, Word] | None]:
-        """Fire the redex at ``slot`` on a store's bindings (nonempty words
-        only, as in ``Store``): the next slot (``DONE`` once the command has
-        terminated), the rule, and the assignment to make.  The caller
-        writes the assignment into its own state."""
+    def step(self, slot: int, state: Sequence) -> tuple[int, str, tuple[int, Word] | None]:
+        """Fire the redex at ``slot`` on a flat state: the next slot
+        (``DONE`` once the command has terminated), the rule, and the
+        assignment to make, as the position of the assigned word in the
+        state and the new word.  The caller writes the assignment."""
         entry = self._entries[slot]
         if entry is None:
             entry = self._entries[slot] = self._compile(slot)
         rule, nxt, other_rule, other, var, fn, redex = entry
         if fn is None:
             return nxt, rule, None
-        value = fn(bindings)
+        value = fn(state)
         if var is not None:
             return nxt, rule, (var, value)
         if value == TT:

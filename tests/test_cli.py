@@ -299,6 +299,19 @@ def test_run_rejects_malformed_input_bindings(fx, capsys):
     assert err.strip() == "error: --input takes VAR=WORD, got 'bogus'"
 
 
+@pytest.mark.parametrize("command", ["run", "explore", "measure"])
+def test_a_repeated_input_is_refused(command, fx, capsys):
+    flags = ("--scale", "y", "--sizes", "1:7") if command == "measure" else ()
+    code, out, err = run_cli(capsys, command, fx("add.tier"), "--input", "x=11",
+                             "--input", "x=1", *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: --input x given twice\n"
+    # A variable the program never mentions is still accepted, once.
+    code, _, _ = run_cli(capsys, command, fx("add.tier"), "--input", "x=1", "--input", "w=10",
+                         *flags)
+    assert code == 0
+
+
 def test_run_trace_to_stdout_and_file(fx, tmp_path, capsys):
     code, out, _ = run_cli(capsys, "run", fx("add.tier"), "--input", "x=1", "--trace", "-")
     assert code == 0

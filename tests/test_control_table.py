@@ -134,6 +134,11 @@ class Stepped(NamedTuple):
     assigned: tuple | None
 
 
+def bind(store, var, word):
+    """``store`` with ``var`` bound to ``word``."""
+    return Store({**dict(store.items()), var: word})
+
+
 def guard_holds(store, cmd):
     value = eval_expr(store, cmd.guard)
     if value not in (TT, FF):
@@ -151,7 +156,7 @@ def step_command(store, cmd):
         return Stepped(store, None, "skip", 0, None)
     if isinstance(cmd, Assign):
         value = eval_expr(store, cmd.expr)
-        return Stepped(store.bind(cmd.var, value), None, "assign", 0, (cmd.var, value))
+        return Stepped(bind(store, cmd.var, value), None, "assign", 0, (cmd.var, value))
     if isinstance(cmd, If):
         if guard_holds(store, cmd):
             return Stepped(store, cmd.then_branch, "if-tt", 0, None)
@@ -202,11 +207,16 @@ def reference_sequential(store, cmd, fuel):
 def table_sequential(store, cmd, fuel):
     """``reference_sequential`` stepped on ``cmd``'s control table."""
     table = ControlTable((cmd,))
+    names = table.variables
+    words = list(map(store.lookup, names))
     slot, steps, loops, trace = table.roots[0], 0, 0, []
     while cmd is not None and steps < fuel:
-        slot, rule, assigned = table.step(slot, store._bindings)
+        slot, rule, assigned = table.step(slot, words)
         if assigned is not None:
-            store = store.bind(*assigned)
+            at, word = assigned
+            words[at] = word
+            assigned = (names[at], word)
+            store = bind(store, *assigned)
         cmd = None if slot == DONE else table.commands[slot]
         steps += 1
         loops += rule == "while-tt"
@@ -504,9 +514,9 @@ def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
     stepped = set()
     step = ControlTable.step
 
-    def recording(self, slot, bindings):
+    def recording(self, slot, state):
         stepped.add(slot)
-        return step(self, slot, bindings)
+        return step(self, slot, state)
 
     monkeypatch.setattr(ControlTable, "step", recording)
     run = run_with_scheduler(Store(), program, FirstAlive())
@@ -570,9 +580,9 @@ def test_a_check_compiles_no_closure(monkeypatch):
     compiled = []
     closure = semantics._closure
 
-    def counting(node, args):
+    def counting(node, args, names):
         compiled.append(node)
-        return closure(node, args)
+        return closure(node, args, names)
 
     monkeypatch.setattr(semantics, "_closure", counting)
     for source in (load_source("binary_add.tier"),

@@ -185,6 +185,12 @@ class ClassVerdict:
     output: Word | None = None
 
 
+def words_up_to(alphabet: Alphabet, max_len: int) -> list[Word]:
+    """All words of length at most ``max_len``, shortest first."""
+    letters = alphabet.sorted_letters()
+    return ["".join(w) for n in range(max_len + 1) for w in itertools.product(letters, repeat=n)]
+
+
 def validate_class(
     op: OperatorDef,
     max_len: int = 4,
@@ -196,7 +202,7 @@ def validate_class(
     to ``max_len``, falling back to a seeded random sample when the full
     product exceeds ``sample_cap`` tuples.
     """
-    words = list(alphabet.words_up_to(max_len))
+    words = words_up_to(alphabet, max_len)
     total = len(words) ** op.arity
     exhaustive = total <= sample_cap
     if exhaustive:

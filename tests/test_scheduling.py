@@ -44,11 +44,9 @@ def zrange_program():
 def step_root(table, program, store, index):
     """Step thread ``index`` of the program's flat root state from
     ``store``: the store and the slots of the new state, and the rule."""
-    names = sorted(free_vars(program))
-    where = {name: i for i, name in enumerate(names)}
-    words = tuple(map(store.lookup, names))
-    bindings = {name: word for name, word in zip(names, words) if word}
-    state, rule = step_global(table, where, words + table.roots, bindings, index)
+    names = table.variables
+    assert names == tuple(sorted(free_vars(program)))
+    state, rule = step_global(table, (*map(store.lookup, names), *table.roots), index)
     return Store(zip(names, state)), state[len(names):], rule
 
 

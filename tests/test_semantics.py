@@ -39,9 +39,12 @@ def step(store, cmd):
     residual command (``None`` once it terminated), the rule and the
     assignment made."""
     table = ControlTable((cmd,))
-    slot, rule, assigned = table.step(table.roots[0], store._bindings)
+    names = table.variables
+    slot, rule, assigned = table.step(table.roots[0], [store.lookup(name) for name in names])
     if assigned is not None:
-        store = store.bind(*assigned)
+        at, word = assigned
+        assigned = (names[at], word)
+        store = Store({**dict(store.items()), names[at]: word})
     return store, None if slot == DONE else table.commands[slot], rule, assigned
 
 
