@@ -659,9 +659,9 @@ def counted_steps(monkeypatch):
     taken = []
     step = ControlTable.step
 
-    def counting(self, slot, store):
+    def counting(self, slot, state):
         taken.append(slot)
-        return step(self, slot, store)
+        return step(self, slot, state)
 
     monkeypatch.setattr(ControlTable, "step", counting)
     return taken
