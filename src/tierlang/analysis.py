@@ -21,7 +21,6 @@ from __future__ import annotations
 import io
 import math
 import random
-from collections import deque
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -41,6 +40,7 @@ from .scheduling import (
     ExplorationReport,
     Scheduler,
     ScheduledRun,
+    build_graph,
     explore,
     random_equiv_stores,
     run_with_scheduler,
@@ -268,57 +268,44 @@ def tier_preservation(
 ) -> TierPreservationReport:
     """Check that stepping a thread never makes its command harder to type.
 
-    Subject reduction is syntactic, so the check walks the control table
-    rather than runs: from each thread's root it visits every residual
-    slot and checks each pair of a slot and a slot it can step to (both
-    outcomes of every guard, a loop's unfold and exit) once.  The
-    successor must still check, at a tier no higher than the lowest tier
-    its predecessor checked at; a predecessor that does not check at all
-    is reported immediately, so a rejected program fails at depth zero.
-    Slots are typed by ``check_program``'s table pass, extended to the
-    residuals the walk adds, so each distinct command is typed once.
-
-    A thread has finitely many residuals, so the walk always closes and
-    covers every store and schedule at once: ``edges_checked`` counts the
-    pairs, ``complete`` is always true, and a violation's ``depth`` is
-    its slot's distance from the thread's root.  ``store`` does not
-    affect the result.
+    Subject reduction is syntactic, so this walks the control table, not
+    runs: ``build_graph`` over ``table.successors`` from the threads'
+    roots reaches every residual slot, and each edge is then checked
+    once, in node order.  The successor must check at a tier no higher
+    than the lowest its predecessor checks at, and a predecessor that
+    does not check fails at once.  One ``type_table`` pass after the walk
+    types each distinct command once.  The walk always closes and covers
+    every store and schedule, so ``complete`` is always true and
+    ``store`` does not affect the result; a violation names the thread
+    whose root first reached its slot, at the slot's distance from it.
     """
     table = program.table
-    tids = program.thread_ids()
-    typing = type_table(table, gamma, sig_env)
-    typed = typing[1]
-    # Breadth first, so a slot is first taken at its distance from a root.
-    frontier = deque((index, root, 0) for index, root in enumerate(table.roots))
-    seen: set[int] = set()
+    graph = build_graph(table.roots, lambda slot: ((s, False) for s in table.successors(slot)),
+                        lambda slot: slot == DONE)
+    typed = type_table(table, gamma, sig_env)[1]
+    slots, parent = graph.nodes, graph.parent
     edges = 0
-    while frontier:
-        index, slot, depth = frontier.popleft()
-        if slot in seen:
-            continue
-        seen.add(slot)
-        before = typed[slot]
-        for after_slot in table.successors(slot):
+    for nid, out in enumerate(graph.edges):
+        before = typed[slots[nid]]
+        for child, _ in out:
             edges += 1
-            if after_slot >= len(typed):  # a residual this step made
-                type_table(table, gamma, sig_env, typing)
+            after_slot = slots[child]
             after = BOTH_TIERS if after_slot == DONE else typed[after_slot]
-            if not before or not after or min(after) > min(before):
-                return TierPreservationReport(
-                    False,
-                    edges,
-                    True,
-                    TierDropViolation(
-                        tids[index],
-                        depth,
-                        pretty_command(table.commands[slot]),
-                        None if after_slot == DONE else pretty_command(table.commands[after_slot]),
-                        tuple(str(t) for t in sorted(before)),
-                        tuple(str(t) for t in sorted(after)),
-                    ),
-                )
-            if after_slot != DONE:
-                frontier.append((index, after_slot, depth + 1))
+            if before and after and min(after) <= min(before):
+                continue
+            root, depth = nid, 0
+            while parent[root] >= 0:
+                root, depth = parent[root], depth + 1
+            return TierPreservationReport(
+                False, edges, True, TierDropViolation(
+                    program.thread_ids()[table.roots.index(slots[root])],
+                    depth,
+                    pretty_command(table.commands[slots[nid]]),
+                    None if after_slot == DONE else pretty_command(table.commands[after_slot]),
+                    tuple(str(t) for t in sorted(before)),
+                    tuple(str(t) for t in sorted(after)),
+                ),
+            )
     return TierPreservationReport(True, edges, True)
 
 

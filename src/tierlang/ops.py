@@ -14,6 +14,7 @@ here is the strongest claim the operator honestly satisfies.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -145,9 +146,11 @@ def _add_one(u: Word) -> Word:
     return "1" + u
 
 
+_NOT_A_DIGIT = re.compile("[^01]")
+
+
 def _binary_value(u: Word) -> int:
-    digits = "".join(c if c in "01" else "0" for c in u)
-    return int(digits, 2) if digits else 0
+    return int(_NOT_A_DIGIT.sub("0", u), 2) if u else 0
 
 
 def _binary_encode(value: int, width: int) -> Word:

@@ -25,21 +25,16 @@ and so is quiet under every policy.  ``run_with_scheduler`` is the one
 run loop, so one command runs as a one-thread program.  A run's
 ``choices`` (a ``Choices``) iterate over the ids the scheduler chose.
 
-A scheduler is *pure* when its choice is a function of the live ids,
-the store and an immutable state.  Under such a scheduler a run whose
-configuration (flat state and scheduler state) repeats is periodic
-from then on, so ``run_with_scheduler`` finds the repeat with Brent's
-cycle detection and jumps whole periods towards the fuel bound; a run
-that keeps a trace jumps only once the trace holds ``TRACE_CAP`` steps,
-so every trace entry is a step the run took.  The result is the one
-stepping to the bound would give, field for field.
+A run whose configuration (flat state and scheduler state) repeats,
+under a *pure* scheduler or once the scheduler is no longer asked, is
+periodic from then on; ``run_with_scheduler`` finds the repeat with
+Brent's cycle detection and skips whole periods towards the fuel bound.
 
-``explore`` enumerates every interleaving up to bounded depth, memoizing
-on flat states.  Structurally equal residuals share a slot, so this is
-the same as memoizing on the store and the pool of residual commands.
-A configuration revisited along one path is a cycle, which witnesses a
-non-terminating schedule.  One depth-first pass over the explored
-graph finds such a cycle, or else the longest terminating counts.
+``explore`` builds the graph of flat states over every interleaving up
+to bounded depth, then finds a cycle in it (a non-terminating schedule)
+or else the longest terminating counts.  Structurally equal residuals
+share a slot, so memoizing on flat states is memoizing on the store and
+the pool of residual commands.
 """
 
 from __future__ import annotations
@@ -47,7 +42,7 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
@@ -84,7 +79,8 @@ class Scheduler:
 
     ``pure`` claims that ``choose`` is a function of its arguments alone
     and that the state is an immutable value compared by ``==``; it lets
-    ``run_with_scheduler`` skip the periods of a repeating run.
+    ``run_with_scheduler`` skip the periods of a repeating run while two
+    or more threads are live.
     """
 
     name = "scheduler"
@@ -131,7 +127,8 @@ class FirstAlive(Scheduler):
 class SeededRandom(Scheduler):
     """Pseudo-random choice from a seed; quiet because the draw ignores
     the store entirely.  Not pure: the state is a mutable generator that
-    compares by identity, so equal-looking configurations do not repeat."""
+    changes with every choice, so a run skips periods only once one
+    thread is left."""
 
     name = "random"
     pure = False
@@ -221,11 +218,12 @@ def run_with_scheduler(
 
     Once one thread is left every choice is forced, so the scheduler is
     not asked again: its state stays as it was, and the run keeps a count
-    of the forced steps instead of one id per step.  Under a pure
-    scheduler a run that revisits a configuration skips ahead by whole
-    periods, and a run that keeps a trace does so only once the trace
-    holds its first ``TRACE_CAP`` steps; steps, loops, choices and trace
-    are those of stepping to the fuel bound.
+    of the forced steps instead of one id per step.  From then on, and
+    under a pure scheduler from the start, a run that revisits a
+    configuration skips ahead by whole periods, and a run that keeps a
+    trace does so only once the trace holds its first ``TRACE_CAP``
+    steps; steps, loops, choices and trace are those of stepping to the
+    fuel bound.
     """
     table = program.table
     names = table.variables
@@ -250,9 +248,10 @@ def run_with_scheduler(
     # Brent's cycle detection on the configurations right after a loop
     # unfolds, since every cycle unfolds some loop: the checkpoint moves
     # to the live configuration at the 1st, 2nd, 4th, 8th, ... unfolding.
-    # ``mark`` is the next such loop count, and 0 once detection is off.
+    # ``mark`` is the next such loop count, and 0 while detection is off
+    # (under a scheduler that is not pure, until one thread is left).
     # The saved cells are a list, so that they can equal the live ones.
-    mark = 1 if scheduler.pure else 0
+    mark = 1 if scheduler.pure or len(live) == 1 else 0
     saved: tuple = (None, None, 0, 0)
     while live and steps < fuel:
         if len(live) > 1:
@@ -274,6 +273,8 @@ def run_with_scheduler(
             loops += 1
         if slot == DONE:
             live = tuple(t for t in live if t != tid)
+            if len(live) == 1 and not mark:
+                mark = loops + 1
         if keep_trace and len(trace) < TRACE_CAP:
             if seen is None:
                 seen = _store(names, cells, outside)
@@ -379,73 +380,111 @@ def explore(
     max_steps: int = 200,
     max_states: int = 200_000,
 ) -> ExplorationReport:
-    """Enumerate all interleavings, memoizing on flat states.
+    """Enumerate all interleavings: ``build_graph`` over flat states, each
+    live thread stepping once per move, then ``longest_terminating``.
 
     Bindings of ``store`` to variables the program never mentions are
-    left out of the states and put back into the terminal stores.
-
-    A breadth-first pass builds the state graph within the caps; one
-    depth-first pass from the root then looks for a cycle and, if there
-    is none, takes the longest terminating counts."""
+    left out of the states and put back into the terminal stores."""
     table = program.table
     names = table.variables
     offset = len(names)
     threads = range(len(program.threads))
     finished = (DONE,) * len(program.threads)
-    root = (*map(store.lookup, names), *table.roots)
-    # The node list doubles as the breadth-first queue: node ``nid`` is
-    # expanded once every node before it has been.
-    nodes: list[tuple] = [root]
-    ids: dict[tuple, int] = {root: 0}
-    depth = [0]
-    succ: list[tuple[tuple[int, int], ...]] = []
-    terminal: list[int] = []
-    stuck = 0
-    complete = True
+    stuck: set[tuple] = set()  # the expanded states where some guard is no truth value
 
-    for nid, state in enumerate(nodes):
-        if state[offset:] == finished:
-            terminal.append(nid)
-            succ.append(())
-            continue
-        if depth[nid] >= max_steps:
-            complete = False
-            succ.append(())
-            continue
-        edges: list[tuple[int, int]] = []
-        got_stuck = False
+    def moves(state: tuple):
         for index in threads:
             if state[offset + index] == DONE:
                 continue
             try:
-                child_state, rule = step_global(table, state, index)
+                child, rule = step_global(table, state, index)
             except StuckGuardError:
-                got_stuck = True
+                stuck.add(state)
                 continue
-            child = ids.get(child_state)
-            if child is None:
-                if len(nodes) >= max_states:
-                    complete = False
-                    continue
-                child = ids[child_state] = len(nodes)
-                nodes.append(child_state)
-                depth.append(depth[nid] + 1)
-            edges.append((child, int(rule == UNFOLD)))
-        stuck += got_stuck
-        succ.append(tuple(edges))
+            yield child, rule == UNFOLD
 
-    # One depth-first pass from the root (every node is reachable from
-    # it).  A child still on the path closes a cycle.  Otherwise a node's
-    # longest terminating step and loop counts are final once its
-    # children are finished: ``None`` when no explored path from it
-    # terminates.
+    root = (*map(store.lookup, names), *table.roots)
+    graph = build_graph([root], moves, lambda state: state[offset:] == finished,
+                        max_steps, max_states)
+    longest = longest_terminating(graph)
+    steps, loops = longest or (None, None)
+    outside = dict(store.items())  # the input's bindings of variables the program never mentions
+    for name in names:
+        outside.pop(name, None)
+    return ExplorationReport(
+        terminal_stores=frozenset(_store(names, graph.nodes[n], outside) for n in graph.terminal),
+        max_steps_terminating=steps,
+        max_loops_terminating=loops,
+        cycle_found=longest is None,
+        complete=graph.complete and not stuck,
+        visited_states=len(graph.nodes),
+        stuck_states=len(stuck),
+    )
+
+
+@dataclass(frozen=True)
+class StateGraph:
+    nodes: list  # in order of discovery; a node's id is its index
+    edges: list[tuple[tuple[int, bool], ...]]  # per node: (child id, unfolded)
+    parent: list[int]  # per node: the node it was first reached from, -1 for a root
+    terminal: list[int]  # the ids of the final nodes
+    complete: bool  # no node was left unexpanded or dropped by a cap
+
+
+def build_graph(roots: Iterable, successors: Callable[[object], Iterable[tuple[object, bool]]],
+                final: Callable[[object], bool], max_depth: int | None = None,
+                max_nodes: int | None = None) -> StateGraph:
+    """Every state reachable from ``roots``, breadth first.
+
+    ``successors(state)`` yields ``(child state, unfolded)`` moves, and
+    equal states are one node, reached first at its distance from the
+    roots.  A ``final`` state, or one at ``max_depth``, is not expanded;
+    a new state beyond ``max_nodes`` is dropped with its move.  Both caps
+    leave the graph incomplete."""
+    # The node list doubles as the breadth-first queue, and the nodes at
+    # distance ``depth`` from the roots end before index ``layer_end``.
+    nodes = list(dict.fromkeys(roots))
+    ids = {state: nid for nid, state in enumerate(nodes)}
+    parent = [-1] * len(nodes)
+    edges: list[tuple[tuple[int, bool], ...]] = []
+    terminal: list[int] = []
+    complete = True
+    depth, layer_end = 0, len(nodes)
+    for nid, state in enumerate(nodes):
+        if nid == layer_end:
+            depth, layer_end = depth + 1, len(nodes)
+        out = []
+        if final(state):
+            terminal.append(nid)
+        elif max_depth is not None and depth >= max_depth:
+            complete = False
+        else:
+            for child_state, unfolded in successors(state):
+                child = ids.get(child_state)
+                if child is None:
+                    if max_nodes is not None and len(nodes) >= max_nodes:
+                        complete = False
+                        continue
+                    child = ids[child_state] = len(nodes)
+                    nodes.append(child_state)
+                    parent.append(nid)
+                out.append((child, unfolded))
+        edges.append(tuple(out))
+    return StateGraph(nodes, edges, parent, terminal, complete)
+
+
+def longest_terminating(graph: StateGraph) -> tuple[int | None, int | None] | None:
+    """The most steps and unfoldings on a path from node 0 to a terminal
+    node (``None`` each if none terminates), or ``None`` if a cycle is
+    reachable: one depth-first pass, where a child still on the path
+    closes a cycle and a node's counts are final once its children are."""
+    succ = graph.edges
     NEW, ON_PATH, FINISHED = 0, 1, 2
-    mark = bytearray(len(nodes))
-    best_k: list[int | None] = [None] * len(nodes)
-    best_t: list[int | None] = [None] * len(nodes)
-    for nid in terminal:
+    mark = bytearray(len(succ))
+    best_k: list[int | None] = [None] * len(succ)
+    best_t: list[int | None] = [None] * len(succ)
+    for nid in graph.terminal:
         best_k[nid] = best_t[nid] = 0
-    cycle_found = False
     mark[0] = ON_PATH
     path = [(0, iter(succ[0]))]
     while path:
@@ -453,9 +492,7 @@ def explore(
         for child, _ in children:
             status = mark[child]
             if status == ON_PATH:
-                cycle_found = True
-                path.clear()
-                break
+                return None
             if status == NEW:
                 mark[child] = ON_PATH
                 path.append((child, iter(succ[child])))
@@ -475,18 +512,7 @@ def explore(
                     t = ct
             if k is not None:
                 best_k[nid], best_t[nid] = k + 1, t
-    outside = dict(store.items())  # the input's bindings of variables the program never mentions
-    for name in names:
-        outside.pop(name, None)
-    return ExplorationReport(
-        terminal_stores=frozenset(_store(names, nodes[n], outside) for n in terminal),
-        max_steps_terminating=None if cycle_found else best_k[0],
-        max_loops_terminating=None if cycle_found else best_t[0],
-        cycle_found=cycle_found,
-        complete=complete and not stuck,
-        visited_states=len(nodes),
-        stuck_states=stuck,
-    )
+    return best_k[0], best_t[0]
 
 
 # --- store pairs and quietness -------------------------------------------------------

@@ -232,6 +232,39 @@ def test_rejected_program_fails_tier_preservation_immediately():
     assert report.to_dict()["violation"]["thread"] == "leak"
 
 
+def test_a_violation_names_the_thread_whose_root_reaches_it():
+    # The walk checks the first root's edges, then fails on the second
+    # root's first edge: the violation belongs to that thread, at depth 0.
+    src = parse("op gt0 arity 1 class neutral;\nop sub1 arity 1 class neutral;\n"
+                "vars { s : 0; x : 1; }\n"
+                "thread a { while (gt0(x)) { x := sub1(x) } }\n"
+                "thread b { while (gt0(s)) { skip } }\n")
+    sig_env, _ = build_sig_env(src, default_registry())
+    program = src.program()
+    report = tier_preservation(Store(), program, src.annotations(), sig_env)
+    table = program.table
+    assert not report.passed
+    assert (report.violation.thread, report.violation.depth) == ("b", 0)
+    assert report.edges_checked == len(table.successors(table.roots[0])) + 1
+
+
+def test_threads_sharing_a_root_slot_check_its_edges_once():
+    text = ("op gt0 arity 1 class neutral;\nop sub1 arity 1 class neutral;\n"
+            "vars { x : 1; }\n")
+    loop = "{ while (gt0(x)) { x := sub1(x) } }\n"
+    reports = []
+    for threads in (f"thread a {loop}", f"thread a {loop}thread b {loop}"):
+        src = parse(text + threads)
+        sig_env, _ = build_sig_env(src, default_registry())
+        reports.append(tier_preservation(Store(), src.program(), src.annotations(), sig_env))
+    one, two = reports
+    first, second = src.program().table.roots
+    assert first == second
+    assert two.passed and two.complete
+    # the loop's unfold and exit, and its body stepping back to it
+    assert two.edges_checked == one.edges_checked == 3
+
+
 def test_tier_drop_violation_serializes_tier_names():
     src = parse("op add1 arity 1 class positive;\nvars { s : 0; x : 1; }\n"
                 "thread t { x := add1(s); skip }\n")

@@ -3,6 +3,7 @@ must match stepping command trees with a reference ``step_command``."""
 
 import random
 import tracemalloc
+from dataclasses import replace
 from typing import NamedTuple
 
 import pytest
@@ -728,6 +729,21 @@ class Alternate(Scheduler):
 
 @pytest.mark.parametrize("scheduler", [SeededRandom(3), Alternate()], ids=lambda s: s.name)
 def test_schedulers_that_do_not_opt_in_step_every_step(scheduler, counted_steps):
-    run = run_with_scheduler(Store.of(x="1"), load_source("spin.tier").program(), scheduler,
-                             fuel=2000)
+    # Both threads spin forever, so the scheduler is asked at every step.
+    run = run_with_scheduler(Store.of(x="1"), fixture_program("flip"), scheduler, fuel=2000)
     assert (run.steps, len(counted_steps)) == (2000, 2000)
+
+
+def test_a_lone_thread_skips_periods_under_any_scheduler(counted_steps):
+    # With one thread left the scheduler is not asked, so its state no
+    # longer changes and a repeating run is periodic.
+    spin = load_source("spin.tier").program()
+    want = run_with_scheduler(Store.of(x="1"), spin, RoundRobin(), fuel=10**9)
+    del counted_steps[:]
+    run = run_with_scheduler(Store.of(x="1"), spin, SeededRandom(3), fuel=10**9)
+    # Field for field, with the choices compared by their parts, not by
+    # iterating a billion ids.
+    assert replace(run, choices=None) == replace(want, choices=None)
+    assert vars(run.choices) == vars(want.choices)
+    assert (run.steps, run.choices.repeats) == (10**9, 10**9)
+    assert len(counted_steps) < 100

@@ -285,6 +285,13 @@ def test_binary_increment_matches_arithmetic(n):
     assert int(out, 2) == n + 1
 
 
+@given(st.text(alphabet="01TFB\n _", max_size=8))
+def test_binary_ops_read_every_other_letter_as_zero(u):
+    value = int("".join("1" if c == "1" else "0" for c in u) or "0", 2)
+    assert int(ap("binc", u), 2) == value + 1
+    assert (len(ap("bdec", u)), int(ap("bdec", u) or "0", 2)) == (len(u), max(value - 1, 0))
+
+
 @given(st.integers(min_value=0, max_value=200))
 def test_binary_decrement_matches_arithmetic(n):
     word = format(n, "b").zfill(n.bit_length() + 1)
