@@ -282,7 +282,7 @@ def tier_preservation(
     table = program.table
     graph = build_graph(table.roots, lambda slot: ((s, False) for s in table.successors(slot)),
                         lambda slot: slot == DONE)
-    typed = type_table(table, gamma, sig_env)[1]
+    typed = type_table(table, gamma, sig_env)
     slots, parent = graph.nodes, graph.parent
     edges = 0
     for nid, out in enumerate(graph.edges):
@@ -300,8 +300,8 @@ def tier_preservation(
                 False, edges, True, TierDropViolation(
                     program.thread_ids()[table.roots.index(slots[root])],
                     depth,
-                    pretty_command(table.commands[slots[nid]]),
-                    None if after_slot == DONE else pretty_command(table.commands[after_slot]),
+                    pretty_command(table.nodes[slots[nid]]),
+                    None if after_slot == DONE else pretty_command(table.nodes[after_slot]),
                     tuple(str(t) for t in sorted(before)),
                     tuple(str(t) for t in sorted(after)),
                 ),

@@ -63,6 +63,15 @@ def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, s
     return tuple(cells), rule
 
 
+def _flat(table: ControlTable, store: Store) -> tuple[list, dict[str, Word]]:
+    """The flat state of ``table``'s roots in ``store``, and ``outside``:
+    the bindings of ``store`` to variables the table never mentions."""
+    outside = dict(store.items())
+    for name in table.variables:
+        outside.pop(name, None)
+    return [*map(store.lookup, table.variables), *table.roots], outside
+
+
 def _store(names: tuple[str, ...], state: Sequence, outside: dict[str, Word]) -> Store:
     """The store of a flat state whose words are those of ``names``, with
     ``outside``: the bindings of the variables the program never mentions."""
@@ -227,12 +236,9 @@ def run_with_scheduler(
     """
     table = program.table
     names = table.variables
-    outside = dict(store.items())  # the input's bindings of variables the program never mentions
-    for name in names:
-        outside.pop(name, None)
+    cells, outside = _flat(table, store)  # the flat state, stepped in place
     live = program.thread_ids()
     at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
-    cells = [*map(store.lookup, names), *table.roots]  # the flat state, stepped in place
     step = table.step
     seen: Store | None = store  # the store of ``cells``, or None until it is needed again
     state = scheduler.fresh_state()
@@ -301,7 +307,7 @@ def run_with_scheduler(
         elif loops == mark:
             saved = (cells[:], state, steps, loops)
             mark *= 2
-    residual = Program(tuple((t, table.commands[cells[at[t]]]) for t in live))
+    residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live))
     return ScheduledRun(
         _store(names, cells, outside), residual, steps, loops, not live,
         _choices(choices, skip, tid, forced), tuple(trace),
@@ -403,14 +409,11 @@ def explore(
                 continue
             yield child, rule == UNFOLD
 
-    root = (*map(store.lookup, names), *table.roots)
-    graph = build_graph([root], moves, lambda state: state[offset:] == finished,
+    root, outside = _flat(table, store)
+    graph = build_graph([tuple(root)], moves, lambda state: state[offset:] == finished,
                         max_steps, max_states)
     longest = longest_terminating(graph)
     steps, loops = longest or (None, None)
-    outside = dict(store.items())  # the input's bindings of variables the program never mentions
-    for name in names:
-        outside.pop(name, None)
     return ExplorationReport(
         terminal_stores=frozenset(_store(names, graph.nodes[n], outside) for n in graph.terminal),
         max_steps_terminating=steps,

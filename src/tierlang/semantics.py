@@ -12,21 +12,22 @@ Conditionals and loops demand an exact truth word (``T`` or ``F``) from
 their guard; any other value is a hard error rather than a silent
 default, so ill-formed guards surface immediately.
 
-Runs step a ``ControlTable``, which owns the step rules: every residual
-a command can reach gets a hash-consed slot number, each distinct
-expression is compiled into one closure on the first step, and each
-slot, the first time it is stepped, records its redex's closure and the
-slots that follow.  A configuration is one flat state: the words of the
+Runs step a ``ControlTable``, which owns the step rules: every node a
+command holds or can reach, expression or residual command, gets one
+hash-consed id, a command's id being its slot; each distinct expression
+is compiled into one closure on the first step, and each slot, the
+first time it is stepped, records its redex's closure and the slots
+that follow.  A configuration is one flat state: the words of the
 table's ``variables`` in order, then one slot per thread.  Closures read
 words by position, and a step returns the assignment to make as a
 position and a word, so a step is a table lookup plus one operator call
 and no store is built; ``scheduling`` makes ``Store`` objects from a
 state only where a caller reads one.  The same table lists each slot's
 successors for questions that range over every store at once, such as
-subject reduction, and ``typecheck.type_table`` types its keys.  A
-program builds its table on first use, as ``Program.table``, and every
-later run, exploration and walk of it reuses that table; one command
-runs as a one-thread ``Program.single``.
+subject reduction, and ``typecheck.type_table`` types its ids in one
+list.  A program builds its table on first use, as ``Program.table``,
+and every later run, exploration and walk of it reuses that table; one
+command runs as a one-thread ``Program.single``.
 """
 
 from __future__ import annotations
@@ -142,85 +143,78 @@ class ControlTable:
     """Every residual the step rules can reach from some commands.
 
     The step rules only build residuals as ``Seq(residual, rest)`` or
-    ``Seq(body, loop)``, so a command has finitely many.  They are
-    hash-consed: a node's key is its kind and its children's slots
-    (spans ignored), and nodes with equal keys share one slot, so equal
-    states compare as small ints.  Guards and assigned expressions are
-    hash-consed to int ids the same way, so building a table never
-    hashes or compares an AST node, however deep.  One reversed
-    ``lang.walk`` pass per command interns its nodes children first, so
-    children have lower numbers than parents, residuals included.
-    The first step compiles each distinct expression once, from its
-    arguments' closures, and a slot's step rules from the slot keys the
-    first time a run steps it; a table that is only typed compiles none.
+    ``Seq(body, loop)``, so a command has finitely many.  Every node,
+    expression or command, is hash-consed to an int id in one numbering:
+    its key is its kind and its children's ids (spans ignored), and nodes
+    with equal keys share one id, so equal states compare as small ints
+    and building a table never hashes or compares an AST node, however
+    deep.  A command's id is its *slot*.  One reversed ``lang.walk`` pass
+    per command interns its nodes children first, so children have lower
+    ids than parents, residuals included.  The first step compiles each
+    distinct expression once, from its arguments' closures, and a slot's
+    step rules from the keys the first time a run steps it; a table that
+    is only typed compiles none.
 
     ``roots[i]`` is the slot of the i-th command and ``node_ids[i]`` the
     ids of its nodes, in reverse ``lang.walk`` order; ``variables`` lists
-    the names the commands read or assign, sorted, and ``commands[s]``
-    rebuilds slot ``s`` (the first equal node seen, maybe another thread's).
+    the names the commands read or assign, sorted, and ``nodes[i]``
+    rebuilds id ``i`` (the first equal node seen, maybe another thread's).
     """
 
     def __init__(self, commands: Iterable[Command]):
-        self.commands: list[Command] = []
-        # slot -> its key: the kind, the guard's or assigned expression's id
-        # if any, then the child slots or the assigned variable
-        self.keys: list[tuple] = []
-        self.exprs: list[str | tuple] = []  # expression id -> a name, or (op, *arg ids)
-        self._eids: dict[object, int] = {}  # expression key -> expression id
-        self._nodes: list[Expr] = []  # expression id -> the first node seen
-        self._entries: list[_Entry | None] = []
-        self._slots: dict[tuple, int] = {}
-        self._closures: list[_Closure] = []  # expression id -> its closure
+        self.nodes: list[Expr | Command] = []  # id -> the first node seen
+        # id -> its key: a variable's name, (op, *argument ids), or a
+        # command's kind, its guard's or assigned expression's id if any,
+        # then its child ids or the assigned variable
+        self.keys: list[object] = []
+        self._ids: dict[object, int] = {}  # key -> id
+        self._entries: list[_Entry | None] = []  # id -> a command's step rules
+        self._closures: list[_Closure | None] = []  # id -> an expression's closure
         self.node_ids: list[list[int]] = []
         # The ids of the nodes whose parent is still to come, the first
-        # child on top; after the loop, the roots' slots.
+        # child on top; after the loop, the roots' ids.
         done: list[int] = []
         pop = done.pop
         for root in commands:
             ids: list[int] = []
             for node in reversed(list(walk(root))):  # each node after its children
                 cls = node.__class__
-                if cls is Seq:
-                    key: object = (Seq, pop(), pop())
+                if cls is Var:
+                    key: object = node.name
+                elif cls is OpCall:
+                    key = (node.op, *[pop() for _ in node.args])
+                elif cls is Seq:
+                    key = (Seq, pop(), pop())
                 elif cls is If:
                     key = (If, pop(), pop(), pop())
                 elif cls is While:
                     key = (While, pop(), pop())
                 elif cls is Assign:
                     key = (Assign, pop(), node.var)
-                elif cls is Skip:
+                else:
                     key = (Skip,)
-                else:
-                    key = node.name if cls is Var else (node.op, *[pop() for _ in node.args])
-                if cls is Var or cls is OpCall:
-                    i = self._eids.get(key)
-                    if i is None:
-                        i = self._eids[key] = len(self.exprs)
-                        self.exprs.append(key)
-                        self._nodes.append(node)
-                else:
-                    i = self._intern(key, node)
+                i = self._intern(key, node)
                 done.append(i)
                 ids.append(i)
             self.node_ids.append(ids)
         self.roots = tuple(done)
-        self.variables = tuple(sorted({key for key in self.exprs if key.__class__ is str}
-                                      | {key[2] for key in self.keys if key[0] is Assign}))
+        self.variables = tuple(sorted({key if key.__class__ is str else key[2] for key in self.keys
+                                       if key.__class__ is str or key[0] is Assign}))
 
-    def _intern(self, key: tuple, node: Command) -> int:
-        """The slot of the command ``node``, whose key is ``key``."""
-        slot = self._slots.get(key)
-        if slot is None:
-            slot = self._slots[key] = len(self.commands)
-            self.commands.append(node)
+    def _intern(self, key: object, node: Expr | Command) -> int:
+        """The id of ``node``, whose key is ``key``."""
+        i = self._ids.get(key)
+        if i is None:
+            i = self._ids[key] = len(self.nodes)
+            self.nodes.append(node)
             self.keys.append(key)
             self._entries.append(None)
-        return slot
+        return i
 
     def _seq(self, first: int, second: int, spanned: int) -> int:
         """The slot of ``first; second``, at the source position of ``spanned``."""
-        commands = self.commands
-        node = Seq(commands[first], commands[second], commands[spanned].span)
+        nodes = self.nodes
+        node = Seq(nodes[first], nodes[second], nodes[spanned].span)
         return self._intern((Seq, first, second), node)
 
     def _compile(self, slot: int) -> _Entry:
@@ -231,9 +225,12 @@ class ControlTable:
         into the sequences around it, innermost first."""
         closures = self._closures
         if not closures:  # the first step compiles every expression, in one pass
-            for node, key in zip(self._nodes, self.exprs):
-                closures.append(_closure(node, [] if node.__class__ is Var
-                                         else [closures[i] for i in key[1:]], self.variables))
+            for node, key in zip(self.nodes, self.keys):
+                if node.__class__ is Var or node.__class__ is OpCall:
+                    args = [] if key.__class__ is str else [closures[i] for i in key[1:]]
+                    closures.append(_closure(node, args, self.variables))
+                else:
+                    closures.append(None)  # a command's id
         keys = self.keys
         context: list[int] = []
         redex = slot
@@ -260,7 +257,7 @@ class ControlTable:
                 residual = rest if residual == DONE else self._seq(residual, rest, outer)
             nexts.append((rule, residual))
         (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
-        return (rule, nxt, other_rule, other, var, fn, self.commands[redex])
+        return (rule, nxt, other_rule, other, var, fn, self.nodes[redex])
 
     def successors(self, slot: int) -> tuple[int, ...]:
         """The slots that ``slot`` can step to in some store, ``DONE``

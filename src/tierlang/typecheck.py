@@ -4,9 +4,11 @@ A variable environment assigns each variable a tier; a signature
 environment assigns each operator a set of signatures ``args -> result``.
 An expression or command may type at several tiers, so the checker works
 with the full set of derivable tiers.  The rules are syntax-directed, so
-one pass over a control table, whose keys are numbered children first,
-types each distinct node exactly; a diagnostic is read off those sets
-and the thread's own tree, and no size or depth costs Python recursion.
+one pass over a control table, which numbers expressions and commands
+in one id space, children first, types each distinct node exactly into
+one list (a ``Typing``) indexed by node id; a diagnostic is read off
+those sets and the thread's own tree, and no size or depth costs Python
+recursion.
 
 Safe signature sets keep growth under control: a signature's result must
 sit at or below every argument tier, and operators that can actually
@@ -26,6 +28,7 @@ from typing import Callable, Iterable, Mapping
 from .lang import (
     Assign,
     Command,
+    Expr,
     If,
     OpCall,
     Seq,
@@ -43,11 +46,13 @@ from .semantics import ControlTable
 
 TierEnv = Mapping[str, Tier]
 SigEnv = Mapping[str, frozenset[Sig]]
-Typing = tuple[list[frozenset[Tier]], list[frozenset[Tier]]]  # by expression id, by slot
+Typing = list[frozenset[Tier]]  # by node id of a control table
 
 BOTH_TIERS = frozenset((Tier.ZERO, Tier.ONE))
 NO_TIERS: frozenset[Tier] = frozenset()
 _ONLY = {tier: frozenset((tier,)) for tier in Tier}
+# Every tier set a typing holds is one of these four objects.
+_SHARED = {tiers: tiers for tiers in (NO_TIERS, BOTH_TIERS, *_ONLY.values())}
 
 
 class UnboundVariableError(KeyError):
@@ -175,47 +180,43 @@ def _op_sigs(op: str, sig_env: SigEnv) -> frozenset[Sig]:
 
 
 def type_table(table: ControlTable, gamma: TierEnv, sig_env: SigEnv, typing: Typing | None = None,
-               eids: Iterable = (), slots: Iterable | None = None) -> Typing:
-    """The tier set of every expression id and every slot of a control table.
+               entries: Iterable[int] = ()) -> Typing:
+    """The tier set of every node id of a control table, expression or command.
 
-    The rules are syntax-directed, so a key's set follows from its kind
-    and its children's, which the table numbers first: one pass in index
-    order types each distinct expression and command once.  Given an
-    earlier typing of the table, the pass types the slots added since
-    (the residuals of a walk), or just the ``(id, key)`` pairs in
-    ``eids`` and ``slots``, whose children's sets are current.
+    The rules are syntax-directed, so a node's set follows from its key's
+    kind and its children's sets, which the table numbers first: one pass
+    in id order types each distinct node once.  Given an earlier typing
+    of the table, the pass types just the ids in ``entries``, whose
+    children's sets are current.
     """
+    keys = table.keys
     if typing is None:
         for name in table.variables:
             if name not in gamma:
                 raise UnboundVariableError(name)
-        typing = ([NO_TIERS] * len(table.exprs), [])
-        eids = enumerate(table.exprs)
-    exprs, typed = typing
-    if slots is None:
-        slots = enumerate(table.keys[len(typed):], len(typed))
-        typed.extend([NO_TIERS] * (len(table.keys) - len(typed)))
-    for eid, key in eids:
+        typing = [NO_TIERS] * len(keys)
+        entries = range(len(keys))
+    for i in entries:
+        key = keys[i]
         if key.__class__ is str:
-            exprs[eid] = _ONLY[gamma[key]]
-        else:
-            combos = set(itertools.product(*[exprs[a] for a in key[1:]]))
-            exprs[eid] = frozenset([r for sig, r in _op_sigs(key[0], sig_env) if sig in combos])
-    for slot, key in slots:
-        kind = key[0]
-        if kind is Seq:
-            typed[slot] = frozenset([max(a, b) for a in typed[key[1]] for b in typed[key[2]]])
-        elif kind is If:
-            typed[slot] = exprs[key[1]] & typed[key[2]] & typed[key[3]]
-        elif kind is While:
-            fits = Tier.ONE in exprs[key[1]] and typed[key[2]]
-            typed[slot] = _ONLY[Tier.ONE] if fits else NO_TIERS
-        elif kind is Assign:
+            tiers = _ONLY[gamma[key]]
+        elif key[0] is Seq:
+            tiers = frozenset([max(a, b) for a in typing[key[1]] for b in typing[key[2]]])
+        elif key[0] is If:
+            tiers = typing[key[1]] & typing[key[2]] & typing[key[3]]
+        elif key[0] is While:
+            fits = Tier.ONE in typing[key[1]] and typing[key[2]]
+            tiers = _ONLY[Tier.ONE] if fits else NO_TIERS
+        elif key[0] is Assign:
             target = gamma[key[2]]
-            fits = any(target <= t for t in exprs[key[1]])
-            typed[slot] = _ONLY[target] if fits else NO_TIERS
-        else:
-            typed[slot] = BOTH_TIERS
+            fits = any(target <= t for t in typing[key[1]])
+            tiers = _ONLY[target] if fits else NO_TIERS
+        elif key[0] is Skip:
+            tiers = BOTH_TIERS
+        else:  # an operator application
+            combos = set(itertools.product(*[typing[a] for a in key[1:]]))
+            tiers = frozenset([r for sig, r in _op_sigs(key[0], sig_env) if sig in combos])
+        typing[i] = _SHARED[tiers]
     return typing
 
 
@@ -234,7 +235,7 @@ def command_tiers(gamma: TierEnv, sig_env: SigEnv, cmd: Command) -> frozenset[Ti
         elif name is not None and name not in gamma:
             raise UnboundVariableError(name)
     table = ControlTable((cmd,))
-    return type_table(table, gamma, sig_env)[1][table.roots[0]]
+    return type_table(table, gamma, sig_env)[table.roots[0]]
 
 
 # --- failure explanation --------------------------------------------------------
@@ -246,64 +247,62 @@ def _tier_names(tiers: frozenset[Tier]) -> str:
     return ", ".join(str(t) for t in sorted(tiers))
 
 
-def _explain(typing: Typing, table: ControlTable, gamma: TierEnv, cmd: Command,
-             slot: int) -> Diagnostic:
-    """The first blocking constraint of an untypable command at ``slot``,
-    found by following the first untypable child down the command and
-    the slot keys side by side: the keys give the tier sets, and the
-    command its own spans and text, which hash-consing does not keep."""
-    exprs, slots = typing
+def _explain(typing: Typing, table: ControlTable, gamma: TierEnv, node: Command | Expr,
+             i: int) -> Diagnostic:
+    """The first blocking constraint of an untypable node at id ``i``,
+    found by following the first untypable child down the node and the
+    table's keys side by side: the keys give the tier sets, and the node
+    its own spans and text, which hash-consing does not keep."""
     while True:
-        key = table.keys[slot]
-        if isinstance(cmd, Seq):
-            cmd, slot = (cmd.second, key[2]) if slots[key[1]] else (cmd.first, key[1])
-        elif isinstance(cmd, (Assign, If)) and not exprs[key[1]]:
-            expr, eid = (cmd.expr if isinstance(cmd, Assign) else cmd.guard), key[1]
-            break
-        elif isinstance(cmd, If) and not (slots[key[2]] and slots[key[3]]):
-            cmd, slot = (cmd.else_branch, key[3]) if slots[key[2]] else (cmd.then_branch, key[2])
-        elif isinstance(cmd, While) and not slots[key[2]]:
-            cmd, slot = cmd.body, key[2]
-        elif isinstance(cmd, Assign):
+        key = table.keys[i]
+        if isinstance(node, OpCall):  # down to the innermost one with an empty tier set
+            args = key[1:]
+            blocked = [n for n, arg in enumerate(args) if not typing[arg]]
+            if blocked:
+                node, i = node.args[blocked[0]], args[blocked[0]]
+                continue
+            shown = ", ".join(_tier_names(typing[arg]) for arg in args) or "none"
+            return Diagnostic(
+                "op",
+                f"no declared signature of {node.op!r} applies (argument tiers: {shown})",
+                node.span,
+                tuple(sorted(free_vars(node))),
+            )
+        if isinstance(node, Seq):
+            node, i = (node.second, key[2]) if typing[key[1]] else (node.first, key[1])
+        elif isinstance(node, (Assign, If)) and not typing[key[1]]:
+            node, i = (node.expr if isinstance(node, Assign) else node.guard), key[1]
+        elif isinstance(node, If) and not (typing[key[2]] and typing[key[3]]):
+            node, i = (node.else_branch, key[3]) if typing[key[2]] else (node.then_branch, key[2])
+        elif isinstance(node, While) and not typing[key[2]]:
+            node, i = node.body, key[2]
+        elif isinstance(node, Assign):
             return Diagnostic(
                 "assign",
-                f"variable {cmd.var!r} has tier {gamma[cmd.var]} but {pretty_expr(cmd.expr)} "
-                f"only types at tier {_tier_names(exprs[key[1]])}",
-                cmd.span,
-                (cmd.var,),
+                f"variable {node.var!r} has tier {gamma[node.var]} but {pretty_expr(node.expr)} "
+                f"only types at tier {_tier_names(typing[key[1]])}",
+                node.span,
+                (node.var,),
             )
-        elif isinstance(cmd, If):
-            guard, then_t, else_t = map(_tier_names, (exprs[key[1]], slots[key[2]], slots[key[3]]))
+        elif isinstance(node, If):
+            guard, then_t, else_t = (_tier_names(typing[j]) for j in key[1:])
             return Diagnostic(
                 "if",
                 f"guard and branches share no tier (guard: {guard}, then: {then_t}, "
                 f"else: {else_t})",
-                cmd.span,
-                tuple(sorted(free_vars(cmd.guard))),
+                node.span,
+                tuple(sorted(free_vars(node.guard))),
             )
-        elif isinstance(cmd, While):
+        elif isinstance(node, While):
             return Diagnostic(
                 "while",
-                f"loop guard {pretty_expr(cmd.guard)} must type at tier 1 but only "
-                f"types at {_tier_names(exprs[key[1]])}",
-                cmd.span,
-                tuple(sorted(free_vars(cmd.guard))),
+                f"loop guard {pretty_expr(node.guard)} must type at tier 1 but only "
+                f"types at {_tier_names(typing[key[1]])}",
+                node.span,
+                tuple(sorted(free_vars(node.guard))),
             )
         else:
-            raise AssertionError(f"typable command reached _explain: {cmd!r}")
-    while True:  # down to the innermost operator application with an empty tier set
-        args = table.exprs[eid][1:]
-        blocked = [i for i, arg in enumerate(args) if not exprs[arg]]
-        if not blocked:
-            break
-        expr, eid = expr.args[blocked[0]], args[blocked[0]]
-    shown = ", ".join(_tier_names(exprs[arg]) for arg in args) or "none"
-    return Diagnostic(
-        "op",
-        f"no declared signature of {expr.op!r} applies (argument tiers: {shown})",
-        expr.span,
-        tuple(sorted(free_vars(expr))),
-    )
+            raise AssertionError(f"typable node reached _explain: {node!r}")
 
 
 # --- whole-program checking -------------------------------------------------------
@@ -364,7 +363,7 @@ def check_program(source: SourceFile) -> CheckReport:
     roots = dict(zip(source.program().thread_ids(), table.roots))
     threads = []
     for tid, cmd in source.threads:
-        tiers = typing[1][roots[tid]]
+        tiers = typing[roots[tid]]
         diagnostic = None if tiers else _explain(typing, table, gamma, cmd, roots[tid])
         threads.append(ThreadReport(tid, tiers, diagnostic))
     safe = all(t.ok for t in threads)
@@ -383,10 +382,15 @@ class Constraint:
     variables: tuple[str, ...]
     span: Span | None
     description: str
-    holds: Callable[[Typing], bool]  # in a typing of the program's table
+    entry: int  # the node id of the program's table that decides it
+    needs: frozenset[Tier]  # the entry must type at one of these tiers
 
     def __repr__(self) -> str:
         return f"Constraint({self.kind!r}, {self.description!r})"
+
+    def holds(self, typing: Typing) -> bool:
+        """Whether the constraint holds in a typing of the program's table."""
+        return bool(typing[self.entry] & self.needs)
 
     def to_dict(self) -> dict:
         return {
@@ -444,7 +448,7 @@ def _constraints(source: SourceFile) -> tuple[list[str], list[Constraint], list[
                     node.span,
                     f"assignment {node.var} := {pretty_expr(node.expr)} must store at or "
                     "below the expression tier",
-                    lambda typing, slot=i: bool(typing[1][slot]),
+                    i, BOTH_TIERS,
                 ))
             elif isinstance(node, While):
                 atomic.append(Constraint(
@@ -452,11 +456,11 @@ def _constraints(source: SourceFile) -> tuple[list[str], list[Constraint], list[
                     tuple(sorted(free_vars(node.guard))),
                     node.guard.span,
                     f"loop guard {pretty_expr(node.guard)} must type at tier 1",
-                    lambda typing, eid=table.keys[i][1]: Tier.ONE in typing[0][eid],
+                    table.keys[i][1], _ONLY[Tier.ONE],
                 ))
         threads.append(Constraint("thread", tuple(sorted(free_vars(cmd))), None,
                                   f"thread {tid!r} must type at some tier",
-                                  lambda typing, slot=node_ids[tid][-1]: bool(typing[1][slot])))
+                                  node_ids[tid][-1], BOTH_TIERS))
     return list(names), atomic, threads
 
 
@@ -470,51 +474,44 @@ def _solver(table: ControlTable, sig_env: SigEnv, unknowns: list[str], fixed: Ma
 
     Backtracking over ``unknowns`` in order, with an explicit stack of the
     next tier each decided variable tries: tier 0 before tier 1, except
-    that a variable in ``forced`` only tries tier 1.  Deciding a variable
-    types the table entries and tests the constraints it is the last
-    unknown of (in ``unknowns`` order), so each is typed and tested once
+    that a variable in ``forced`` only tries tier 1.  A node id's depth
+    is the position in ``unknowns`` of its last unknown, 0 if it has none.
+    Deciding the variable at a depth types the ids of that depth and tests
+    the constraints whose entry has it, so each is typed and tested once
     per assignment of its unknowns; those without unknowns come first.
     Only thread constraints read ``Seq``/``If``/``While`` slots, so a
     search without one leaves them untyped.
     """
     last = {v: depth for depth, v in enumerate(unknowns, 1)}
-    eids: list[list] = [[] for _ in range(len(unknowns) + 1)]  # (id, key) pairs by depth
-    slots: list[list] = [[] for _ in eids]  # assignments and skips
-    compound: dict[int, list] = {}  # the rest by depth, which only threads read
-    expr_depth: list[int] = []
-    for eid, key in enumerate(table.exprs):
-        expr_depth.append(last.get(key, 0) if key.__class__ is str
-                          else max([expr_depth[a] for a in key[1:]], default=0))
-        eids[expr_depth[-1]].append((eid, key))
-    slot_depth: list[int] = []
-    for slot, key in enumerate(table.keys):
-        if key[0] is Seq:
-            depth = max(slot_depth[key[1]], slot_depth[key[2]])
+    plain: list[list[int]] = [[] for _ in range(len(unknowns) + 1)]  # ids by depth
+    compound: dict[int, list[int]] = {}  # ``Seq``/``If``/``While`` ids by depth
+    depths: list[int] = []
+    for i, key in enumerate(table.keys):
+        if key.__class__ is str:
+            depth = last.get(key, 0)
         elif key[0] is Assign:
-            depth = max(expr_depth[key[1]], last.get(key[2], 0))
-        elif key[0] is Skip:
-            depth = 0
-        else:  # a guard, then the branches or the body
-            depth = max(expr_depth[key[1]], *[slot_depth[s] for s in key[2:]])
-        slot_depth.append(depth)
-        if key[0] is Assign or key[0] is Skip:
-            slots[depth].append((slot, key))
+            depth = max(depths[key[1]], last.get(key[2], 0))
+        else:  # the deepest child's, 0 for a skip or a constant
+            depth = max([depths[a] for a in key[1:]], default=0)
+        depths.append(depth)
+        if key.__class__ is not str and key[0] in (Seq, If, While):
+            compound.setdefault(depth, []).append(i)
         else:
-            compound.setdefault(depth, []).append((slot, key))
+            plain[depth].append(i)
     # Shared by every search: an entry is retyped before it is read.
-    typing: Typing = ([NO_TIERS] * len(table.exprs), [NO_TIERS] * len(table.keys))
+    typing: Typing = [NO_TIERS] * len(table.keys)
 
     def solve(constraints: list[Constraint], forced: set[str]) -> dict[str, Tier] | None:
-        due: list[list[Constraint]] = [[] for _ in eids]
+        due: list[list[Constraint]] = [[] for _ in plain]
         for c in constraints:
-            due[max((last.get(v, 0) for v in c.variables), default=0)].append(c)
+            due[depths[c.entry]].append(c)
         env = dict(fixed)
         threads = any(c.kind == "thread" for c in constraints)
 
         def holds(depth: int) -> bool:
-            type_table(table, env, sig_env, typing, eids[depth], slots[depth])
+            type_table(table, env, sig_env, typing, plain[depth])
             if threads and depth in compound:
-                type_table(table, env, sig_env, typing, (), compound[depth])
+                type_table(table, env, sig_env, typing, compound[depth])
             return all(c.holds(typing) for c in due[depth])
 
         if not holds(0):

@@ -218,7 +218,7 @@ def table_sequential(store, cmd, fuel):
             words[at] = word
             assigned = (names[at], word)
             store = bind(store, *assigned)
-        cmd = None if slot == DONE else table.commands[slot]
+        cmd = None if slot == DONE else table.nodes[slot]
         steps += 1
         loops += rule == "while-tt"
         trace.append((steps, rule, loops, assigned, store, cmd))
@@ -421,7 +421,7 @@ def test_converging_branches_share_one_slot():
     assert report.terminal_stores == frozenset({Store(), Store.of(z="1")})
     branch = program.command("branch")
     table = ControlTable((branch,))
-    assert table.commands.count(branch.then_branch) == 1
+    assert table.nodes.count(branch.then_branch) == 1
     nested = parse(CONVERGING_NESTED).program()
     for store in (Store.of(x="1"), Store.of(x="1", z="1")):
         report = explore(store, nested)
@@ -477,6 +477,11 @@ def test_deep_expressions_need_no_recursion():
     assert (report.passed, report.complete, report.edges_checked) == (True, True, 4)
 
 
+def expression_count(table):
+    """How many of the table's ids are expressions' (the rest are slots)."""
+    return sum(isinstance(node, (Var, OpCall)) for node in table.nodes)
+
+
 def test_each_distinct_expression_compiles_one_closure():
     # The machine repeats its guards and assignments in every state
     # branch: 70 slots step an expression, and 28 expressions are distinct.
@@ -494,9 +499,10 @@ def test_each_distinct_expression_compiles_one_closure():
             frontier.extend(table.successors(slot))
     fns = [entry[5] for entry in table._entries if entry is not None and entry[5] is not None]
     assert (len(expressions), len(fns)) == (28, 70)
-    assert len(table._closures) == len(expressions)
+    closures = [closure for closure in table._closures if closure is not None]
+    assert len(closures) == len(expressions)
     assert len({id(fn) for fn in fns}) == len(redex_exprs)
-    assert {id(fn) for fn in fns} <= {id(fn) for fn, _ in table._closures}
+    assert {id(fn) for fn in fns} <= {id(fn) for fn, _ in closures}
 
 
 def test_a_variable_and_a_call_of_the_same_name_stay_apart():
@@ -524,7 +530,7 @@ def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
     assert run.finished
     table = program.table
     assert {slot for slot, entry in enumerate(table._entries) if entry is not None} == stepped
-    assert len(stepped) < len(table.commands)
+    assert len(stepped) < len(table.nodes) - expression_count(table)
 
 
 def test_tier_preservation_types_each_node_once(monkeypatch):
@@ -591,7 +597,7 @@ def test_a_check_compiles_no_closure(monkeypatch):
         assert check_program(source).safe
         assert compiled == []
         run_with_scheduler(Store(), source.program(), FirstAlive(), fuel=3)
-        assert len(compiled) == len(source.program().table.exprs)
+        assert len(compiled) == expression_count(source.program().table)
         compiled.clear()
 
 
@@ -630,7 +636,7 @@ def test_one_table_serves_runs_of_several_programs():
         assert shared == fresh
     assert (zrange.table, spin.table) == tables
     assert tuple(table.roots for table in tables) == roots
-    assert spin.table.commands[spin.table.roots[0]] == spin.command("spinner")
+    assert spin.table.nodes[spin.table.roots[0]] == spin.command("spinner")
 
 
 def test_explorations_read_the_table_for_the_free_variables(monkeypatch):

@@ -67,7 +67,7 @@ def test_step_global_counts_loop_unfoldings():
     assert rule == "while-tt"
     assert slots[1] == table.roots[1]
     bump = program.command("bump")
-    assert table.commands[slots[0]] == Seq(bump.body, bump)
+    assert table.nodes[slots[0]] == Seq(bump.body, bump)
 
 
 def test_round_robin_alternates_in_name_order():

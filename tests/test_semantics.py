@@ -45,7 +45,7 @@ def step(store, cmd):
         at, word = assigned
         assigned = (names[at], word)
         store = Store({**dict(store.items()), names[at]: word})
-    return store, None if slot == DONE else table.commands[slot], rule, assigned
+    return store, None if slot == DONE else table.nodes[slot], rule, assigned
 
 
 def test_step_rules_one_by_one():

@@ -130,7 +130,7 @@ def test_check_reports_what_stops_typing_before_it_starts(tmp_path, capsys, flag
 def expr_tiers(gamma, sig_env, expr):
     """The tier set the table pass gives ``expr``, as a loop's guard."""
     table = ControlTable((While(expr, Skip()),))
-    return type_table(table, gamma, sig_env)[0][table.keys[table.roots[0]][1]]
+    return type_table(table, gamma, sig_env)[table.keys[table.roots[0]][1]]
 
 
 def test_expr_tiers():
@@ -401,11 +401,12 @@ def test_searches_without_a_thread_constraint_type_no_compound_slot(monkeypatch)
 
         return search
 
-    def recording_type_table(table, gamma, sig_env, typing=None, eids=(), slots=None):
-        if searching and slots is not None:
-            slots = list(slots)
-            kinds[searching[-1]].update(key[0] for _, key in slots)
-        return typing_pass(table, gamma, sig_env, typing, eids, slots)
+    def recording_type_table(table, gamma, sig_env, typing=None, entries=()):
+        if searching:
+            entries = list(entries)
+            kinds[searching[-1]].update(table.keys[i][0] for i in entries
+                                        if not isinstance(table.nodes[i], (Var, OpCall)))
+        return typing_pass(table, gamma, sig_env, typing, entries)
 
     monkeypatch.setattr(typecheck, "_solver", solver)
     monkeypatch.setattr(typecheck, "type_table", recording_type_table)

@@ -156,28 +156,33 @@ def explain(gamma, sig_env, cmd):
     return _explain(type_table(table, gamma, sig_env), table, gamma, cmd, table.roots[0])
 
 
+def expression_count(table):
+    """How many of the table's ids are expressions' (the rest are slots)."""
+    return sum(isinstance(node, (Var, OpCall)) for node in table.nodes)
+
+
 def assert_agrees(commands, gamma, sig_env, where):
-    """The pass, on a fresh table of ``commands`` and then extended to
-    its residual slots, against the recursive rules: the tier set of
-    every expression id and slot, and the diagnostic of every untypable
+    """The pass, on a fresh table of ``commands`` and again once the
+    table holds its residual slots, against the recursive rules: the
+    tier set of every node id, and the diagnostic of every untypable
     slot.  Returns the table, the typing and how many residual slots
-    the extension typed."""
+    the second pass typed."""
     table = ControlTable(commands)
-    typing = type_table(table, gamma, sig_env)
-    built = len(typing[1])
+    built = type_table(table, gamma, sig_env)
     reach(table)
-    assert type_table(table, gamma, sig_env, typing) is typing
-    exprs, slots = typing
-    assert (len(exprs), len(slots)) == (len(table.exprs), len(table.commands)), where
-    for eid, tiers in enumerate(exprs):
-        assert tiers == ref_expr_tiers(gamma, sig_env, table._nodes[eid]), where
-    for slot, tiers in enumerate(slots):
-        cmd = table.commands[slot]
-        assert tiers == ref_command_tiers(gamma, sig_env, cmd), where
+    typing = type_table(table, gamma, sig_env)
+    assert typing[:len(built)] == built, where
+    assert len(typing) == len(table.nodes) == len(table.keys), where
+    for i, tiers in enumerate(typing):
+        node = table.nodes[i]
+        if isinstance(node, (Var, OpCall)):
+            assert tiers == ref_expr_tiers(gamma, sig_env, node), where
+            continue
+        assert tiers == ref_command_tiers(gamma, sig_env, node), where
         if not tiers:
-            want = ref_explain_failure(gamma, sig_env, cmd)
-            assert _explain(typing, table, gamma, cmd, slot) == want, where
-    return table, typing, len(slots) - built
+            want = ref_explain_failure(gamma, sig_env, node)
+            assert _explain(typing, table, gamma, node, i) == want, where
+    return table, typing, len(typing) - len(built)
 
 
 def every_env(source):
@@ -195,8 +200,8 @@ def test_fixtures_type_as_the_recursive_rules_under_every_environment(name):
     commands = [cmd for _, cmd in source.threads]
     rejected = 0
     for gamma in every_env(source):
-        table, (_, slots), residuals = assert_agrees(commands, gamma, sig_env, (name, gamma))
-        rejected += sum(not slots[root] for root in table.roots)
+        table, typing, residuals = assert_agrees(commands, gamma, sig_env, (name, gamma))
+        rejected += sum(not typing[root] for root in table.roots)
     assert rejected > 0  # the diagnostics were compared too
     loops = any(isinstance(node, While) for cmd in commands for node in walk(cmd))
     assert residuals > 0 or not loops  # and the slots that stepping adds
@@ -240,11 +245,11 @@ def test_shared_subtrees_are_typed_once_per_node_and_agree():
                 Assign("x", OpCall("eq", (shared, OpCall("pred", (Var("x"),)))))):
         assert command_tiers(gamma, sig_env, cmd) == NO_TIERS
         table = ControlTable((cmd,))
-        exprs, _ = type_table(table, gamma, sig_env)
+        typing = type_table(table, gamma, sig_env)
         eq = table.keys[table.roots[0]][1]
-        pred = table.exprs[eq][1]
-        assert (table.exprs[eq], len(table.exprs)) == (("eq", pred, pred), 3)
-        assert (exprs[pred], exprs[eq]) == ({Z, O}, {Z})
+        pred = table.keys[eq][1]
+        assert (table.keys[eq], expression_count(table)) == (("eq", pred, pred), 3)
+        assert (typing[pred], typing[eq]) == ({Z, O}, {Z})
         assert explain(gamma, sig_env, cmd) == ref_explain_failure(gamma, sig_env, cmd)
 
 
@@ -284,9 +289,27 @@ def test_a_subtree_shared_within_a_tree_is_typed_once():
     for _ in range(12):
         expr = OpCall("eq", (expr, expr))
     table = ControlTable((Assign("x", expr),))
-    exprs, _ = type_table(table, {"x": O}, sig_env)
-    assert exprs[table.keys[table.roots[0]][1]] == {Z, O}
-    assert (len(exprs), sig_env.lookups) == (13, 12)
+    typing = type_table(table, {"x": O}, sig_env)
+    assert typing[table.keys[table.roots[0]][1]] == {Z, O}
+    assert (expression_count(table), sig_env.lookups) == (13, 12)
+
+
+def test_a_typing_holds_four_tier_set_objects():
+    # However many nodes a table has, each tier set of its typing is one
+    # of four shared objects (no tier, tier 0, tier 1, both), so a wide
+    # program's typing costs one pointer per node.
+    wide = parse("op pred arity 1 class neutral;\nthread t {\n"
+                 + ";\n".join(f"v{i} := pred(v{i})" for i in range(2000)) + "\n}\n")
+    tables = [(wide, {f"v{i}": (Z, O)[i % 2] for i in range(2000)})]
+    tables += [(load(name), None) for name in ("binary_add.tier", "unsafe_loop.tier", "mixed")]
+    objects = set()
+    for source, gamma in tables:
+        sig_env, _ = build_sig_env(source, REGISTRY)
+        gamma = gamma or next(every_env(source))
+        typing = type_table(source.program().table, gamma, sig_env)
+        assert NO_TIERS in typing or source is wide
+        objects |= {id(tiers) for tiers in typing}
+    assert len(objects) <= 4
 
 
 # --- scale: no recursion per statement, nesting level or expression depth -------------
@@ -324,13 +347,13 @@ def test_a_3000_statement_thread_checks():
     thread = report.threads[0]
     assert (thread.tiers, thread.diagnostic) == ({O}, None)
     assert report == check_program(source)  # a report holds no tree to compare recursively
-    table, (_, slots) = typed_table(source)
+    table, typing = typed_table(source)
     keys, chain = table.keys, [table.roots[0]]
     while keys[chain[-1]][0] is Seq:
         chain.append(keys[chain[-1]][2])
     assert len(chain) == 3000
-    assert [slots[s] for s in chain[-2:]] == [{O}, {O}]
-    assert slots[keys[chain[-2]][1]] == {Z}
+    assert [typing[s] for s in chain[-2:]] == [{O}, {O}]
+    assert typing[keys[chain[-2]][1]] == {Z}
     assert keys[chain[-1]][0] is Assign and keys[chain[-1]][2] == "x"
 
 
@@ -350,12 +373,12 @@ def test_a_900_deep_expression_checks():
     source = with_thread(Assign("x", expr))
     report = check_program(source)
     assert report.safe and report.threads[0].tiers == {O}
-    table, (exprs, _) = typed_table(source)
+    table, typing = typed_table(source)
     eid, depth = table.keys[table.roots[0]][1], 0
-    while table.exprs[eid] != "x":
-        assert exprs[eid] == {Z, O} and table.exprs[eid][0] == "sub1"
-        eid, depth = table.exprs[eid][1], depth + 1
-    assert (depth, len(exprs), exprs[eid]) == (900, 901, {O})
+    while table.keys[eid] != "x":
+        assert typing[eid] == {Z, O} and table.keys[eid][0] == "sub1"
+        eid, depth = table.keys[eid][1], depth + 1
+    assert (depth, expression_count(table), typing[eid]) == (900, 901, {O})
 
 
 def nested(op, depth, leaf):
@@ -388,13 +411,13 @@ def test_a_deep_if_nest_checks(depth):
     source = with_thread(cmd)
     report = check_program(source)
     assert report.safe and report.threads[0].tiers == {O}
-    table, (exprs, slots) = typed_table(source)
+    table, typing = typed_table(source)
     keys, chain = table.keys, [table.roots[0]]
     while keys[chain[-1]][0] is If:
-        assert exprs[keys[chain[-1]][1]] == {Z, O}
+        assert typing[keys[chain[-1]][1]] == {Z, O}
         chain.append(keys[chain[-1]][2])
     assert len(chain) == depth + 1
-    assert all(slots[s] == {O} for s in chain)
+    assert all(typing[s] == {O} for s in chain)
 
 
 def test_a_deep_rejected_thread_names_the_innermost_blocker():
