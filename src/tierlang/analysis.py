@@ -219,12 +219,16 @@ def subword_invariant(
     """
     ones = sorted(v for v, t in gamma.items() if t == Tier.ONE)
     sources = [initial.lookup(v) for v in ones]
+    accepted = {TT, FF}  # words already found to pass, searched for once each
     checked = 0
     for step, store in stores:
         checked += 1
         for var in ones:
             value = store.lookup(var)
-            if value in (TT, FF) or any(value in src for src in sources):
+            if value in accepted:
+                continue
+            if any(value in src for src in sources):
+                accepted.add(value)
                 continue
             return SubwordReport(False, checked, SubwordViolation(step, var, value))
     return SubwordReport(True, checked)

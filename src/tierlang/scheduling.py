@@ -24,6 +24,10 @@ threads are live: with one left the choice is forced, reads no data,
 and so is quiet under every policy.  ``run_with_scheduler`` is the one
 run loop, so one command runs as a one-thread program.  A run's
 ``choices`` (a ``Choices``) iterate over the ids the scheduler chose.
+Once one thread is left and no trace is kept (or a kept trace is
+full), the run steps that thread in a loop of its own, which reads the
+table's step entries inline instead of calling ``ControlTable.step``;
+with two or more threads live, a run steps through ``ControlTable.step``.
 
 A run whose configuration (flat state and scheduler state) repeats,
 under a *pure* scheduler or once the scheduler is no longer asked, is
@@ -40,11 +44,12 @@ the pool of residual commands.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
-from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
+from .lang import FF, TT, Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
 TRACE_CAP = 10_000  # the most steps a kept trace records
@@ -110,12 +115,8 @@ class RoundRobin(Scheduler):
     pure = True
 
     def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
-        last = state
-        if isinstance(last, str):
-            later = [t for t in tids if t > last]
-            chosen = later[0] if later else tids[0]
-        else:
-            chosen = tids[0]
+        # The first id after the last choice, wrapping round to the first.
+        chosen = tids[bisect_right(tids, state) % len(tids)] if isinstance(state, str) else tids[0]
         return chosen, chosen
 
 
@@ -232,7 +233,10 @@ def run_with_scheduler(
     configuration skips ahead by whole periods, and a run that keeps a
     trace does so only once the trace holds its first ``TRACE_CAP``
     steps; steps, loops, choices and trace are those of stepping to the
-    fuel bound.
+    fuel bound.  Under that same condition, no trace kept or a full one,
+    the lone thread is stepped by ``_step_alone``, which hands back to
+    this loop for each check of Brent's; with two or more threads live,
+    or while a trace still fills, each step calls ``ControlTable.step``.
     """
     table = program.table
     names = table.variables
@@ -260,23 +264,32 @@ def run_with_scheduler(
     mark = 1 if scheduler.pure or len(live) == 1 else 0
     saved: tuple = (None, None, 0, 0)
     while live and steps < fuel:
-        if len(live) > 1:
-            if seen is None:
-                seen = _store(names, cells, outside)
-            tid, state = scheduler.choose(live, seen, state)
-            choices.append(tid)
-        else:
+        if len(live) == 1 and (not keep_trace or len(trace) == TRACE_CAP):
             tid = live[0]
-            forced += 1
-        i = at[tid]
-        slot, rule, assigned = step(cells[i], cells)
-        cells[i] = slot
-        if assigned is not None:
-            cells[assigned[0]] = assigned[1]
+            i = at[tid]
+            taken = steps
+            steps, loops, rule = _step_alone(table, cells, i, steps, loops, fuel, mark, saved[0])
+            forced += steps - taken
+            slot = cells[i]
             seen = None
-        steps += 1
-        if rule == UNFOLD:
-            loops += 1
+        else:
+            if len(live) > 1:
+                if seen is None:
+                    seen = _store(names, cells, outside)
+                tid, state = scheduler.choose(live, seen, state)
+                choices.append(tid)
+            else:
+                tid = live[0]
+                forced += 1
+            i = at[tid]
+            slot, rule, assigned = step(cells[i], cells)
+            cells[i] = slot
+            if assigned is not None:
+                cells[assigned[0]] = assigned[1]
+                seen = None
+            steps += 1
+            if rule == UNFOLD:
+                loops += 1
         if slot == DONE:
             live = tuple(t for t in live if t != tid)
             if len(live) == 1 and not mark:
@@ -312,6 +325,46 @@ def run_with_scheduler(
         _store(names, cells, outside), residual, steps, loops, not live,
         _choices(choices, skip, tid, forced), tuple(trace),
     )
+
+
+def _step_alone(table: ControlTable, cells: list, at: int, steps: int, loops: int, fuel: int,
+                mark: int, saved: list | None) -> tuple[int, int, str]:
+    """Step the one live thread, whose slot is ``cells[at]``, in place,
+    with ``steps`` and ``loops`` taken so far: the two counts after the
+    last step taken, and its rule.
+
+    The loop reads the table's step entries itself, compiling a slot the
+    first time it comes to it, so a step costs no call of
+    ``ControlTable.step`` and builds no tuple.  It stops when the thread
+    terminates, at ``fuel``, and at an unfolding where Brent's check in
+    ``run_with_scheduler`` has work: the loop count reaches ``mark`` (0
+    while detection is off) or the cells equal ``saved``.
+    """
+    entries = table._entries
+    slot = cells[at]
+    for steps in range(steps + 1, fuel + 1):
+        entry = entries[slot]
+        if entry is None:
+            entry = entries[slot] = table._compile(slot)
+        rule, slot, other_rule, other, var, fn, redex = entry
+        if fn is not None:
+            value = fn(cells)
+            if var is not None:
+                cells[var] = value
+            elif value != TT:
+                if value != FF:
+                    raise StuckGuardError(redex, value)
+                rule, slot = other_rule, other
+        if slot == DONE:
+            break
+        if rule == UNFOLD:
+            loops += 1
+            if mark:
+                cells[at] = slot
+                if loops == mark or cells == saved:
+                    return steps, loops, rule
+    cells[at] = slot
+    return steps, loops, rule
 
 
 def _choices(

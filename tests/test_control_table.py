@@ -98,6 +98,15 @@ thread a {{ y := {"add1(" * (_CLOSURE_DEPTH + 6)}x{")" * (_CLOSURE_DEPTH + 6)} }
 thread b {{ x := pred(x); x := pred(x) }}
 """
 
+# ``b``'s fourth step is a guard that reads a letter other than T and F;
+# ``a`` has terminated by then under every named scheduler.
+LATE_STUCK = """
+op head arity 1 class neutral;
+vars { x : 1; }
+thread a { skip }
+thread b { skip; skip; skip; while (head(x)) { skip } }
+"""
+
 # A loop whose period changes the store: y flips and flips back.
 FLIP = """
 op gt0 arity 1 class neutral;
@@ -187,8 +196,8 @@ def reference_scheduled(store, program, scheduler, fuel):
     return store, Program(tuple(pool.items())), steps, loops, not pool, tuple(choices), trace
 
 
-def table_scheduled(store, program, scheduler, fuel):
-    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=True)
+def table_scheduled(store, program, scheduler, fuel, keep_trace=True):
+    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=keep_trace)
     trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
     return run.store, run.residual, run.steps, run.loops, run.finished, tuple(run.choices), trace
 
@@ -225,10 +234,10 @@ def table_sequential(store, cmd, fuel):
     return store, cmd, steps, loops, cmd is None, trace
 
 
-def scheduled_alone(store, cmd, fuel):
+def scheduled_alone(store, cmd, fuel, keep_trace=True):
     """``cmd`` run alone by ``run_with_scheduler``, in the fields of
     ``reference_sequential`` apart from the residual of each step."""
-    run = run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=True)
+    run = run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=keep_trace)
     trace = [(e.index, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
     residual = run.residual.command("main") if run.residual.threads else None
     return run.store, residual, run.steps, run.loops, run.finished, trace
@@ -328,26 +337,32 @@ def fixture_program(name):
 
 
 def capped(result, cap):
+    """A run's result with its trace cut to ``cap`` steps; a raised error,
+    as ``outcome`` gives it, as it is."""
+    if isinstance(result[0], type):
+        return result
     *fields, trace = result
     return (*fields, trace[:cap])
 
 
-@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "flip"))
+@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "flip", "deep_assign"))
 def test_scheduled_runs_match_reference_loop(name, monkeypatch):
     # 1501 is no multiple of any period, and a cap of 333 cuts the trace
     # off inside one, so runs that skip periods must stop where stepping
-    # would.
+    # would.  A run that keeps no trace steps its last thread in a loop
+    # of its own, so it is compared too.
     program = fixture_program(name)
     schedulers = [*named_schedulers(seed=3).values(), StorePeek(min(free_vars(program)))]
     for scheduler in schedulers:
-        for fuel, cap, count in ((25, 10_000, 4), (400, 10_000, 4), (1500, 10_000, 2),
-                                 (1501, 333, 2)):
+        for fuel, cap, count in ((0, 10_000, 1), (1, 10_000, 2), (25, 10_000, 4),
+                                 (400, 10_000, 4), (1500, 10_000, 2), (1501, 333, 2)):
             monkeypatch.setattr(scheduling, "TRACE_CAP", cap)
             for store in random_stores(program, sum(map(ord, name)) + fuel, count):
-                want = outcome(lambda: capped(
-                    reference_scheduled(store, program, scheduler, fuel), cap))
+                want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
                 got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
-                assert got == want, (name, scheduler.name, fuel, store)
+                assert got == capped(want, cap), (name, scheduler.name, fuel, store)
+                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel, False))
+                assert got == capped(want, 0), (name, scheduler.name, fuel, store)
 
 
 @pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards",))
@@ -360,6 +375,8 @@ def test_sequential_runs_match_reference_loop(name):
                 assert outcome(lambda: table_sequential(store, cmd, fuel)) == want, (name, store)
                 want = outcome(lambda: drop_step_residuals(reference_sequential(store, cmd, fuel)))
                 assert outcome(lambda: scheduled_alone(store, cmd, fuel)) == want, (name, store)
+                got = outcome(lambda: scheduled_alone(store, cmd, fuel, keep_trace=False))
+                assert got == capped(want, 0), (name, store)
 
 
 @pytest.mark.parametrize("name", MACHINE_FIXTURES)
@@ -371,6 +388,8 @@ def test_compiled_machines_match_reference_loop(name):
         want = reference_sequential(store, cmd, 3000)
         assert table_sequential(store, cmd, 3000) == want, (name, word)
         assert scheduled_alone(store, cmd, 3000) == drop_step_residuals(want), (name, word)
+        untraced = scheduled_alone(store, cmd, 3000, keep_trace=False)
+        assert untraced == capped(want, 0), (name, word)
 
 
 @pytest.mark.parametrize(
@@ -400,6 +419,21 @@ def test_explore_matches_reference_walk(name):
     assert (stuck_seen > 0) == (name == "head_guards")
     assert (cycles_seen > 0) == (name in ("intro_sync.tier", "spin.tier"))
     assert cut > 0
+
+
+def test_a_guard_stuck_after_the_other_thread_finished():
+    # ``b`` reaches its guard only once ``a`` has terminated, so a run
+    # that keeps no trace gets stuck in its loop for a lone thread.
+    program = parse(LATE_STUCK).program()
+    store = Store.of(x="1")
+    for scheduler in named_schedulers(seed=3).values():
+        ahead = run_with_scheduler(store, program, scheduler, fuel=3)
+        assert ahead.residual.thread_ids() == ("b",)
+        want = outcome(lambda: reference_scheduled(store, program, scheduler, 100))
+        assert want[0] is StuckGuardError
+        for keep_trace in (True, False):
+            got = outcome(lambda: table_scheduled(store, program, scheduler, 100, keep_trace))
+            assert got == want, (scheduler.name, keep_trace)
 
 
 def test_stuck_guard_reports_the_guard_command():
@@ -518,18 +552,29 @@ def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
     # a few thousand steps.
     text = fixture_text("binary_inc.tm").replace("\nclock 1\n", "\nclock 1000\n")
     program = compile_tm(parse_tm(text)).source.program()
-    stepped = set()
-    step = ControlTable.step
+    compiled = []
+    compile_slot = ControlTable._compile
 
-    def recording(self, slot, state):
-        stepped.add(slot)
-        return step(self, slot, state)
+    def recording(self, slot):
+        compiled.append(slot)
+        return compile_slot(self, slot)
 
-    monkeypatch.setattr(ControlTable, "step", recording)
+    monkeypatch.setattr(ControlTable, "_compile", recording)
     run = run_with_scheduler(Store(), program, FirstAlive())
     assert run.finished
+    monkeypatch.undo()
+    # A loop through ``ControlTable.step`` on a table of its own numbers
+    # the slots alike, and first comes to them in the order they compiled.
+    reference = ControlTable(cmd for _, cmd in program.threads)
+    slot, words, stepped = reference.roots[0], [""] * len(reference.variables), []
+    while slot != DONE:
+        stepped.append(slot)
+        slot, _, assigned = reference.step(slot, words)
+        if assigned is not None:
+            words[assigned[0]] = assigned[1]
+    assert compiled == list(dict.fromkeys(stepped))
     table = program.table
-    assert {slot for slot, entry in enumerate(table._entries) if entry is not None} == stepped
+    assert {slot for slot, entry in enumerate(table._entries) if entry is not None} == set(stepped)
     assert len(stepped) < len(table.nodes) - expression_count(table)
 
 
@@ -660,17 +705,31 @@ def test_explorations_read_the_table_for_the_free_variables(monkeypatch):
 # --- skipping the periods of a repeating run ------------------------------------------
 
 
+class CountedEntries(list):
+    """A table's step entries that log the slot of each entry read."""
+
+    def __init__(self, entries, taken):
+        super().__init__(entries)
+        self.taken = taken
+
+    def __getitem__(self, slot):
+        self.taken.append(slot)
+        return super().__getitem__(slot)
+
+
 @pytest.fixture
 def counted_steps(monkeypatch):
-    """How many steps runs actually take, counted on ``ControlTable.step``."""
+    """How many steps runs actually take on the tables built from now on:
+    a step reads its slot's entry once, in ``ControlTable.step`` or in the
+    run's loop for a lone thread."""
     taken = []
-    step = ControlTable.step
+    init = ControlTable.__init__
 
-    def counting(self, slot, state):
-        taken.append(slot)
-        return step(self, slot, state)
+    def counting(self, commands):
+        init(self, commands)
+        self._entries = CountedEntries(self._entries, taken)
 
-    monkeypatch.setattr(ControlTable, "step", counting)
+    monkeypatch.setattr(ControlTable, "__init__", counting)
     return taken
 
 
