@@ -80,10 +80,6 @@ def _first_digit(word: Word) -> Word:
     return head
 
 
-def _truth(flag: bool) -> Word:
-    return TT if flag else FF
-
-
 def _pred(u: Word) -> Word:
     return u[1:]
 
@@ -97,45 +93,45 @@ def _erase(u: Word) -> Word:
 
 
 def _nonempty(u: Word) -> Word:
-    return _truth(u != "")
+    return TT if u else FF
 
 
 def _negate(u: Word) -> Word:
-    return _truth(u == FF)
+    return TT if u == FF else FF
 
 
 def _is_empty(u: Word) -> Word:
-    return _truth(u == "")
+    return TT if u == "" else FF
 
 
 def _equal(u: Word, v: Word) -> Word:
-    return _truth(u == v)
+    return TT if u == v else FF
 
 
 def _not_equal(u: Word, v: Word) -> Word:
-    return _truth(u != v)
+    return TT if u != v else FF
 
 
 def _either(u: Word, v: Word) -> Word:
-    return _truth(u == TT or v == TT)
+    return TT if u == TT or v == TT else FF
 
 
 def _both(u: Word, v: Word) -> Word:
-    return _truth(u == TT and v == TT)
+    return TT if u == TT and v == TT else FF
 
 
 def _bit(u: Word) -> Word:
-    return _truth(_first_digit(u) == "1")
+    return TT if _first_digit(u) == "1" else FF
 
 
 def _carry(u: Word, v: Word, w: Word) -> Word:
     ones = sum(_first_digit(x) == "1" for x in (u, v, w))
-    return _truth(ones >= 2)
+    return TT if ones >= 2 else FF
 
 
 def _bitsum(u: Word, v: Word, w: Word) -> Word:
     ones = sum(_first_digit(x) == "1" for x in (u, v, w))
-    return _truth(ones % 2 == 1)
+    return TT if ones % 2 == 1 else FF
 
 
 def _concat(u: Word, v: Word) -> Word:
@@ -210,7 +206,8 @@ def _family_member(name: str) -> OperatorDef | None:
         return OperatorDef(name, 0, lambda w=word: w, POSITIVE, growth=len(word))
     if name.startswith("eq_") and len(name) > 3:
         word = name[3:]
-        return OperatorDef(name, 1, lambda u, w=word: _truth(u.startswith(w)), NEUTRAL_PREDICATE)
+        return OperatorDef(name, 1, lambda u, w=word: TT if u.startswith(w) else FF,
+                           NEUTRAL_PREDICATE)
     if name.startswith("suc_") and len(name) > 4:
         word = name[4:]
         return OperatorDef(name, 1, lambda u, w=word: w + u, POSITIVE, growth=len(word))

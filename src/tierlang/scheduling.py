@@ -24,10 +24,10 @@ threads are live: with one left the choice is forced, reads no data,
 and so is quiet under every policy.  ``run_with_scheduler`` is the one
 run loop, so one command runs as a one-thread program.  A run's
 ``choices`` (a ``Choices``) iterate over the ids the scheduler chose.
-Once one thread is left and no trace is kept (or a kept trace is
-full), the run steps that thread in a loop of its own, which reads the
-table's step entries inline instead of calling ``ControlTable.step``;
-with two or more threads live, a run steps through ``ControlTable.step``.
+Every step, of a run or of ``explore``, is taken by
+``ControlTable.advance``, which is given a budget of steps: one while
+the scheduler is asked, and the rest of the fuel once one thread is
+left and no trace is kept (or a kept trace is full).
 
 A run whose configuration (flat state and scheduler state) repeats,
 under a *pure* scheduler or once the scheduler is no longer asked, is
@@ -49,7 +49,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
-from .lang import FF, TT, Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
+from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
 TRACE_CAP = 10_000  # the most steps a kept trace records
@@ -59,12 +59,8 @@ def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, s
     """Advance thread ``index`` of a flat state (the words of
     ``table.variables``, then one slot per thread) one step: a new state
     tuple and the rule that fired."""
-    at = len(table.variables) + index
-    slot, rule, assigned = table.step(state[at], state)
     cells = list(state)
-    cells[at] = slot
-    if assigned is not None:
-        cells[assigned[0]] = assigned[1]
+    rule = table.advance(cells, len(table.variables) + index, 1)[2]
     return tuple(cells), rule
 
 
@@ -233,17 +229,17 @@ def run_with_scheduler(
     configuration skips ahead by whole periods, and a run that keeps a
     trace does so only once the trace holds its first ``TRACE_CAP``
     steps; steps, loops, choices and trace are those of stepping to the
-    fuel bound.  Under that same condition, no trace kept or a full one,
-    the lone thread is stepped by ``_step_alone``, which hands back to
-    this loop for each check of Brent's; with two or more threads live,
-    or while a trace still fills, each step calls ``ControlTable.step``.
+    fuel bound.  Every step is taken by ``ControlTable.advance``: one per
+    call while two or more threads are live or a kept trace still fills,
+    and otherwise as many as the fuel allows, handing back to this loop
+    at each unfolding where Brent's check has work.
     """
     table = program.table
     names = table.variables
     cells, outside = _flat(table, store)  # the flat state, stepped in place
     live = program.thread_ids()
     at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
-    step = table.step
+    advance = table.advance
     seen: Store | None = store  # the store of ``cells``, or None until it is needed again
     state = scheduler.fresh_state()
     steps = 0
@@ -264,40 +260,31 @@ def run_with_scheduler(
     mark = 1 if scheduler.pure or len(live) == 1 else 0
     saved: tuple = (None, None, 0, 0)
     while live and steps < fuel:
-        if len(live) == 1 and (not keep_trace or len(trace) == TRACE_CAP):
+        if len(live) > 1:
+            if seen is None:
+                seen = _store(names, cells, outside)
+            tid, state = scheduler.choose(live, seen, state)
+            choices.append(tid)
+            i = at[tid]
+            taken, unfolded, rule, var = advance(cells, i, 1)
+        else:
             tid = live[0]
             i = at[tid]
-            taken = steps
-            steps, loops, rule = _step_alone(table, cells, i, steps, loops, fuel, mark, saved[0])
-            forced += steps - taken
-            slot = cells[i]
+            budget = 1 if keep_trace and len(trace) < TRACE_CAP else fuel - steps
+            taken, unfolded, rule, var = advance(cells, i, budget, mark and mark - loops, saved[0])
+            forced += taken
+        steps += taken
+        loops += unfolded
+        if var is not None or taken > 1:
             seen = None
-        else:
-            if len(live) > 1:
-                if seen is None:
-                    seen = _store(names, cells, outside)
-                tid, state = scheduler.choose(live, seen, state)
-                choices.append(tid)
-            else:
-                tid = live[0]
-                forced += 1
-            i = at[tid]
-            slot, rule, assigned = step(cells[i], cells)
-            cells[i] = slot
-            if assigned is not None:
-                cells[assigned[0]] = assigned[1]
-                seen = None
-            steps += 1
-            if rule == UNFOLD:
-                loops += 1
-        if slot == DONE:
+        if cells[i] == DONE:
             live = tuple(t for t in live if t != tid)
             if len(live) == 1 and not mark:
                 mark = loops + 1
         if keep_trace and len(trace) < TRACE_CAP:
             if seen is None:
                 seen = _store(names, cells, outside)
-            made = None if assigned is None else (names[assigned[0]], assigned[1])
+            made = None if var is None else (names[var], cells[var])
             trace.append(GlobalTraceStep(steps, tid, rule, loops, made, seen))
         if not (mark and rule == UNFOLD):
             continue
@@ -325,46 +312,6 @@ def run_with_scheduler(
         _store(names, cells, outside), residual, steps, loops, not live,
         _choices(choices, skip, tid, forced), tuple(trace),
     )
-
-
-def _step_alone(table: ControlTable, cells: list, at: int, steps: int, loops: int, fuel: int,
-                mark: int, saved: list | None) -> tuple[int, int, str]:
-    """Step the one live thread, whose slot is ``cells[at]``, in place,
-    with ``steps`` and ``loops`` taken so far: the two counts after the
-    last step taken, and its rule.
-
-    The loop reads the table's step entries itself, compiling a slot the
-    first time it comes to it, so a step costs no call of
-    ``ControlTable.step`` and builds no tuple.  It stops when the thread
-    terminates, at ``fuel``, and at an unfolding where Brent's check in
-    ``run_with_scheduler`` has work: the loop count reaches ``mark`` (0
-    while detection is off) or the cells equal ``saved``.
-    """
-    entries = table._entries
-    slot = cells[at]
-    for steps in range(steps + 1, fuel + 1):
-        entry = entries[slot]
-        if entry is None:
-            entry = entries[slot] = table._compile(slot)
-        rule, slot, other_rule, other, var, fn, redex = entry
-        if fn is not None:
-            value = fn(cells)
-            if var is not None:
-                cells[var] = value
-            elif value != TT:
-                if value != FF:
-                    raise StuckGuardError(redex, value)
-                rule, slot = other_rule, other
-        if slot == DONE:
-            break
-        if rule == UNFOLD:
-            loops += 1
-            if mark:
-                cells[at] = slot
-                if loops == mark or cells == saved:
-                    return steps, loops, rule
-    cells[at] = slot
-    return steps, loops, rule
 
 
 def _choices(

@@ -19,15 +19,16 @@ is compiled into one closure on the first step, and each slot, the
 first time it is stepped, records its redex's closure and the slots
 that follow.  A configuration is one flat state: the words of the
 table's ``variables`` in order, then one slot per thread.  Closures read
-words by position, and a step returns the assignment to make as a
-position and a word, so a step is a table lookup plus one operator call
-and no store is built; ``scheduling`` makes ``Store`` objects from a
-state only where a caller reads one.  The same table lists each slot's
-successors for questions that range over every store at once, such as
-subject reduction, and ``typecheck.type_table`` types its ids in one
-list.  A program builds its table on first use, as ``Program.table``,
-and every later run, exploration and walk of it reuses that table; one
-command runs as a one-thread ``Program.single``.
+words by position, and ``ControlTable.advance``, the one place the step
+rules fire, steps a thread's slot and writes its assignments in such a
+state in place, up to a budget of steps, so a step is a table lookup
+plus one operator call and no store is built; ``scheduling`` makes
+``Store`` objects from a state only where a caller reads one.  The same
+table lists each slot's successors for questions that range over every
+store at once, such as subject reduction, and ``typecheck.type_table``
+types its ids in one list.  A program builds its table on first use,
+as ``Program.table``, and every later run, exploration and walk of it
+reuses that table; one command runs as a one-thread ``Program.single``.
 """
 
 from __future__ import annotations
@@ -269,25 +270,52 @@ class ControlTable:
         nxt, other = entry[1], entry[3]
         return (nxt,) if nxt == other else (nxt, other)
 
-    def step(self, slot: int, state: Sequence) -> tuple[int, str, tuple[int, Word] | None]:
-        """Fire the redex at ``slot`` on a flat state: the next slot
-        (``DONE`` once the command has terminated), the rule, and the
-        assignment to make, as the position of the assigned word in the
-        state and the new word.  The caller writes the assignment."""
-        entry = self._entries[slot]
-        if entry is None:
-            entry = self._entries[slot] = self._compile(slot)
-        rule, nxt, other_rule, other, var, fn, redex = entry
-        if fn is None:
-            return nxt, rule, None
-        value = fn(state)
-        if var is not None:
-            return nxt, rule, (var, value)
-        if value == TT:
-            return nxt, rule, None
-        if value == FF:
-            return other, other_rule, None
-        raise StuckGuardError(redex, value)
+    def advance(self, cells: list, at: int, budget: int, mark: int = 0,
+                saved: list | None = None) -> tuple[int, int, str, int | None]:
+        """Step the command whose slot is ``cells[at]`` on the flat state
+        ``cells``, in place, at most ``budget`` (at least 1) times: the
+        steps taken, the loops unfolded, and the last step's rule and the
+        position it assigned (``None`` if it assigned nothing).
+
+        It stops when the command terminates (its slot is then ``DONE``),
+        after ``budget`` steps, and at an unfolding that is the ``mark``-th
+        of this call (0: at none) or that leaves ``cells`` equal to
+        ``saved``.  A guard that is no truth word raises
+        ``StuckGuardError`` with the steps before it written and
+        ``cells[at]`` at the stuck command."""
+        entries = self._entries
+        slot = cells[at]
+        taken = unfolded = 0
+        while True:
+            entry = entries[slot]
+            if entry is None:
+                entry = entries[slot] = self._compile(slot)
+            rule, nxt, other_rule, other, var, fn, redex = entry
+            if fn is not None:
+                value = fn(cells)
+                if var is not None:
+                    cells[var] = value
+                elif value != TT:
+                    if value != FF:
+                        cells[at] = slot
+                        raise StuckGuardError(redex, value)
+                    rule, nxt = other_rule, other
+            slot = nxt
+            taken += 1
+            if rule == UNFOLD:
+                unfolded += 1
+                if unfolded == mark:
+                    break
+                if saved is not None:
+                    cells[at] = slot
+                    if cells == saved:
+                        break
+            elif slot == DONE:
+                break
+            if taken == budget:
+                break
+        cells[at] = slot
+        return taken, unfolded, rule, var
 
 
 def run_sequential(store: Store, cmd: Command, fuel: int = 100_000, keep_trace: bool = True):

@@ -218,20 +218,51 @@ def table_sequential(store, cmd, fuel):
     """``reference_sequential`` stepped on ``cmd``'s control table."""
     table = ControlTable((cmd,))
     names = table.variables
-    words = list(map(store.lookup, names))
-    slot, steps, loops, trace = table.roots[0], 0, 0, []
+    cells = [*map(store.lookup, names), table.roots[0]]
+    at = len(names)
+    steps, loops, trace = 0, 0, []
     while cmd is not None and steps < fuel:
-        slot, rule, assigned = table.step(slot, words)
-        if assigned is not None:
-            at, word = assigned
-            words[at] = word
-            assigned = (names[at], word)
+        _, _, rule, var = table.advance(cells, at, 1)
+        assigned = None
+        if var is not None:
+            assigned = (names[var], cells[var])
             store = bind(store, *assigned)
-        cmd = None if slot == DONE else table.nodes[slot]
+        cmd = None if cells[at] == DONE else table.nodes[cells[at]]
         steps += 1
         loops += rule == "while-tt"
         trace.append((steps, rule, loops, assigned, store, cmd))
     return store, cmd, steps, loops, cmd is None, trace
+
+
+def one_at_a_time(table, cells, at, budget, mark=0, saved=None):
+    """What ``table.advance(cells, at, budget, mark, saved)`` should do,
+    done by calls of budget 1: the summed steps and unfoldings, and the
+    last step's rule and assigned position."""
+    taken = unfolded = 0
+    while True:
+        one, unfold, rule, var = table.advance(cells, at, 1)
+        taken += one
+        unfolded += unfold
+        if cells[at] == DONE or taken == budget or unfold and (unfolded == mark or cells == saved):
+            return taken, unfolded, rule, var
+
+
+def assert_batches_agree(cmd, store):
+    """One ``advance`` of a budget leaves the cells and returns the counts,
+    rule and assignment of single steps, or raises their error, and stops
+    where they would: at ``DONE``, at the budget, at the ``mark``-th
+    unfolding, or at an unfolding that is back at the ``saved`` cells."""
+    table = ControlTable((cmd,))
+    start = [*map(store.lookup, table.variables), table.roots[0]]
+    at = len(start) - 1
+    saved = start[:]  # the cells at the second unfolding, if there is one
+    outcome(lambda: one_at_a_time(table, saved, at, 400, mark=2))
+    for budget in (1, 2, 7, 400):
+        for mark, back_at in ((0, None), (1, None), (3, None), (0, saved)):
+            batch, single = start[:], start[:]
+            want = outcome(lambda: one_at_a_time(table, single, at, budget, mark, back_at))
+            got = outcome(lambda: table.advance(batch, at, budget, mark, back_at))
+            assert (got, batch) == (want, single), (budget, mark, back_at)
 
 
 def scheduled_alone(store, cmd, fuel, keep_trace=True):
@@ -377,12 +408,14 @@ def test_sequential_runs_match_reference_loop(name):
                 assert outcome(lambda: scheduled_alone(store, cmd, fuel)) == want, (name, store)
                 got = outcome(lambda: scheduled_alone(store, cmd, fuel, keep_trace=False))
                 assert got == capped(want, 0), (name, store)
+                assert_batches_agree(cmd, store)
 
 
 @pytest.mark.parametrize("name", MACHINE_FIXTURES)
 def test_compiled_machines_match_reference_loop(name):
     compiled = compile_tm(parse_tm(fixture_text(name)))
-    cmd = compiled.source.program().command("machine")
+    program = compiled.source.program()
+    cmd = program.command("machine")
     for word in ("", "1", "01", "110"):
         store = Store({compiled.input_var: word})
         want = reference_sequential(store, cmd, 3000)
@@ -390,6 +423,24 @@ def test_compiled_machines_match_reference_loop(name):
         assert scheduled_alone(store, cmd, 3000) == drop_step_residuals(want), (name, word)
         untraced = scheduled_alone(store, cmd, 3000, keep_trace=False)
         assert untraced == capped(want, 0), (name, word)
+        assert_batches_agree(cmd, store)
+    for store in random_stores(program, len(name), 3):
+        assert_batches_agree(cmd, store)
+
+
+def test_a_guard_stuck_in_a_batch_raises_as_single_steps():
+    # After a skip, ``a``'s loop unfolds twice, then its guard reads "1".
+    loop = fixture_program("head_guards").command("a")
+    cmd = Seq(Skip(), loop)
+    store = Store.of(x=TT + TT + "1")
+    assert_batches_agree(cmd, store)
+    table = ControlTable((cmd,))
+    cells = [store.lookup("x"), table.roots[0]]
+    with pytest.raises(StuckGuardError) as err:
+        table.advance(cells, 1, 100)
+    # The steps before the guard are written, and the slot is the loop's.
+    assert (err.value.cmd, err.value.value, cells[0]) == (loop, "1", "1")
+    assert table.nodes[cells[1]] == loop
 
 
 @pytest.mark.parametrize(
@@ -563,15 +614,13 @@ def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
     run = run_with_scheduler(Store(), program, FirstAlive())
     assert run.finished
     monkeypatch.undo()
-    # A loop through ``ControlTable.step`` on a table of its own numbers
-    # the slots alike, and first comes to them in the order they compiled.
+    # Single steps on a table of its own number the slots alike, and
+    # first come to them in the order they compiled.
     reference = ControlTable(cmd for _, cmd in program.threads)
-    slot, words, stepped = reference.roots[0], [""] * len(reference.variables), []
-    while slot != DONE:
-        stepped.append(slot)
-        slot, _, assigned = reference.step(slot, words)
-        if assigned is not None:
-            words[assigned[0]] = assigned[1]
+    cells, stepped = [""] * len(reference.variables) + [reference.roots[0]], []
+    while cells[-1] != DONE:
+        stepped.append(cells[-1])
+        reference.advance(cells, len(cells) - 1, 1)
     assert compiled == list(dict.fromkeys(stepped))
     table = program.table
     assert {slot for slot, entry in enumerate(table._entries) if entry is not None} == set(stepped)
@@ -720,8 +769,7 @@ class CountedEntries(list):
 @pytest.fixture
 def counted_steps(monkeypatch):
     """How many steps runs actually take on the tables built from now on:
-    a step reads its slot's entry once, in ``ControlTable.step`` or in the
-    run's loop for a lone thread."""
+    a step reads its slot's entry once, in ``ControlTable.advance``."""
     taken = []
     init = ControlTable.__init__
 

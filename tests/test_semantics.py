@@ -40,11 +40,13 @@ def step(store, cmd):
     assignment made."""
     table = ControlTable((cmd,))
     names = table.variables
-    slot, rule, assigned = table.step(table.roots[0], [store.lookup(name) for name in names])
-    if assigned is not None:
-        at, word = assigned
-        assigned = (names[at], word)
-        store = Store({**dict(store.items()), names[at]: word})
+    cells = [*map(store.lookup, names), table.roots[0]]
+    _, _, rule, var = table.advance(cells, len(names), 1)
+    assigned = None
+    if var is not None:
+        assigned = (names[var], cells[var])
+        store = Store({**dict(store.items()), names[var]: cells[var]})
+    slot = cells[-1]
     return store, None if slot == DONE else table.nodes[slot], rule, assigned
 
 
