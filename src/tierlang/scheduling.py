@@ -35,10 +35,10 @@ periodic from then on; ``run_with_scheduler`` finds the repeat with
 Brent's cycle detection and skips whole periods towards the fuel bound.
 
 ``explore`` builds the graph of flat states over every interleaving up
-to bounded depth, then finds a cycle in it (a non-terminating schedule)
-or else the longest terminating counts.  Structurally equal residuals
-share a slot, so memoizing on flat states is memoizing on the store and
-the pool of residual commands.
+to bounded depth, then one forward pass in topological order finds a
+cycle (a non-terminating schedule) or else the longest terminating
+counts.  Structurally equal residuals share a slot, so memoizing on
+flat states is memoizing on the store and the pool of residual commands.
 """
 
 from __future__ import annotations
@@ -387,7 +387,8 @@ def explore(
     max_states: int = 200_000,
 ) -> ExplorationReport:
     """Enumerate all interleavings: ``build_graph`` over flat states, each
-    live thread stepping once per move, then ``longest_terminating``.
+    live thread stepping once per move, then ``longest_terminating``'s
+    forward pass in topological order.
 
     Bindings of ``store`` to variables the program never mentions are
     left out of the states and put back into the terminal stores."""
@@ -477,45 +478,38 @@ def build_graph(roots: Iterable, successors: Callable[[object], Iterable[tuple[o
 
 
 def longest_terminating(graph: StateGraph) -> tuple[int | None, int | None] | None:
-    """The most steps and unfoldings on a path from node 0 to a terminal
-    node (``None`` each if none terminates), or ``None`` if a cycle is
-    reachable: one depth-first pass, where a child still on the path
-    closes a cycle and a node's counts are final once its children are."""
+    """The most steps and, separately, the most unfoldings on a path from
+    node 0 to a terminal node (``None`` each if there is none), or
+    ``None`` if the graph has a cycle: one forward pass in topological
+    order (Kahn's), where a node is taken once every move into it has
+    been and carries its longest counts from node 0 into its children.
+    A node never taken lies on or behind a cycle, so every node must be
+    reachable from node 0, as ``build_graph`` makes it from one root."""
     succ = graph.edges
-    NEW, ON_PATH, FINISHED = 0, 1, 2
-    mark = bytearray(len(succ))
-    best_k: list[int | None] = [None] * len(succ)
-    best_t: list[int | None] = [None] * len(succ)
-    for nid in graph.terminal:
-        best_k[nid] = best_t[nid] = 0
-    mark[0] = ON_PATH
-    path = [(0, iter(succ[0]))]
-    while path:
-        nid, children = path[-1]
-        for child, _ in children:
-            status = mark[child]
-            if status == ON_PATH:
-                return None
-            if status == NEW:
-                mark[child] = ON_PATH
-                path.append((child, iter(succ[child])))
-                break
-        else:
-            path.pop()
-            mark[nid] = FINISHED
-            k = t = None
-            for child, inc in succ[nid]:
-                ck = best_k[child]
-                if ck is None:
-                    continue
-                if k is None or ck > k:
-                    k = ck
-                ct = best_t[child] + inc
-                if t is None or ct > t:
-                    t = ct
-            if k is not None:
-                best_k[nid], best_t[nid] = k + 1, t
-    return best_k[0], best_t[0]
+    waiting = [0] * len(succ)  # per node: the moves into it not yet taken
+    for out in succ:
+        for child, _ in out:
+            waiting[child] += 1
+    if waiting[0]:
+        return None  # a move into node 0 closes a cycle: node 0 reaches every node
+    steps = [0] * len(succ)
+    loops = [0] * len(succ)
+    order = [0]
+    for nid in order:
+        k, t = steps[nid] + 1, loops[nid]
+        for child, unfolded in succ[nid]:
+            if steps[child] < k:
+                steps[child] = k
+            if loops[child] < t + unfolded:
+                loops[child] = t + unfolded
+            waiting[child] -= 1
+            if not waiting[child]:
+                order.append(child)
+    if len(order) < len(succ):
+        return None
+    if not graph.terminal:
+        return None, None
+    return max(steps[n] for n in graph.terminal), max(loops[n] for n in graph.terminal)
 
 
 # --- store pairs and quietness -------------------------------------------------------

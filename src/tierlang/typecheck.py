@@ -541,15 +541,16 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
 
     The constraints are each assignment's and loop guard's, plus one per
     thread that it types at some tier.  ``_solver`` assigns the unannotated
-    variables in order of first occurrence, pinning the variables a loop
-    guard reads to tier 1.  A solution needs no second check: its thread
-    constraints already type every thread.  It keeps the annotated
-    variables, used or not, as ``check`` does.  On failure the report carries
-    a conflicting set, minimized greedily: the atomic constraints, plus
-    the thread constraints if the atomic ones alone are satisfiable, each
-    dropped in turn if the rest stay unsatisfiable.  With more than
-    ``_ENUM_CAP`` unknowns the atomic constraints come back unminimized,
-    with a note.
+    variables in order of first occurrence, except that those a loop guard
+    reads come first, pinned to tier 1: a conflict on them is found before
+    any search over the others, and the first solution is the same.  A
+    solution needs no second check: its thread constraints already type
+    every thread.  It keeps the annotated variables, used or not, as
+    ``check`` does.  On failure the report carries a conflicting set,
+    minimized greedily: the atomic constraints, plus the thread
+    constraints if the atomic ones alone are satisfiable, each dropped in
+    turn if the rest stay unsatisfiable.  With more than ``_ENUM_CAP``
+    unknowns the atomic constraints come back unminimized, with a note.
     """
     sig_env, diags = _checked_sig_env(source)
     if diags:
@@ -557,10 +558,10 @@ def infer_tiers(source: SourceFile) -> InferenceReport:
 
     annotated = source.annotations()
     names, constraints, threads = _constraints(source)
-    unknowns = [v for v in names if v not in annotated]
-    solve = _solver(source.program().table, sig_env, unknowns, annotated)
     # Safe signatures force every variable read by a loop guard to tier 1.
     forced = {v for c in constraints if c.kind == "guard" for v in c.variables}
+    unknowns = sorted((v for v in names if v not in annotated), key=lambda v: v not in forced)
+    solve = _solver(source.program().table, sig_env, unknowns, annotated)
     solution = solve(constraints + threads, forced)
     if solution is not None:
         return InferenceReport(tuple(sorted(solution.items())))

@@ -265,6 +265,31 @@ def test_threads_sharing_a_root_slot_check_its_edges_once():
     assert two.edges_checked == one.edges_checked == 3
 
 
+def test_a_violation_below_a_root_names_its_depth(monkeypatch):
+    # Subject reduction holds for the typing rules, so a typing pass that
+    # loses the last assignment's tiers stands in for one that breaks it.
+    from tierlang import analysis
+
+    src = parse("op pred arity 1 class neutral;\nvars { x : 1; y : 1; }\n"
+                "thread a { skip }\n"
+                "thread b { x := pred(x); y := pred(y); x := pred(y) }\n")
+    sig_env, _ = build_sig_env(src, default_registry())
+    program = src.program()
+    last = program.table.nodes.index(Assign("x", OpCall("pred", (Var("y"),))))
+    typing_pass = analysis.type_table
+
+    def blanking(*args):
+        typed = typing_pass(*args)
+        typed[last] = frozenset()
+        return typed
+
+    monkeypatch.setattr(analysis, "type_table", blanking)
+    violation = tier_preservation(Store(), program, src.annotations(), sig_env).violation
+    assert (violation.thread, violation.depth) == ("b", 1)
+    assert (violation.before, violation.after) == ("y := pred(y);\nx := pred(y)", "x := pred(y)")
+    assert (violation.tiers_before, violation.tiers_after) == (("1",), ())
+
+
 def test_tier_drop_violation_serializes_tier_names():
     src = parse("op add1 arity 1 class positive;\nvars { s : 0; x : 1; }\n"
                 "thread t { x := add1(s); skip }\n")

@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -818,6 +819,31 @@ def test_tm_compile_reports_a_machine_that_never_halts(fx, capsys):
     assert (code, out) == (1, "")
     assert err == "mismatch against the simulator: machine does not halt on '' within the " \
         "simulator budget\n"
+
+
+def test_tm_compile_reports_a_wrong_tape(fx, capsys, monkeypatch):
+    from tierlang import cli
+
+    simulate = cli.simulate_tm
+    monkeypatch.setattr(cli, "simulate_tm",
+                        lambda spec, word: replace(simulate(spec, word), tape="wrong"))
+    code, out, err = run_cli(capsys, "tm-compile", fx("binary_inc.tm"), "--verify-len", "2")
+    assert (code, out) == (1, "")
+    assert err == "mismatch against the simulator: on '': compiled gives '1', " \
+        "simulator gives 'wrong'\n"
+
+
+def test_tm_compile_reports_a_run_out_of_fuel_in_json(fx, capsys, monkeypatch):
+    from tierlang import cli
+
+    run = cli.run_with_scheduler
+    monkeypatch.setattr(cli, "run_with_scheduler",
+                        lambda *args: replace(run(*args), finished=False))
+    code, out, err = run_cli(capsys, "tm-compile", fx("binary_inc.tm"), "--json",
+                             "--verify-len", "2")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"command": "tm-compile", "safe": True,
+                               "mismatch": "compiled program ran out of fuel on ''"}
 
 
 def test_tm_compile_checks_inputs_as_it_generates_them(fx):

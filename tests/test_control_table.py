@@ -597,6 +597,21 @@ def test_a_variable_and_a_call_of_the_same_name_stay_apart():
     assert err.value.args == ("x",)
 
 
+def test_a_call_with_the_wrong_argument_count_raises_when_it_steps():
+    # The parser rejects such a call; one built in code compiles to the
+    # closure that hands it to ``eval_expr``, which raises as it applies.
+    call = OpCall("pred", (Var("x"), Var("x")))
+    program = Program.single(Assign("y", call))
+    message = "pred expects 1 arguments, got 2"
+    with pytest.raises(TypeError, match=message):
+        eval_expr(Store.of(x="1"), call)
+    for keep_trace in (True, False):
+        with pytest.raises(TypeError, match=message):
+            run_with_scheduler(Store.of(x="1"), program, FirstAlive(), keep_trace=keep_trace)
+    with pytest.raises(TypeError, match=message):
+        explore(Store.of(x="1"), program)
+
+
 def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
     # A clock of degree 1000 nests 2001 counting loops; compiling every
     # slot up front takes seconds where the run on the empty word takes

@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tierlang import (
@@ -27,8 +27,10 @@ from tierlang.scheduling import (
     RoundRobin,
     Scheduler,
     SeededRandom,
+    StateGraph,
     dump_global_trace,
     explore,
+    longest_terminating,
     named_schedulers,
     quietness_test,
     random_equiv_stores,
@@ -230,6 +232,56 @@ def test_exploration_report_round_trips_to_dict():
     assert {frozenset(d.items()) for d in data["terminal_stores"]} == {
         frozenset(s.items()) for s in rep.terminal_stores
     }
+
+
+@st.composite
+def rooted_graphs(draw):
+    """A ``StateGraph`` whose every node hangs off node 0 by a parent
+    move, with extra moves (parallel ones, self-loops and back edges
+    among them), random unfolding flags and a random terminal set, which
+    may be empty."""
+    size = draw(st.integers(1, 7))
+    parent = [-1] + [draw(st.integers(0, nid - 1)) for nid in range(1, size)]
+    node = st.integers(0, size - 1)
+    moves = [(parent[nid], nid) for nid in range(1, size)]
+    moves += draw(st.lists(st.tuples(node, node), max_size=8))
+    edges = [[] for _ in range(size)]
+    for start, end in draw(st.permutations(moves)):
+        edges[start].append((end, draw(st.booleans())))
+    terminal = sorted(draw(st.sets(node)))
+    return StateGraph(list(range(size)), [tuple(out) for out in edges], parent, terminal, True)
+
+
+def enumerated_longest(graph):
+    """``longest_terminating`` by brute force: a cycle is a node that
+    reaches itself, and otherwise every path from node 0 is listed."""
+    def reached(start):
+        seen, todo = set(), [start]
+        while todo:
+            for child, _ in graph.edges[todo.pop()]:
+                if child not in seen:
+                    seen.add(child)
+                    todo.append(child)
+        return seen
+
+    if any(nid in reached(nid) for nid in range(len(graph.nodes))):
+        return None
+    ends = []  # (steps, unfoldings) of each path from node 0 to a terminal
+    paths = [(0, 0, 0)]
+    while paths:
+        nid, steps, loops = paths.pop()
+        if nid in graph.terminal:
+            ends.append((steps, loops))
+        paths += [(child, steps + 1, loops + unfolded) for child, unfolded in graph.edges[nid]]
+    if not ends:
+        return None, None
+    return max(steps for steps, _ in ends), max(loops for _, loops in ends)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(rooted_graphs())
+def test_longest_terminating_matches_path_enumeration(graph):
+    assert longest_terminating(graph) == enumerated_longest(graph)
 
 
 # --- equivalent stores and quietness ------------------------------------------

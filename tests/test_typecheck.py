@@ -368,16 +368,38 @@ def test_a_conflict_that_needs_whole_thread_typing_keeps_the_thread_constraint()
     assert report.core_variables() == ("x", "y")
 
 
+def growing_loop(n):
+    """``n`` assignments ``vi := pred(vi)``, then a loop whose guard reads
+    ``x`` and whose body lengthens it: no tiers make it safe."""
+    body = "".join(f"v{i} := pred(v{i}); " for i in range(n))
+    return parse("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+                 "op add1 arity 1 class positive;\n"
+                 f"thread t {{ {body}while (gt0(x)) {{ x := add1(x) }} }}\n")
+
+
 def test_a_conflict_over_too_many_unknowns_comes_back_unminimized():
     # 17 unknowns, one past the cap on minimizing the conflict set.
-    body = "".join(f"v{i} := pred(v{i}); " for i in range(16))
-    src = parse("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
-                "op add1 arity 1 class positive;\n"
-                f"thread t {{ {body}while (gt0(x)) {{ x := add1(x) }} }}\n")
-    report = infer_tiers(src)
+    report = infer_tiers(growing_loop(16))
     assert not report.ok
     assert report.note == "too many variables to minimize the conflict set"
     assert [c.kind for c in report.core] == ["assign"] * 16 + ["guard", "assign"]
+
+
+def test_inference_decides_the_variables_a_guard_reads_first(monkeypatch):
+    # Decided in order of first occurrence, ``x`` came last, and its
+    # conflict was found once per assignment of the 16 before it
+    # (262,143 typing passes).
+    from tierlang import typecheck
+
+    typing_pass, calls = typecheck.type_table, []
+
+    def counted(*args):
+        calls.append(None)
+        return typing_pass(*args)
+
+    monkeypatch.setattr(typecheck, "type_table", counted)
+    assert not infer_tiers(growing_loop(16)).ok
+    assert len(calls) <= 10
 
 
 def test_searches_without_a_thread_constraint_type_no_compound_slot(monkeypatch):
