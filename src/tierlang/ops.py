@@ -145,25 +145,20 @@ def _add_one(u: Word) -> Word:
 _NOT_A_DIGIT = re.compile("[^01]")
 
 
-def _binary_value(u: Word) -> int:
-    return int(_NOT_A_DIGIT.sub("0", u), 2) if u else 0
-
-
-def _binary_encode(value: int, width: int) -> Word:
-    if width == 0:
-        return ""
-    return format(value, "b").zfill(width)[-width:]
-
-
 def _binary_dec(u: Word) -> Word:
-    value = max(_binary_value(u) - 1, 0)
-    return _binary_encode(value, len(u))
+    """``u`` minus one in binary, at its width (zero stays zero): the
+    last 1 borrows from the 0s after it."""
+    u = _NOT_A_DIGIT.sub("0", u) if u.strip("01") else u
+    head = u.rstrip("0")
+    return head[:-1] + "0" + "1" * (len(u) - len(head)) if head else u
 
 
 def _binary_inc(u: Word) -> Word:
-    value = _binary_value(u) + 1
-    width = max(len(u), value.bit_length())
-    return _binary_encode(value, width)
+    """``u`` plus one in binary, one digit wider when it is all 1s: the
+    last 0 takes the carry of the 1s after it."""
+    u = _NOT_A_DIGIT.sub("0", u) if u.strip("01") else u
+    head = u.rstrip("1")
+    return (head[:-1] if head else "") + "1" + "0" * (len(u) - len(head))
 
 
 def builtins() -> tuple[OperatorDef, ...]:

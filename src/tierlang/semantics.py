@@ -14,11 +14,11 @@ default, so ill-formed guards surface immediately.
 
 Runs step a ``ControlTable``, which owns the step rules: every node a
 command holds or can reach, expression or residual command, gets one
-hash-consed id, a command's id being its slot; each distinct expression
-is compiled into one closure on the first step, and each slot, the
-first time it is stepped, records its redex's closure and the slots
-that follow.  A configuration is one flat state: the words of the
-table's ``variables`` in order, then one slot per thread.  Closures read
+hash-consed id, a command's id being its slot; each slot, the first
+time it is stepped, records the slots that follow and its redex's
+expression as generated straight-line code, shared by every expression
+of the same shape.  A configuration is one flat state: the words of the
+table's ``variables`` in order, then one slot per thread.  Functions read
 words by position, and ``ControlTable.advance``, the one place the step
 rules fire, steps a thread's slot and writes its assignments in such a
 state in place, up to a budget of steps, so a step is a table lookup
@@ -34,7 +34,6 @@ reuses that table; one command runs as a one-thread ``Program.single``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .lang import (
@@ -103,41 +102,7 @@ DONE = -1  # the slot of a command that has terminated
 _Entry = tuple[str, int, str, int, int | None, Callable[[Sequence], Word] | None, Command]
 
 
-_CLOSURE_DEPTH = 64  # an expression whose closures would nest deeper is run by ``eval_expr``
-
-_Closure = tuple[Callable[[Sequence], Word], int]  # a closure and how deep its calls nest
-
-
-def _closure(node: Var | OpCall, args: list[_Closure], names: tuple[str, ...]) -> _Closure:
-    """``node``'s closure on a flat state whose words are those of the
-    sorted ``names``, from its arguments' closures.
-
-    Operators are resolved here, once.  A call that cannot succeed (an
-    unknown operator, a wrong argument count), or whose closures would
-    nest more than ``_CLOSURE_DEPTH`` deep, is left to ``eval_expr``: it
-    raises the same error at the same step, and a deep expression never
-    exhausts the Python stack.
-    """
-    if node.__class__ is Var:
-        return itemgetter(bisect_left(names, node.name)), 1
-    depth = 1 + max((nested for _, nested in args), default=0)
-    try:
-        op = OPERATORS.resolve(node.op)
-    except UnknownOperatorError:
-        op = None
-    if op is None or op.arity != len(args) or depth > _CLOSURE_DEPTH:
-        return (lambda s: eval_expr(Store(zip(names, s)), node)), 1
-    fn = op.fn
-    if not args:
-        return (lambda s: fn()), depth
-    if len(args) == 1:
-        if node.args[0].__class__ is Var:
-            at = bisect_left(names, node.args[0].name)
-            return (lambda s: fn(s[at])), depth
-        arg = args[0][0]
-        return (lambda s: fn(arg(s))), depth
-    fns = [arg for arg, _ in args]
-    return (lambda s: fn(*[a(s) for a in fns])), depth
+_FACTORIES: dict[tuple, Callable] = {}  # an expression's shape -> its factory (``_generate``)
 
 
 class ControlTable:
@@ -151,10 +116,10 @@ class ControlTable:
     and building a table never hashes or compares an AST node, however
     deep.  A command's id is its *slot*.  One reversed ``lang.walk`` pass
     per command interns its nodes children first, so children have lower
-    ids than parents, residuals included.  The first step compiles each
-    distinct expression once, from its arguments' closures, and a slot's
-    step rules from the keys the first time a run steps it; a table that
-    is only typed compiles none.
+    ids than parents, residuals included.  A slot's step rules are
+    compiled from the keys the first time a run steps it, and with them
+    the function of its guard or assigned expression, once per distinct
+    expression; a table that is only typed compiles none.
 
     ``roots[i]`` is the slot of the i-th command and ``node_ids[i]`` the
     ids of its nodes, in reverse ``lang.walk`` order; ``variables`` lists
@@ -170,7 +135,7 @@ class ControlTable:
         self.keys: list[object] = []
         self._ids: dict[object, int] = {}  # key -> id
         self._entries: list[_Entry | None] = []  # id -> a command's step rules
-        self._closures: list[_Closure | None] = []  # id -> an expression's closure
+        self._fns: dict[int, Callable[[Sequence], Word]] = {}  # expression id -> its function
         self.node_ids: list[list[int]] = []
         # The ids of the nodes whose parent is still to come, the first
         # child on top; after the loop, the roots' ids.
@@ -224,14 +189,6 @@ class ControlTable:
         picks a rule (the true, then the false case for a guard) and
         leaves a residual or nothing (``DONE``), which is plugged back
         into the sequences around it, innermost first."""
-        closures = self._closures
-        if not closures:  # the first step compiles every expression, in one pass
-            for node, key in zip(self.nodes, self.keys):
-                if node.__class__ is Var or node.__class__ is OpCall:
-                    args = [] if key.__class__ is str else [closures[i] for i in key[1:]]
-                    closures.append(_closure(node, args, self.variables))
-                else:
-                    closures.append(None)  # a command's id
         keys = self.keys
         context: list[int] = []
         redex = slot
@@ -240,7 +197,9 @@ class ControlTable:
             redex = keys[redex][1]
         key = keys[redex]
         kind = key[0]
-        fn = None if kind is Skip else closures[key[1]][0]  # guard or assigned expression
+        if kind is not Skip and key[1] not in self._fns:
+            self._fns[key[1]] = self._generate(key[1])
+        fn = None if kind is Skip else self._fns[key[1]]  # guard or assigned expression
         var = bisect_left(self.variables, key[2]) if kind is Assign else None
         outcomes: tuple[tuple[str, int], ...]
         if kind is Skip:
@@ -259,6 +218,52 @@ class ControlTable:
             nexts.append((rule, residual))
         (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
         return (rule, nxt, other_rule, other, var, fn, self.nodes[redex])
+
+    def _generate(self, expr: int) -> Callable[[Sequence], Word]:
+        """The function of the expression with id ``expr`` on a flat state
+        ``s``: straight-line code with one line ``v<k> = a<k>(...)`` per
+        distinct call, children first, so no depth costs Python stack.
+        Node k's operator or variable position ``a<k>`` is an argument of
+        the factory that ``exec`` makes once per process per *shape* (each
+        node's argument indices), never source text, since a word literal's
+        operator name is user text.  A call of an unknown operator or with
+        a wrong argument count raises at its step what ``eval_expr``
+        raises; operators are total, so no store is needed for that."""
+        keys = self.keys
+        ids, stack = set(), [expr]  # the ids of the expression's distinct nodes
+        while stack:
+            i = stack.pop()
+            if i not in ids:
+                ids.add(i)
+                stack += () if keys[i].__class__ is str else keys[i][1:]
+        at = {i: k for k, i in enumerate(sorted(ids))}  # id -> its node's index
+        shape, bound = [], []  # per node: None or its arguments' indices; a<k>
+        for i in at:
+            key = keys[i]
+            if key.__class__ is str:
+                shape.append(None)
+                bound.append(bisect_left(self.variables, key))
+                continue
+            try:
+                op = OPERATORS.resolve(key[0])
+            except UnknownOperatorError:
+                op = None
+            if op is None or op.arity != len(key) - 1:
+                return lambda s, node=self.nodes[expr]: eval_expr(Store(), node)
+            shape.append(tuple([at[a] for a in key[1:]]))
+            bound.append(op.fn)
+        factory = _FACTORIES.get(tuple(shape))
+        if factory is None:
+            lines, text = [], []  # a line per call; each node's value in the source
+            for k, args in enumerate(shape):
+                text.append(f"s[a{k}]" if args is None else f"v{k}")
+                if args is not None:
+                    lines.append(f"  v{k} = a{k}({', '.join(text[a] for a in args)})\n")
+            namespace: dict = {}
+            exec(f"def factory({', '.join(f'a{k}' for k in range(len(shape)))}):\n"
+                 f" def fn(s):\n{''.join(lines)}  return {text[-1]}\n return fn", namespace)
+            factory = _FACTORIES[tuple(shape)] = namespace["factory"]
+        return factory(*bound)
 
     def successors(self, slot: int) -> tuple[int, ...]:
         """The slots that ``slot`` can step to in some store, ``DONE``

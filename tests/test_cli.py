@@ -178,6 +178,13 @@ def test_check_reports_parse_errors_as_usage_failures(tmp_path, capsys):
         assert err.startswith("error:")
 
 
+def test_a_tier_other_than_0_or_1_is_a_usage_failure(tmp_path, capsys):
+    path = tmp_path / "tier.tier"
+    path.write_text("vars { x : 2; }\n")
+    code, _, err = run_cli(capsys, "check", str(path))
+    assert (code, err) == (2, f"error: {path}: 1:12: expected a tier (0 or 1), found '2'\n")
+
+
 # --- run -------------------------------------------------------------------------
 
 
@@ -327,6 +334,12 @@ def test_run_trace_to_stdout_and_file(fx, tmp_path, capsys):
     assert text.startswith("step\tthread\trule\tloops\tassignment\n")
     assert text.endswith("\n")
     assert "step\t" not in out
+
+
+def test_run_reports_a_trace_file_it_cannot_write(fx, tmp_path, capsys):
+    path = tmp_path / "missing" / "trace.tsv"
+    code, _, err = run_cli(capsys, "run", fx("add.tier"), "--input", "x=1", "--trace", str(path))
+    assert (code, err) == (2, f"error: cannot write {path}: No such file or directory\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,6 +2,7 @@
 must match stepping command trees with a reference ``step_command``."""
 
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from typing import NamedTuple
@@ -46,7 +47,7 @@ from tierlang.scheduling import (
     quietness_test,
     run_with_scheduler,
 )
-from tierlang.semantics import _CLOSURE_DEPTH, DONE, ControlTable, StuckGuardError
+from tierlang.semantics import DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import build_sig_env, check_program, command_tiers, maximal_safe_sigs
 from test_scheduling import StorePeek
@@ -87,14 +88,13 @@ thread branch {
 thread reset { x := zero(x) }
 """
 
-# ``y``'s expression nests deeper than closures are compiled, so its
-# innermost calls are evaluated by ``eval_expr`` on the bindings of
-# whichever state steps it.
+# ``y``'s expression nests 70 calls deep, and its innermost call reads
+# the bindings of whichever state steps it.
 DEEP_ASSIGN = f"""
 op add1 arity 1 class positive;
 op pred arity 1 class neutral;
 vars {{ x : 1; y : 0; }}
-thread a {{ y := {"add1(" * (_CLOSURE_DEPTH + 6)}x{")" * (_CLOSURE_DEPTH + 6)} }}
+thread a {{ y := {"add1(" * 70}x{")" * 70} }}
 thread b {{ x := pred(x); x := pred(x) }}
 """
 
@@ -567,7 +567,15 @@ def expression_count(table):
     return sum(isinstance(node, (Var, OpCall)) for node in table.nodes)
 
 
-def test_each_distinct_expression_compiles_one_closure():
+def redex_expression(table, slot):
+    """The id of the guard or assigned expression that ``slot`` steps
+    (``None`` for a skip)."""
+    while table.keys[slot][0] is Seq:
+        slot = table.keys[slot][1]
+    return None if table.keys[slot][0] is Skip else table.keys[slot][1]
+
+
+def test_slots_that_share_an_expression_share_one_function():
     # The machine repeats its guards and assignments in every state
     # branch: 70 slots step an expression, and 28 expressions are distinct.
     program = compile_tm(parse_tm(fixture_text("binary_inc.tm"))).source.program()
@@ -584,10 +592,10 @@ def test_each_distinct_expression_compiles_one_closure():
             frontier.extend(table.successors(slot))
     fns = [entry[5] for entry in table._entries if entry is not None and entry[5] is not None]
     assert (len(expressions), len(fns)) == (28, 70)
-    closures = [closure for closure in table._closures if closure is not None]
-    assert len(closures) == len(expressions)
-    assert len({id(fn) for fn in fns}) == len(redex_exprs)
-    assert {id(fn) for fn in fns} <= {id(fn) for fn, _ in closures}
+    assert len(table._fns) == len({id(fn) for fn in fns}) == len(redex_exprs)
+    for slot in reached:
+        expr = redex_expression(table, slot)
+        assert table._entries[slot][5] is (None if expr is None else table._fns[expr])
 
 
 def test_a_variable_and_a_call_of_the_same_name_stay_apart():
@@ -691,23 +699,73 @@ def test_a_program_builds_one_control_table(monkeypatch):
     assert built == [program.table]
 
 
-def test_a_check_compiles_no_closure(monkeypatch):
-    # Typing reads the table's keys; closures wait for the first step.
-    compiled = []
-    closure = semantics._closure
+def test_a_check_generates_no_function(monkeypatch):
+    # Typing reads the table's keys; functions wait for the first step
+    # of a slot that evaluates them.
+    generated = []
+    generate = ControlTable._generate
 
-    def counting(node, args, names):
-        compiled.append(node)
-        return closure(node, args, names)
+    def counting(self, expr):
+        generated.append(expr)
+        return generate(self, expr)
 
-    monkeypatch.setattr(semantics, "_closure", counting)
+    monkeypatch.setattr(ControlTable, "_generate", counting)
     for source in (load_source("binary_add.tier"),
                    compile_tm(parse_tm(fixture_text("binary_inc.tm"))).source):
         assert check_program(source).safe
-        assert compiled == []
+        assert generated == []
         run_with_scheduler(Store(), source.program(), FirstAlive(), fuel=3)
-        assert len(compiled) == expression_count(source.program().table)
-        compiled.clear()
+        table = source.program().table
+        stepped = [slot for slot, entry in enumerate(table._entries) if entry is not None]
+        expected = {redex_expression(table, slot) for slot in stepped} - {None}
+        assert (sorted(generated), len(generated)) == (sorted(expected), len(expected))
+        generated.clear()
+
+
+def test_expressions_of_one_shape_share_generated_code(monkeypatch):
+    # ``gt0(x)`` and ``pred(y)`` differ in operator and variable only, so
+    # the second program's table binds the first one's factory.
+    sources = []
+
+    def recording(source, namespace):
+        sources.append(source)
+        exec(source, namespace)
+
+    monkeypatch.setattr(semantics, "_FACTORIES", {})
+    monkeypatch.setattr(semantics, "exec", recording, raising=False)
+    for text in ("op gt0 arity 1 class neutral; thread a { if (gt0(x)) { skip } else { skip } }",
+                 "op pred arity 1 class neutral; thread a { y := pred(y) }"):
+        run_with_scheduler(Store.of(x="1", y="11"), parse(text).program(), FirstAlive())
+    assert len(sources) == 1
+    # Its only words are its own: no operator, literal or variable name.
+    assert set(re.findall(r"[^\W\d]\w*", sources[0])) == {"def", "factory", "fn", "return", "s",
+                                                           "a0", "a1", "v1"}
+
+
+def test_a_word_literal_is_never_source_text():
+    # The parser takes a literal in double quotes only; one built in code
+    # may hold any text, Python syntax included.
+    word = '"x"); raise SystemExit("boom"'
+    program = Program.single(Assign("y", OpCall(word, ())))
+    run = run_with_scheduler(Store(), program, FirstAlive())
+    assert (run.finished, run.store) == (True, Store.of(y=word[1:-1]))
+
+
+def test_a_bad_call_inside_a_call_raises_what_eval_expr_raises():
+    # ``eval_expr`` resolves ``outer`` before it reaches the wrong
+    # argument count of ``pred``; every stepper raises the same.
+    call = OpCall("outer", (OpCall("pred", (Var("x"), Var("x"))),))
+    program = Program.single(Assign("y", call))
+    with pytest.raises(UnknownOperatorError) as err:
+        eval_expr(Store.of(x="1"), call)
+    assert err.value.args == ("outer",)
+    for keep_trace in (True, False):
+        with pytest.raises(UnknownOperatorError) as err:
+            run_with_scheduler(Store.of(x="1"), program, FirstAlive(), keep_trace=keep_trace)
+        assert err.value.args == ("outer",)
+    with pytest.raises(UnknownOperatorError) as err:
+        explore(Store.of(x="1"), program)
+    assert err.value.args == ("outer",)
 
 
 def test_a_run_after_a_check_builds_no_second_table(monkeypatch, tmp_path, capsys):
