@@ -12,16 +12,21 @@ counter counts global steps, so ``loops <= steps`` always.
 ``run_with_scheduler`` steps one list in place, and ``step_global``
 copies a state into a new tuple for ``explore``.  ``Store`` objects are
 built from a state only at the edges (a run's result and trace, the
-store a scheduler chooses by, the terminal stores of ``explore``), each
-with the input's bindings of the variables the program never mentions.
+store passed to a scheduler that reads one, the terminal stores of
+``explore``), each with the input's bindings of the variables the
+program never mentions.
 
 Schedulers are deterministic: a choice function over the live thread
-ids and the store plus private state.  A scheduler is *quiet* when its
-choice never depends on tier-0 data; ``quietness_test`` probes that
-behaviorally by running the same program from stores that agree on
-tier-1 variables only.  A scheduler is only asked while two or more
-threads are live: with one left the choice is forced, reads no data,
-and so is quiet under every policy.  ``run_with_scheduler`` is the one
+ids and private state, and over the store if the scheduler's ``reads``
+declares it.  The built-in three declare that they read nothing: they
+are passed ``None`` in place of a store, so a run builds none for them.
+A scheduler is *quiet* when its choice never depends on tier-0 data.
+One that reads nothing is quiet by construction; for one that reads
+the store, ``quietness_test`` asks each choice of a run twice, on two
+stores that differ only in their tier-0 words, and compares the
+answers.  A scheduler is only asked while two or more threads are
+live: with one left the choice is forced, reads no data, and so is
+quiet under every policy.  ``run_with_scheduler`` is the one
 run loop, so one command runs as a one-thread program.  A run's
 ``choices`` (a ``Choices``) iterate over the ids the scheduler chose.
 Every step, of a run or of ``explore``, is taken by
@@ -43,6 +48,7 @@ flat states is memoizing on the store and the pool of residual commands.
 
 from __future__ import annotations
 
+import copy
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
@@ -87,6 +93,12 @@ def _store(names: tuple[str, ...], state: Sequence, outside: dict[str, Word]) ->
 class Scheduler:
     """Deterministic thread choice with private state.
 
+    ``reads`` declares what ``choose`` reads besides the live ids and its
+    state: ``"store"`` (the default), the store of the configuration it
+    chooses in, or ``None``, nothing.  A scheduler that reads nothing is
+    passed ``None`` in place of a store, so it is quiet by construction
+    and a run builds no store for it.
+
     ``pure`` claims that ``choose`` is a function of its arguments alone
     and that the state is an immutable value compared by ``==``; it lets
     ``run_with_scheduler`` skip the periods of a repeating run while two
@@ -94,12 +106,15 @@ class Scheduler:
     """
 
     name = "scheduler"
+    reads: str | None = "store"
     pure = False
 
     def fresh_state(self) -> object:
         return None
 
-    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
+    def choose(
+        self, tids: tuple[str, ...], store: Store | None, state: object
+    ) -> tuple[str, object]:
         """Pick one of the live thread ids (sorted by name, never empty)."""
         raise NotImplementedError
 
@@ -108,9 +123,10 @@ class RoundRobin(Scheduler):
     """Cycle through live threads in name order."""
 
     name = "round-robin"
+    reads = None
     pure = True
 
-    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
+    def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         # The first id after the last choice, wrapping round to the first.
         chosen = tids[bisect_right(tids, state) % len(tids)] if isinstance(state, str) else tids[0]
         return chosen, chosen
@@ -124,19 +140,20 @@ class FirstAlive(Scheduler):
     """
 
     name = "first-alive"
+    reads = None
     pure = True
 
-    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
+    def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         return tids[0], None
 
 
 class SeededRandom(Scheduler):
-    """Pseudo-random choice from a seed; quiet because the draw ignores
-    the store entirely.  Not pure: the state is a mutable generator that
-    changes with every choice, so a run skips periods only once one
-    thread is left."""
+    """Pseudo-random choice from a seed; quiet because it reads no store.
+    Not pure: the state is a mutable generator that changes with every
+    choice, so a run skips periods only once one thread is left."""
 
     name = "random"
+    reads = None
     pure = False
 
     def __init__(self, seed: int = 0):
@@ -145,7 +162,7 @@ class SeededRandom(Scheduler):
     def fresh_state(self) -> object:
         return random.Random(self.seed)
 
-    def choose(self, tids: tuple[str, ...], store: Store, state: object) -> tuple[str, object]:
+    def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         assert isinstance(state, random.Random)
         return state.choice(tids), state
 
@@ -236,10 +253,13 @@ def run_with_scheduler(
     """
     table = program.table
     names = table.variables
+    offset = len(names)  # the position of the first thread slot in ``cells``
     cells, outside = _flat(table, store)  # the flat state, stepped in place
     live = program.thread_ids()
-    at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
+    at = {tid: offset + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
     advance = table.advance
+    choose = scheduler.choose
+    peeks = scheduler.reads is not None  # else ``choose`` is passed no store
     seen: Store | None = store  # the store of ``cells``, or None until it is needed again
     state = scheduler.fresh_state()
     steps = 0
@@ -256,14 +276,17 @@ def run_with_scheduler(
     # to the live configuration at the 1st, 2nd, 4th, 8th, ... unfolding.
     # ``mark`` is the next such loop count, and 0 while detection is off
     # (under a scheduler that is not pure, until one thread is left).
-    # The saved cells are a list, so that they can equal the live ones.
+    # The checkpoint is its cells, their thread slots, the scheduler state,
+    # the steps and the loops.  The saved cells are a list, so that they
+    # can equal the live ones, and the slots are compared first, so that
+    # a checkpoint whose slots differ costs no comparison of the words.
     mark = 1 if scheduler.pure or len(live) == 1 else 0
-    saved: tuple = (None, None, 0, 0)
+    saved: tuple = (None, None, None, 0, 0)
     while live and steps < fuel:
         if len(live) > 1:
-            if seen is None:
+            if peeks and seen is None:
                 seen = _store(names, cells, outside)
-            tid, state = scheduler.choose(live, seen, state)
+            tid, state = choose(live, seen if peeks else None, state)
             choices.append(tid)
             i = at[tid]
             taken, unfolded, rule, var = advance(cells, i, 1)
@@ -289,10 +312,10 @@ def run_with_scheduler(
         if not (mark and rule == UNFOLD):
             continue
         # A kept trace holds only steps taken: skip once it is full.
-        if cells == saved[0] and state == saved[1] and (
+        if cells[offset:] == saved[1] and cells == saved[0] and state == saved[2] and (
             not keep_trace or len(trace) == TRACE_CAP
         ):
-            start, start_loops = saved[2], saved[3]
+            start, start_loops = saved[3], saved[4]
             period, gained = steps - start, loops - start_loops
             repeats = (fuel - steps) // period
             # A repeat keeps the live threads, so a period is either all
@@ -305,7 +328,7 @@ def run_with_scheduler(
             loops += repeats * gained
             mark = 0
         elif loops == mark:
-            saved = (cells[:], state, steps, loops)
+            saved = (cells[:], cells[offset:], state, steps, loops)
             mark *= 2
     residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live))
     return ScheduledRun(
@@ -567,20 +590,57 @@ def quietness_test(
     alphabet: Alphabet = DEFAULT_ALPHABET,
     max_len: int = 6,
 ) -> QuietnessReport:
-    """Probe the scheduler's quietness claim on one program.
+    """Test the scheduler's choice function for quietness on one program.
 
-    Each trial runs the program from two stores that agree exactly on
-    the tier-1 variables and compares the choice sequences; a divergence
-    in the common prefix means some choice read tier-0 data.  Meaningful
-    for programs whose tier-1 state evolves identically from equivalent
-    stores (safe programs).
+    A scheduler that reads nothing (``reads`` is ``None``) is passed no
+    store, so it is quiet by construction and passes at once.  For one
+    that reads the store, each trial draws two stores ``a`` and ``b``
+    that agree exactly on the tier-1 variables and runs the program from
+    ``a``.  At each choice of that run, ``choose`` is asked twice: with
+    the run's store, and with the same store holding ``b``'s tier-0
+    words, given a copy of the scheduler state.  Two different answers
+    mean the choice read tier-0 data; the report names the trial, the
+    choice's step and both answers.  The program's own timing plays no
+    part, since both calls see one configuration.
     """
+    if scheduler.reads is None:
+        return QuietnessReport(True, trials, scheduler.name)
+    names = program.table.variables
     rng = random.Random(seed)
     for trial in range(trials):
-        a, b = random_equiv_stores(gamma, program.table.variables, rng, alphabet, max_len)
-        run_a = run_with_scheduler(a, program, scheduler, fuel)
-        run_b = run_with_scheduler(b, program, scheduler, fuel)
-        for i, (ca, cb) in enumerate(zip(run_a.choices, run_b.choices)):
-            if ca != cb:
-                return QuietnessReport(False, trial + 1, scheduler.name, (trial, i, ca, cb))
+        a, b = random_equiv_stores(gamma, names, rng, alphabet, max_len)
+        probe = _QuietProbe(scheduler, {v: b.lookup(v) for v in names if gamma[v] != Tier.ONE})
+        try:
+            run_with_scheduler(a, program, probe, fuel)
+        except _Divergence as found:
+            return QuietnessReport(False, trial + 1, scheduler.name, (trial, *found.args))
     return QuietnessReport(True, trials, scheduler.name)
+
+
+class _Divergence(Exception):
+    """A choice that read tier-0 data: its step and both answers."""
+
+
+class _QuietProbe(Scheduler):
+    """``inner``, asked each choice a second time, with a copy of its
+    state, on the store with the words of ``low`` in place of its own."""
+
+    def __init__(self, inner: Scheduler, low: dict[str, Word]):
+        self.inner, self.low = inner, low
+        self.name, self.pure = inner.name, inner.pure
+        self.step = 0  # the index of the next choice
+
+    def fresh_state(self) -> object:
+        return self.inner.fresh_state()
+
+    def choose(
+        self, tids: tuple[str, ...], store: Store | None, state: object
+    ) -> tuple[str, object]:
+        assert store is not None
+        copied = copy.deepcopy(state)
+        chosen, state = self.inner.choose(tids, store, state)
+        other = self.inner.choose(tids, Store({**dict(store.items()), **self.low}), copied)[0]
+        if other != chosen:
+            raise _Divergence(self.step, chosen, other)
+        self.step += 1
+        return chosen, state

@@ -15,9 +15,11 @@ from tierlang import (
     Store,
     Tier,
     Var,
+    parse,
     unary,
     word_literal,
 )
+from tierlang import scheduling
 from tierlang.fixtures import load_source
 from tierlang.lang import free_vars
 from tierlang.semantics import DONE
@@ -333,3 +335,57 @@ def test_store_peeking_scheduler_fails_quietness():
     assert json.dumps(report.to_dict(), sort_keys=True) == (
         '{"divergence": [0, 0, "bump", "wipe"], "passed": false, "scheduler": "peek-z", '
         '"trials": 1}')
+
+
+# A tier-0 ``if`` whose branches differ in length decides when thread
+# ``a`` ends, and so the configurations a fixed schedule reaches.
+TIER0_BRANCH = """op gt0 arity 1 class neutral;
+op sub1 arity 1 class neutral;
+op zero arity 1 class neutral;
+vars { h : 0; u : 1; v : 1; }
+thread a { if (gt0(h)) { skip; skip; skip; skip } else { skip }; u := zero(u) }
+thread b { while (gt0(u)) { v := sub1(v) } }
+"""
+
+
+def test_quietness_tests_the_choice_not_the_program_timing():
+    source = parse(TIER0_BRANCH)
+    program, gamma = source.program(), source.annotations()
+    # Read nothing, so quiet by construction, though two runs from stores
+    # that differ only in ``h`` choose differently.
+    assert quietness_test(FirstAlive(), program, gamma, trials=100, seed=0) == (
+        scheduling.QuietnessReport(True, 100, "first-alive"))
+    # The same choices from a scheduler that is passed the store: each is
+    # asked on both stores of one configuration, so they agree.  The
+    # random one passes only if its second call gets a copy of the state.
+    for inner in (FirstAlive(), SeededRandom(3)):
+        report = quietness_test(Offered(inner), program, gamma, trials=100, seed=0)
+        assert (report.passed, report.trials) == (True, 100), inner.name
+    # A choice that reads ``h`` is caught.
+    report = quietness_test(StorePeek("h"), program, gamma, trials=100, seed=0)
+    assert (report.passed, report.trials, report.divergence) == (False, 5, (4, 0, "b", "a"))
+
+
+@pytest.mark.parametrize("scheduler", [*named_schedulers(seed=3).values(), StorePeek("z")],
+                         ids=lambda s: s.name)
+def test_a_store_blind_run_builds_no_store_per_step(scheduler, monkeypatch):
+    store = Store.of(x="1" * 50, y="1" * 50)
+    trace = run_with_scheduler(store, zrange_program(), scheduler, keep_trace=True).trace
+    calls = []
+    built = scheduling._store
+
+    def counted(*args):
+        calls.append(args)
+        return built(*args)
+
+    monkeypatch.setattr(scheduling, "_store", counted)
+    run = run_with_scheduler(store, zrange_program(), scheduler)
+    assert run.finished and len(run.choices) == len(trace) > 150
+    # The result store; and for a scheduler that reads the store, one
+    # store for each choice that follows an assignment.  No period
+    # repeats, so the prefix holds every choice the scheduler made.
+    asked = len(run.choices.prefix)
+    if scheduler.reads is not None:
+        assert 1 + sum(e.index < asked and e.assigned is not None for e in trace) == len(calls)
+    else:
+        assert len(calls) == 1
