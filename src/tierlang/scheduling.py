@@ -11,10 +11,10 @@ counter counts global steps, so ``loops <= steps`` always.
 
 ``run_with_scheduler`` steps one list in place, and ``step_global``
 copies a state into a new tuple for ``explore``.  ``Store`` objects are
-built from a state only at the edges (a run's result and trace, the
-store passed to a scheduler that reads one, the terminal stores of
-``explore``), each with the input's bindings of the variables the
-program never mentions.
+built from a state only at the edges (a run's result, a trace entry
+after a step that assigned, the store passed at each choice to a
+scheduler that reads one, the terminal stores of ``explore``), each
+with the input's bindings of the variables the program never mentions.
 
 Schedulers are deterministic: a choice function over the live thread
 ids and private state, and over the store if the scheduler's ``reads``
@@ -28,7 +28,8 @@ answers.  A scheduler is only asked while two or more threads are
 live: with one left the choice is forced, reads no data, and so is
 quiet under every policy.  ``run_with_scheduler`` is the one
 run loop, so one command runs as a one-thread program.  A run's
-``choices`` (a ``Choices``) iterate over the ids the scheduler chose.
+``choices`` (a ``Choices``) iterate over the ids chosen, one per step,
+kept as a lasso that ends in a skipped period or a lone thread's id.
 Every step, of a run or of ``explore``, is taken by
 ``ControlTable.advance``, which is given a budget of steps: one while
 the scheduler is asked, and the rest of the fuel once one thread is
@@ -49,10 +50,10 @@ flat states is memoizing on the store and the pool of residual commands.
 from __future__ import annotations
 
 import copy
+import itertools
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
 from typing import Callable, Iterable, Sequence
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
@@ -190,25 +191,27 @@ class GlobalTraceStep:
 
 @dataclass(frozen=True, eq=False)
 class Choices:
-    """The thread ids a scheduled run chose, one per step: ``prefix``,
-    then ``cycle`` ``repeats`` times, then ``tail``.
+    """The thread ids a scheduled run chose, one per step, as a lasso:
+    ``prefix``, then ``cycle`` over and over, cut off after ``length``
+    ids.
 
-    A run that skips whole periods keeps one copy of the period, so its
-    choices cost memory for the steps it took, not the steps it skipped.
+    A run that skips whole periods keeps one copy of the period, and a
+    lone thread's forced steps are its id as a one-id cycle, so choices
+    cost memory for the choices the scheduler made, not for the steps.
     Two ``Choices`` are equal when they hold the same ids in the same
     order, however they are split.
     """
 
     prefix: tuple[str, ...]
     cycle: tuple[str, ...] = ()
-    repeats: int = 0
-    tail: tuple[str, ...] = ()
+    length: int = 0  # the ids after the prefix
 
     def __len__(self) -> int:
-        return len(self.prefix) + len(self.cycle) * self.repeats + len(self.tail)
+        return len(self.prefix) + self.length
 
     def __iter__(self):
-        return chain(self.prefix, chain.from_iterable(repeat(self.cycle, self.repeats)), self.tail)
+        laps = itertools.cycle(self.cycle)
+        return itertools.chain(self.prefix, itertools.islice(laps, self.length))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Choices):
@@ -240,13 +243,16 @@ def run_with_scheduler(
     """Drive the pool with the scheduler until it empties or fuel runs out.
 
     Once one thread is left every choice is forced, so the scheduler is
-    not asked again: its state stays as it was, and the run keeps a count
-    of the forced steps instead of one id per step.  From then on, and
-    under a pure scheduler from the start, a run that revisits a
-    configuration skips ahead by whole periods, and a run that keeps a
-    trace does so only once the trace holds its first ``TRACE_CAP``
-    steps; steps, loops, choices and trace are those of stepping to the
-    fuel bound.  Every step is taken by ``ControlTable.advance``: one per
+    not asked again: its state stays as it was, and the run records no
+    id per forced step; its ``choices`` end with that thread's id as a
+    cycle of one.  From then on, and under a pure scheduler from the
+    start, a run that revisits a configuration skips ahead by whole
+    periods, and a run that keeps a trace does so only from the step
+    that fills it with its first ``TRACE_CAP`` steps; steps, loops,
+    choices and trace are those of stepping to the fuel bound.  A
+    scheduler that reads the store is passed one built at each choice,
+    and a trace entry gets a store of its own only after a step that
+    assigned.  Every step is taken by ``ControlTable.advance``: one per
     call while two or more threads are live or a kept trace still fills,
     and otherwise as many as the fuel allows, handing back to this loop
     at each unfolding where Brent's check has work.
@@ -260,16 +266,15 @@ def run_with_scheduler(
     advance = table.advance
     choose = scheduler.choose
     peeks = scheduler.reads is not None  # else ``choose`` is passed no store
-    seen: Store | None = store  # the store of ``cells``, or None until it is needed again
+    cap = TRACE_CAP if keep_trace else 0  # the most trace entries the run keeps
     state = scheduler.fresh_state()
     steps = 0
     loops = 0
-    choices: list[str] = []
-    forced = 0  # steps taken once one thread was left, all by ``tid``
+    choices: list[str] = []  # one per time the scheduler was asked
     tid = ""
     # After a skip with more than one thread live, ``choices[start:end]``
-    # is the period: stepped once, then skipped ``repeats`` more times.
-    skip: tuple[int, int, int] | None = None
+    # is the period, repeated from ``start`` to the end of the run.
+    period: tuple[int, int] | None = None
     trace: list[GlobalTraceStep] = []
     # Brent's cycle detection on the configurations right after a loop
     # unfolds, since every cycle unfolds some loop: the checkpoint moves
@@ -283,70 +288,52 @@ def run_with_scheduler(
     mark = 1 if scheduler.pure or len(live) == 1 else 0
     saved: tuple = (None, None, None, 0, 0)
     while live and steps < fuel:
+        room = cap - len(trace)  # the trace entries still to take, this step's first
         if len(live) > 1:
-            if peeks and seen is None:
-                seen = _store(names, cells, outside)
-            tid, state = choose(live, seen if peeks else None, state)
+            tid, state = choose(live, _store(names, cells, outside) if peeks else None, state)
             choices.append(tid)
             i = at[tid]
             taken, unfolded, rule, var = advance(cells, i, 1)
         else:
             tid = live[0]
             i = at[tid]
-            budget = 1 if keep_trace and len(trace) < TRACE_CAP else fuel - steps
+            budget = 1 if room > 0 else fuel - steps
             taken, unfolded, rule, var = advance(cells, i, budget, mark and mark - loops, saved[0])
-            forced += taken
         steps += taken
         loops += unfolded
-        if var is not None or taken > 1:
-            seen = None
         if cells[i] == DONE:
             live = tuple(t for t in live if t != tid)
             if len(live) == 1 and not mark:
                 mark = loops + 1
-        if keep_trace and len(trace) < TRACE_CAP:
-            if seen is None:
-                seen = _store(names, cells, outside)
-            made = None if var is None else (names[var], cells[var])
-            trace.append(GlobalTraceStep(steps, tid, rule, loops, made, seen))
+        if room > 0:  # a store of its own only after an assignment
+            made, now = None, trace[-1].store if trace else store
+            if var is not None:
+                made, now = (names[var], cells[var]), _store(names, cells, outside)
+            trace.append(GlobalTraceStep(steps, tid, rule, loops, made, now))
         if not (mark and rule == UNFOLD):
             continue
-        # A kept trace holds only steps taken: skip once it is full.
-        if cells[offset:] == saved[1] and cells == saved[0] and state == saved[2] and (
-            not keep_trace or len(trace) == TRACE_CAP
-        ):
+        # A kept trace holds only steps taken: skip from the step that fills it.
+        if room <= 1 and cells[offset:] == saved[1] and cells == saved[0] and state == saved[2]:
             start, start_loops = saved[3], saved[4]
-            period, gained = steps - start, loops - start_loops
-            repeats = (fuel - steps) // period
-            # A repeat keeps the live threads, so a period is either all
-            # forced or holds no forced step.
-            if forced:
-                forced += repeats * period
-            else:
-                skip = (start, len(choices), repeats)
-            steps += repeats * period
+            length, gained = steps - start, loops - start_loops
+            repeats = (fuel - steps) // length
+            # A repeat keeps the live threads, so a period is all forced,
+            # or all chosen like every step before it, and then a step
+            # count is an index into ``choices``.
+            if len(live) > 1:
+                period = (start, steps)
+            steps += repeats * length
             loops += repeats * gained
             mark = 0
         elif loops == mark:
             saved = (cells[:], cells[offset:], state, steps, loops)
             mark *= 2
+    choices.append(tid)  # unless a period was skipped, the cycle: the forced steps' thread
+    start, end = period or (len(choices) - 1, len(choices))
     residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live))
     return ScheduledRun(
         _store(names, cells, outside), residual, steps, loops, not live,
-        _choices(choices, skip, tid, forced), tuple(trace),
-    )
-
-
-def _choices(
-    stepped: list[str], skip: tuple[int, int, int] | None, tid: str, forced: int
-) -> Choices:
-    if forced:
-        return Choices(tuple(stepped), (tid,), forced)
-    if skip is None:
-        return Choices(tuple(stepped))
-    start, end, repeats = skip
-    return Choices(
-        tuple(stepped[:start]), tuple(stepped[start:end]), repeats + 1, tuple(stepped[end:])
+        Choices(tuple(choices[:start]), tuple(choices[start:end]), steps - start), tuple(trace),
     )
 
 

@@ -285,12 +285,14 @@ class ControlTable:
         It stops when the command terminates (its slot is then ``DONE``),
         after ``budget`` steps, and at an unfolding that is the ``mark``-th
         of this call (0: at none) or that leaves ``cells`` equal to
-        ``saved``.  A guard that is no truth word raises
-        ``StuckGuardError`` with the steps before it written and
-        ``cells[at]`` at the stuck command."""
+        ``saved``, compared first at the position it wrote last (the slot
+        at first), so a loop that changes a word fails the test in O(1).
+        A guard that is no truth word raises ``StuckGuardError`` with the
+        steps before it written and ``cells[at]`` at the stuck command."""
         entries = self._entries
         slot = cells[at]
         taken = unfolded = 0
+        wrote = at  # the position this call wrote last
         while True:
             entry = entries[slot]
             if entry is None:
@@ -300,6 +302,7 @@ class ControlTable:
                 value = fn(cells)
                 if var is not None:
                     cells[var] = value
+                    wrote = var
                 elif value != TT:
                     if value != FF:
                         cells[at] = slot
@@ -313,7 +316,7 @@ class ControlTable:
                     break
                 if saved is not None:
                     cells[at] = slot
-                    if cells == saved:
+                    if cells[wrote] == saved[wrote] and cells == saved:
                         break
             elif slot == DONE:
                 break

@@ -6,8 +6,11 @@ import re
 import tracemalloc
 from dataclasses import replace
 from typing import NamedTuple
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierlang import (
     Assign,
@@ -50,6 +53,7 @@ from tierlang.scheduling import (
 from tierlang.semantics import DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import build_sig_env, check_program, command_tiers, maximal_safe_sigs
+from programs import programs, stores
 from test_scheduling import StorePeek
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
@@ -114,6 +118,17 @@ op not arity 1 class neutral;
 vars { x : 1; y : 0; }
 thread flip { while (gt0(x)) { y := not(y) } }
 thread idle { while (gt0(x)) { skip } }
+"""
+
+# A lone loop whose last assignment puts ``z`` back to its word at each
+# unfolding while ``y`` shrinks: Brent's check finds the word it wrote
+# last equal to the checkpoint's and must compare the rest.
+REZERO = """
+op gt0 arity 1 class neutral;
+op pred arity 1 class neutral;
+op zero arity 1 class neutral;
+vars { y : 1; z : 0; }
+thread a { while (gt0(y)) { y := pred(y); z := zero(z) } }
 """
 
 
@@ -363,7 +378,8 @@ def reference_explore(store, program, max_steps=200, max_states=200_000):
 
 
 def fixture_program(name):
-    inline = {"head_guards": HEAD_GUARDS, "flip": FLIP, "deep_assign": DEEP_ASSIGN}
+    inline = {"head_guards": HEAD_GUARDS, "flip": FLIP, "deep_assign": DEEP_ASSIGN,
+              "rezero": REZERO}
     return parse(inline[name]).program() if name in inline else load_source(name).program()
 
 
@@ -376,7 +392,7 @@ def capped(result, cap):
     return (*fields, trace[:cap])
 
 
-@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "flip", "deep_assign"))
+@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "flip", "deep_assign", "rezero"))
 def test_scheduled_runs_match_reference_loop(name, monkeypatch):
     # 1501 is no multiple of any period, and a cap of 333 cuts the trace
     # off inside one, so runs that skip periods must stop where stepping
@@ -396,7 +412,7 @@ def test_scheduled_runs_match_reference_loop(name, monkeypatch):
                 assert got == capped(want, 0), (name, scheduler.name, fuel, store)
 
 
-@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards",))
+@pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "rezero"))
 def test_sequential_runs_match_reference_loop(name):
     program = fixture_program(name)
     for _, cmd in program.threads:
@@ -470,6 +486,30 @@ def test_explore_matches_reference_walk(name):
     assert (stuck_seen > 0) == (name == "head_guards")
     assert (cycles_seen > 0) == (name in ("intro_sync.tier", "spin.tier"))
     assert cut > 0
+
+
+# Fuels that cut the periods of repeating runs at odd points; with the
+# trace cap at 333, the longest runs stop keeping their trace part way.
+GENERATED_FUELS = (1501, 400, 25, 1, 0)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(programs, stores, st.sampled_from(GENERATED_FUELS))
+def test_generated_runs_match_reference_loop(program, store, fuel):
+    with patch.object(scheduling, "TRACE_CAP", 333):
+        for scheduler in (*named_schedulers(seed=3).values(), StorePeek("x")):
+            want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
+            got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
+            assert got == capped(want, 333), scheduler.name
+            got = outcome(lambda: table_scheduled(store, program, scheduler, fuel, False))
+            assert got == capped(want, 0), scheduler.name
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(programs, stores, st.sampled_from([15, 6, 2, 0]), st.sampled_from([400, 60, 5]))
+def test_generated_explorations_match_reference_walk(program, store, max_steps, max_states):
+    want = reference_explore(store, program, max_steps, max_states)
+    assert explore(store, program, max_steps, max_states) == want
 
 
 def test_a_guard_stuck_after_the_other_thread_finished():
@@ -931,5 +971,5 @@ def test_a_lone_thread_skips_periods_under_any_scheduler(counted_steps):
     # iterating a billion ids.
     assert replace(run, choices=None) == replace(want, choices=None)
     assert vars(run.choices) == vars(want.choices)
-    assert (run.steps, run.choices.repeats) == (10**9, 10**9)
+    assert (run.steps, run.choices.length) == (10**9, 10**9)
     assert len(counted_steps) < 100

@@ -71,6 +71,8 @@ def test_subword_is_contiguous_factor():
 def test_unary():
     assert unary(0) == ""
     assert unary(4) == "1111"
+    with pytest.raises(ValueError):
+        unary(-1)
 
 
 @given(words, words)
@@ -89,6 +91,8 @@ def test_alphabet_membership_and_words():
 def test_alphabet_rejects_multichar_letters():
     with pytest.raises(ValueError):
         Alphabet(frozenset({"ab"}))
+    with pytest.raises(ValueError):
+        Alphabet(frozenset())
 
 
 def test_default_alphabet_has_truth_letters():
@@ -172,6 +176,11 @@ def test_walk_needs_no_recursion():
     assert names == [None] * 5001 + ["x"] + ["y"] * 5000
 
 
+def test_walk_rejects_what_is_no_node():
+    with pytest.raises(TypeError, match="not an AST node: 'y'"):
+        list(walk(Assign("x", "y")))
+
+
 def test_package_exports_resolve_once():
     import tierlang
 
@@ -227,6 +236,9 @@ def test_store_roundtrips_nonempty_bindings(bindings):
 def test_program_threads_sorted_by_name():
     prog = Program.of({"zed": Skip(), "alpha": Skip()})
     assert prog.thread_ids() == ("alpha", "zed")
+    assert prog.command("zed") == Skip()
+    with pytest.raises(KeyError):
+        prog.command("beta")
 
 
 def test_program_rejects_duplicate_names():

@@ -170,6 +170,8 @@ def test_operator_def_validation():
     with pytest.raises(ValueError):
         OperatorDef("bad", -1, lambda u: u, NEUTRAL_SUBWORD)
     with pytest.raises(ValueError):
+        OperatorDef("bad", 1, lambda u: u, POSITIVE, growth=-1)
+    with pytest.raises(ValueError):
         # neutral operators must not claim growth
         OperatorDef("bad", 1, lambda u: u, NEUTRAL_SUBWORD, growth=1)
 

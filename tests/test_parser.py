@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from tierlang import Assign, If, OpCall, Seq, Skip, Span, Tier, Var, While, parse, pretty
 from tierlang.fixtures import MACHINE_FIXTURES, REJECTED_FIXTURES, SAFE_FIXTURES, fixture_text
 from tierlang.lang import walk
-from tierlang.parser import RESERVED, ParseError, _Parser, _tokenize, _validate, pretty_command
+from tierlang.parser import (
+    RESERVED,
+    ParseError,
+    _Parser,
+    _tokenize,
+    _validate,
+    pretty_command,
+    pretty_expr,
+)
 
 HEADER = """
 op gt0 arity 1 class neutral;
@@ -230,6 +238,13 @@ def test_pretty_command_prints_a_deep_if_nest():
         closing += ["  " * level + "} else {", "  " * (level + 1) + "skip", "  " * level + "}"]
     opening = ["  " * level + "if (gt0(x)) {" for level in range(depth)]
     assert pretty_command(cmd).split("\n") == opening + ["  " * depth + "skip"] + closing
+
+
+def test_pretty_rejects_what_is_no_node():
+    with pytest.raises(TypeError, match="not an expression"):
+        pretty_expr(Skip())
+    with pytest.raises(TypeError, match="not a command"):
+        pretty_command(Var("x"))
 
 
 def test_machine_fixture_names_exist():

@@ -32,6 +32,8 @@ def test_eval_expr():
     with pytest.raises(UnknownOperatorError) as err:
         eval_expr(store, OpCall("outer", (OpCall("inner", (Var("x"),)),)))
     assert err.value.args == ("outer",)
+    with pytest.raises(TypeError, match="not an expression"):
+        eval_expr(store, Skip())
 
 
 def step(store, cmd):
