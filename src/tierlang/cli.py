@@ -481,7 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scheduler", default="round-robin")
     p_run.add_argument("--fuel", type=int, default=100_000)
     p_run.add_argument("--trace", metavar="PATH",
-                       help="write a step trace to PATH ('-' for stdout)")
+                       help="write a trace of the run's first 10,000 steps to PATH ('-' for stdout)")
     p_run.set_defaults(func=cmd_run)
 
     p_explore = sub.add_parser("explore", help="enumerate all interleavings up to bounds")

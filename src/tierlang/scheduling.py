@@ -9,12 +9,13 @@ live thread and advances it one atomic step.  The ``loops`` counter
 accumulates loop unfoldings across all threads and the ``steps``
 counter counts global steps, so ``loops <= steps`` always.
 
-``run_with_scheduler`` steps one list in place, and ``step_global``
-copies a state into a new tuple for ``explore``.  ``Store`` objects are
-built from a state only at the edges (a run's result, a trace entry
-after a step that assigned, the store passed at each choice to a
-scheduler that reads one, the terminal stores of ``explore``), each
-with the input's bindings of the variables the program never mentions.
+``run_with_scheduler`` steps a flat state in place, one list that ends
+with the scheduler's state, and ``step_global`` copies a state into a
+new tuple for ``explore``.  ``Store`` objects are built from a state
+only at the edges (a run's result, a trace entry after a step that
+assigned, the store passed at each choice to a scheduler that reads
+one, the terminal stores of ``explore``), each with the input's
+bindings of the variables the program never mentions.
 
 Schedulers are deterministic: a choice function over the live thread
 ids and private state, and over the store if the scheduler's ``reads``
@@ -26,19 +27,16 @@ the store, ``quietness_test`` asks each choice of a run twice, on two
 stores that differ only in their tier-0 words, and compares the
 answers.  A scheduler is only asked while two or more threads are
 live: with one left the choice is forced, reads no data, and so is
-quiet under every policy.  ``run_with_scheduler`` is the one
-run loop, so one command runs as a one-thread program.  A run's
-``choices`` (a ``Choices``) iterate over the ids chosen, one per step,
-kept as a lasso that ends in a skipped period or a lone thread's id.
-Every step, of a run or of ``explore``, is taken by
-``ControlTable.advance``, which is given a budget of steps: one while
-the scheduler is asked, and the rest of the fuel once one thread is
-left and no trace is kept (or a kept trace is full).
-
-A run whose configuration (flat state and scheduler state) repeats,
-under a *pure* scheduler or once the scheduler is no longer asked, is
-periodic from then on; ``run_with_scheduler`` finds the repeat with
-Brent's cycle detection and skips whole periods towards the fuel bound.
+quiet under every policy.  ``run_with_scheduler`` is the one run loop,
+so one command runs as a one-thread program.  A run's ``choices`` (a
+``Choices``) iterate over the ids chosen, one per step, kept as a lasso
+that ends in a skipped period or a lone thread's id; a kept trace is
+its first ``TRACE_CAP`` steps replayed from them.  Every step is taken
+by ``ControlTable.advance``: one per call while the scheduler is asked,
+in a replay and in ``explore``, else the rest of the fuel.  A run whose
+list repeats, under a *pure* scheduler or once the scheduler is no
+longer asked, is periodic from then on: Brent's cycle detection finds
+the repeat, and the run skips whole periods towards the fuel bound.
 
 ``explore`` builds the graph of flat states over every interleaving up
 to bounded depth, then one forward pass in topological order finds a
@@ -54,7 +52,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
@@ -247,94 +245,91 @@ def run_with_scheduler(
     id per forced step; its ``choices`` end with that thread's id as a
     cycle of one.  From then on, and under a pure scheduler from the
     start, a run that revisits a configuration skips ahead by whole
-    periods, and a run that keeps a trace does so only from the step
-    that fills it with its first ``TRACE_CAP`` steps; steps, loops,
-    choices and trace are those of stepping to the fuel bound.  A
-    scheduler that reads the store is passed one built at each choice,
-    and a trace entry gets a store of its own only after a step that
-    assigned.  Every step is taken by ``ControlTable.advance``: one per
-    call while two or more threads are live or a kept trace still fills,
-    and otherwise as many as the fuel allows, handing back to this loop
-    at each unfolding where Brent's check has work.
+    periods; steps, loops and choices are those of stepping to the fuel
+    bound.  A lone thread's ``ControlTable.advance`` hands back to this
+    loop at each unfolding where Brent's check has work.  Traced or not,
+    a run steps the same way: ``keep_trace`` replays its first
+    ``TRACE_CAP`` choices afterwards, and a trace entry gets a store of
+    its own only after a step that assigned.
     """
     table = program.table
     names = table.variables
-    offset = len(names)  # the position of the first thread slot in ``cells``
-    cells, outside = _flat(table, store)  # the flat state, stepped in place
+    cells, outside = _flat(table, store)  # the flat state, stepped in place,
+    cells.append(scheduler.fresh_state())  # and the scheduler's state as its last cell
     live = program.thread_ids()
-    at = {tid: offset + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
+    at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
     advance = table.advance
     choose = scheduler.choose
     peeks = scheduler.reads is not None  # else ``choose`` is passed no store
-    cap = TRACE_CAP if keep_trace else 0  # the most trace entries the run keeps
-    state = scheduler.fresh_state()
-    steps = 0
-    loops = 0
+    steps = loops = 0
     choices: list[str] = []  # one per time the scheduler was asked
     tid = ""
     # After a skip with more than one thread live, ``choices[start:end]``
     # is the period, repeated from ``start`` to the end of the run.
     period: tuple[int, int] | None = None
-    trace: list[GlobalTraceStep] = []
     # Brent's cycle detection on the configurations right after a loop
     # unfolds, since every cycle unfolds some loop: the checkpoint moves
     # to the live configuration at the 1st, 2nd, 4th, 8th, ... unfolding.
     # ``mark`` is the next such loop count, and 0 while detection is off
     # (under a scheduler that is not pure, until one thread is left).
-    # The checkpoint is its cells, their thread slots, the scheduler state,
-    # the steps and the loops.  The saved cells are a list, so that they
-    # can equal the live ones, and the slots are compared first, so that
-    # a checkpoint whose slots differ costs no comparison of the words.
+    # The checkpoint is a copy of ``cells`` (at first none, as no slot is
+    # None), its steps and loops.  ``wrote``, compared first, is the last
+    # position that an assignment set to a word other than the checkpoint's.
     mark = 1 if scheduler.pure or len(live) == 1 else 0
-    saved: tuple = (None, None, None, 0, 0)
+    saved, saved_steps, saved_loops = [None] * len(cells), 0, 0
+    wrote = 0
     while live and steps < fuel:
-        room = cap - len(trace)  # the trace entries still to take, this step's first
         if len(live) > 1:
-            tid, state = choose(live, _store(names, cells, outside) if peeks else None, state)
+            tid, cells[-1] = choose(live, _store(names, cells, outside) if peeks else None, cells[-1])
             choices.append(tid)
-            i = at[tid]
-            taken, unfolded, rule, var = advance(cells, i, 1)
+            taken, unfolded, rule, var = advance(cells, at[tid], 1)
         else:
             tid = live[0]
-            i = at[tid]
-            budget = 1 if room > 0 else fuel - steps
-            taken, unfolded, rule, var = advance(cells, i, budget, mark and mark - loops, saved[0])
+            taken, unfolded, rule, var = advance(cells, at[tid], fuel - steps, mark and mark - loops, saved)
         steps += taken
         loops += unfolded
-        if cells[i] == DONE:
+        if var is not None and cells[var] != saved[var]:
+            wrote = var
+        if cells[at[tid]] == DONE:
             live = tuple(t for t in live if t != tid)
             if len(live) == 1 and not mark:
                 mark = loops + 1
-        if room > 0:  # a store of its own only after an assignment
-            made, now = None, trace[-1].store if trace else store
-            if var is not None:
-                made, now = (names[var], cells[var]), _store(names, cells, outside)
-            trace.append(GlobalTraceStep(steps, tid, rule, loops, made, now))
         if not (mark and rule == UNFOLD):
             continue
-        # A kept trace holds only steps taken: skip from the step that fills it.
-        if room <= 1 and cells[offset:] == saved[1] and cells == saved[0] and state == saved[2]:
-            start, start_loops = saved[3], saved[4]
-            length, gained = steps - start, loops - start_loops
+        if cells[wrote] == saved[wrote] and cells == saved:
+            length, gained = steps - saved_steps, loops - saved_loops
             repeats = (fuel - steps) // length
             # A repeat keeps the live threads, so a period is all forced,
             # or all chosen like every step before it, and then a step
             # count is an index into ``choices``.
             if len(live) > 1:
-                period = (start, steps)
+                period = (saved_steps, steps)
             steps += repeats * length
             loops += repeats * gained
             mark = 0
         elif loops == mark:
-            saved = (cells[:], cells[offset:], state, steps, loops)
+            saved, saved_steps, saved_loops = cells[:], steps, loops
             mark *= 2
     choices.append(tid)  # unless a period was skipped, the cycle: the forced steps' thread
     start, end = period or (len(choices) - 1, len(choices))
+    ran = Choices(tuple(choices[:start]), tuple(choices[start:end]), steps - start)
     residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live))
     return ScheduledRun(
-        _store(names, cells, outside), residual, steps, loops, not live,
-        Choices(tuple(choices[:start]), tuple(choices[start:end]), steps - start), tuple(trace),
+        _store(names, cells, outside), residual, steps, loops, not live, ran,
+        tuple(_replay(table, store, ran, at)) if keep_trace else (),
     )
+
+
+def _replay(table: ControlTable, store: Store, choices: Choices, at: dict) -> Iterator[GlobalTraceStep]:
+    """The first ``TRACE_CAP`` steps from ``store`` of the run that chose ``choices``."""
+    cells, outside = _flat(table, store)
+    loops = 0
+    for steps, tid in enumerate(itertools.islice(choices, TRACE_CAP), 1):
+        _, unfolded, rule, var = table.advance(cells, at[tid], 1)
+        loops += unfolded
+        made = None if var is None else (table.variables[var], cells[var])
+        store = store if var is None else _store(table.variables, cells, outside)
+        yield GlobalTraceStep(steps, tid, rule, loops, made, store)
 
 
 def dump_global_trace(run: ScheduledRun) -> str:

@@ -905,9 +905,9 @@ def test_repeating_runs_skip_to_the_fuel_bound(scheduler, counted_steps):
 
 
 @pytest.mark.parametrize("name", ["spin.tier", "flip"])
-def test_a_traced_run_skips_once_its_trace_is_full(name, monkeypatch, counted_steps):
-    # Every trace entry is a step the run took, and the run still skips
-    # the periods after the cap.
+def test_a_traced_run_skips_as_an_untraced_one(name, monkeypatch, counted_steps):
+    # The trace is replayed from the run's choices: every entry is a step
+    # the run took, and the run skips its periods as an untraced one does.
     monkeypatch.setattr(scheduling, "TRACE_CAP", 50)
     program = fixture_program(name)
     store = Store.of(x="1")
@@ -920,6 +920,46 @@ def test_a_traced_run_skips_once_its_trace_is_full(name, monkeypatch, counted_st
     *_, want = reference_scheduled(store, program, RoundRobin(), fuel=50)
     assert [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store)
             for e in traced.trace] == want
+
+
+# Two threads that flip a word each, ``a`` with a period of 2 steps and
+# ``b`` of 8; under round-robin the run first repeats after 34 steps.
+TWO_FLIPS = """
+op gt0 arity 1 class neutral;
+op not arity 1 class neutral;
+vars { x : 1; y : 0; z : 0; }
+thread a { while (gt0(x)) { y := not(y) } }
+thread b { while (gt0(x)) { z := not(z); z := not(z); z := not(z) } }
+"""
+
+
+class CountedRoundRobin(RoundRobin):
+    """Round-robin that counts the times it is asked."""
+
+    def __init__(self):
+        self.asked = 0
+
+    def choose(self, tids, store, state):
+        self.asked += 1
+        return super().choose(tids, store, state)
+
+
+def test_tracing_does_not_change_the_run(monkeypatch):
+    # The run repeats after 34 steps, before a 50-step trace is full; the
+    # trace must change neither where the lasso splits nor the scheduler's calls.
+    monkeypatch.setattr(scheduling, "TRACE_CAP", 50)
+    program = parse(TWO_FLIPS).program()
+    store = Store.of(x="1")
+    runs = {}
+    for keep_trace in (True, False):
+        scheduler = CountedRoundRobin()
+        run = run_with_scheduler(store, program, scheduler, fuel=1_000_001, keep_trace=keep_trace)
+        runs[keep_trace] = run, scheduler.asked
+    (traced, traced_asked), (plain, plain_asked) = runs[True], runs[False]
+    assert replace(traced, trace=(), choices=None) == replace(plain, choices=None)
+    assert vars(traced.choices) == vars(plain.choices)
+    assert traced_asked == plain_asked
+    assert len(traced.trace) == 50
 
 
 def test_skipped_periods_take_no_memory_for_their_choices():
