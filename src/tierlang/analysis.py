@@ -215,20 +215,31 @@ def subword_invariant(
     contiguous factor of some initial tier-1 value.
 
     ``stores`` yields (step index, store) pairs; pair the initial store
-    as step 0 yourself if it should be checked too.
+    as step 0 yourself if it should be checked too.  A store that is the
+    object before it (a trace shares one over steps that assign nothing)
+    is counted, not scanned.  A new word is looked for first in the word
+    its variable last passed with, as a factor of a factor of a source is
+    a factor of that source, so a word that shrinks by a letter is found
+    in two alignments.
     """
     ones = sorted(v for v, t in gamma.items() if t == Tier.ONE)
     sources = [initial.lookup(v) for v in ones]
+    held = dict(zip(ones, sources))  # per variable: the word it last passed with
     accepted = {TT, FF}  # words already found to pass, searched for once each
     checked = 0
+    last = None
     for step, store in stores:
         checked += 1
+        if store is last:
+            continue
+        last = store
         for var in ones:
             value = store.lookup(var)
             if value in accepted:
                 continue
-            if any(value in src for src in sources):
+            if value in held[var] or any(value in src for src in sources):
                 accepted.add(value)
+                held[var] = value
                 continue
             return SubwordReport(False, checked, SubwordViolation(step, var, value))
     return SubwordReport(True, checked)

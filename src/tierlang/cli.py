@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .analysis import GROWTH_COLUMNS, fit_polynomial, measure_growth, ni_suite
 from .lang import Alphabet, Store, Word, unary
@@ -51,10 +51,10 @@ def _read_file(path: str) -> str:
         raise CliError(f"cannot read {path}: {getattr(err, 'strerror', None) or err}") from err
 
 
-def _write_file(path: str, text: str) -> None:
+def _write_file(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as err:
         raise CliError(f"cannot write {path}: {err.strerror or err}") from err
 
@@ -209,11 +209,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         keep_trace=args.trace is not None,
     )
     if args.trace is not None:
-        text = dump_global_trace(run)
+        lines = dump_global_trace(run)
         if args.trace == "-":
-            print(text)
+            for line in lines:
+                print(line)
         else:
-            _write_file(args.trace, text + "\n")
+            _write_file(args.trace, (line + "\n" for line in lines))
     payload = {
         "command": "run",
         "finished": run.finished,
@@ -354,7 +355,7 @@ def cmd_measure(args: argparse.Namespace) -> int:
     fit = fit_polynomial(table, args.max_degree, args.column, args.threshold)
     csv_text = table.to_csv()
     if args.csv:
-        _write_file(args.csv, csv_text)
+        _write_file(args.csv, [csv_text])
     if args.json:
         _emit_json({"command": "measure", **asdict(table), "fit": fit.to_dict()})
     else:
@@ -383,7 +384,7 @@ def cmd_tm_compile(args: argparse.Namespace) -> int:
     compiled = compile_tm(spec)
     rendered = pretty(compiled.source)
     if args.output:
-        _write_file(args.output, rendered)
+        _write_file(args.output, [rendered])
     check = check_program(compiled.source)
     verified = None
     if args.verify_len is not None:

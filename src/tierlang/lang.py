@@ -246,6 +246,16 @@ class Store:
     def lookup(self, var: str) -> Word:
         return self._bindings.get(var, EMPTY)
 
+    def _rebound(self, var: str, word: Word) -> Store:
+        """This store with ``var`` bound to ``word``; a dict that lost a
+        key by ``pop`` would keep its slot, so an empty word rebuilds it."""
+        if word:
+            data = self._bindings.copy()
+            data[var] = word
+        else:
+            data = {name: kept for name, kept in self._bindings.items() if name != var}
+        return Store._normalized(data)
+
     def restrict(self, variables: Iterable[str]) -> Store:
         keep = set(variables)
         return Store._normalized({k: v for k, v in self._bindings.items() if k in keep})

@@ -12,10 +12,11 @@ counter counts global steps, so ``loops <= steps`` always.
 ``run_with_scheduler`` steps a flat state in place, one list that ends
 with the scheduler's state, and ``step_global`` copies a state into a
 new tuple for ``explore``.  ``Store`` objects are built from a state
-only at the edges (a run's result, a trace entry after a step that
-assigned, the store passed at each choice to a scheduler that reads
-one, the terminal stores of ``explore``), each with the input's
-bindings of the variables the program never mentions.
+only at the edges (a run's result, the store passed at each choice to
+a scheduler that reads one, the terminal stores of ``explore``), each
+with the input's bindings of the variables the program never mentions.
+A kept trace builds none from a state: an entry after a step that
+assigned has the store before it with that one binding changed.
 
 Schedulers are deterministic: a choice function over the live thread
 ids and private state, and over the store if the scheduler's ``reads``
@@ -52,7 +53,7 @@ import itertools
 import random
 from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
@@ -177,8 +178,10 @@ def named_schedulers(seed: int = 0) -> dict[str, Scheduler]:
 # --- scheduled runs --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GlobalTraceStep:
+class GlobalTraceStep(NamedTuple):
+    """A kept trace's step.  Its ``store`` is the one before it, or after
+    an assignment that store with the ``assigned`` binding changed."""
+
     index: int
     thread: str
     rule: str
@@ -322,26 +325,31 @@ def run_with_scheduler(
 
 def _replay(table: ControlTable, store: Store, choices: Choices, at: dict) -> Iterator[GlobalTraceStep]:
     """The first ``TRACE_CAP`` steps from ``store`` of the run that chose ``choices``."""
-    cells, outside = _flat(table, store)
+    cells = _flat(table, store)[0]
+    names = table.variables
+    advance = table.advance
     loops = 0
     for steps, tid in enumerate(itertools.islice(choices, TRACE_CAP), 1):
-        _, unfolded, rule, var = table.advance(cells, at[tid], 1)
+        _, unfolded, rule, var = advance(cells, at[tid], 1)
         loops += unfolded
-        made = None if var is None else (table.variables[var], cells[var])
-        store = store if var is None else _store(table.variables, cells, outside)
-        yield GlobalTraceStep(steps, tid, rule, loops, made, store)
+        if var is None:
+            yield GlobalTraceStep(steps, tid, rule, loops, None, store)
+        else:
+            name, word = names[var], cells[var]
+            store = store._rebound(name, word)
+            yield GlobalTraceStep(steps, tid, rule, loops, (name, word), store)
 
 
-def dump_global_trace(run: ScheduledRun) -> str:
-    lines = ["step\tthread\trule\tloops\tassignment"]
+def dump_global_trace(run: ScheduledRun) -> Iterator[str]:
+    """The lines of a run's trace as TSV, a header first, without newlines."""
+    yield "step\tthread\trule\tloops\tassignment"
     for entry in run.trace:
         if entry.assigned is not None:
             var, value = entry.assigned
             shown = f"{var}={value!r}"
         else:
             shown = "-"
-        lines.append(f"{entry.index}\t{entry.thread}\t{entry.rule}\t{entry.loops}\t{shown}")
-    return "\n".join(lines)
+        yield f"{entry.index}\t{entry.thread}\t{entry.rule}\t{entry.loops}\t{shown}"
 
 
 # --- exhaustive exploration --------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tierlang import (
     Assign,
@@ -21,6 +23,7 @@ from tierlang import (
 from tierlang.analysis import (
     GrowthRow,
     GrowthTable,
+    SubwordViolation,
     fit_polynomial,
     measure_growth,
     ni_suite,
@@ -29,7 +32,7 @@ from tierlang.analysis import (
     tier_preservation,
 )
 from tierlang.fixtures import SAFE_FIXTURES, load_source
-from tierlang.lang import free_vars
+from tierlang.lang import FF, TT, free_vars
 from tierlang.ops import default_registry
 from tierlang.scheduling import RoundRobin, run_with_scheduler
 from tierlang.semantics import DONE, ControlTable
@@ -198,6 +201,54 @@ def test_subword_accepts_truth_words():
     gamma = {"x": Tier.ONE}
     report = subword_invariant(Store.of(x="0101"), [(1, Store.of(x="T"))], gamma)
     assert report.passed
+
+
+def plain_subword_scan(initial, stores, gamma):
+    """The reference scan: every store, and every tier-1 word that is no
+    truth word searched for in every source, with nothing remembered."""
+    ones = sorted(v for v, t in gamma.items() if t == Tier.ONE)
+    sources = [initial.lookup(v) for v in ones]
+    checked = 0
+    for step, store in stores:
+        checked += 1
+        for var in ones:
+            value = store.lookup(var)
+            if value not in (TT, FF) and not any(value in src for src in sources):
+                return False, checked, SubwordViolation(step, var, value)
+    return True, checked, None
+
+
+# How a move changes the word of one variable; "same" passes the last
+# store object on again.
+SUBWORD_MOVES = {
+    "left": lambda word, extra: word[1:],
+    "right": lambda word, extra: word[:-1],
+    "grow": lambda word, extra: word + extra,
+    "jump": lambda word, extra: extra,
+    "truth": lambda word, extra: (TT, FF)[len(extra) % 2],
+    "empty": lambda word, extra: "",
+    "same": None,
+}
+subword_words = st.text(alphabet="01TF", max_size=8)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.integers(0, 3), st.tuples(subword_words, subword_words, subword_words),
+       st.lists(st.tuples(st.sampled_from(sorted(SUBWORD_MOVES)), st.sampled_from("abch"),
+                          st.text(alphabet="01TF", max_size=3)), max_size=30))
+def test_subword_scan_matches_the_plain_scan(ones, words, moves):
+    # ``a`` is unbound at the start; ``h`` is tier 0 and never checked.
+    gamma = {**{var: Tier.ONE for var in "abc"[:ones]}, "h": Tier.ZERO}
+    initial = Store.of(b=words[0], c=words[1], h=words[2])
+    now, store, stores = dict(initial.items()), initial, []
+    for step, (move, var, extra) in enumerate(moves, 1):
+        if SUBWORD_MOVES[move] is not None:
+            now[var] = SUBWORD_MOVES[move](now.get(var, ""), extra)
+            store = Store(now)
+        stores.append((step, store))
+    report = subword_invariant(initial, stores, gamma)
+    assert (report.passed, report.steps_checked, report.violation) == plain_subword_scan(
+        initial, stores, gamma)
 
 
 # --- tier preservation -----------------------------------------------------------

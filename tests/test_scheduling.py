@@ -90,7 +90,7 @@ def test_global_trace_dump():
     run = run_with_scheduler(
         Store.of(x="1", y="1"), zrange_program(), RoundRobin(), keep_trace=True
     )
-    assert dump_global_trace(run) == "\n".join([
+    assert "\n".join(dump_global_trace(run)) == "\n".join([
         "step\tthread\trule\tloops\tassignment",
         "1\tbump\twhile-tt\t1\t-",
         "2\twipe\twhile-tt\t2\t-",
@@ -364,6 +364,27 @@ def test_quietness_tests_the_choice_not_the_program_timing():
     # A choice that reads ``h`` is caught.
     report = quietness_test(StorePeek("h"), program, gamma, trials=100, seed=0)
     assert (report.passed, report.trials, report.divergence) == (False, 5, (4, 0, "b", "a"))
+
+
+@pytest.mark.parametrize("scheduler", named_schedulers(seed=3).values(), ids=lambda s: s.name)
+def test_trace_stores_equal_stores_built_from_the_replayed_state(scheduler):
+    # ``w`` is bound but never mentioned; ``wipe`` empties ``z`` with
+    # ``zero`` and ``bump`` sets it again with ``add1``.
+    program = zrange_program()
+    store = Store.of(x="111", y="11", w="0110")
+    trace = run_with_scheduler(store, program, scheduler, keep_trace=True).trace
+    assert {("z", ""), ("z", "1")} <= {entry.assigned for entry in trace}
+    table = program.table
+    names = table.variables
+    cells = [*map(store.lookup, names), *table.roots]
+    at = {tid: len(names) + i for i, tid in enumerate(program.thread_ids())}
+    before = store
+    for entry in trace:
+        table.advance(cells, at[entry.thread], 1)
+        assert entry.store == scheduling._store(names, cells, {"w": "0110"}), entry.index
+        if entry.assigned is None:
+            assert entry.store is before, entry.index
+        before = entry.store
 
 
 @pytest.mark.parametrize("scheduler", [*named_schedulers(seed=3).values(), StorePeek("z")],
