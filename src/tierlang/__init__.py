@@ -33,7 +33,7 @@ from .lang import (
 )
 from .ops import OperatorDef, Registry, builtins, default_registry
 from .parser import ParseError, SourceFile, parse, pretty
-from .semantics import ControlTable, eval_expr
+from .semantics import ControlTable
 from .scheduling import (
     ExplorationReport,
     FirstAlive,
@@ -78,7 +78,7 @@ __all__ = [
     "free_vars", "seq_all", "unary", "word_literal",
     "OperatorDef", "Registry", "builtins", "default_registry",
     "ParseError", "SourceFile", "parse", "pretty",
-    "ControlTable", "eval_expr",
+    "ControlTable",
     "ExplorationReport", "FirstAlive", "RoundRobin", "Scheduler",
     "SeededRandom", "explore", "quietness_test", "run_with_scheduler", "step_global",
     "FitReport", "GrowthTable", "NiReport", "SubwordReport", "TierPreservationReport",

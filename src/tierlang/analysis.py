@@ -246,7 +246,7 @@ def subword_invariant(
 
 
 def scheduled_run_stores(run: ScheduledRun) -> list[tuple[int, Store]]:
-    return [(entry.index, entry.store) for entry in run.trace]
+    return [(entry.index, entry.store) for entry in run.trace()]
 
 
 # --- tier preservation ---------------------------------------------------------------

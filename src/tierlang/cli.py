@@ -27,6 +27,7 @@ from .analysis import GROWTH_COLUMNS, fit_polynomial, measure_growth, ni_suite
 from .lang import Alphabet, Store, Word, unary
 from .parser import ParseError, SourceFile, parse, pretty
 from .scheduling import (
+    TRACE_CAP,
     FirstAlive,
     dump_global_trace,
     explore,
@@ -201,13 +202,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         return gate_code
     store = Store(_parse_inputs(args.input, source.alphabet()))
     scheduler = _scheduler(args.scheduler, args.seed)
-    run = run_with_scheduler(
-        store,
-        source.program(),
-        scheduler,
-        fuel=args.fuel,
-        keep_trace=args.trace is not None,
-    )
+    run = run_with_scheduler(store, source.program(), scheduler, fuel=args.fuel)
     if args.trace is not None:
         lines = dump_global_trace(run)
         if args.trace == "-":
@@ -482,7 +477,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--scheduler", default="round-robin")
     p_run.add_argument("--fuel", type=int, default=100_000)
     p_run.add_argument("--trace", metavar="PATH",
-                       help="write a trace of the run's first 10,000 steps to PATH ('-' for stdout)")
+                       help=f"write a trace of the run's first {TRACE_CAP:,} steps to PATH "
+                            "('-' for stdout)")
     p_run.set_defaults(func=cmd_run)
 
     p_explore = sub.add_parser("explore", help="enumerate all interleavings up to bounds")

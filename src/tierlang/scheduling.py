@@ -15,8 +15,8 @@ new tuple for ``explore``.  ``Store`` objects are built from a state
 only at the edges (a run's result, the store passed at each choice to
 a scheduler that reads one, the terminal stores of ``explore``), each
 with the input's bindings of the variables the program never mentions.
-A kept trace builds none from a state: an entry after a step that
-assigned has the store before it with that one binding changed.
+A trace builds none from a state: an entry after a step that assigned
+has the store before it with that one binding changed.
 
 Schedulers are deterministic: a choice function over the live thread
 ids and private state, and over the store if the scheduler's ``reads``
@@ -31,11 +31,12 @@ live: with one left the choice is forced, reads no data, and so is
 quiet under every policy.  ``run_with_scheduler`` is the one run loop,
 so one command runs as a one-thread program.  A run's ``choices`` (a
 ``Choices``) iterate over the ids chosen, one per step, kept as a lasso
-that ends in a skipped period or a lone thread's id; a kept trace is
-its first ``TRACE_CAP`` steps replayed from them.  Every step is taken
-by ``ControlTable.advance``: one per call while the scheduler is asked,
-in a replay and in ``explore``, else the rest of the fuel.  A run whose
-list repeats, under a *pure* scheduler or once the scheduler is no
+that ends in a skipped period or a lone thread's id.  A run holds no
+trace: ``ScheduledRun.trace()`` replays its first ``TRACE_CAP`` steps
+from its input store and its choices each time it is read.  Every step
+is taken by ``ControlTable.advance``: one per call while the scheduler
+is asked, in a replay and in ``explore``, else the rest of the fuel.
+A run whose list repeats, under a *pure* scheduler or once the scheduler is no
 longer asked, is periodic from then on: Brent's cycle detection finds
 the repeat, and the run skips whole periods towards the fuel bound.
 
@@ -58,7 +59,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
-TRACE_CAP = 10_000  # the most steps a kept trace records
+TRACE_CAP = 10_000  # the most steps a trace replays
 
 
 def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, str]:
@@ -179,8 +180,8 @@ def named_schedulers(seed: int = 0) -> dict[str, Scheduler]:
 
 
 class GlobalTraceStep(NamedTuple):
-    """A kept trace's step.  Its ``store`` is the one before it, or after
-    an assignment that store with the ``assigned`` binding changed."""
+    """A trace's step.  Its ``store`` is the one before it, or after an
+    assignment that store with the ``assigned`` binding changed."""
 
     index: int
     thread: str
@@ -231,7 +232,25 @@ class ScheduledRun:
     loops: int
     finished: bool
     choices: Choices
-    trace: tuple[GlobalTraceStep, ...] = field(repr=False, default=())
+    start: Store = field(repr=False, compare=False)  # the input store
+    program: Program = field(repr=False, compare=False)
+
+    def trace(self) -> Iterator[GlobalTraceStep]:
+        """The run's first ``TRACE_CAP`` steps, replayed from its input
+        store and its choices as they are read; each call starts anew."""
+        table, store = self.program.table, self.start
+        cells = _flat(table, store)[0]
+        names = table.variables
+        at = {tid: len(names) + i for i, tid in enumerate(self.program.thread_ids())}
+        advance = table.advance
+        loops = 0
+        for steps, tid in enumerate(itertools.islice(self.choices, TRACE_CAP), 1):
+            _, unfolded, rule, var = advance(cells, at[tid], 1)
+            loops += unfolded
+            assigned = None if var is None else (names[var], cells[var])
+            if assigned is not None:
+                store = store._rebound(*assigned)
+            yield GlobalTraceStep(steps, tid, rule, loops, assigned, store)
 
 
 def run_with_scheduler(
@@ -250,10 +269,10 @@ def run_with_scheduler(
     start, a run that revisits a configuration skips ahead by whole
     periods; steps, loops and choices are those of stepping to the fuel
     bound.  A lone thread's ``ControlTable.advance`` hands back to this
-    loop at each unfolding where Brent's check has work.  Traced or not,
-    a run steps the same way: ``keep_trace`` replays its first
-    ``TRACE_CAP`` choices afterwards, and a trace entry gets a store of
-    its own only after a step that assigned.
+    loop at each unfolding where Brent's check has work.  The run holds
+    no trace; its ``trace()`` replays one when read.  ``keep_trace`` is
+    accepted and ignored, for the benchmark in ``perfbench/`` that still
+    passes it.
     """
     table = program.table
     names = table.variables
@@ -317,33 +336,14 @@ def run_with_scheduler(
     start, end = period or (len(choices) - 1, len(choices))
     ran = Choices(tuple(choices[:start]), tuple(choices[start:end]), steps - start)
     residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live))
-    return ScheduledRun(
-        _store(names, cells, outside), residual, steps, loops, not live, ran,
-        tuple(_replay(table, store, ran, at)) if keep_trace else (),
-    )
-
-
-def _replay(table: ControlTable, store: Store, choices: Choices, at: dict) -> Iterator[GlobalTraceStep]:
-    """The first ``TRACE_CAP`` steps from ``store`` of the run that chose ``choices``."""
-    cells = _flat(table, store)[0]
-    names = table.variables
-    advance = table.advance
-    loops = 0
-    for steps, tid in enumerate(itertools.islice(choices, TRACE_CAP), 1):
-        _, unfolded, rule, var = advance(cells, at[tid], 1)
-        loops += unfolded
-        if var is None:
-            yield GlobalTraceStep(steps, tid, rule, loops, None, store)
-        else:
-            name, word = names[var], cells[var]
-            store = store._rebound(name, word)
-            yield GlobalTraceStep(steps, tid, rule, loops, (name, word), store)
+    return ScheduledRun(_store(names, cells, outside), residual, steps, loops, not live, ran,
+                        store, program)
 
 
 def dump_global_trace(run: ScheduledRun) -> Iterator[str]:
     """The lines of a run's trace as TSV, a header first, without newlines."""
     yield "step\tthread\trule\tloops\tassignment"
-    for entry in run.trace:
+    for entry in run.trace():
         if entry.assigned is not None:
             var, value = entry.assigned
             shown = f"{var}={value!r}"

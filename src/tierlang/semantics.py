@@ -65,32 +65,6 @@ class StuckGuardError(RuntimeError):
         self.value = value
 
 
-def eval_expr(store: Store, expr: Expr) -> Word:
-    """The word an expression denotes in the given store.
-
-    An operator is resolved before its arguments are evaluated, left to
-    right; an explicit stack keeps deep expressions off the Python stack.
-    """
-    values: list[Word] = []
-    stack: list = [expr]  # expressions, and (operator, arity) exit entries
-    while stack:
-        node = stack.pop()
-        if node.__class__ is tuple:
-            op, arity = node
-            cut = len(values) - arity
-            args = values[cut:]
-            del values[cut:]
-            values.append(op.apply(*args))
-        elif isinstance(node, Var):
-            values.append(store.lookup(node.name))
-        elif isinstance(node, OpCall):
-            stack.append((OPERATORS.resolve(node.op), len(node.args)))
-            stack.extend(reversed(node.args))
-        else:
-            raise TypeError(f"not an expression: {node!r}")
-    return values[0]
-
-
 UNFOLD = "while-tt"  # the one rule that counts as a loop iteration
 
 
@@ -226,9 +200,9 @@ class ControlTable:
         Node k's operator or variable position ``a<k>`` is an argument of
         the factory that ``exec`` makes once per process per *shape* (each
         node's argument indices), never source text, since a word literal's
-        operator name is user text.  A call of an unknown operator or with
-        a wrong argument count raises at its step what ``eval_expr``
-        raises; operators are total, so no store is needed for that."""
+        operator name is user text.  An expression with a call of an
+        unknown operator or with a wrong argument count compiles to
+        ``_failing``'s function instead."""
         keys = self.keys
         ids, stack = set(), [expr]  # the ids of the expression's distinct nodes
         while stack:
@@ -249,7 +223,7 @@ class ControlTable:
             except UnknownOperatorError:
                 op = None
             if op is None or op.arity != len(key) - 1:
-                return lambda s, node=self.nodes[expr]: eval_expr(Store(), node)
+                return self._failing(expr)
             shape.append(tuple([at[a] for a in key[1:]]))
             bound.append(op.fn)
         factory = _FACTORIES.get(tuple(shape))
@@ -264,6 +238,32 @@ class ControlTable:
                  f" def fn(s):\n{''.join(lines)}  return {text[-1]}\n return fn", namespace)
             factory = _FACTORIES[tuple(shape)] = namespace["factory"]
         return factory(*bound)
+
+    def _failing(self, expr: int) -> Callable[[Sequence], Word]:
+        """A function that raises, on any state, the first error met in
+        evaluating the expression with id ``expr``; operators are total,
+        so it is found without values.  A call's operator is resolved
+        before its arguments, left to right, and applied after them."""
+        stack: list = [expr]  # ids, and (operator, arity) for calls to apply
+        while True:
+            i = stack.pop()
+            if i.__class__ is tuple:
+                op, arity = i
+                if op.arity != arity:
+                    error = TypeError(f"{op.name} expects {op.arity} arguments, got {arity}")
+                    break
+            elif self.keys[i].__class__ is not str:
+                name, *args = self.keys[i]
+                try:
+                    stack.append((OPERATORS.resolve(name), len(args)))
+                except UnknownOperatorError as err:
+                    error = err
+                    break
+                stack.extend(reversed(args))
+
+        def fail(s: Sequence) -> Word:
+            raise type(error)(*error.args)
+        return fail
 
     def successors(self, slot: int) -> tuple[int, ...]:
         """The slots that ``slot`` can step to in some store, ``DONE``
@@ -329,8 +329,10 @@ class ControlTable:
 def run_sequential(store: Store, cmd: Command, fuel: int = 100_000, keep_trace: bool = True):
     """``cmd`` run as a one-thread program by ``run_with_scheduler``.
 
-    Kept only for the benchmark in ``perfbench/``, its one caller.
+    Kept only for the benchmark in ``perfbench/``, its one caller, which
+    also passes ``keep_trace``: it is accepted and ignored, as a run
+    holds no trace and replays one when read.
     """
     from .scheduling import FirstAlive, run_with_scheduler  # it imports this module
 
-    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace)
+    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel)

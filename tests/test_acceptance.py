@@ -136,10 +136,7 @@ def test_subword_invariant():
         gamma = source.annotations()
         for n in range(13):
             store = Store(SAFE_INPUTS[name](n))
-            run = run_with_scheduler(
-                store, source.program(), RoundRobin(),
-                fuel=10 * n + 100, keep_trace=True,
-            )
+            run = run_with_scheduler(store, source.program(), RoundRobin(), fuel=10 * n + 100)
             stores = [(0, store)] + scheduled_run_stores(run)
             report = subword_invariant(store, stores, gamma)
             assert report.passed, f"{name} n={n}: {report.violation}"
@@ -148,7 +145,7 @@ def test_subword_invariant():
     violated = True
     for n in range(1, 13):
         store = Store({"x": unary(n)})
-        run = run_with_scheduler(store, control.program(), RoundRobin(), keep_trace=True)
+        run = run_with_scheduler(store, control.program(), RoundRobin())
         report = subword_invariant(store, scheduled_run_stores(run), control.annotations())
         if report.passed or report.violation.step > n + 2:
             violated = False

@@ -178,7 +178,7 @@ def test_ni_argument_validation():
 def test_subword_holds_along_an_adder_run():
     src = load_source("add.tier")
     store = Store.of(x=unary(4))
-    run = run_with_scheduler(store, src.program(), RoundRobin(), keep_trace=True)
+    run = run_with_scheduler(store, src.program(), RoundRobin())
     report = subword_invariant(store, scheduled_run_stores(run), src.annotations())
     assert report.passed
     assert report.steps_checked == 13
@@ -188,7 +188,7 @@ def test_subword_holds_along_an_adder_run():
 def test_subword_violated_by_a_growing_tier_one_var():
     src = load_source("unsafe_subword.tier")
     store = Store.of(x="0110")
-    run = run_with_scheduler(store, src.program(), RoundRobin(), keep_trace=True)
+    run = run_with_scheduler(store, src.program(), RoundRobin())
     report = subword_invariant(store, scheduled_run_stores(run), src.annotations())
     assert not report.passed
     assert report.steps_checked == 1

@@ -23,7 +23,6 @@ from tierlang import (
     Tier,
     Var,
     While,
-    eval_expr,
     parse,
     seq_all,
 )
@@ -55,6 +54,7 @@ from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import build_sig_env, check_program, command_tiers, maximal_safe_sigs
 from programs import programs, stores
 from test_scheduling import StorePeek
+from test_semantics import eval_expr
 
 TIER_FIXTURES = SAFE_FIXTURES + REJECTED_FIXTURES
 
@@ -211,9 +211,9 @@ def reference_scheduled(store, program, scheduler, fuel):
     return store, Program(tuple(pool.items())), steps, loops, not pool, tuple(choices), trace
 
 
-def table_scheduled(store, program, scheduler, fuel, keep_trace=True):
-    run = run_with_scheduler(store, program, scheduler, fuel, keep_trace=keep_trace)
-    trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
+def table_scheduled(store, program, scheduler, fuel):
+    run = run_with_scheduler(store, program, scheduler, fuel)
+    trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace()]
     return run.store, run.residual, run.steps, run.loops, run.finished, tuple(run.choices), trace
 
 
@@ -280,11 +280,11 @@ def assert_batches_agree(cmd, store):
             assert (got, batch) == (want, single), (budget, mark, back_at)
 
 
-def scheduled_alone(store, cmd, fuel, keep_trace=True):
+def scheduled_alone(store, cmd, fuel):
     """``cmd`` run alone by ``run_with_scheduler``, in the fields of
     ``reference_sequential`` apart from the residual of each step."""
-    run = run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=keep_trace)
-    trace = [(e.index, e.rule, e.loops, e.assigned, e.store) for e in run.trace]
+    run = run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel)
+    trace = [(e.index, e.rule, e.loops, e.assigned, e.store) for e in run.trace()]
     residual = run.residual.command("main") if run.residual.threads else None
     return run.store, residual, run.steps, run.loops, run.finished, trace
 
@@ -396,8 +396,7 @@ def capped(result, cap):
 def test_scheduled_runs_match_reference_loop(name, monkeypatch):
     # 1501 is no multiple of any period, and a cap of 333 cuts the trace
     # off inside one, so runs that skip periods must stop where stepping
-    # would.  A run that keeps no trace steps its last thread in a loop
-    # of its own, so it is compared too.
+    # would, and their replayed traces too.
     program = fixture_program(name)
     schedulers = [*named_schedulers(seed=3).values(), StorePeek(min(free_vars(program)))]
     for scheduler in schedulers:
@@ -408,8 +407,6 @@ def test_scheduled_runs_match_reference_loop(name, monkeypatch):
                 want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
                 got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
                 assert got == capped(want, cap), (name, scheduler.name, fuel, store)
-                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel, False))
-                assert got == capped(want, 0), (name, scheduler.name, fuel, store)
 
 
 @pytest.mark.parametrize("name", TIER_FIXTURES + ("head_guards", "rezero"))
@@ -422,8 +419,6 @@ def test_sequential_runs_match_reference_loop(name):
                 assert outcome(lambda: table_sequential(store, cmd, fuel)) == want, (name, store)
                 want = outcome(lambda: drop_step_residuals(reference_sequential(store, cmd, fuel)))
                 assert outcome(lambda: scheduled_alone(store, cmd, fuel)) == want, (name, store)
-                got = outcome(lambda: scheduled_alone(store, cmd, fuel, keep_trace=False))
-                assert got == capped(want, 0), (name, store)
                 assert_batches_agree(cmd, store)
 
 
@@ -437,8 +432,6 @@ def test_compiled_machines_match_reference_loop(name):
         want = reference_sequential(store, cmd, 3000)
         assert table_sequential(store, cmd, 3000) == want, (name, word)
         assert scheduled_alone(store, cmd, 3000) == drop_step_residuals(want), (name, word)
-        untraced = scheduled_alone(store, cmd, 3000, keep_trace=False)
-        assert untraced == capped(want, 0), (name, word)
         assert_batches_agree(cmd, store)
     for store in random_stores(program, len(name), 3):
         assert_batches_agree(cmd, store)
@@ -489,7 +482,7 @@ def test_explore_matches_reference_walk(name):
 
 
 # Fuels that cut the periods of repeating runs at odd points; with the
-# trace cap at 333, the longest runs stop keeping their trace part way.
+# trace cap at 333, the longest runs' traces stop part way.
 GENERATED_FUELS = (1501, 400, 25, 1, 0)
 
 
@@ -501,8 +494,6 @@ def test_generated_runs_match_reference_loop(program, store, fuel):
             want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
             got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
             assert got == capped(want, 333), scheduler.name
-            got = outcome(lambda: table_scheduled(store, program, scheduler, fuel, False))
-            assert got == capped(want, 0), scheduler.name
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -514,7 +505,7 @@ def test_generated_explorations_match_reference_walk(program, store, max_steps, 
 
 def test_a_guard_stuck_after_the_other_thread_finished():
     # ``b`` reaches its guard only once ``a`` has terminated, so a run
-    # that keeps no trace gets stuck in its loop for a lone thread.
+    # gets stuck in its loop for a lone thread.
     program = parse(LATE_STUCK).program()
     store = Store.of(x="1")
     for scheduler in named_schedulers(seed=3).values():
@@ -522,9 +513,8 @@ def test_a_guard_stuck_after_the_other_thread_finished():
         assert ahead.residual.thread_ids() == ("b",)
         want = outcome(lambda: reference_scheduled(store, program, scheduler, 100))
         assert want[0] is StuckGuardError
-        for keep_trace in (True, False):
-            got = outcome(lambda: table_scheduled(store, program, scheduler, 100, keep_trace))
-            assert got == want, (scheduler.name, keep_trace)
+        got = outcome(lambda: table_scheduled(store, program, scheduler, 100))
+        assert got == want, scheduler.name
 
 
 def test_stuck_guard_reports_the_guard_command():
@@ -646,16 +636,15 @@ def test_a_variable_and_a_call_of_the_same_name_stay_apart():
 
 
 def test_a_call_with_the_wrong_argument_count_raises_when_it_steps():
-    # The parser rejects such a call; one built in code compiles to the
-    # closure that hands it to ``eval_expr``, which raises as it applies.
+    # The parser rejects such a call; one built in code compiles to a
+    # function that raises, when it steps, what ``eval_expr`` raises.
     call = OpCall("pred", (Var("x"), Var("x")))
     program = Program.single(Assign("y", call))
     message = "pred expects 1 arguments, got 2"
     with pytest.raises(TypeError, match=message):
         eval_expr(Store.of(x="1"), call)
-    for keep_trace in (True, False):
-        with pytest.raises(TypeError, match=message):
-            run_with_scheduler(Store.of(x="1"), program, FirstAlive(), keep_trace=keep_trace)
+    with pytest.raises(TypeError, match=message):
+        run_with_scheduler(Store.of(x="1"), program, FirstAlive())
     with pytest.raises(TypeError, match=message):
         explore(Store.of(x="1"), program)
 
@@ -799,10 +788,9 @@ def test_a_bad_call_inside_a_call_raises_what_eval_expr_raises():
     with pytest.raises(UnknownOperatorError) as err:
         eval_expr(Store.of(x="1"), call)
     assert err.value.args == ("outer",)
-    for keep_trace in (True, False):
-        with pytest.raises(UnknownOperatorError) as err:
-            run_with_scheduler(Store.of(x="1"), program, FirstAlive(), keep_trace=keep_trace)
-        assert err.value.args == ("outer",)
+    with pytest.raises(UnknownOperatorError) as err:
+        run_with_scheduler(Store.of(x="1"), program, FirstAlive())
+    assert err.value.args == ("outer",)
     with pytest.raises(UnknownOperatorError) as err:
         explore(Store.of(x="1"), program)
     assert err.value.args == ("outer",)
@@ -837,10 +825,10 @@ def test_one_table_serves_runs_of_several_programs():
     for name, program, store in (("zrange.tier", zrange, Store.of(x="11", y="1")),
                                  ("spin.tier", spin, Store.of(x="1")),
                                  ("zrange.tier", zrange, Store.of(x="1", y="111"))):
-        fresh = run_with_scheduler(store, load_source(name).program(), RoundRobin(), fuel=300,
-                                   keep_trace=True)
-        shared = run_with_scheduler(store, program, RoundRobin(), fuel=300, keep_trace=True)
+        fresh = run_with_scheduler(store, load_source(name).program(), RoundRobin(), fuel=300)
+        shared = run_with_scheduler(store, program, RoundRobin(), fuel=300)
         assert shared == fresh
+        assert tuple(shared.trace()) == tuple(fresh.trace())
     assert (zrange.table, spin.table) == tables
     assert tuple(table.roots for table in tables) == roots
     assert spin.table.nodes[spin.table.roots[0]] == spin.command("spinner")
@@ -906,20 +894,32 @@ def test_repeating_runs_skip_to_the_fuel_bound(scheduler, counted_steps):
 
 @pytest.mark.parametrize("name", ["spin.tier", "flip"])
 def test_a_traced_run_skips_as_an_untraced_one(name, monkeypatch, counted_steps):
-    # The trace is replayed from the run's choices: every entry is a step
-    # the run took, and the run skips its periods as an untraced one does.
+    # The trace is replayed from the run's choices when it is read: every
+    # entry is a step the run took, a run whose trace is read is built as
+    # one whose trace is not, and it skips its periods as that one does.
     monkeypatch.setattr(scheduling, "TRACE_CAP", 50)
+    advanced = []  # one entry per ``advance`` call
+    advance = ControlTable.advance
+    monkeypatch.setattr(ControlTable, "advance",
+                        lambda self, *args: advanced.append(args) or advance(self, *args))
     program = fixture_program(name)
     store = Store.of(x="1")
-    traced = run_with_scheduler(store, program, RoundRobin(), fuel=1_000_001, keep_trace=True)
-    assert 50 <= len(counted_steps) <= scheduling.TRACE_CAP + 100
+    traced = run_with_scheduler(store, program, RoundRobin(), fuel=1_000_001)
+    built_calls, built_steps = len(advanced), len(counted_steps)
     plain = run_with_scheduler(store, program, RoundRobin(), fuel=1_000_001)
+    assert (len(advanced), len(counted_steps)) == (2 * built_calls, 2 * built_steps)
+    trace = traced.trace()
+    assert len(counted_steps) == 2 * built_steps  # nothing replays until the trace is read
+    entries = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in trace]
+    replayed = len(counted_steps) - 2 * built_steps
+    assert replayed == 50
+    assert 50 <= built_steps + replayed <= scheduling.TRACE_CAP + 100
     assert (traced.store, traced.residual, traced.steps, traced.loops, traced.finished) == (
         plain.store, plain.residual, plain.steps, plain.loops, plain.finished)
     assert tuple(traced.choices) == tuple(plain.choices)
     *_, want = reference_scheduled(store, program, RoundRobin(), fuel=50)
-    assert [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store)
-            for e in traced.trace] == want
+    assert entries == want
+    assert list(traced.trace()) == entries  # each call replays anew
 
 
 # Two threads that flip a word each, ``a`` with a period of 2 steps and
@@ -945,21 +945,22 @@ class CountedRoundRobin(RoundRobin):
 
 
 def test_tracing_does_not_change_the_run(monkeypatch):
-    # The run repeats after 34 steps, before a 50-step trace is full; the
-    # trace must change neither where the lasso splits nor the scheduler's calls.
+    # The run repeats after 34 steps, before a 50-step trace is full;
+    # reading the trace must change neither where the lasso splits nor the
+    # scheduler's calls, and its replay asks the scheduler nothing.
     monkeypatch.setattr(scheduling, "TRACE_CAP", 50)
     program = parse(TWO_FLIPS).program()
     store = Store.of(x="1")
-    runs = {}
-    for keep_trace in (True, False):
+    runs = []
+    for _ in range(2):
         scheduler = CountedRoundRobin()
-        run = run_with_scheduler(store, program, scheduler, fuel=1_000_001, keep_trace=keep_trace)
-        runs[keep_trace] = run, scheduler.asked
-    (traced, traced_asked), (plain, plain_asked) = runs[True], runs[False]
-    assert replace(traced, trace=(), choices=None) == replace(plain, choices=None)
+        runs.append((run_with_scheduler(store, program, scheduler, fuel=1_000_001), scheduler))
+    (traced, traced_scheduler), (plain, plain_scheduler) = runs
+    trace = tuple(traced.trace())
+    assert replace(traced, choices=None) == replace(plain, choices=None)
     assert vars(traced.choices) == vars(plain.choices)
-    assert traced_asked == plain_asked
-    assert len(traced.trace) == 50
+    assert traced_scheduler.asked == plain_scheduler.asked
+    assert len(trace) == 50
 
 
 def test_skipped_periods_take_no_memory_for_their_choices():

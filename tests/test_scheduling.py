@@ -75,9 +75,7 @@ def test_step_global_counts_loop_unfoldings():
 
 
 def test_round_robin_alternates_in_name_order():
-    run = run_with_scheduler(
-        Store.of(x="1", y="1"), zrange_program(), RoundRobin(), keep_trace=True
-    )
+    run = run_with_scheduler(Store.of(x="1", y="1"), zrange_program(), RoundRobin())
     assert run.finished
     assert tuple(run.choices) == ("bump", "wipe") * 4
     assert run.steps == 8
@@ -87,9 +85,7 @@ def test_round_robin_alternates_in_name_order():
 
 
 def test_global_trace_dump():
-    run = run_with_scheduler(
-        Store.of(x="1", y="1"), zrange_program(), RoundRobin(), keep_trace=True
-    )
+    run = run_with_scheduler(Store.of(x="1", y="1"), zrange_program(), RoundRobin())
     assert "\n".join(dump_global_trace(run)) == "\n".join([
         "step\tthread\trule\tloops\tassignment",
         "1\tbump\twhile-tt\t1\t-",
@@ -372,7 +368,7 @@ def test_trace_stores_equal_stores_built_from_the_replayed_state(scheduler):
     # ``zero`` and ``bump`` sets it again with ``add1``.
     program = zrange_program()
     store = Store.of(x="111", y="11", w="0110")
-    trace = run_with_scheduler(store, program, scheduler, keep_trace=True).trace
+    trace = tuple(run_with_scheduler(store, program, scheduler).trace())
     assert {("z", ""), ("z", "1")} <= {entry.assigned for entry in trace}
     table = program.table
     names = table.variables
@@ -391,7 +387,7 @@ def test_trace_stores_equal_stores_built_from_the_replayed_state(scheduler):
                          ids=lambda s: s.name)
 def test_a_store_blind_run_builds_no_store_per_step(scheduler, monkeypatch):
     store = Store.of(x="1" * 50, y="1" * 50)
-    trace = run_with_scheduler(store, zrange_program(), scheduler, keep_trace=True).trace
+    trace = tuple(run_with_scheduler(store, zrange_program(), scheduler).trace())
     calls = []
     built = scheduling._store
 

@@ -4,6 +4,7 @@ import pytest
 
 from tierlang import (
     Assign,
+    Expr,
     FirstAlive,
     OpCall,
     Program,
@@ -12,14 +13,41 @@ from tierlang import (
     Store,
     Var,
     While,
-    eval_expr,
+    Word,
     run_with_scheduler,
     unary,
 )
 from tierlang import scheduling
 from tierlang.fixtures import load_source
-from tierlang.ops import UnknownOperatorError
+from tierlang.ops import OPERATORS, UnknownOperatorError
 from tierlang.semantics import DONE, ControlTable, StuckGuardError
+
+
+def eval_expr(store: Store, expr: Expr) -> Word:
+    """The word an expression denotes in the given store: the reference
+    evaluator that compiled expressions are tested against.
+
+    An operator is resolved before its arguments are evaluated, left to
+    right; an explicit stack keeps deep expressions off the Python stack.
+    """
+    values: list[Word] = []
+    stack: list = [expr]  # expressions, and (operator, arity) exit entries
+    while stack:
+        node = stack.pop()
+        if node.__class__ is tuple:
+            op, arity = node
+            cut = len(values) - arity
+            args = values[cut:]
+            del values[cut:]
+            values.append(op.apply(*args))
+        elif isinstance(node, Var):
+            values.append(store.lookup(node.name))
+        elif isinstance(node, OpCall):
+            stack.append((OPERATORS.resolve(node.op), len(node.args)))
+            stack.extend(reversed(node.args))
+        else:
+            raise TypeError(f"not an expression: {node!r}")
+    return values[0]
 
 
 def test_eval_expr():
@@ -79,13 +107,13 @@ def adder_command():
 
 
 def run_alone(store, cmd, fuel=100_000):
-    """``cmd`` run alone, with its trace kept."""
-    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel, keep_trace=True)
+    """``cmd`` run alone."""
+    return run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel)
 
 
 def test_add_rule_sequence_at_n2():
     run = run_alone(Store.of(x="11"), adder_command())
-    rules = [entry.rule for entry in run.trace]
+    rules = [entry.rule for entry in run.trace()]
     assert rules == [
         "while-tt", "assign", "assign",
         "while-tt", "assign", "assign",
@@ -128,14 +156,16 @@ def test_trace_cap_marks_incomplete(monkeypatch):
     monkeypatch.setattr(scheduling, "TRACE_CAP", 5)
     run = run_alone(Store.of(x=unary(4)), adder_command())
     assert run.finished
-    assert len(run.trace) == 5
-    assert [e.index for e in run.trace] == [1, 2, 3, 4, 5]
+    trace = tuple(run.trace())
+    assert len(trace) == 5
+    assert [e.index for e in trace] == [1, 2, 3, 4, 5]
     assert run.steps == 13
 
 
 def test_trace_records_stores():
     run = run_alone(Store.of(x="1"), adder_command())
-    assert run.trace[-1].store == run.store
+    trace = tuple(run.trace())
+    assert trace[-1].store == run.store
     assert run.residual == Program(())
-    assert [e.index for e in run.trace] == list(range(1, run.steps + 1))
-    assert {e.thread for e in run.trace} == {"main"}
+    assert [e.index for e in trace] == list(range(1, run.steps + 1))
+    assert {e.thread for e in trace} == {"main"}
