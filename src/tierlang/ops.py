@@ -59,11 +59,6 @@ class OperatorDef:
     def is_neutral(self) -> bool:
         return self.kind != POSITIVE
 
-    def apply(self, *args: Word) -> Word:
-        if len(args) != self.arity:
-            raise TypeError(f"{self.name} expects {self.arity} arguments, got {len(args)}")
-        return self.fn(*args)
-
 
 # --- the builtin library ---------------------------------------------------
 

@@ -195,71 +195,58 @@ class ControlTable:
 
     def _generate(self, expr: int) -> Callable[[Sequence], Word]:
         """The function of the expression with id ``expr`` on a flat state
-        ``s``: straight-line code with one line ``v<k> = a<k>(...)`` per
-        distinct call, children first, so no depth costs Python stack.
+        ``s``.  One walk over its keys in evaluation order resolves a call's
+        operator on entering it and checks its argument count on leaving it,
+        after its arguments, left to right.  An unknown operator or a wrong
+        count ends the walk, and the function raises a fresh copy of that
+        error on any state.  Otherwise it is straight-line code with one
+        line ``v<k> = a<k>(...)`` per distinct call, node k being the k-th
+        the walk leaves (children first), so no depth costs Python stack.
         Node k's operator or variable position ``a<k>`` is an argument of
         the factory that ``exec`` makes once per process per *shape* (each
         node's argument indices), never source text, since a word literal's
-        operator name is user text.  An expression with a call of an
-        unknown operator or with a wrong argument count compiles to
-        ``_failing``'s function instead."""
+        operator name is user text."""
         keys = self.keys
-        ids, stack = set(), [expr]  # the ids of the expression's distinct nodes
+        at: dict[int, int] = {}  # id -> its node's index
+        shape, bound = [], []  # per node: None or its arguments' indices; a<k>
+        stack: list = [expr]  # ids to enter, and (operator, id) for calls to leave
         while stack:
             i = stack.pop()
-            if i not in ids:
-                ids.add(i)
-                stack += () if keys[i].__class__ is str else keys[i][1:]
-        at = {i: k for k, i in enumerate(sorted(ids))}  # id -> its node's index
-        shape, bound = [], []  # per node: None or its arguments' indices; a<k>
-        for i in at:
-            key = keys[i]
-            if key.__class__ is str:
-                shape.append(None)
-                bound.append(bisect_left(self.variables, key))
-                continue
-            try:
-                op = OPERATORS.resolve(key[0])
-            except UnknownOperatorError:
-                op = None
-            if op is None or op.arity != len(key) - 1:
-                return self._failing(expr)
-            shape.append(tuple([at[a] for a in key[1:]]))
-            bound.append(op.fn)
-        factory = _FACTORIES.get(tuple(shape))
-        if factory is None:
-            lines, text = [], []  # a line per call; each node's value in the source
-            for k, args in enumerate(shape):
-                text.append(f"s[a{k}]" if args is None else f"v{k}")
-                if args is not None:
-                    lines.append(f"  v{k} = a{k}({', '.join(text[a] for a in args)})\n")
-            namespace: dict = {}
-            exec(f"def factory({', '.join(f'a{k}' for k in range(len(shape)))}):\n"
-                 f" def fn(s):\n{''.join(lines)}  return {text[-1]}\n return fn", namespace)
-            factory = _FACTORIES[tuple(shape)] = namespace["factory"]
-        return factory(*bound)
-
-    def _failing(self, expr: int) -> Callable[[Sequence], Word]:
-        """A function that raises, on any state, the first error met in
-        evaluating the expression with id ``expr``; operators are total,
-        so it is found without values.  A call's operator is resolved
-        before its arguments, left to right, and applied after them."""
-        stack: list = [expr]  # ids, and (operator, arity) for calls to apply
-        while True:
-            i = stack.pop()
             if i.__class__ is tuple:
-                op, arity = i
-                if op.arity != arity:
-                    error = TypeError(f"{op.name} expects {op.arity} arguments, got {arity}")
+                op, i = i
+                args = keys[i][1:]
+                if op.arity != len(args):
+                    error = TypeError(f"{op.name} expects {op.arity} arguments, got {len(args)}")
                     break
-            elif self.keys[i].__class__ is not str:
-                name, *args = self.keys[i]
+                shape.append(tuple([at[a] for a in args]))
+                bound.append(op.fn)
+            elif i in at:
+                continue
+            elif keys[i].__class__ is str:
+                shape.append(None)
+                bound.append(bisect_left(self.variables, keys[i]))
+            else:
                 try:
-                    stack.append((OPERATORS.resolve(name), len(args)))
+                    stack.append((OPERATORS.resolve(keys[i][0]), i))
                 except UnknownOperatorError as err:
                     error = err
                     break
-                stack.extend(reversed(args))
+                stack.extend(reversed(keys[i][1:]))
+                continue
+            at[i] = len(at)
+        else:
+            factory = _FACTORIES.get(tuple(shape))
+            if factory is None:
+                lines, text = [], []  # a line per call; each node's value in the source
+                for k, args in enumerate(shape):
+                    text.append(f"s[a{k}]" if args is None else f"v{k}")
+                    if args is not None:
+                        lines.append(f"  v{k} = a{k}({', '.join(text[a] for a in args)})\n")
+                namespace: dict = {}
+                exec(f"def factory({', '.join(f'a{k}' for k in range(len(shape)))}):\n"
+                     f" def fn(s):\n{''.join(lines)}  return {text[-1]}\n return fn", namespace)
+                factory = _FACTORIES[tuple(shape)] = namespace["factory"]
+            return factory(*bound)
 
         def fail(s: Sequence) -> Word:
             raise type(error)(*error.args)

@@ -354,12 +354,12 @@ def test_a_reader_that_closes_stdout_early_gets_no_traceback(fx, tmp_path, argv)
         path.write_text("thread t { " + "; ".join(f"v{i} := v{i}" for i in range(10_000)) + " }\n")
     else:
         path = fx(name)
-    proc = subprocess.Popen([sys.executable, "-m", "tierlang.cli", command, path, *flags],
-                            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline()
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "tierlang.cli", command, path, *flags],
+                          env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
 
 

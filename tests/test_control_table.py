@@ -52,7 +52,7 @@ from tierlang.scheduling import (
 from tierlang.semantics import DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import build_sig_env, check_program, command_tiers, maximal_safe_sigs
-from programs import programs, stores
+from programs import expressions, programs, stores
 from test_scheduling import StorePeek
 from test_semantics import eval_expr
 
@@ -647,6 +647,53 @@ def test_a_call_with_the_wrong_argument_count_raises_when_it_steps():
         run_with_scheduler(Store.of(x="1"), program, FirstAlive())
     with pytest.raises(TypeError, match=message):
         explore(Store.of(x="1"), program)
+
+
+def test_walking_a_table_never_evaluates():
+    # A bad call is an error of evaluating it, not of compiling its slot:
+    # ``successors`` compiles every slot it is asked about, and subject
+    # reduction walks them all without raising.
+    registry = default_registry()
+    sig_env = {op: maximal_safe_sigs(registry.resolve("pred")) for op in ("pred", "nosuch")}
+    gamma = {"x": Tier.ONE}
+    reports = []
+    for call in (OpCall("pred", (Var("x"), Var("x"))), OpCall("nosuch", (Var("x"),))):
+        program = Program.single(Seq(Assign("x", call), Skip()))
+        table = program.table
+        assert [table.successors(slot) for slot in table.roots] == [(table.keys[table.roots[0]][2],)]
+        reports.append(tier_preservation(Store.of(x="1"), program, gamma, sig_env))
+    wrong_count, unknown = reports
+    assert (wrong_count.passed, wrong_count.edges_checked, wrong_count.complete) == (False, 1, True)
+    violation = wrong_count.violation
+    assert (violation.thread, violation.depth, violation.before, violation.after) == (
+        "main", 0, "x := pred(x, x);\nskip", "skip")
+    assert (violation.tiers_before, violation.tiers_after) == ((), ("0", "1"))
+    assert (unknown.passed, unknown.edges_checked, unknown.complete, unknown.violation) == (
+        True, 2, True, None)
+
+
+def _bad_calls(inner):
+    # Any operator name, known or not, over any number of arguments, so
+    # some calls have the wrong count; and calls that reuse an argument.
+    return st.one_of(
+        st.builds(lambda op, args: OpCall(op, tuple(args)),
+                  st.sampled_from(("pred", "concat", "gt0", "nosuch")), st.lists(inner, max_size=3)),
+        st.builds(lambda op, a: OpCall(op, (a, a)), st.sampled_from(("concat", "eq", "pred")), inner),
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.recursive(expressions, _bad_calls, max_leaves=6), stores)
+def test_a_stepped_expression_gives_what_eval_expr_gives(expr, store):
+    program = Program.single(Assign("y", expr))
+    try:
+        want = eval_expr(store, expr)
+    except (UnknownOperatorError, TypeError) as err:
+        with pytest.raises(type(err)) as got:
+            run_with_scheduler(store, program, FirstAlive())
+        assert got.value.args == err.args
+    else:
+        assert run_with_scheduler(store, program, FirstAlive()).store.lookup("y") == want
 
 
 def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):

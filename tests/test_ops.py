@@ -31,7 +31,7 @@ reg = default_registry()
 
 
 def ap(name, *args):
-    return reg.resolve(name).apply(*args)
+    return reg.resolve(name).fn(*args)
 
 
 # --- exact values, worked out by hand ----------------------------------------

@@ -36,10 +36,12 @@ def eval_expr(store: Store, expr: Expr) -> Word:
         node = stack.pop()
         if node.__class__ is tuple:
             op, arity = node
+            if op.arity != arity:
+                raise TypeError(f"{op.name} expects {op.arity} arguments, got {arity}")
             cut = len(values) - arity
             args = values[cut:]
             del values[cut:]
-            values.append(op.apply(*args))
+            values.append(op.fn(*args))
         elif isinstance(node, Var):
             values.append(store.lookup(node.name))
         elif isinstance(node, OpCall):
