@@ -227,7 +227,7 @@ class Choices:
 @dataclass(frozen=True)
 class ScheduledRun:
     store: Store
-    residual: Program
+    residual: Program  # each live thread's next command, then the rest nested to the right
     steps: int
     loops: int
     finished: bool

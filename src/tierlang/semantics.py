@@ -14,21 +14,24 @@ default, so ill-formed guards surface immediately.
 
 Runs step a ``ControlTable``, which owns the step rules: every node a
 command holds or can reach, expression or residual command, gets one
-hash-consed id, a command's id being its slot; each slot, the first
-time it is stepped, records the slots that follow and its redex's
-expression as generated straight-line code, shared by every expression
-of the same shape.  A configuration is one flat state: the words of the
-table's ``variables`` in order, then one slot per thread.  Functions read
-words by position, and ``ControlTable.advance``, the one place the step
-rules fire, steps a thread's slot and writes its assignments in such a
-state in place, up to a budget of steps, so a step is a table lookup
-plus one operator call and no store is built; ``scheduling`` makes
-``Store`` objects from a state only where a caller reads one.  The same
-table lists each slot's successors for questions that range over every
-store at once, such as subject reduction, and ``typecheck.type_table``
-types its ids in one list.  A program builds its table on first use,
-as ``Program.table``, and every later run, exploration and walk of it
-reuses that table; one command runs as a one-thread ``Program.single``.
+hash-consed id, a command's id being its slot; each slot, the first time
+it is stepped, records the slots that follow and its redex's expression
+as generated straight-line code, shared by every expression of the same
+shape.  ``;`` is associative, so a slot that follows is the redex's
+outcome before one right-nested continuation, and no step copies the
+sequences around its redex.  A configuration is one flat state: the
+words of the table's ``variables`` in order, then one slot per thread.
+Functions read words by position, and ``ControlTable.advance``, the one
+place the step rules fire, steps a thread's slot and writes its
+assignments in such a state in place, up to a budget of steps, so a step
+is a table lookup plus one operator call and no store is built;
+``scheduling`` makes ``Store`` objects from a state only where a caller
+reads one.  The same table lists each slot's successors for questions
+that range over every store at once, such as subject reduction, and
+``typecheck.type_table`` types its ids in one list.  A program builds
+its table on first use, as ``Program.table``, and every later run,
+exploration and walk of it reuses that table; one command runs as a
+one-thread ``Program.single``.
 """
 
 from __future__ import annotations
@@ -82,8 +85,8 @@ _FACTORIES: dict[tuple, Callable] = {}  # an expression's shape -> its factory (
 class ControlTable:
     """Every residual the step rules can reach from some commands.
 
-    The step rules only build residuals as ``Seq(residual, rest)`` or
-    ``Seq(body, loop)``, so a command has finitely many.  Every node,
+    The step rules only build residuals as right-nested sequences of
+    source commands, so a command has finitely many.  Every node,
     expression or command, is hash-consed to an int id in one numbering:
     its key is its kind and its children's ids (spans ignored), and nodes
     with equal keys share one id, so equal states compare as small ints
@@ -151,23 +154,29 @@ class ControlTable:
             self._entries.append(None)
         return i
 
-    def _seq(self, first: int, second: int, spanned: int) -> int:
-        """The slot of ``first; second``, at the source position of ``spanned``."""
-        nodes = self.nodes
-        node = Seq(nodes[first], nodes[second], nodes[spanned].span)
-        return self._intern((Seq, first, second), node)
+    def _then(self, first: int, rest: int) -> int:
+        """The slot of ``first; rest`` with ``first``'s statements flattened
+        into one right-nested sequence, or ``first`` if ``rest`` is ``DONE``."""
+        if rest == DONE:
+            return first
+        stack = [first]  # popped last statement first
+        while stack:
+            i = stack.pop()
+            if self.keys[i][0] is Seq:
+                stack += self.keys[i][1:]
+            else:
+                rest = self._intern((Seq, i, rest), Seq(self.nodes[i], self.nodes[rest]))
+        return rest
 
     def _compile(self, slot: int) -> _Entry:
-        """The step rules at ``slot``.  A command steps at its redex, the
-        first command down the left spine of its sequences: the redex
-        picks a rule (the true, then the false case for a guard) and
-        leaves a residual or nothing (``DONE``), which is plugged back
-        into the sequences around it, innermost first."""
+        """The step rules at ``slot``.  A command steps at its redex, the first
+        command down the left spine of its sequences: the redex picks a rule
+        (the true, then the false case for a guard) and leaves an outcome or
+        nothing (``DONE``) before the second commands met on the way back up."""
         keys = self.keys
-        context: list[int] = []
-        redex = slot
+        rest, redex = DONE, slot
         while keys[redex][0] is Seq:
-            context.append(redex)
+            rest = self._then(keys[redex][2], rest)
             redex = keys[redex][1]
         key = keys[redex]
         kind = key[0]
@@ -175,23 +184,13 @@ class ControlTable:
             self._fns[key[1]] = self._generate(key[1])
         fn = None if kind is Skip else self._fns[key[1]]  # guard or assigned expression
         var = bisect_left(self.variables, key[2]) if kind is Assign else None
-        outcomes: tuple[tuple[str, int], ...]
-        if kind is Skip:
-            outcomes = (("skip", DONE),)
-        elif kind is Assign:
-            outcomes = (("assign", DONE),)
-        elif kind is If:
-            outcomes = (("if-tt", key[2]), ("if-ff", key[3]))
+        if kind is If:
+            outcomes = ("if-tt", self._then(key[2], rest), "if-ff", self._then(key[3], rest))
+        elif kind is While:
+            outcomes = (UNFOLD, self._then(key[2], self._then(redex, rest)), "while-ff", rest)
         else:
-            outcomes = ((UNFOLD, self._seq(key[2], redex, redex)), ("while-ff", DONE))
-        nexts: list[tuple[str, int]] = []
-        for rule, residual in outcomes:
-            for outer in reversed(context):
-                rest = keys[outer][2]
-                residual = rest if residual == DONE else self._seq(residual, rest, outer)
-            nexts.append((rule, residual))
-        (rule, nxt), (other_rule, other) = nexts[0], nexts[-1]
-        return (rule, nxt, other_rule, other, var, fn, self.nodes[redex])
+            outcomes = ("skip" if kind is Skip else "assign", rest) * 2
+        return (*outcomes, var, fn, self.nodes[redex])
 
     def _generate(self, expr: int) -> Callable[[Sequence], Word]:
         """The function of the expression with id ``expr`` on a flat state

@@ -341,6 +341,30 @@ def test_a_violation_below_a_root_names_its_depth(monkeypatch):
     assert (violation.tiers_before, violation.tiers_after) == (("1",), ())
 
 
+def test_a_violation_after_an_unfolding_reads_as_one_statement_list(monkeypatch):
+    # The unfolded body is followed by the loop and the statement after
+    # it as one continuation, so the residual prints with no brace group.
+    from tierlang import analysis
+
+    src = parse("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+                "vars { x : 1; y : 1; }\n"
+                "thread b { while (gt0(x)) { x := pred(x) }; y := pred(y) }\n")
+    sig_env, _ = build_sig_env(src, default_registry())
+    program = src.program()
+    typing_pass = analysis.type_table
+
+    def blanking(table, *args):
+        typed = typing_pass(table, *args)
+        typed[table.successors(table.roots[0])[0]] = frozenset()  # the unfolding's residual
+        return typed
+
+    monkeypatch.setattr(analysis, "type_table", blanking)
+    violation = tier_preservation(Store(), program, src.annotations(), sig_env).violation
+    assert (violation.thread, violation.depth) == ("b", 0)
+    assert violation.before == "while (gt0(x)) {\n  x := pred(x)\n};\ny := pred(y)"
+    assert violation.after == "x := pred(x);\nwhile (gt0(x)) {\n  x := pred(x)\n};\ny := pred(y)"
+
+
 def test_tier_drop_violation_serializes_tier_names():
     src = parse("op add1 arity 1 class positive;\nvars { s : 0; x : 1; }\n"
                 "thread t { x := add1(s); skip }\n")

@@ -191,6 +191,28 @@ def step_command(store, cmd):
     return Stepped(store, None, "while-ff", 0, None)
 
 
+def statements(cmd):
+    """``cmd``'s statements in order, its sequences flattened, or ``None``
+    for a terminated command.  ``;`` is associative, and the control table
+    nests a residual's sequences to the right of its redex where the rules
+    as written nest them to the left, so residuals are compared this way;
+    a conditional or loop is one statement, compared whole."""
+    if cmd is None:
+        return None
+    out, stack = [], [cmd]
+    while stack:
+        cmd = stack.pop()
+        if isinstance(cmd, Seq):
+            stack += (cmd.second, cmd.first)
+        else:
+            out.append(cmd)
+    return tuple(out)
+
+
+def thread_statements(program):
+    return tuple((tid, statements(cmd)) for tid, cmd in program.threads)
+
+
 def reference_scheduled(store, program, scheduler, fuel):
     pool = dict(program.threads)
     state = scheduler.fresh_state()
@@ -208,13 +230,15 @@ def reference_scheduled(store, program, scheduler, fuel):
             pool[tid] = out.residual
         choices.append(tid)
         trace.append((steps, tid, out.rule, loops, out.assigned, store))
-    return store, Program(tuple(pool.items())), steps, loops, not pool, tuple(choices), trace
+    residual = thread_statements(Program(tuple(pool.items())))
+    return store, residual, steps, loops, not pool, tuple(choices), trace
 
 
 def table_scheduled(store, program, scheduler, fuel):
     run = run_with_scheduler(store, program, scheduler, fuel)
     trace = [(e.index, e.thread, e.rule, e.loops, e.assigned, e.store) for e in run.trace()]
-    return run.store, run.residual, run.steps, run.loops, run.finished, tuple(run.choices), trace
+    return (run.store, thread_statements(run.residual), run.steps, run.loops, run.finished,
+            tuple(run.choices), trace)
 
 
 def reference_sequential(store, cmd, fuel):
@@ -225,8 +249,8 @@ def reference_sequential(store, cmd, fuel):
         store, cmd = out.store, out.residual
         steps += 1
         loops += out.loop_increment
-        trace.append((steps, out.rule, loops, out.assigned, store, cmd))
-    return store, cmd, steps, loops, cmd is None, trace
+        trace.append((steps, out.rule, loops, out.assigned, store, statements(cmd)))
+    return store, statements(cmd), steps, loops, cmd is None, trace
 
 
 def table_sequential(store, cmd, fuel):
@@ -245,8 +269,8 @@ def table_sequential(store, cmd, fuel):
         cmd = None if cells[at] == DONE else table.nodes[cells[at]]
         steps += 1
         loops += rule == "while-tt"
-        trace.append((steps, rule, loops, assigned, store, cmd))
-    return store, cmd, steps, loops, cmd is None, trace
+        trace.append((steps, rule, loops, assigned, store, statements(cmd)))
+    return store, statements(cmd), steps, loops, cmd is None, trace
 
 
 def one_at_a_time(table, cells, at, budget, mark=0, saved=None):
@@ -286,7 +310,7 @@ def scheduled_alone(store, cmd, fuel):
     run = run_with_scheduler(store, Program.single(cmd), FirstAlive(), fuel)
     trace = [(e.index, e.rule, e.loops, e.assigned, e.store) for e in run.trace()]
     residual = run.residual.command("main") if run.residual.threads else None
-    return run.store, residual, run.steps, run.loops, run.finished, trace
+    return run.store, statements(residual), run.steps, run.loops, run.finished, trace
 
 
 def drop_step_residuals(result):
@@ -560,6 +584,33 @@ def test_long_sequence_needs_no_recursion():
     gamma = {"x": Tier.ONE, "y": Tier.ZERO}
     tiers = tier_preservation(store, program, gamma, sig_env)
     assert (tiers.passed, tiers.complete, tiers.edges_checked) == (True, True, 3000)
+
+
+def test_a_loop_nest_grows_the_table_by_one_node_per_loop():
+    # Each unfolding leaves the body before one shared continuation, so
+    # stepping the n-deep nest adds a node per loop.  Re-nesting the
+    # residual's sequences around each redex added about n * n / 2.
+    n = 1000
+    program = parse("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+                    "vars { x : 1; }\nthread t { " + "while (gt0(x)) { " * n
+                    + "x := pred(x)" + " }" * n + " }\n").program()
+    sources = len(program.table.nodes)
+    run = run_with_scheduler(Store.of(x="1"), program, FirstAlive())
+    assert (run.finished, run.steps, run.loops) == (True, 2 * n + 1, n)
+    assert len(program.table.nodes) - sources <= n + 4
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(programs, stores)
+def test_a_residual_sequence_starts_with_a_source_command(program, store):
+    # A residual is one right-nested sequence of source statements, so no
+    # sequence, and none that stepping built, sits on the left of another.
+    table = program.table
+    sources = len(table.nodes)
+    explore(store, program, max_steps=15, max_states=400)
+    for key in table.keys[sources:]:
+        if key[0] is Seq:
+            assert key[1] < sources and table.keys[key[1]][0] is not Seq, table.nodes[key[1]]
 
 
 def test_command_tiers_walks_long_loop_bodies_without_recursion():

@@ -71,7 +71,8 @@ def test_step_global_counts_loop_unfoldings():
     assert rule == "while-tt"
     assert slots[1] == table.roots[1]
     bump = program.command("bump")
-    assert table.nodes[slots[0]] == Seq(bump.body, bump)
+    # the body's two statements, then the loop, as one right-nested sequence
+    assert table.nodes[slots[0]] == Seq(bump.body.first, Seq(bump.body.second, bump))
 
 
 def test_round_robin_alternates_in_name_order():
