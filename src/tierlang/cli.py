@@ -334,6 +334,11 @@ def cmd_measure(args: argparse.Namespace) -> int:
     scaled = args.scale
     if not scaled:
         raise CliError("measure needs at least one --scale VAR")
+    for i, var in enumerate(scaled):
+        if var in scaled[:i]:
+            raise CliError(f"--scale {var} given twice")
+        if var in fixed:
+            raise CliError(f"--scale {var} conflicts with --input {var}")
     program = source.program()
     absent = sorted(set(scaled) - set(program.table.variables))
     if absent:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 if TYPE_CHECKING:
     from .semantics import ControlTable
@@ -70,9 +70,9 @@ class Alphabet:
 DEFAULT_ALPHABET = Alphabet(DEFAULT_LETTERS)
 
 
-@dataclass(frozen=True)
-class Span:
-    """A source position (1-based line and column) for diagnostics."""
+class Span(NamedTuple):
+    """A source position (1-based line and column) for diagnostics; a
+    named tuple, the cheapest immutable record to build per node."""
 
     line: int
     col: int

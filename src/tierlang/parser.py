@@ -78,20 +78,20 @@ RESERVED = frozenset(
     }
 )
 
-# One alternative per token kind; every character starts a match, so
-# ``finditer`` reads the text without gaps.  Newlines are named so the
-# tokenizer can count lines, blanks and ``//`` comments produce no token,
-# and any other character is an error.  ``[^\W\d]`` is a word character
-# that is not a decimal digit, which also matches numeric signs such as
+# One alternative per token kind, after any blanks; ``_tokenize`` scans
+# one line at a time with its trailing blanks cut, so ``finditer`` reads
+# the line without gaps.  ``//`` comments produce no token, and any
+# other character is an error.  ``[^\W\d]`` is a word character that
+# is not a decimal digit, which also matches numeric signs such as
 # ``²``; ``_tokenize`` rejects those, so a name starts with a letter or
 # ``_``.
 _TOKEN = re.compile(
-    r"""(?P<newline>\n) | [ \t\r]+ | //[^\n]*
+    r"""[ \t\r]* (?: //.*
     | (?P<punct>:= | -> | [{}();:,])
-    | (?P<string>"[^"\n]*")
+    | (?P<string>"[^"]*")
     | (?P<ident>[^\W\d]\w*)
     | (?P<digits>\d+)
-    | (?P<error>.)""",
+    | (?P<error>.))""",
     re.VERBOSE,
 )
 
@@ -110,32 +110,26 @@ class ParseError(ValueError):
 # punctuation mark is never the text of any other kind of token.
 # ``_tokenize`` lists the tokens last to first, so the parser, which
 # never looks back, pops each token it reads and frees it: a long file's
-# tokens and tree need not both be held whole.
-
-
-def _span(tok: tuple) -> Span:
-    return Span(tok[2], tok[3])
+# tokens and tree need not both be held whole.  ``command`` and
+# ``expression`` test and pop the tokens in place; the headers, and any
+# error, go through ``peek``, ``advance``, ``at`` and ``expect``.
 
 
 def _tokenize(text: str) -> list[tuple]:
     tokens: list[tuple] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        start = match.start()
-        if kind == "newline":
-            line += 1
-            line_start = start + 1
-            continue
-        first, col = text[start], start - line_start + 1
-        if kind == "error" or kind == "ident" and not (first.isalpha() or first == "_"):
-            if first == '"':
-                raise ParseError("unterminated word literal", line, col)
-            raise ParseError(f"unexpected character {first!r}", line, col)
-        tokens.append((kind, match.group(), line, col))
-    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    for line, row in enumerate(text.split("\n"), 1):
+        for match in _TOKEN.finditer(row.rstrip(" \t\r")):
+            kind = match.lastgroup
+            if kind is None:
+                continue
+            start = match.start(kind)
+            first = row[start]
+            if kind == "error" or kind == "ident" and not (first.isalpha() or first == "_"):
+                if first == '"':
+                    raise ParseError("unterminated word literal", line, start + 1)
+                raise ParseError(f"unexpected character {first!r}", line, start + 1)
+            tokens.append((kind, match.group(kind), line, start + 1))
+    tokens.append(("eof", "", line, len(row) + 1))
     tokens.reverse()
     return tokens
 
@@ -210,13 +204,16 @@ class _Parser:
         tok = tok or self.peek()
         return ParseError(message, tok[2], tok[3])
 
+    def missing(self, text: str) -> ParseError:
+        return self.fail(f"expected {text!r}, found {self.peek()[1] or 'end of file'!r}")
+
     def at(self, text: str) -> bool:
         """Whether the next token is the given keyword or punctuation mark."""
         return self.tokens[-1][1] == text
 
     def expect(self, text: str) -> tuple:
         if not self.at(text):
-            raise self.fail(f"expected {text!r}, found {self.peek()[1] or 'end of file'!r}")
+            raise self.missing(text)
         return self.advance()
 
     def fresh_name(self, role: str) -> tuple:
@@ -305,7 +302,7 @@ class _Parser:
                 sig_list.append(self.signature(arity))
             sigs = tuple(sig_list)
         self.expect(";")
-        return OpDecl(name, arity, klass, sigs, _span(start))
+        return OpDecl(name, arity, klass, sigs, Span(start[2], start[3]))
 
     def signature(self, arity: int) -> Sig:
         start = self.peek()
@@ -348,140 +345,142 @@ class _Parser:
 
         Each open block sits on a stack as (the statements before it,
         what opened it, what that opener read): a ``{`` in statement
-        position reads nothing, an ``if`` or ``while`` its token and
+        position reads nothing, an ``if`` or ``while`` its span and
         guard, and an ``else`` also the finished then-branch.
         """
+        tokens, pop = self.tokens, self.tokens.pop
         stack: list[tuple[list[Command], str, tuple]] = []
         items: list[Command] = []
         while True:
-            tok = self.peek()
-            kind, text = tok[:2]
+            tok = pop()
+            kind, text = tok[0], tok[1]
             if text == "{" or text == "if" or text == "while":
-                self.advance()
                 read: tuple = ()
                 if text != "{":
-                    self.expect("(")
-                    read = (tok, self.expression())
-                    self.expect(")")
-                    self.expect("{")
+                    if tokens[-1][1] != "(":
+                        raise self.missing("(")
+                    pop()
+                    read = (Span(tok[2], tok[3]), self.expression())
+                    if tokens[-1][1] != ")" or tokens[-2][1] != "{":
+                        self.expect(")")
+                        raise self.missing("{")
+                    del tokens[-2:]
                 stack.append((items, text, read))
                 items = []
                 continue
             if kind != "ident":
-                raise self.fail(f"expected a statement, found {text or 'end of file'!r}")
+                raise self.fail(f"expected a statement, found {text or 'end of file'!r}", tok)
             if text == "skip":
-                self.advance()
-                statement: Command = Skip(_span(tok))
+                statement: Command = Skip(Span(tok[2], tok[3]))
+            elif text in RESERVED:
+                raise self.fail(f"{text!r} is a reserved word and cannot name a variable", tok)
+            elif tokens[-1][1] != ":=":
+                raise self.missing(":=")
             else:
-                self.fresh_name("variable")
-                self.expect(":=")
-                statement = Assign(text, self.expression(), _span(tok))
+                pop()
+                statement = Assign(text, self.expression(), Span(tok[2], tok[3]))
             # Close every block the statement ends; stop at a ";" that
             # another statement follows.
             while True:
                 items.append(statement)
-                if self.at(";"):
-                    self.advance()
-                    if not self.at("}"):
+                if tokens[-1][1] == ";":
+                    pop()
+                    if tokens[-1][1] != "}":
                         break
                 block = items.pop()
                 for item in reversed(items):
                     block = Seq(item, block, item.span)
                 if not stack:
                     return block
-                self.expect("}")
+                if tokens[-1][1] != "}":
+                    raise self.missing("}")
+                pop()
                 items, opener, read = stack.pop()
                 if opener == "if":
-                    self.expect("else")
-                    self.expect("{")
+                    if tokens[-1][1] != "else" or tokens[-2][1] != "{":
+                        self.expect("else")
+                        raise self.missing("{")
+                    del tokens[-2:]
                     stack.append((items, "else", read + (block,)))
                     items = []
                     break
                 if opener == "{":
                     statement = block
                 elif opener == "else":
-                    statement = If(read[1], read[2], block, _span(read[0]))
+                    statement = If(read[1], read[2], block, read[0])
                 else:
-                    statement = While(read[1], block, _span(read[0]))
+                    statement = While(read[1], block, read[0])
 
     # --- expressions ------------------------------------------------------
 
     def expression(self) -> Expr:
         """An expression; each open operator call sits on a stack as
         (operator token, arguments so far)."""
+        tokens, pop = self.tokens, self.tokens.pop
         stack: list[tuple[tuple, list[Expr]]] = []
         while True:
-            tok = self.peek()
-            kind, text = tok[:2]
+            tok = pop()
+            kind, text = tok[0], tok[1]
             if kind == "string" or text == "tt" or text == "ff":
-                self.advance()
-                expr: Expr = OpCall(text, (), _span(tok))
+                expr: Expr = OpCall(text, (), Span(tok[2], tok[3]))
             elif kind != "ident":
-                raise self.fail(f"expected an expression, found {text or 'end of file'!r}")
+                raise self.fail(f"expected an expression, found {text or 'end of file'!r}", tok)
             elif text in RESERVED:
-                raise self.fail(f"{text!r} is a reserved word")
+                raise self.fail(f"{text!r} is a reserved word", tok)
+            elif tokens[-1][1] != "(":
+                expr = Var(text, Span(tok[2], tok[3]))
             else:
-                self.advance()
-                if not self.at("("):
-                    expr = Var(text, _span(tok))
-                else:
-                    self.advance()
-                    if not self.at(")"):
-                        stack.append((tok, []))
-                        continue
-                    self.advance()
-                    expr = OpCall(text, (), _span(tok))
+                pop()
+                if tokens[-1][1] != ")":
+                    stack.append((tok, []))
+                    continue
+                pop()
+                expr = OpCall(text, (), Span(tok[2], tok[3]))
             # Close every call the expression ends; stop at a ",".
             while stack:
                 op, args = stack[-1]
                 args.append(expr)
-                if self.at(","):
-                    self.advance()
+                text = tokens[-1][1]
+                if text == ",":
+                    pop()
                     break
-                self.expect(")")
+                if text != ")":
+                    raise self.missing(")")
+                pop()
                 stack.pop()
-                expr = OpCall(op[1], tuple(args), _span(op))
+                expr = OpCall(op[1], tuple(args), Span(op[2], op[3]))
             else:
                 return expr
 
 
 def _validate(source: SourceFile) -> None:
     """Post-parse checks: operator usage against declarations, and word
-    literal letters against the alphabet."""
-    declared = {decl.name: decl for decl in source.op_decls}
-    alphabet = source.alphabet()
+    literal letters against the alphabet.  Each distinct call, a key of
+    the program's ``ControlTable`` (built here for every later check and
+    run), is checked once; only a failed check walks the threads, to
+    report the first offender in reading order."""
+    arities = {decl.name: decl.arity for decl in source.op_decls}
+    letters = source.alphabet().letters
 
+    def problem(op: str, argc: int) -> str | None:
+        if op.startswith('"'):
+            bad = [c for c in op[1:-1] if c not in letters]
+            return f"word literal uses letters outside the alphabet: {bad}" if bad else None
+        if op in ("tt", "ff") or arities.get(op) == argc:
+            return None
+        if op not in arities:
+            return f"operator {op!r} is not declared in an op header"
+        return f"operator {op!r} declared with arity {arities[op]}, applied to {argc} arguments"
+
+    if not any(key.__class__ is tuple and key[0].__class__ is str and problem(key[0], len(key) - 1)
+               for key in source.program().table.keys):
+        return
     for _, cmd in source.threads:
         for call in walk(cmd):
-            if not isinstance(call, OpCall):
-                continue
-            span = call.span or Span(0, 0)
-            if call.op.startswith('"'):
-                word = call.op[1:-1]
-                bad = [c for c in word if c not in alphabet.letters]
-                if bad:
-                    raise ParseError(
-                        f"word literal uses letters outside the alphabet: {bad}",
-                        span.line,
-                        span.col,
-                    )
-                continue
-            if call.op in ("tt", "ff"):
-                continue
-            decl = declared.get(call.op)
-            if decl is None:
-                raise ParseError(
-                    f"operator {call.op!r} is not declared in an op header",
-                    span.line,
-                    span.col,
-                )
-            if decl.arity != len(call.args):
-                raise ParseError(
-                    f"operator {call.op!r} declared with arity {decl.arity}, applied to "
-                    f"{len(call.args)} arguments",
-                    span.line,
-                    span.col,
-                )
+            message = call.__class__ is OpCall and problem(call.op, len(call.args))
+            if message:
+                span = call.span or Span(0, 0)
+                raise ParseError(message, span.line, span.col)
 
 
 def parse(text: str) -> SourceFile:

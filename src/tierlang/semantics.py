@@ -75,8 +75,8 @@ UNFOLD = "while-tt"  # the one rule that counts as a loop iteration
 
 DONE = -1  # the slot of a command that has terminated
 
-# rule, next slot, other rule, other slot, assigned position, expression, redex
-_Entry = tuple[str, int, str, int, int | None, Callable[[Sequence], Word] | None, Command]
+# rule, next slot, other rule, other slot, assigned position, expression, redex id
+_Entry = tuple[str, int, str, int, int | None, Callable[[Sequence], Word] | None, int]
 
 
 _FACTORIES: dict[tuple, Callable] = {}  # an expression's shape -> its factory (``_generate``)
@@ -113,6 +113,7 @@ class ControlTable:
         self._ids: dict[object, int] = {}  # key -> id
         self._entries: list[_Entry | None] = []  # id -> a command's step rules
         self._fns: dict[int, Callable[[Sequence], Word]] = {}  # expression id -> its function
+        self._writes: dict[int, list[int]] = {}  # loop id -> the positions its body assigns
         self.node_ids: list[list[int]] = []
         # The ids of the nodes whose parent is still to come, the first
         # child on top; after the loop, the roots' ids.
@@ -190,7 +191,7 @@ class ControlTable:
             outcomes = (UNFOLD, self._then(key[2], self._then(redex, rest)), "while-ff", rest)
         else:
             outcomes = ("skip" if kind is Skip else "assign", rest) * 2
-        return (*outcomes, var, fn, self.nodes[redex])
+        return (*outcomes, var, fn, redex)
 
     def _generate(self, expr: int) -> Callable[[Sequence], Word]:
         """The function of the expression with id ``expr`` on a flat state
@@ -271,11 +272,12 @@ class ControlTable:
         It stops when the command terminates (its slot is then ``DONE``),
         after ``budget`` steps, and at an unfolding that is the ``mark``-th
         of this call (0: at none) or that leaves ``cells`` equal to
-        ``saved``, compared first at the position it wrote last (the slot
-        at first), so a loop that changes a word fails the test in O(1).
+        ``saved``: compared at the position it wrote last (the slot at
+        first), then at those the loop's body assigns, then whole, so a
+        loop that changes a word fails the test in O(1).
         A guard that is no truth word raises ``StuckGuardError`` with the
         steps before it written and ``cells[at]`` at the stuck command."""
-        entries = self._entries
+        entries, writes = self._entries, self._writes
         slot = cells[at]
         taken = unfolded = 0
         wrote = at  # the position this call wrote last
@@ -292,7 +294,7 @@ class ControlTable:
                 elif value != TT:
                     if value != FF:
                         cells[at] = slot
-                        raise StuckGuardError(redex, value)
+                        raise StuckGuardError(self.nodes[redex], value)
                     rule, nxt = other_rule, other
             slot = nxt
             taken += 1
@@ -302,14 +304,26 @@ class ControlTable:
                     break
                 if saved is not None:
                     cells[at] = slot
-                    if cells[wrote] == saved[wrote] and cells == saved:
-                        break
+                    if cells[wrote] == saved[wrote]:
+                        for i in writes[redex] if redex in writes else self._writes_of(redex):
+                            if cells[i] != saved[i]:
+                                break
+                        else:  # each as saved: compare the whole state
+                            if cells == saved:
+                                break
             elif slot == DONE:
                 break
             if taken == budget:
                 break
         cells[at] = slot
         return taken, unfolded, rule, var
+
+    def _writes_of(self, loop: int) -> list[int]:
+        """The positions the body of the loop with id ``loop`` assigns."""
+        self._writes[loop] = found = sorted({
+            bisect_left(self.variables, node.var)
+            for node in walk(self.nodes[loop].body) if node.__class__ is Assign})
+        return found
 
 
 def run_sequential(store: Store, cmd: Command, fuel: int = 100_000, keep_trace: bool = True):

@@ -709,14 +709,17 @@ def test_bad_numeric_arguments_are_usage_errors(fx, capsys, argv, message):
         (["measure", "--scale", "x", "--input", "y=2"],
          "'2' not in the program's alphabet 0 1 F T"),
         (["measure", "--scale", "q"], "--scale q: no such variable in the program"),
+        (["measure", "--scale", "x", "--input", "x=11"], "--scale x conflicts with --input x"),
+        (["measure", "--scale", "x", "--scale", "x"], "--scale x given twice"),
     ],
-    ids=["run-input-letter", "explore-input-letter", "measure-input-letter", "measure-scale"],
+    ids=["run-input-letter", "explore-input-letter", "measure-input-letter", "measure-scale",
+         "measure-scale-and-input", "measure-scale-twice"],
 )
 def test_inputs_outside_the_program_are_usage_errors(fx, capsys, argv, message):
     command, *flags = argv
     code, out, err = run_cli(capsys, command, fx("add.tier"), *flags)
     assert (code, out) == (2, "")
-    assert message in err
+    assert message in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [["ni", "--input", "x=1"], ["explore", "--seed", "3"]],

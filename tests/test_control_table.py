@@ -1112,3 +1112,27 @@ def test_a_lone_thread_skips_periods_under_any_scheduler(counted_steps):
     assert vars(run.choices) == vars(want.choices)
     assert (run.steps, run.choices.length) == (10**9, 10**9)
     assert len(counted_steps) < 100
+
+
+LONE_LOOP_OPS = "op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+
+
+def test_a_repeated_last_write_compares_the_loop_body_first():
+    # The loop's last write leaves ``a0`` empty, as the checkpoint has it,
+    # so the repeat test compares the positions the body assigns, ``a0``
+    # and ``x``, before the state's 2003 words, of which ``x`` comes last.
+    assigns = "".join(f"a{i} := pred(a{i}); " for i in range(1, 2001))
+    program = parse(LONE_LOOP_OPS + "thread t { " + assigns
+                    + "while (gt0(x)) { x := pred(x); a0 := pred(a0) } }").program()
+    run = run_with_scheduler(Store.of(x="1" * 50), program, FirstAlive(), fuel=10**6)
+    assert (run.finished, run.steps, run.loops) == (True, 2000 + 3 * 50 + 1, 50)
+    table = program.table
+    assert list(table._writes.values()) == [[table.variables.index(v) for v in ("a0", "x")]]
+
+
+@pytest.mark.parametrize("body", ["y := pred(y)", "skip"])
+def test_a_loop_that_writes_nothing_new_still_repeats(body, counted_steps):
+    program = parse(LONE_LOOP_OPS + "thread t { while (gt0(x)) { " + body + " } }").program()
+    run = run_with_scheduler(Store.of(x="1"), program, FirstAlive(), fuel=10**6)
+    assert (run.finished, run.steps, run.loops) == (False, 10**6, 5 * 10**5)
+    assert len(counted_steps) < 100

@@ -1,6 +1,7 @@
 """Source format: tokenizing, grammar, validation, pretty round-trips."""
 
 import dataclasses
+import re
 import string
 
 import pytest
@@ -131,8 +132,23 @@ def test_header_validation():
     ("thread t { x := while }", "1:17: 'while' is a reserved word"),
     ("op gt0 arity 1 class neutral;\nthread t { x := gt0() }",
      "2:17: operator 'gt0' declared with arity 1, applied to 0 arguments"),
+    # The first offender in reading order, where calls repeat or nest,
+    # and across threads "b" then "a", which the program lists sorted.
+    ("thread t { x := f(f(x)) }", "1:17: operator 'f' is not declared in an op header"),
+    ("thread t { x := f(g(x)) }", "1:17: operator 'f' is not declared in an op header"),
+    ("thread t { x := g(x); y := f(g(x)) }", "1:17: operator 'g' is not declared in an op header"),
+    ("op f arity 1 class neutral;\nthread t { x := f(x); y := f(f(x), x) }",
+     "2:28: operator 'f' declared with arity 1, applied to 2 arguments"),
+    ("op f arity 1 class neutral;\nthread t { x := f(f(x, x)) }",
+     "2:19: operator 'f' declared with arity 1, applied to 2 arguments"),
+    ('alphabet 0 1;\nthread b { x := "2" }\nthread a { y := mystery(x) }',
+     "2:17: word literal uses letters outside the alphabet: ['2']"),
+    ('alphabet 0 1;\nthread b { y := mystery(x) }\nthread a { x := "2" }',
+     "2:17: operator 'mystery' is not declared in an op header"),
 ], ids=["alphabet twice", "operator twice", "empty alphabet", "declared literal",
-        "annotation twice", "reserved expression", "zero-argument call"])
+        "annotation twice", "reserved expression", "zero-argument call", "repeated call",
+        "nested calls", "repeated inner call", "arity of a repeated call",
+        "arity of a nested call", "literal then call", "call then literal"])
 def test_each_header_and_expression_error_is_reported(text, message):
     assert str(bad(text)) == message
 
@@ -183,6 +199,16 @@ def test_the_first_undeclared_operator_in_reading_order_is_reported(body, first)
     assert bad(HEADER + "thread t { " + body + " }").message == (
         f"operator {first!r} is not declared in an op header"
     )
+
+
+def test_a_valid_source_parses_without_walking_its_tree(monkeypatch):
+    def no_walk(node):
+        raise AssertionError("the parse walked a tree")
+
+    monkeypatch.setattr("tierlang.parser.walk", no_walk)
+    for name in SAFE_FIXTURES + REJECTED_FIXTURES:
+        parse(fixture_text(name))
+    parse(HEADER + 'thread t { x := eq(pred(x), pred(pred(x))); y := concat(y, "01") }')
 
 
 def test_validation_walks_deep_trees_built_in_code():
@@ -332,6 +358,63 @@ def test_deep_and_long_sources_parse_and_roundtrip(body, tree):
     again = parse(pretty(src))
     assert (again.op_decls, again.var_tiers) == (src.op_decls, src.var_tiers)
     assert preorder(again.program().command("main")) == preorder(tree)
+
+
+# --- the whole-text reference tokenizer ------------------------------------------
+
+
+_WHOLE_TEXT_TOKEN = re.compile(
+    r"""(?P<newline>\n) | [ \t\r]+ | //[^\n]*
+    | (?P<punct>:= | -> | [{}();:,])
+    | (?P<string>"[^"\n]*")
+    | (?P<ident>[^\W\d]\w*)
+    | (?P<digits>\d+)
+    | (?P<error>.)""",
+    re.VERBOSE,
+)
+
+
+def whole_text_tokens(text):
+    """The tokens of ``text`` read in one scan that matches every
+    character, newlines and blanks included, as ``_tokenize`` did before
+    it scanned line by line; or the error's message and position."""
+    tokens = []
+    line, line_start = 1, 0
+    for match in _WHOLE_TEXT_TOKEN.finditer(text):
+        kind, start = match.lastgroup, match.start()
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
+        elif kind is not None:
+            first, col = text[start], start - line_start + 1
+            if kind == "error" or kind == "ident" and not (first.isalpha() or first == "_"):
+                message = "unterminated word literal" if first == '"' else (
+                    f"unexpected character {first!r}")
+                return message, line, col
+            tokens.append((kind, match.group(), line, col))
+    tokens.append(("eof", "", line, len(text) - line_start + 1))
+    return tokens[::-1]
+
+
+def line_tokens(text):
+    try:
+        return _tokenize(text)
+    except ParseError as err:
+        return err.message, err.line, err.col
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(SOURCE_TEXTS)
+@example("thread t { skip }  \r\n  // trailing \t\r\n \t")
+@example('x := "01  \n" \t ')
+def test_tokens_match_the_whole_text_reference_on_any_text(text):
+    assert line_tokens(text) == whole_text_tokens(text)
+
+
+@pytest.mark.parametrize("name", SAFE_FIXTURES + REJECTED_FIXTURES)
+def test_tokens_match_the_whole_text_reference_on_fixtures(name):
+    text = fixture_text(name)
+    for variant in (text, text.replace("\n", " \t\r\n"), text.replace("\n", "  ")):
+        assert line_tokens(variant) == whole_text_tokens(variant)
 
 
 # --- the recursive reference --------------------------------------------------------
