@@ -58,7 +58,8 @@ TierEnv = Mapping[str, Tier]
 class NiFailure:
     trial: int
     # "termination" | "tier1-projection" | "loop-count" | "step-count" | "terminal-set",
-    # or "fuel" when an exploration did not close (inconclusive, not a counterexample)
+    # or, inconclusive and not a counterexample, "stuck" when an exploration met a guard
+    # that is no truth word and "fuel" when one did not close within its bounds
     reason: str
     detail: str
 
@@ -159,6 +160,13 @@ def _compare_explorations(
 ) -> NiFailure | None:
     rep_a = explore(a, program, max_steps)
     rep_b = explore(b, program, max_steps)
+    if rep_a.stuck_states or rep_b.stuck_states:
+        return NiFailure(
+            trial,
+            "stuck",
+            f"a guard evaluated to no truth word (stuck states: {rep_a.stuck_states} vs "
+            f"{rep_b.stuck_states}); raising the bounds does not help",
+        )
     if not (rep_a.complete and rep_b.complete):
         return NiFailure(
             trial, "fuel", "exploration did not close within bounds; raise them for this program"

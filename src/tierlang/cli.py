@@ -306,7 +306,7 @@ def cmd_ni(args: argparse.Namespace) -> int:
     else:
         failure = ni.failure
         assert failure is not None
-        if failure.reason == "fuel":
+        if failure.reason in ("fuel", "stuck"):
             print(f"inconclusive at trial {failure.trial}: {failure.detail}")
         else:
             print(f"counterexample at trial {failure.trial}: {failure.reason}: {failure.detail}")

@@ -43,8 +43,10 @@ the repeat, and the run skips whole periods towards the fuel bound.
 ``explore`` builds the graph of flat states over every interleaving up
 to bounded depth, then one forward pass in topological order finds a
 cycle (a non-terminating schedule) or else the longest terminating
-counts.  Structurally equal residuals share a slot, so memoizing on
-flat states is memoizing on the store and the pool of residual commands.
+counts.  A thread's slot is its statement list, and equal lists share
+a slot, whatever ``{ }`` groups or step built them, so memoizing on flat
+states is memoizing on the store and each thread's statements, equal up
+to the associativity of ``;``; ``visited_states`` counts those.
 """
 
 from __future__ import annotations
@@ -227,7 +229,7 @@ class Choices:
 @dataclass(frozen=True)
 class ScheduledRun:
     store: Store
-    residual: Program  # each live thread's next command, then the rest nested to the right
+    residual: Program  # each live thread's statement list, nested to the right
     steps: int
     loops: int
     finished: bool

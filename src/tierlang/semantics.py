@@ -20,7 +20,7 @@ as generated straight-line code, shared by every expression of the same
 shape.  ``;`` is associative, so a slot that follows is the redex's
 outcome before one right-nested continuation, and no step copies the
 sequences around its redex.  A configuration is one flat state: the
-words of the table's ``variables`` in order, then one slot per thread.
+words of the table's ``variables`` in order, then each thread's slot.
 Functions read words by position, and ``ControlTable.advance``, the one
 place the step rules fire, steps a thread's slot and writes its
 assignments in such a state in place, up to a budget of steps, so a step
@@ -85,8 +85,8 @@ _FACTORIES: dict[tuple, Callable] = {}  # an expression's shape -> its factory (
 class ControlTable:
     """Every residual the step rules can reach from some commands.
 
-    The step rules only build residuals as right-nested sequences of
-    source commands, so a command has finitely many.  Every node,
+    A slot is a statement list, one right-nested sequence of source
+    statements, roots included, so a command has finitely many.  Every node,
     expression or command, is hash-consed to an int id in one numbering:
     its key is its kind and its children's ids (spans ignored), and nodes
     with equal keys share one id, so equal states compare as small ints
@@ -98,8 +98,9 @@ class ControlTable:
     the function of its guard or assigned expression, once per distinct
     expression; a table that is only typed compiles none.
 
-    ``roots[i]`` is the slot of the i-th command and ``node_ids[i]`` the
-    ids of its nodes, in reverse ``lang.walk`` order; ``variables`` lists
+    ``roots[i]`` is the slot of the i-th command's statements, its ``{ }``
+    groups flattened, and ``node_ids[i]`` the ids of its nodes, in reverse
+    ``lang.walk`` order, its tree's id last; ``variables`` lists
     the names the commands read or assign, sorted, and ``nodes[i]``
     rebuilds id ``i`` (the first equal node seen, maybe another thread's).
     """
@@ -141,7 +142,7 @@ class ControlTable:
                 done.append(i)
                 ids.append(i)
             self.node_ids.append(ids)
-        self.roots = tuple(done)
+        self.roots = tuple([self._then(root, DONE) for root in done])
         self.variables = tuple(sorted({key if key.__class__ is str else key[2] for key in self.keys
                                        if key.__class__ is str or key[0] is Assign}))
 
@@ -156,29 +157,28 @@ class ControlTable:
         return i
 
     def _then(self, first: int, rest: int) -> int:
-        """The slot of ``first; rest`` with ``first``'s statements flattened
-        into one right-nested sequence, or ``first`` if ``rest`` is ``DONE``."""
-        if rest == DONE:
-            return first
+        """The slot of ``first; rest`` (of ``first`` if ``rest`` is ``DONE``)
+        with ``first``'s statements flattened into one right-nested sequence."""
         stack = [first]  # popped last statement first
         while stack:
             i = stack.pop()
             if self.keys[i][0] is Seq:
                 stack += self.keys[i][1:]
+            elif rest == DONE:
+                rest = i
             else:
-                rest = self._intern((Seq, i, rest), Seq(self.nodes[i], self.nodes[rest]))
+                key = (Seq, i, rest)
+                j = self._ids.get(key)  # build a node only for a new key
+                rest = self._intern(key, Seq(self.nodes[i], self.nodes[rest])) if j is None else j
         return rest
 
     def _compile(self, slot: int) -> _Entry:
-        """The step rules at ``slot``.  A command steps at its redex, the first
-        command down the left spine of its sequences: the redex picks a rule
-        (the true, then the false case for a guard) and leaves an outcome or
-        nothing (``DONE``) before the second commands met on the way back up."""
+        """The step rules at ``slot``, a statement list.  It steps at its redex,
+        its first statement: the redex picks a rule (the true, then the false
+        case for a guard) and leaves an outcome or nothing (``DONE``) before
+        the statements after it."""
         keys = self.keys
-        rest, redex = DONE, slot
-        while keys[redex][0] is Seq:
-            rest = self._then(keys[redex][2], rest)
-            redex = keys[redex][1]
+        redex, rest = keys[slot][1:] if keys[slot][0] is Seq else (slot, DONE)
         key = keys[redex]
         kind = key[0]
         if kind is not Skip and key[1] not in self._fns:
@@ -188,7 +188,7 @@ class ControlTable:
         if kind is If:
             outcomes = ("if-tt", self._then(key[2], rest), "if-ff", self._then(key[3], rest))
         elif kind is While:
-            outcomes = (UNFOLD, self._then(key[2], self._then(redex, rest)), "while-ff", rest)
+            outcomes = (UNFOLD, self._then(key[2], slot), "while-ff", rest)
         else:
             outcomes = ("skip" if kind is Skip else "assign", rest) * 2
         return (*outcomes, var, fn, redex)

@@ -360,7 +360,7 @@ def check_program(source: SourceFile) -> CheckReport:
     if diags:
         return CheckReport(False, tuple(sorted(gamma.items())), diags, ())
     typing = type_table(table, gamma, sig_env)
-    roots = dict(zip(source.program().thread_ids(), table.roots))
+    roots = dict(zip(source.program().thread_ids(), [ids[-1] for ids in table.node_ids]))
     threads = []
     for tid, cmd in source.threads:
         tiers = typing[roots[tid]]

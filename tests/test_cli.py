@@ -523,6 +523,21 @@ def test_ni_explore_mode_out_of_bounds_is_inconclusive(fx, capsys):
     }
 
 
+def test_ni_explore_mode_reports_a_stuck_guard_as_inconclusive(tmp_path, capsys):
+    # The guard is no truth word from any store, so no bounds would help.
+    path = tmp_path / "stuck.tier"
+    path.write_text("op pred arity 1 class neutral;\nvars { x : 1; }\n"
+                    "thread a { while (pred(x)) { skip } }\n")
+    argv = ["ni", str(path), "--mode", "explore", "--trials", "3"]
+    detail = ("a guard evaluated to no truth word (stuck states: 1 vs 1); "
+              "raising the bounds does not help")
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, out) == (1, f"inconclusive at trial 0: {detail}\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 1
+    assert json.loads(out)["failure"] == {"trial": 0, "reason": "stuck", "detail": detail}
+
+
 def test_ni_explore_mode_reports_a_side_that_can_loop_forever(tmp_path, capsys):
     # The loop spins exactly when the tier-0 ``h`` is nonempty.
     path = tmp_path / "spin_on_h.tier"

@@ -9,7 +9,7 @@ from typing import NamedTuple
 from unittest.mock import patch
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tierlang import (
@@ -52,7 +52,7 @@ from tierlang.scheduling import (
 from tierlang.semantics import DONE, ControlTable, StuckGuardError
 from tierlang.tm import compile_tm, parse_tm
 from tierlang.typecheck import build_sig_env, check_program, command_tiers, maximal_safe_sigs
-from programs import expressions, programs, stores
+from programs import commands, expressions, programs, stores
 from test_scheduling import StorePeek
 from test_semantics import eval_expr
 
@@ -319,24 +319,28 @@ def drop_step_residuals(result):
 
 
 def reference_explore(store, program, max_steps=200, max_states=200_000):
-    """The exploration report of a breadth-first walk keyed on (store, pool
-    of residual commands), one level of depth at a time.  A node at depth
+    """The exploration report of a breadth-first walk keyed on the store
+    and each live thread's statements, so that two groupings of one
+    statement list are one state, one level of depth at a time.  A node at depth
     ``max_steps`` that has not terminated is not expanded, and a new node
     beyond ``max_states`` is dropped with its edge; either leaves the walk
     incomplete.  Cycles and the longest terminating counts come from
     peeling sinks off the recorded graph (Kahn's algorithm on the
     reversed edges): a node is peeled once all its successors are, and
     nodes left unpeeled lie on or lead into a cycle."""
-    root = (store, tuple(program.threads))
+    def key(node_store, pool):
+        return node_store, tuple((tid, statements(cmd)) for tid, cmd in pool)
+
+    root = key(store, program.threads)
     seen = {root}
-    frontier = [root]
+    frontier = [(store, tuple(program.threads))]  # each state's first pool of commands
     edges = {}  # state -> [(successor, loop increment)], one per move
     terminal, stuck, cut = set(), 0, False
     level = 0
     while frontier:
         nxt = []
-        for node in frontier:
-            node_store, pool = node
+        for node_store, pool in frontier:
+            node = key(node_store, pool)
             if not pool:
                 terminal.add(node)
             moves = edges[node] = []
@@ -353,14 +357,14 @@ def reference_explore(store, program, max_steps=200, max_states=200_000):
                 rest = pool[:i] + pool[i + 1:]
                 if out.residual is not None:
                     rest = pool[:i] + ((tid, out.residual),) + pool[i + 1:]
-                key = (out.store, rest)
-                if key not in seen:
+                child = key(out.store, rest)
+                if child not in seen:
                     if len(seen) >= max_states:
                         cut = True
                         continue
-                    seen.add(key)
-                    nxt.append(key)
-                moves.append((key, out.loop_increment))
+                    seen.add(child)
+                    nxt.append((out.store, rest))
+                moves.append((child, out.loop_increment))
             stuck += got_stuck
         frontier = nxt
         level += 1
@@ -568,6 +572,61 @@ def test_converging_branches_share_one_slot():
         assert report.terminal_stores == frozenset({Store()})
 
 
+def regrouped(then_branch, else_branch):
+    """Thread ``a`` sets ``y``, and thread ``b`` branches on it."""
+    return parse("op gt0 arity 1 class neutral;\nop pred arity 1 class neutral;\n"
+                 'thread a { y := "1" }\n'
+                 f"thread b {{ if (gt0(y)) {{ {then_branch} }} else {{ {else_branch} }} }}\n"
+                 ).program()
+
+
+REGROUPED = [
+    ("{ while (gt0(x)) { x := pred(x) }; skip }; skip",
+     "while (gt0(x)) { x := pred(x) }; skip; skip", 18),
+    ("{ if (gt0(x)) { x := pred(x) } else { skip }; skip }; skip",
+     "if (gt0(x)) { { x := pred(x); skip }; skip } else { skip; skip }", 13),
+]
+
+
+@pytest.mark.parametrize("then_branch, else_branch, states", REGROUPED, ids=["loop", "if"])
+def test_groupings_of_one_statement_list_are_one_state(then_branch, else_branch, states):
+    # A state is the store and each thread's statement list, so two
+    # groupings of one list are one state, and so are a grouped branch
+    # and a residual of its list; a walk over command trees counts 23
+    # and 13.
+    program = regrouped(then_branch, else_branch)
+    report = explore(Store.of(x="11"), program)
+    assert report == reference_explore(Store.of(x="11"), program)
+    assert report.visited_states == states
+
+
+@st.composite
+def groupings(draw, statements):
+    """One command of ``statements`` in order, grouped by some ``Seq``s."""
+    if len(statements) == 1:
+        return statements[0]
+    k = draw(st.integers(1, len(statements) - 1))
+    return Seq(draw(groupings(statements[:k])), draw(groupings(statements[k:])))
+
+
+LOOP_BRANCHES = regrouped(*REGROUPED[0][:2]).command("b")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.lists(commands, min_size=2, max_size=4).flatmap(
+    lambda statements: st.tuples(groupings(statements), groupings(statements))), stores)
+@example((LOOP_BRANCHES.then_branch, LOOP_BRANCHES.else_branch), Store.of(x="11"))
+def test_branches_that_group_one_list_two_ways_explore_as_equal_ones(branches, store):
+    first, second = branches
+
+    def program(then_branch):
+        guard = OpCall("gt0", (Var("y"),))
+        return Program.of({"a": Assign("y", OpCall('"1"', ())), "b": If(guard, then_branch, second)})
+
+    want = explore(store, program(second), max_steps=15, max_states=400)
+    assert explore(store, program(first), max_steps=15, max_states=400) == want
+
+
 def test_long_sequence_needs_no_recursion():
     # Seq chains this long raised RecursionError when states were keyed
     # on command trees.
@@ -603,14 +662,16 @@ def test_a_loop_nest_grows_the_table_by_one_node_per_loop():
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(programs, stores)
 def test_a_residual_sequence_starts_with_a_source_command(program, store):
-    # A residual is one right-nested sequence of source statements, so no
-    # sequence, and none that stepping built, sits on the left of another.
+    # A thread's root and every residual is one right-nested sequence of
+    # source statements, so no sequence sits on the left of another in
+    # any slot, however its thread was grouped.
     table = program.table
     sources = len(table.nodes)
     explore(store, program, max_steps=15, max_states=400)
-    for key in table.keys[sources:]:
-        if key[0] is Seq:
-            assert key[1] < sources and table.keys[key[1]][0] is not Seq, table.nodes[key[1]]
+    for slot in (*table.roots, *range(sources, len(table.nodes))):
+        while table.keys[slot][0] is Seq:
+            first, slot = table.keys[slot][1:]
+            assert first < sources and table.keys[first][0] is not Seq, table.nodes[first]
 
 
 def test_command_tiers_walks_long_loop_bodies_without_recursion():

@@ -230,6 +230,23 @@ def test_explain_names_a_loop_guard_that_types_at_no_tier():
         "while at 4:12: loop guard gt0(x) must type at tier 1 but only types at no tier "
         "[variables: x]")
 
+
+GROUPED_HEADER = ("op add1 arity 1 class positive;\nop pred arity 1 class neutral;\n"
+                  "vars { x : 1; y : 0; }\n")
+
+
+@pytest.mark.parametrize("thread, where", [
+    ("thread t { { x := add1(x); skip }; y := pred(y); skip }", "4:14"),
+    ("thread t { { y := pred(y); skip }; x := add1(x); skip }", "4:36"),
+])
+def test_explain_walks_a_grouped_thread_as_written(thread, where):
+    # The thread's slot is its statement list, flattened out of the
+    # group; the diagnostic follows the source tree's own id.
+    report = check_program(parse(GROUPED_HEADER + thread + "\n"))
+    assert not report.safe
+    assert str(report.threads[0].diagnostic).startswith(f"assign at {where}: variable 'x'")
+
+
 # --- whole programs ---------------------------------------------------------------
 
 
