@@ -34,8 +34,13 @@ so one command runs as a one-thread program.  A run's ``choices`` (a
 that ends in a skipped period or a lone thread's id.  A run holds no
 trace: ``ScheduledRun.trace()`` replays its first ``TRACE_CAP`` steps
 from its input store and its choices each time it is read.  Every step
-is taken by ``ControlTable.advance``: one per call while the scheduler
-is asked, in a replay and in ``explore``, else the rest of the fuel.
+is taken by ``ControlTable.advance``.  A replay, ``explore`` and a run
+under a scheduler that reads the store take one step per call.  While
+two or more threads are live, a scheduler that reads nothing gives the
+run its choices among them as a lazy iterator (``Scheduler.picks``),
+and one call steps them in a block, up to the rest of the fuel; a lone
+thread's call also takes up to the rest of the fuel.  Either call
+stops early where a thread finishes or Brent's check has work.
 A run whose list repeats, under a *pure* scheduler or once the scheduler is no
 longer asked, is periodic from then on: Brent's cycle detection finds
 the repeat, and the run skips whole periods towards the fuel bound.
@@ -106,6 +111,13 @@ class Scheduler:
     and that the state is an immutable value compared by ``==``; it lets
     ``run_with_scheduler`` skip the periods of a repeating run while two
     or more threads are live.
+
+    A run asks a scheduler that reads nothing for ``picks``, not for one
+    ``choose`` per step, and steps them in blocks.  The default calls
+    ``choose``; round-robin and first-alive give theirs as iterators from
+    ``itertools``, and random as a generator of its draws, so a block
+    makes no ``choose`` call.  A subclass that changes ``choose`` changes
+    ``picks`` to match.
     """
 
     name = "scheduler"
@@ -121,6 +133,15 @@ class Scheduler:
         """Pick one of the live thread ids (sorted by name, never empty)."""
         raise NotImplementedError
 
+    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+        """The ``(id, state)`` pairs that ``choose`` gives, one after the
+        other from ``state``, while ``tids`` stay live; asked only of a
+        scheduler that reads nothing.  Each pair is made when it is taken,
+        never ahead."""
+        while True:
+            tid, state = self.choose(tids, None, state)
+            yield tid, state
+
 
 class RoundRobin(Scheduler):
     """Cycle through live threads in name order."""
@@ -133,6 +154,12 @@ class RoundRobin(Scheduler):
         # The first id after the last choice, wrapping round to the first.
         chosen = tids[bisect_right(tids, state) % len(tids)] if isinstance(state, str) else tids[0]
         return chosen, chosen
+
+    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+        if isinstance(state, str):  # start after the last choice
+            first = bisect_right(tids, state) % len(tids)
+            tids = tids[first:] + tids[:first]
+        return itertools.cycle(zip(tids, tids))  # each id is its own state
 
 
 class FirstAlive(Scheduler):
@@ -148,6 +175,9 @@ class FirstAlive(Scheduler):
 
     def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         return tids[0], None
+
+    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+        return itertools.repeat((tids[0], None))
 
 
 class SeededRandom(Scheduler):
@@ -168,6 +198,12 @@ class SeededRandom(Scheduler):
     def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         assert isinstance(state, random.Random)
         return state.choice(tids), state
+
+    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+        assert isinstance(state, random.Random)
+        choice = state.choice
+        while True:
+            yield choice(tids), state
 
 
 def named_schedulers(seed: int = 0) -> dict[str, Scheduler]:
@@ -203,7 +239,8 @@ class Choices:
     lone thread's forced steps are its id as a one-id cycle, so choices
     cost memory for the choices the scheduler made, not for the steps.
     Two ``Choices`` are equal when they hold the same ids in the same
-    order, however they are split.
+    order, however they are split, and both tests cost
+    O(|prefix| + |cycle|) ids, however many laps there are.
     """
 
     prefix: tuple[str, ...]
@@ -220,10 +257,33 @@ class Choices:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Choices):
             return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        # Past both prefixes each side repeats its cycle, so by Fine and
+        # Wilf's theorem sides that agree on as many ids again as the two
+        # cycles hold agree on all.
+        window = max(len(self.prefix), len(other.prefix)) + len(self.cycle) + len(other.cycle)
+        return len(self) == len(other) and (
+            tuple(itertools.islice(self, window)) == tuple(itertools.islice(other, window)))
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        # The polynomial hash of the ids, a function of the ids alone: a
+        # lap multiplies what comes before it by ``shift``, so whole laps
+        # sum as a geometric series.
+        laps, rest = divmod(self.length, len(self.cycle)) if self.cycle else (0, 0)
+        shift = pow(_BASE, len(self.cycle), _MOD)
+        after = pow(shift, laps, _MOD)
+        series = laps if shift == 1 else (after - 1) * pow(shift - 1, -1, _MOD)
+        folded = _fold(self.prefix) * after + _fold(self.cycle) * series
+        return _fold(self.cycle[:rest], folded % _MOD)
+
+
+_BASE, _MOD = 1_000_003, (1 << 61) - 1  # a Mersenne prime, so ``shift - 1`` has an inverse
+
+
+def _fold(ids: Iterable[str], folded: int = 0) -> int:
+    """``folded`` extended by ``ids`` in the hash of ``Choices``."""
+    for tid in ids:
+        folded = (folded * _BASE + hash(tid)) % _MOD
+    return folded
 
 
 @dataclass(frozen=True)
@@ -270,11 +330,14 @@ def run_with_scheduler(
     cycle of one.  From then on, and under a pure scheduler from the
     start, a run that revisits a configuration skips ahead by whole
     periods; steps, loops and choices are those of stepping to the fuel
-    bound.  A lone thread's ``ControlTable.advance`` hands back to this
-    loop at each unfolding where Brent's check has work.  The run holds
-    no trace; its ``trace()`` replays one when read.  ``keep_trace`` is
-    accepted and ignored, for the benchmark in ``perfbench/`` that still
-    passes it.
+    bound.  While two or more threads are live, a scheduler that reads
+    the store is asked once per step, and one that reads nothing gives
+    its ``picks`` for the live threads, stepped by ``ControlTable.advance``
+    in blocks until a thread finishes.  A block, and a lone thread's
+    call, hands back to this loop at each unfolding where Brent's check
+    has work.  The run holds no trace; its ``trace()`` replays one when
+    read.  ``keep_trace`` is accepted and ignored, for the benchmark in
+    ``perfbench/`` that still passes it.
     """
     table = program.table
     names = table.variables
@@ -284,9 +347,9 @@ def run_with_scheduler(
     at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
     advance = table.advance
     choose = scheduler.choose
-    peeks = scheduler.reads is not None  # else ``choose`` is passed no store
+    peeks = scheduler.reads is not None  # else the run steps its ``picks``
     steps = loops = 0
-    choices: list[str] = []  # one per time the scheduler was asked
+    choices: list[str] = []  # one per step while two or more threads are live
     tid = ""
     # After a skip with more than one thread live, ``choices[start:end]``
     # is the period, repeated from ``start`` to the end of the run.
@@ -297,30 +360,36 @@ def run_with_scheduler(
     # ``mark`` is the next such loop count, and 0 while detection is off
     # (under a scheduler that is not pure, until one thread is left).
     # The checkpoint is a copy of ``cells`` (at first none, as no slot is
-    # None), its steps and loops.  ``wrote``, compared first, is the last
-    # position that an assignment set to a word other than the checkpoint's.
+    # None), its steps and loops.  A call of ``advance`` other than a single
+    # step returns at an unfolding only where this test has work or the
+    # fuel runs out, and a single step is taken only under a scheduler that
+    # is given a store, which costs as much to build as a whole compare.
     mark = 1 if scheduler.pure or len(live) == 1 else 0
     saved, saved_steps, saved_loops = [None] * len(cells), 0, 0
-    wrote = 0
+    picks = None  # a store-blind scheduler's choices among ``live``, taken as the run steps
     while live and steps < fuel:
-        if len(live) > 1:
-            tid, cells[-1] = choose(live, _store(names, cells, outside) if peeks else None, cells[-1])
-            choices.append(tid)
-            taken, unfolded, rule, var = advance(cells, at[tid], 1)
-        else:
+        if len(live) == 1:
             tid = live[0]
-            taken, unfolded, rule, var = advance(cells, at[tid], fuel - steps, mark and mark - loops, saved)
+            taken, unfolded, rule, _ = advance(cells, at[tid], fuel - steps, mark and mark - loops, saved)
+        elif peeks:
+            tid, cells[-1] = choose(live, _store(names, cells, outside), cells[-1])
+            choices.append(tid)
+            taken, unfolded, rule, _ = advance(cells, at[tid], 1)
+        else:
+            if picks is None:
+                picks = scheduler.picks(live, cells[-1])
+            taken, unfolded, rule, _ = advance(cells, 0, fuel - steps, mark and mark - loops,
+                                               saved, picks, at, choices)
+            tid = choices[-1]
         steps += taken
         loops += unfolded
-        if var is not None and cells[var] != saved[var]:
-            wrote = var
         if cells[at[tid]] == DONE:
-            live = tuple(t for t in live if t != tid)
+            live, picks = tuple(t for t in live if t != tid), None
             if len(live) == 1 and not mark:
                 mark = loops + 1
         if not (mark and rule == UNFOLD):
             continue
-        if cells[wrote] == saved[wrote] and cells == saved:
+        if cells == saved:
             length, gained = steps - saved_steps, loops - saved_loops
             repeats = (fuel - steps) // length
             # A repeat keeps the live threads, so a period is all forced,

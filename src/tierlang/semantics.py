@@ -37,7 +37,7 @@ one-thread ``Program.single``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .lang import (
     FF,
@@ -263,21 +263,34 @@ class ControlTable:
         return (nxt,) if nxt == other else (nxt, other)
 
     def advance(self, cells: list, at: int, budget: int, mark: int = 0,
-                saved: list | None = None) -> tuple[int, int, str, int | None]:
+                saved: list | None = None, picks: Iterator | None = None,
+                where: dict | None = None, chosen: list | None = None,
+                ) -> tuple[int, int, str, int | None]:
         """Step the command whose slot is ``cells[at]`` on the flat state
         ``cells``, in place, at most ``budget`` (at least 1) times: the
         steps taken, the loops unfolded, and the last step's rule and the
         position it assigned (``None`` if it assigned nothing).
 
-        It stops when the command terminates (its slot is then ``DONE``),
-        after ``budget`` steps, and at an unfolding that is the ``mark``-th
-        of this call (0: at none) or that leaves ``cells`` equal to
-        ``saved``: compared at the position it wrote last (the slot at
-        first), then at those the loop's body assigns, then whole, so a
-        loop that changes a word fails the test in O(1).
+        Given ``picks``, an iterator of ``(id, state)`` pairs, ``at`` may
+        be any position, and each step first takes the next pair: it
+        appends the id to ``chosen``, puts the state in the last cell, and
+        steps the slot at ``where[id]``.  No pair is taken after the last
+        step, and ``cells`` hold every slot and the state when it stops.
+
+        It stops when the command it stepped last terminates (its slot is
+        then ``DONE``), after ``budget`` steps, and at an unfolding that is
+        the ``mark``-th of this call (0: at none) or that leaves ``cells``
+        equal to ``saved``: compared at the position it wrote last (the
+        slot at first), then at those the loop's body assigns, then whole,
+        so a loop that changes a word fails the test in O(1).
         A guard that is no truth word raises ``StuckGuardError`` with the
         steps before it written and ``cells[at]`` at the stuck command."""
         entries, writes = self._entries, self._writes
+        if picks is not None:  # ``budget`` becomes the steps after which to take a pair
+            limit, budget = budget, 1
+            tid, cells[-1] = next(picks)
+            chosen.append(tid)
+            at = where[tid]
         slot = cells[at]
         taken = unfolded = 0
         wrote = at  # the position this call wrote last
@@ -314,7 +327,14 @@ class ControlTable:
             elif slot == DONE:
                 break
             if taken == budget:
-                break
+                if picks is None or taken == limit:
+                    break
+                cells[at] = slot
+                tid, cells[-1] = next(picks)
+                chosen.append(tid)
+                at = where[tid]
+                slot = cells[at]
+                budget += 1
         cells[at] = slot
         return taken, unfolded, rule, var
 

@@ -111,6 +111,19 @@ thread a { skip }
 thread b { skip; skip; skip; while (head(x)) { skip } }
 """
 
+# Three threads: ``a`` finishes at its third step while the others are
+# live; ``b`` counts ``z`` down, then branches on ``y``'s first letter,
+# stuck unless it is a truth letter; ``c`` spins while ``w`` is not empty.
+THREE = """
+op gt0 arity 1 class neutral;
+op pred arity 1 class neutral;
+op head arity 1 class neutral;
+vars { w : 1; x : 1; y : 1; z : 1; }
+thread a { skip; x := pred(x); skip }
+thread b { while (gt0(z)) { z := pred(z) }; if (head(y)) { skip } else { skip } }
+thread c { while (gt0(w)) { skip } }
+"""
+
 # A loop whose period changes the store: y flips and flips back.
 FLIP = """
 op gt0 arity 1 class neutral;
@@ -529,6 +542,97 @@ def test_generated_runs_match_reference_loop(program, store, fuel):
 def test_generated_explorations_match_reference_walk(program, store, max_steps, max_states):
     want = reference_explore(store, program, max_steps, max_states)
     assert explore(store, program, max_steps, max_states) == want
+
+
+class KeptRandom(SeededRandom):
+    """The random scheduler, keeping the generator of its last run."""
+
+    def fresh_state(self):
+        self.kept = super().fresh_state()
+        return self.kept
+
+
+class ChooseOnly(Scheduler):
+    """Round-robin that reads nothing and takes the default ``picks``,
+    made from its ``choose``."""
+
+    name = "choose-only"
+    reads = None
+
+    def choose(self, tids, store, state):
+        return RoundRobin().choose(tids, store, state)
+
+
+THREE_STORES = [Store.of(w=w, x="11", y=y, z=z)
+                for w in ("", "1") for y in ("1", "T", "F") for z in ("", "111")]
+
+
+def test_three_threads_match_the_reference_loop():
+    # With ``w`` not empty and ``y`` stuck, the run raises while ``b`` and
+    # ``c`` are live; otherwise ``b`` finishes, and with ``w`` empty so
+    # does ``c``.  A fuel of 5 or 9 ends the run while two or more are live.
+    program = parse(THREE).program()
+    for scheduler in (*named_schedulers(seed=3).values(), ChooseOnly(), StorePeek("z")):
+        for fuel in (5, 9, 1000):
+            for store in THREE_STORES:
+                want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
+                got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
+                assert got == want, (scheduler.name, fuel, store)
+    scheduler = KeptRandom(3)
+    for fuel in (5, 9, 1000):
+        # Both loops make the same draws while two or more threads are live.
+        store = Store.of(w="1", x="11", y="1", z="111")
+        want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
+        drawn = scheduler.kept.getstate()
+        assert outcome(lambda: table_scheduled(store, program, scheduler, fuel)) == want
+        assert scheduler.kept.getstate() == drawn, fuel
+
+
+def one_pair_at_a_time(table, cells, where, scheduler, live, budget):
+    """What a block of ``table.advance`` over ``scheduler.picks(live, ...)``
+    should do, done by ``choose`` and calls of budget 1: the summed counts,
+    the last rule and assigned position, and the ids chosen."""
+    taken = unfolded = 0
+    chosen = []
+    while True:
+        tid, cells[-1] = scheduler.choose(live, None, cells[-1])
+        chosen.append(tid)
+        _, unfold, rule, var = table.advance(cells, where[tid], 1)
+        taken += 1
+        unfolded += unfold
+        if cells[where[tid]] == DONE or taken == budget:
+            return (taken, unfolded, rule, var), chosen
+
+
+@pytest.mark.parametrize("scheduler", [*named_schedulers(seed=3).values(), ChooseOnly()],
+                         ids=lambda s: s.name)
+def test_a_block_steps_as_its_choices_one_at_a_time(scheduler):
+    # Blocks from the root until the run ends or gets stuck, each over the
+    # threads still live: ``a`` finishes inside the first block, and a
+    # stuck guard raises in a later one with the same cells written.
+    program = parse(THREE).program()
+    table = program.table
+    where = {tid: len(table.variables) + i for i, tid in enumerate(program.thread_ids())}
+    for store in THREE_STORES:
+        for budget in (1, 4, 50):
+            start = [*map(store.lookup, table.variables), *table.roots]
+            block, single = start + [scheduler.fresh_state()], start + [scheduler.fresh_state()]
+            live = program.thread_ids()
+            for _ in range(5):
+                picks = scheduler.picks(live, block[-1])
+                chosen = []
+                got = outcome(lambda: (table.advance(block, 0, budget, 0, None, picks, where,
+                                                     chosen), chosen))
+                want = outcome(lambda: one_pair_at_a_time(table, single, where, scheduler, live,
+                                                          budget))
+                assert (got, block[:-1]) == (want, single[:-1]), (store, budget)
+                if isinstance(scheduler, SeededRandom):
+                    assert block[-1].getstate() == single[-1].getstate()
+                else:
+                    assert block[-1] == single[-1]
+                live = tuple(tid for tid in live if block[where[tid]] != DONE)
+                if got[0] is StuckGuardError or len(live) < 2:
+                    break
 
 
 def test_a_guard_stuck_after_the_other_thread_finished():

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,43 @@ def test_choices_iterate_and_compare_by_content():
     assert tuple(lasso) == flat.prefix
     assert lasso != Choices(("a", "b", "c", "b", "c", "c"))
     assert lasso != Choices(("a", "b", "c", "b", "c"))
+
+
+def test_billion_id_choices_compare_and_hash_by_their_parts():
+    # One sequence split two ways: a cycle of two and a prefix of one,
+    # against the same cycle twice over, one id further on.
+    lasso = Choices(("x",), ("a", "b"), 10**9)
+    split = Choices(("x", "a"), ("b", "a", "b", "a"), 10**9 - 1)
+    # Equal to both, but for its fifth id.
+    near = Choices(("x", "a", "b", "a", "c"), ("a", "b"), 10**9 - 4)
+    start = time.perf_counter()
+    assert (lasso, hash(lasso), len(lasso)) == (split, hash(split), len(split))
+    assert (lasso != near, len(lasso)) == (True, len(near))
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("left, right", [
+    # Three laps of a four-id cycle, and a long prefix before three laps
+    # of one id: no reshaping of either lasso gives the other.
+    (Choices(tuple("abbbabbba"), ("b",), 3), Choices((), tuple("abbb"), 12)),
+    # Lassos cut off inside their first lap.
+    (Choices(("a",), ("b", "c", "d"), 1), Choices(("a", "b"), ("z",), 0)),
+    (Choices((), ("a", "b", "a"), 2), Choices((), ("a", "b"), 2)),
+])
+def test_choices_of_one_sequence_are_equal_however_shaped(left, right):
+    assert tuple(left) == tuple(right)
+    assert (left, hash(left)) == (right, hash(right))
+    assert (left, hash(left)) == (Choices(tuple(left)), hash(Choices(tuple(left))))
+
+
+@settings(max_examples=300)
+@given(*[st.tuples(st.lists(st.sampled_from("ab"), max_size=5).map(tuple),
+                   st.lists(st.sampled_from("ab"), min_size=1, max_size=4).map(tuple),
+                   st.integers(0, 12))] * 2)
+def test_choices_compare_as_their_ids(left, right):
+    left, right = Choices(*left), Choices(*right)
+    assert (left == right) == (tuple(left) == tuple(right))
+    assert hash(left) == hash(Choices(tuple(left)))
 
 
 def test_scheduler_fuel_bound():
