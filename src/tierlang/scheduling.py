@@ -114,15 +114,22 @@ class Scheduler:
 
     A run asks a scheduler that reads nothing for ``picks``, not for one
     ``choose`` per step, and steps them in blocks.  The default calls
-    ``choose``; round-robin and first-alive give theirs as iterators from
-    ``itertools``, and random as a generator of its draws, so a block
-    makes no ``choose`` call.  A subclass that changes ``choose`` changes
-    ``picks`` to match.
+    ``choose`` as each pair is taken, so random draws one id per step
+    taken; round-robin and first-alive give theirs as iterators from
+    ``itertools``, so their blocks make no ``choose`` call.  ``choose``
+    stays the policy: a subclass that changes ``choose`` and not
+    ``picks`` gets the default ``picks`` back, so its blocks step its own
+    choices.
     """
 
     name = "scheduler"
     reads: str | None = "store"
     pure = False
+
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        if "choose" in vars(cls) and "picks" not in vars(cls):
+            cls.picks = Scheduler.picks  # not the ``picks`` of another ``choose``
 
     def fresh_state(self) -> object:
         return None
@@ -198,12 +205,6 @@ class SeededRandom(Scheduler):
     def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         assert isinstance(state, random.Random)
         return state.choice(tids), state
-
-    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
-        assert isinstance(state, random.Random)
-        choice = state.choice
-        while True:
-            yield choice(tids), state
 
 
 def named_schedulers(seed: int = 0) -> dict[str, Scheduler]:

@@ -4,6 +4,7 @@ must match stepping command trees with a reference ``step_command``."""
 import random
 import re
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import replace
 from typing import NamedTuple
 from unittest.mock import patch
@@ -563,6 +564,14 @@ class ChooseOnly(Scheduler):
         return RoundRobin().choose(tids, store, state)
 
 
+class Backwards(RoundRobin):
+    """Round-robin's subclass that cycles in reverse name order."""
+
+    def choose(self, tids, store, state):
+        chosen = tids[bisect_left(tids, state) - 1] if isinstance(state, str) else tids[-1]
+        return chosen, chosen
+
+
 THREE_STORES = [Store.of(w=w, x="11", y=y, z=z)
                 for w in ("", "1") for y in ("1", "T", "F") for z in ("", "111")]
 
@@ -586,6 +595,18 @@ def test_three_threads_match_the_reference_loop():
         drawn = scheduler.kept.getstate()
         assert outcome(lambda: table_scheduled(store, program, scheduler, fuel)) == want
         assert scheduler.kept.getstate() == drawn, fuel
+
+
+def test_a_subclass_that_changes_choose_steps_its_own_choices():
+    # ``Backwards`` keeps round-robin's ``reads`` and ``pure`` but not its
+    # ``picks``: the blocks of a run must take the subclass's choices.
+    program = parse(THREE).program()
+    scheduler = Backwards()
+    for fuel in (5, 9, 1000):
+        for store in THREE_STORES:
+            want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
+            got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
+            assert got == want, (fuel, store)
 
 
 def one_pair_at_a_time(table, cells, where, scheduler, live, budget):
@@ -1222,7 +1243,8 @@ def test_tracing_does_not_change_the_run(monkeypatch):
     trace = tuple(traced.trace())
     assert replace(traced, choices=None) == replace(plain, choices=None)
     assert vars(traced.choices) == vars(plain.choices)
-    assert traced_scheduler.asked == plain_scheduler.asked
+    # One call per step taken with both threads live, bar skipped periods.
+    assert traced_scheduler.asked == plain_scheduler.asked == 49
     assert len(trace) == 50
 
 
