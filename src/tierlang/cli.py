@@ -196,6 +196,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     _at_least("--fuel", args.fuel, 0)
+    if args.json and args.trace == "-":
+        raise CliError("--trace - conflicts with --json")
     source = _load_source(args.program)
     gate_code = _gate(source, args.unsafe_ok, args.json)
     if gate_code:

@@ -34,13 +34,13 @@ so one command runs as a one-thread program.  A run's ``choices`` (a
 that ends in a skipped period or a lone thread's id.  A run holds no
 trace: ``ScheduledRun.trace()`` replays its first ``TRACE_CAP`` steps
 from its input store and its choices each time it is read.  Every step
-is taken by ``ControlTable.advance``.  A replay, ``explore`` and a run
-under a scheduler that reads the store take one step per call.  While
-two or more threads are live, a scheduler that reads nothing gives the
-run its choices among them as a lazy iterator (``Scheduler.picks``),
-and one call steps them in a block, up to the rest of the fuel; a lone
-thread's call also takes up to the rest of the fuel.  Either call
-stops early where a thread finishes or Brent's check has work.
+is taken by ``ControlTable.advance``; a replay and ``explore`` take one
+step per call.  A run has two phases.  While two or more threads are
+live, the scheduler gives the run its choices among them as a lazy
+iterator (``Scheduler.picks``), whatever its ``reads``, and one call
+steps them in a block, up to the rest of the fuel; a lone thread's call
+also takes up to the rest of the fuel.  Either call stops early where a
+thread finishes or Brent's check has work.
 A run whose list repeats, under a *pure* scheduler or once the scheduler is no
 longer asked, is periodic from then on: Brent's cycle detection finds
 the repeat, and the run skips whole periods towards the fuel bound.
@@ -112,14 +112,15 @@ class Scheduler:
     ``run_with_scheduler`` skip the periods of a repeating run while two
     or more threads are live.
 
-    A run asks a scheduler that reads nothing for ``picks``, not for one
-    ``choose`` per step, and steps them in blocks.  The default calls
-    ``choose`` as each pair is taken, so random draws one id per step
-    taken; round-robin and first-alive give theirs as iterators from
-    ``itertools``, so their blocks make no ``choose`` call.  ``choose``
-    stays the policy: a subclass that changes ``choose`` and not
-    ``picks`` gets the default ``picks`` back, so its blocks step its own
-    choices.
+    A run asks every scheduler for ``picks``, not for one ``choose`` per
+    step, and steps them in blocks; ``reads`` decides only whether
+    ``picks`` is handed a function that builds the current store.  The
+    default calls ``choose`` as each pair is taken, with the store built
+    then, so random draws one id per step taken; round-robin and
+    first-alive give theirs as iterators from ``itertools``, so their
+    blocks make no ``choose`` call.  ``choose`` stays the policy: a
+    subclass that changes ``choose`` and not ``picks`` gets the default
+    ``picks`` back, so its blocks step its own choices.
     """
 
     name = "scheduler"
@@ -140,13 +141,15 @@ class Scheduler:
         """Pick one of the live thread ids (sorted by name, never empty)."""
         raise NotImplementedError
 
-    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+    def picks(self, tids: tuple[str, ...], state: object,
+              store: Callable[[], Store] | None) -> Iterator[tuple[str, object]]:
         """The ``(id, state)`` pairs that ``choose`` gives, one after the
-        other from ``state``, while ``tids`` stay live; asked only of a
-        scheduler that reads nothing.  Each pair is made when it is taken,
-        never ahead."""
+        other from ``state``, while ``tids`` stay live.  ``store`` is
+        ``None`` if ``reads`` is, and else builds the store of the
+        configuration as it is when called.  Each pair is made when it is
+        taken, never ahead."""
         while True:
-            tid, state = self.choose(tids, None, state)
+            tid, state = self.choose(tids, None if store is None else store(), state)
             yield tid, state
 
 
@@ -162,7 +165,7 @@ class RoundRobin(Scheduler):
         chosen = tids[bisect_right(tids, state) % len(tids)] if isinstance(state, str) else tids[0]
         return chosen, chosen
 
-    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+    def picks(self, tids: tuple[str, ...], state: object, store: None) -> Iterator[tuple[str, object]]:
         if isinstance(state, str):  # start after the last choice
             first = bisect_right(tids, state) % len(tids)
             tids = tids[first:] + tids[:first]
@@ -183,7 +186,7 @@ class FirstAlive(Scheduler):
     def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
         return tids[0], None
 
-    def picks(self, tids: tuple[str, ...], state: object) -> Iterator[tuple[str, object]]:
+    def picks(self, tids: tuple[str, ...], state: object, store: None) -> Iterator[tuple[str, object]]:
         return itertools.repeat((tids[0], None))
 
 
@@ -331,14 +334,14 @@ def run_with_scheduler(
     cycle of one.  From then on, and under a pure scheduler from the
     start, a run that revisits a configuration skips ahead by whole
     periods; steps, loops and choices are those of stepping to the fuel
-    bound.  While two or more threads are live, a scheduler that reads
-    the store is asked once per step, and one that reads nothing gives
-    its ``picks`` for the live threads, stepped by ``ControlTable.advance``
-    in blocks until a thread finishes.  A block, and a lone thread's
-    call, hands back to this loop at each unfolding where Brent's check
-    has work.  The run holds no trace; its ``trace()`` replays one when
-    read.  ``keep_trace`` is accepted and ignored, for the benchmark in
-    ``perfbench/`` that still passes it.
+    bound.  While two or more threads are live, the scheduler's ``picks``
+    for them, handed a builder of the current store if it ``reads`` one,
+    are stepped by ``ControlTable.advance`` in blocks until a thread
+    finishes.  A block, and a lone thread's call, hands back to this
+    loop at each unfolding where Brent's check has work.  The run holds
+    no trace; its ``trace()`` replays one when read.  ``keep_trace`` is
+    accepted and ignored, for the benchmark in ``perfbench/`` that still
+    passes it.
     """
     table = program.table
     names = table.variables
@@ -347,8 +350,7 @@ def run_with_scheduler(
     live = program.thread_ids()
     at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
     advance = table.advance
-    choose = scheduler.choose
-    peeks = scheduler.reads is not None  # else the run steps its ``picks``
+    view = None if scheduler.reads is None else lambda: _store(names, cells, outside)
     steps = loops = 0
     choices: list[str] = []  # one per step while two or more threads are live
     tid = ""
@@ -361,24 +363,18 @@ def run_with_scheduler(
     # ``mark`` is the next such loop count, and 0 while detection is off
     # (under a scheduler that is not pure, until one thread is left).
     # The checkpoint is a copy of ``cells`` (at first none, as no slot is
-    # None), its steps and loops.  A call of ``advance`` other than a single
-    # step returns at an unfolding only where this test has work or the
-    # fuel runs out, and a single step is taken only under a scheduler that
-    # is given a store, which costs as much to build as a whole compare.
+    # None), its steps and loops.  A call of ``advance`` returns at an
+    # unfolding only where this test has work or the fuel runs out.
     mark = 1 if scheduler.pure or len(live) == 1 else 0
     saved, saved_steps, saved_loops = [None] * len(cells), 0, 0
-    picks = None  # a store-blind scheduler's choices among ``live``, taken as the run steps
+    picks = None  # the scheduler's choices among ``live``, taken as the run steps
     while live and steps < fuel:
         if len(live) == 1:
             tid = live[0]
             taken, unfolded, rule, _ = advance(cells, at[tid], fuel - steps, mark and mark - loops, saved)
-        elif peeks:
-            tid, cells[-1] = choose(live, _store(names, cells, outside), cells[-1])
-            choices.append(tid)
-            taken, unfolded, rule, _ = advance(cells, at[tid], 1)
         else:
             if picks is None:
-                picks = scheduler.picks(live, cells[-1])
+                picks = scheduler.picks(live, cells[-1], view)
             taken, unfolded, rule, _ = advance(cells, 0, fuel - steps, mark and mark - loops,
                                                saved, picks, at, choices)
             tid = choices[-1]

@@ -336,6 +336,19 @@ def test_run_trace_to_stdout_and_file(fx, tmp_path, capsys):
     assert "step\t" not in out
 
 
+def test_run_json_with_a_trace_on_stdout_is_a_usage_error(fx, tmp_path, capsys):
+    # Both would go to stdout, which then parses as neither.
+    code, out, err = run_cli(capsys, "run", fx("add.tier"), "--input", "x=1", "--json",
+                             "--trace", "-")
+    assert (code, out, err) == (2, "", "error: --trace - conflicts with --json\n")
+    path = tmp_path / "trace.tsv"
+    code, out, _ = run_cli(capsys, "run", fx("add.tier"), "--input", "x=1", "--json",
+                           "--trace", str(path))
+    assert code == 0
+    assert json.loads(out)["finished"] is True
+    assert path.read_text().startswith("step\tthread\trule\tloops\tassignment\n")
+
+
 def test_run_reports_a_trace_file_it_cannot_write(fx, tmp_path, capsys):
     path = tmp_path / "missing" / "trace.tsv"
     code, _, err = run_cli(capsys, "run", fx("add.tier"), "--input", "x=1", "--trace", str(path))

@@ -612,11 +612,13 @@ def test_a_subclass_that_changes_choose_steps_its_own_choices():
 def one_pair_at_a_time(table, cells, where, scheduler, live, budget):
     """What a block of ``table.advance`` over ``scheduler.picks(live, ...)``
     should do, done by ``choose`` and calls of budget 1: the summed counts,
-    the last rule and assigned position, and the ids chosen."""
+    the last rule and assigned position, and the ids chosen.  A scheduler
+    that reads the store is given the one ``cells`` hold at each choice."""
     taken = unfolded = 0
     chosen = []
     while True:
-        tid, cells[-1] = scheduler.choose(live, None, cells[-1])
+        store = None if scheduler.reads is None else scheduling._store(table.variables, cells, {})
+        tid, cells[-1] = scheduler.choose(live, store, cells[-1])
         chosen.append(tid)
         _, unfold, rule, var = table.advance(cells, where[tid], 1)
         taken += 1
@@ -625,22 +627,28 @@ def one_pair_at_a_time(table, cells, where, scheduler, live, budget):
             return (taken, unfolded, rule, var), chosen
 
 
-@pytest.mark.parametrize("scheduler", [*named_schedulers(seed=3).values(), ChooseOnly()],
+@pytest.mark.parametrize("scheduler",
+                         [*named_schedulers(seed=3).values(), ChooseOnly(), StorePeek("z")],
                          ids=lambda s: s.name)
 def test_a_block_steps_as_its_choices_one_at_a_time(scheduler):
     # Blocks from the root until the run ends or gets stuck, each over the
     # threads still live: ``a`` finishes inside the first block, and a
     # stuck guard raises in a later one with the same cells written.
+    # From ``z`` four letters long ``peek-z`` picks ``b``, which counts
+    # ``z`` down inside the block, so a store built once per block, not
+    # once per pair, would give stale choices.
     program = parse(THREE).program()
     table = program.table
     where = {tid: len(table.variables) + i for i, tid in enumerate(program.thread_ids())}
-    for store in THREE_STORES:
+    for store in [*THREE_STORES, Store.of(w="1", x="11", y="1", z="1111")]:
         for budget in (1, 4, 50):
             start = [*map(store.lookup, table.variables), *table.roots]
             block, single = start + [scheduler.fresh_state()], start + [scheduler.fresh_state()]
+            view = None if scheduler.reads is None else (
+                lambda: scheduling._store(table.variables, block, {}))
             live = program.thread_ids()
             for _ in range(5):
-                picks = scheduler.picks(live, block[-1])
+                picks = scheduler.picks(live, block[-1], view)
                 chosen = []
                 got = outcome(lambda: (table.advance(block, 0, budget, 0, None, picks, where,
                                                      chosen), chosen))
@@ -1315,6 +1323,18 @@ def test_a_repeated_last_write_compares_the_loop_body_first():
     assert (run.finished, run.steps, run.loops) == (True, 2000 + 3 * 50 + 1, 50)
     table = program.table
     assert list(table._writes.values()) == [[table.variables.index(v) for v in ("a0", "x")]]
+
+
+@pytest.mark.parametrize("var", ["x", "y"])
+def test_a_pure_store_reading_scheduler_skips_periods(var, counted_steps):
+    # ``peek-x`` keeps choosing ``pong``, which waits for a turn that never
+    # comes while ``ping`` stays live; ``peek-y`` lets ``ping`` pass the
+    # turn and finish, and ``pong`` then waits alone.
+    program = load_source("intro_sync.tier").program()
+    run = run_with_scheduler(Store.of(x="1", y="11"), program, StorePeek(var), fuel=10**9)
+    assert (run.finished, run.steps) == (False, 10**9)
+    assert run.residual.thread_ids() == {"x": ("ping", "pong"), "y": ("pong",)}[var]
+    assert len(counted_steps) < 100
 
 
 @pytest.mark.parametrize("body", ["y := pred(y)", "skip"])
