@@ -18,14 +18,15 @@ with the input's bindings of the variables the program never mentions.
 A trace builds none from a state: an entry after a step that assigned
 has the store before it with that one binding changed.
 
-Schedulers are deterministic: a choice function over the live thread
-ids and private state, and over the store if the scheduler's ``reads``
-declares it.  The built-in three declare that they read nothing: they
-are passed ``None`` in place of a store, so a run builds none for them.
+Schedulers are deterministic: one method, ``Scheduler.picks``, gives
+the choices over the live thread ids as a lazy iterator from private
+state, reading the store if the scheduler's ``reads`` declares it.
+The built-in three declare that they read nothing: they are passed
+``None`` in place of a store, so a run builds none for them.
 A scheduler is *quiet* when its choice never depends on tier-0 data.
 One that reads nothing is quiet by construction; for one that reads
-the store, ``quietness_test`` asks each choice of a run twice, on two
-stores that differ only in their tier-0 words, and compares the
+the store, ``quietness_test`` asks for each choice of a run twice, on
+two stores that differ only in their tier-0 words, and compares the
 answers.  A scheduler is only asked while two or more threads are
 live: with one left the choice is forced, reads no data, and so is
 quiet under every policy.  ``run_with_scheduler`` is the one run loop,
@@ -36,11 +37,11 @@ trace: ``ScheduledRun.trace()`` replays its first ``TRACE_CAP`` steps
 from its input store and its choices each time it is read.  Every step
 is taken by ``ControlTable.advance``; a replay and ``explore`` take one
 step per call.  A run has two phases.  While two or more threads are
-live, the scheduler gives the run its choices among them as a lazy
-iterator (``Scheduler.picks``), whatever its ``reads``, and one call
-steps them in a block, up to the rest of the fuel; a lone thread's call
-also takes up to the rest of the fuel.  Either call stops early where a
-thread finishes or Brent's check has work.
+live, the run takes its choices among them from ``picks``, whatever
+the scheduler's ``reads``, and one call steps them in a block, up to
+the rest of the fuel; a lone thread's call also takes up to the rest
+of the fuel.  Either call stops early where a thread finishes or
+Brent's check has work.
 A run whose list repeats, under a *pure* scheduler or once the scheduler is no
 longer asked, is periodic from then on: Brent's cycle detection finds
 the repeat, and the run skips whole periods towards the fuel bound.
@@ -101,56 +102,37 @@ def _store(names: tuple[str, ...], state: Sequence, outside: dict[str, Word]) ->
 class Scheduler:
     """Deterministic thread choice with private state.
 
-    ``reads`` declares what ``choose`` reads besides the live ids and its
-    state: ``"store"`` (the default), the store of the configuration it
-    chooses in, or ``None``, nothing.  A scheduler that reads nothing is
-    passed ``None`` in place of a store, so it is quiet by construction
-    and a run builds no store for it.
+    ``picks(tids, state, store)`` is the policy: the ``(id, state)``
+    pairs it chooses among the live ids ``tids`` (sorted by name, never
+    empty), one after the other from ``state``, while ``tids`` stay
+    live.  Each pair is made when it is taken, never ahead, and the
+    first pair of ``picks(tids, s, store)`` is the next choice from
+    state ``s``: a run asks for a new iterator whenever the live threads
+    change, and takes its pairs as it steps, in blocks.
 
-    ``pure`` claims that ``choose`` is a function of its arguments alone
+    ``reads`` declares what ``picks`` reads besides the live ids and its
+    state: ``"store"`` (the default), the store of the configuration it
+    chooses in, or ``None``, nothing.  ``picks`` is handed a function
+    that builds that store as it is when called, or else ``None``, so a
+    scheduler that reads nothing is quiet by construction and a run
+    builds no store for it.
+
+    ``pure`` claims that ``picks`` is a function of its arguments alone
     and that the state is an immutable value compared by ``==``; it lets
     ``run_with_scheduler`` skip the periods of a repeating run while two
     or more threads are live.
-
-    A run asks every scheduler for ``picks``, not for one ``choose`` per
-    step, and steps them in blocks; ``reads`` decides only whether
-    ``picks`` is handed a function that builds the current store.  The
-    default calls ``choose`` as each pair is taken, with the store built
-    then, so random draws one id per step taken; round-robin and
-    first-alive give theirs as iterators from ``itertools``, so their
-    blocks make no ``choose`` call.  ``choose`` stays the policy: a
-    subclass that changes ``choose`` and not ``picks`` gets the default
-    ``picks`` back, so its blocks step its own choices.
     """
 
     name = "scheduler"
     reads: str | None = "store"
     pure = False
 
-    def __init_subclass__(cls, **kwargs: object) -> None:
-        super().__init_subclass__(**kwargs)
-        if "choose" in vars(cls) and "picks" not in vars(cls):
-            cls.picks = Scheduler.picks  # not the ``picks`` of another ``choose``
-
     def fresh_state(self) -> object:
         return None
 
-    def choose(
-        self, tids: tuple[str, ...], store: Store | None, state: object
-    ) -> tuple[str, object]:
-        """Pick one of the live thread ids (sorted by name, never empty)."""
-        raise NotImplementedError
-
     def picks(self, tids: tuple[str, ...], state: object,
               store: Callable[[], Store] | None) -> Iterator[tuple[str, object]]:
-        """The ``(id, state)`` pairs that ``choose`` gives, one after the
-        other from ``state``, while ``tids`` stay live.  ``store`` is
-        ``None`` if ``reads`` is, and else builds the store of the
-        configuration as it is when called.  Each pair is made when it is
-        taken, never ahead."""
-        while True:
-            tid, state = self.choose(tids, None if store is None else store(), state)
-            yield tid, state
+        raise NotImplementedError
 
 
 class RoundRobin(Scheduler):
@@ -159,11 +141,6 @@ class RoundRobin(Scheduler):
     name = "round-robin"
     reads = None
     pure = True
-
-    def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
-        # The first id after the last choice, wrapping round to the first.
-        chosen = tids[bisect_right(tids, state) % len(tids)] if isinstance(state, str) else tids[0]
-        return chosen, chosen
 
     def picks(self, tids: tuple[str, ...], state: object, store: None) -> Iterator[tuple[str, object]]:
         if isinstance(state, str):  # start after the last choice
@@ -182,9 +159,6 @@ class FirstAlive(Scheduler):
     name = "first-alive"
     reads = None
     pure = True
-
-    def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
-        return tids[0], None
 
     def picks(self, tids: tuple[str, ...], state: object, store: None) -> Iterator[tuple[str, object]]:
         return itertools.repeat((tids[0], None))
@@ -205,9 +179,10 @@ class SeededRandom(Scheduler):
     def fresh_state(self) -> object:
         return random.Random(self.seed)
 
-    def choose(self, tids: tuple[str, ...], store: None, state: object) -> tuple[str, object]:
+    def picks(self, tids: tuple[str, ...], state: object, store: None) -> Iterator[tuple[str, object]]:
         assert isinstance(state, random.Random)
-        return state.choice(tids), state
+        # One draw per pair taken: ``zip`` asks ``map`` for a pair's id first.
+        return zip(map(state.choice, itertools.repeat(tids)), itertools.repeat(state))
 
 
 def named_schedulers(seed: int = 0) -> dict[str, Scheduler]:
@@ -648,18 +623,18 @@ def quietness_test(
     alphabet: Alphabet = DEFAULT_ALPHABET,
     max_len: int = 6,
 ) -> QuietnessReport:
-    """Test the scheduler's choice function for quietness on one program.
+    """Test the scheduler's choices for quietness on one program.
 
     A scheduler that reads nothing (``reads`` is ``None``) is passed no
     store, so it is quiet by construction and passes at once.  For one
     that reads the store, each trial draws two stores ``a`` and ``b``
     that agree exactly on the tier-1 variables and runs the program from
-    ``a``.  At each choice of that run, ``choose`` is asked twice: with
-    the run's store, and with the same store holding ``b``'s tier-0
-    words, given a copy of the scheduler state.  Two different answers
-    mean the choice read tier-0 data; the report names the trial, the
-    choice's step and both answers.  The program's own timing plays no
-    part, since both calls see one configuration.
+    ``a``.  At each choice of that run, the first pair of a new
+    ``picks`` is taken twice: with the run's store, and with the same
+    store holding ``b``'s tier-0 words, from a copy of the scheduler
+    state.  Two different answers mean the choice read tier-0 data; the
+    report names the trial, the choice's step and both answers.  The
+    program's own timing plays no part, since both see one configuration.
     """
     if scheduler.reads is None:
         return QuietnessReport(True, trials, scheduler.name)
@@ -680,8 +655,9 @@ class _Divergence(Exception):
 
 
 class _QuietProbe(Scheduler):
-    """``inner``, asked each choice a second time, with a copy of its
-    state, on the store with the words of ``low`` in place of its own."""
+    """``inner``, asked for each choice a second time, the first pair of
+    a new ``picks`` from a copy of its state, on the store with the words
+    of ``low`` in place of its own."""
 
     def __init__(self, inner: Scheduler, low: dict[str, Word]):
         self.inner, self.low = inner, low
@@ -691,14 +667,15 @@ class _QuietProbe(Scheduler):
     def fresh_state(self) -> object:
         return self.inner.fresh_state()
 
-    def choose(
-        self, tids: tuple[str, ...], store: Store | None, state: object
-    ) -> tuple[str, object]:
-        assert store is not None
-        copied = copy.deepcopy(state)
-        chosen, state = self.inner.choose(tids, store, state)
-        other = self.inner.choose(tids, Store({**dict(store.items()), **self.low}), copied)[0]
-        if other != chosen:
-            raise _Divergence(self.step, chosen, other)
-        self.step += 1
-        return chosen, state
+    def picks(self, tids: tuple[str, ...], state: object,
+              store: Callable[[], Store]) -> Iterator[tuple[str, object]]:
+        while True:
+            shown = store()
+            copied = copy.deepcopy(state)
+            chosen, state = next(self.inner.picks(tids, state, lambda: shown))
+            swapped = Store({**dict(shown.items()), **self.low})
+            other = next(self.inner.picks(tids, copied, lambda: swapped))[0]
+            if other != chosen:
+                raise _Divergence(self.step, chosen, other)
+            self.step += 1
+            yield chosen, state

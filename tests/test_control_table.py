@@ -233,7 +233,8 @@ def reference_scheduled(store, program, scheduler, fuel):
     steps = loops = 0
     choices, trace = [], []
     while pool and steps < fuel:
-        tid, state = scheduler.choose(tuple(sorted(pool)), store, state)
+        view = None if scheduler.reads is None else lambda: store
+        tid, state = next(scheduler.picks(tuple(sorted(pool)), state, view))
         out = step_command(store, pool[tid])
         store = out.store
         steps += 1
@@ -553,23 +554,16 @@ class KeptRandom(SeededRandom):
         return self.kept
 
 
-class ChooseOnly(Scheduler):
-    """Round-robin that reads nothing and takes the default ``picks``,
-    made from its ``choose``."""
-
-    name = "choose-only"
-    reads = None
-
-    def choose(self, tids, store, state):
-        return RoundRobin().choose(tids, store, state)
-
-
 class Backwards(RoundRobin):
-    """Round-robin's subclass that cycles in reverse name order."""
+    """Round-robin's subclass that cycles in reverse name order, from a
+    Python generator."""
 
-    def choose(self, tids, store, state):
-        chosen = tids[bisect_left(tids, state) - 1] if isinstance(state, str) else tids[-1]
-        return chosen, chosen
+    name = "backwards"
+
+    def picks(self, tids, state, store):
+        while True:
+            state = tids[bisect_left(tids, state) - 1] if isinstance(state, str) else tids[-1]
+            yield state, state
 
 
 THREE_STORES = [Store.of(w=w, x="11", y=y, z=z)
@@ -581,7 +575,7 @@ def test_three_threads_match_the_reference_loop():
     # ``c`` are live; otherwise ``b`` finishes, and with ``w`` empty so
     # does ``c``.  A fuel of 5 or 9 ends the run while two or more are live.
     program = parse(THREE).program()
-    for scheduler in (*named_schedulers(seed=3).values(), ChooseOnly(), StorePeek("z")):
+    for scheduler in (*named_schedulers(seed=3).values(), Backwards(), StorePeek("z")):
         for fuel in (5, 9, 1000):
             for store in THREE_STORES:
                 want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
@@ -597,28 +591,18 @@ def test_three_threads_match_the_reference_loop():
         assert scheduler.kept.getstate() == drawn, fuel
 
 
-def test_a_subclass_that_changes_choose_steps_its_own_choices():
-    # ``Backwards`` keeps round-robin's ``reads`` and ``pure`` but not its
-    # ``picks``: the blocks of a run must take the subclass's choices.
-    program = parse(THREE).program()
-    scheduler = Backwards()
-    for fuel in (5, 9, 1000):
-        for store in THREE_STORES:
-            want = outcome(lambda: reference_scheduled(store, program, scheduler, fuel))
-            got = outcome(lambda: table_scheduled(store, program, scheduler, fuel))
-            assert got == want, (fuel, store)
-
-
 def one_pair_at_a_time(table, cells, where, scheduler, live, budget):
     """What a block of ``table.advance`` over ``scheduler.picks(live, ...)``
-    should do, done by ``choose`` and calls of budget 1: the summed counts,
-    the last rule and assigned position, and the ids chosen.  A scheduler
-    that reads the store is given the one ``cells`` hold at each choice."""
+    should do, done by the first pair of a new ``picks`` and a call of
+    budget 1 per step: the summed counts, the last rule and assigned
+    position, and the ids chosen.  A scheduler that reads the store is
+    given the one ``cells`` hold at each choice."""
     taken = unfolded = 0
     chosen = []
     while True:
-        store = None if scheduler.reads is None else scheduling._store(table.variables, cells, {})
-        tid, cells[-1] = scheduler.choose(live, store, cells[-1])
+        view = None if scheduler.reads is None else (
+            lambda: scheduling._store(table.variables, cells, {}))
+        tid, cells[-1] = next(scheduler.picks(live, cells[-1], view))
         chosen.append(tid)
         _, unfold, rule, var = table.advance(cells, where[tid], 1)
         taken += 1
@@ -628,7 +612,7 @@ def one_pair_at_a_time(table, cells, where, scheduler, live, budget):
 
 
 @pytest.mark.parametrize("scheduler",
-                         [*named_schedulers(seed=3).values(), ChooseOnly(), StorePeek("z")],
+                         [*named_schedulers(seed=3).values(), Backwards(), StorePeek("z")],
                          ids=lambda s: s.name)
 def test_a_block_steps_as_its_choices_one_at_a_time(scheduler):
     # Blocks from the root until the run ends or gets stuck, each over the
@@ -1231,9 +1215,10 @@ class CountedRoundRobin(RoundRobin):
     def __init__(self):
         self.asked = 0
 
-    def choose(self, tids, store, state):
-        self.asked += 1
-        return super().choose(tids, store, state)
+    def picks(self, tids, state, store):
+        for pair in super().picks(tids, state, store):
+            self.asked += 1
+            yield pair
 
 
 def test_tracing_does_not_change_the_run(monkeypatch):
@@ -1283,8 +1268,8 @@ def test_a_lone_thread_keeps_no_choice_per_step():
 class Alternate(Scheduler):
     """Round-robin without the claim that its choices can be replayed."""
 
-    def choose(self, tids, store, state):
-        return RoundRobin().choose(tids, store, state)
+    def picks(self, tids, state, store):
+        return RoundRobin().picks(tids, state, store)
 
 
 @pytest.mark.parametrize("scheduler", [SeededRandom(3), Alternate()], ids=lambda s: s.name)

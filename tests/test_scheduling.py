@@ -1,5 +1,6 @@
 """Thread pools, schedulers, bounded exhaustive exploration, quietness."""
 
+import itertools
 import json
 import random
 import time
@@ -117,6 +118,33 @@ def test_seeded_random_is_reproducible():
     assert first.choices != other.choices
 
 
+LIVE_SETS = [tids for size in (1, 2, 3) for tids in itertools.combinations("abc", size)]
+
+
+def test_round_robin_picks_the_next_live_id_after_the_last_choice():
+    # The last choice may be any id, also one that has finished since.
+    for tids in LIVE_SETS:
+        for last in (None, "a", "b", "c"):
+            want, state = [], last
+            for _ in range(6):
+                later = [tid for tid in tids if state is None or tid > state]
+                state = (later or tids)[0]
+                want.append((state, state))
+            got = list(itertools.islice(RoundRobin().picks(tids, last, None), 6))
+            assert got == want, (tids, last)
+
+
+def test_random_draws_once_per_pair_taken():
+    for seed in (0, 3, 7):
+        for tids in LIVE_SETS:
+            for k in range(5):
+                state = SeededRandom(seed).fresh_state()
+                got = list(itertools.islice(SeededRandom(seed).picks(tids, state, None), k))
+                drawn = random.Random(seed)
+                assert got == [(drawn.choice(tids), state) for _ in range(k)]
+                assert state.getstate() == drawn.getstate(), (seed, tids, k)
+
+
 def test_choices_iterate_and_compare_by_content():
     lasso = Choices(("a",), ("b", "c"), 5)
     flat = Choices(("a", "b", "c", "b", "c", "b"))
@@ -182,9 +210,10 @@ class Offered(Scheduler):
     def fresh_state(self):
         return self.inner.fresh_state()
 
-    def choose(self, tids, store, state):
-        self.offered.append(tids)
-        return self.inner.choose(tids, store, state)
+    def picks(self, tids, state, store):
+        for pair in self.inner.picks(tids, state, store):
+            self.offered.append(tids)
+            yield pair
 
 
 @pytest.mark.parametrize("name", ["intro_sync", "mul", "zrange"])
@@ -335,8 +364,9 @@ class StorePeek(Scheduler):
         self.var = var
         self.name = f"peek-{var}"
 
-    def choose(self, tids, store, state):
-        return tids[len(store.lookup(self.var)) % len(tids)], None
+    def picks(self, tids, state, store):
+        while True:
+            yield tids[len(store().lookup(self.var)) % len(tids)], None
 
 
 @given(st.integers(min_value=0, max_value=10_000))
