@@ -62,9 +62,10 @@ class Alphabet:
         for letter in self.letters:
             if len(letter) != 1:
                 raise ValueError(f"alphabet letters are single characters, got {letter!r}")
+        object.__setattr__(self, "_sorted", tuple(sorted(self.letters)))  # sorted once
 
     def sorted_letters(self) -> tuple[str, ...]:
-        return tuple(sorted(self.letters))
+        return self._sorted
 
 
 DEFAULT_ALPHABET = Alphabet(DEFAULT_LETTERS)
@@ -317,6 +318,12 @@ class Program:
         from .semantics import ControlTable  # it imports this module
 
         return ControlTable(cmd for _, cmd in self.threads)
+
+    @functools.cached_property
+    def positions(self) -> dict[str, int]:
+        """Each thread's index in a flat state, after the words of
+        ``table.variables``; the keys are the thread ids in name order."""
+        return {tid: i for i, (tid, _) in enumerate(self.threads, len(self.table.variables))}
 
     def thread_ids(self) -> tuple[str, ...]:
         return tuple(tid for tid, _ in self.threads)

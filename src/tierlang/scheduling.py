@@ -68,6 +68,7 @@ from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
 from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
 
 TRACE_CAP = 10_000  # the most steps a trace replays
+_FINISHED = Program(())  # the residual of every run that finished
 
 
 def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, str]:
@@ -82,7 +83,7 @@ def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, s
 def _flat(table: ControlTable, store: Store) -> tuple[list, dict[str, Word]]:
     """The flat state of ``table``'s roots in ``store``, and ``outside``:
     the bindings of ``store`` to variables the table never mentions."""
-    outside = dict(store.items())
+    outside = store._bindings.copy()
     for name in table.variables:
         outside.pop(name, None)
     return [*map(store.lookup, table.variables), *table.roots], outside
@@ -282,7 +283,7 @@ class ScheduledRun:
         table, store = self.program.table, self.start
         cells = _flat(table, store)[0]
         names = table.variables
-        at = {tid: len(names) + i for i, tid in enumerate(self.program.thread_ids())}
+        at = self.program.positions
         advance = table.advance
         loops = 0
         for steps, tid in enumerate(itertools.islice(self.choices, TRACE_CAP), 1):
@@ -322,8 +323,8 @@ def run_with_scheduler(
     names = table.variables
     cells, outside = _flat(table, store)  # the flat state, stepped in place,
     cells.append(scheduler.fresh_state())  # and the scheduler's state as its last cell
-    live = program.thread_ids()
-    at = {tid: len(names) + i for i, tid in enumerate(live)}  # each thread's slot in ``cells``
+    at = program.positions  # each thread's index in ``cells``
+    live = tuple(at)
     advance = table.advance
     view = None if scheduler.reads is None else lambda: _store(names, cells, outside)
     steps = loops = 0
@@ -356,7 +357,7 @@ def run_with_scheduler(
         steps += taken
         loops += unfolded
         if cells[at[tid]] == DONE:
-            live, picks = tuple(t for t in live if t != tid), None
+            live, picks = tuple([t for t in live if t != tid]), None
             if len(live) == 1 and not mark:
                 mark = loops + 1
         if not (mark and rule == UNFOLD):
@@ -378,7 +379,7 @@ def run_with_scheduler(
     choices.append(tid)  # unless a period was skipped, the cycle: the forced steps' thread
     start, end = period or (len(choices) - 1, len(choices))
     ran = Choices(tuple(choices[:start]), tuple(choices[start:end]), steps - start)
-    residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live))
+    residual = Program(tuple((t, table.nodes[cells[at[t]]]) for t in live)) if live else _FINISHED
     return ScheduledRun(_store(names, cells, outside), residual, steps, loops, not live, ran,
                         store, program)
 
@@ -571,12 +572,6 @@ def longest_terminating(graph: StateGraph) -> tuple[int | None, int | None] | No
 # --- store pairs and quietness -------------------------------------------------------
 
 
-def random_word(rng: random.Random, alphabet: Alphabet = DEFAULT_ALPHABET, max_len: int = 6) -> Word:
-    letters = alphabet.sorted_letters()
-    length = rng.randint(0, max_len)
-    return "".join(rng.choice(letters) for _ in range(length))
-
-
 def random_equiv_stores(
     gamma: dict[str, Tier],
     variables: Iterable[str],
@@ -585,21 +580,28 @@ def random_equiv_stores(
     max_len: int = 6,
 ) -> tuple[Store, Store]:
     """Two stores agreeing on every tier-1 variable and drawing tier-0
-    values independently."""
+    values independently.
+
+    The draws are fixed, so one seed gives the same pairs on every
+    supported Python: the variables are taken in name order; a tier-1
+    variable's word is drawn once, a tier-0 variable's twice, left then
+    right; and each word draws its length, ``rng.randrange(max_len + 1)``,
+    then its letters, one ``rng.choice`` each from the sorted alphabet."""
+    letters, choice, bound = alphabet.sorted_letters(), rng.choice, max_len + 1
     left: dict[str, Word] = {}
     right: dict[str, Word] = {}
     for var in sorted(set(variables)):
         tier = gamma.get(var)
         if tier is None:
             raise KeyError(f"no tier for variable {var!r}")
-        if tier == Tier.ONE:
-            value = random_word(rng, alphabet, max_len)
-            left[var] = value
-            right[var] = value
-        else:
-            left[var] = random_word(rng, alphabet, max_len)
-            right[var] = random_word(rng, alphabet, max_len)
-    return Store(left), Store(right)
+        word = "".join(map(choice, itertools.repeat(letters, rng.randrange(bound))))
+        if word:
+            left[var] = word
+        if tier != Tier.ONE:
+            word = "".join(map(choice, itertools.repeat(letters, rng.randrange(bound))))
+        if word:
+            right[var] = word
+    return Store._normalized(left), Store._normalized(right)
 
 
 @dataclass(frozen=True)

@@ -598,6 +598,67 @@ def test_the_gate_refuses_a_rejected_program(fx, capsys, command):
     assert data["command"] == "gate" and data["safe"] is False
 
 
+# The golden ``ni`` transcripts.  Each failure's trial number and detail
+# depend on the store pairs drawn, so these pin the draws end to end.
+# The two inline programs are ROADMAP item 1's first two probes: a tier-0
+# ``if`` whose branches differ in length, alone and before a write that
+# another thread's loop reads.
+NI_PROBES = {
+    "step_count.tier": (
+        "op gt0 arity 1 class neutral;\nop sub1 arity 1 class neutral;\n"
+        "vars { h : 0; v : 1; }\n"
+        "thread a { if (gt0(h)) { skip; skip } else { skip }; while (gt0(v)) { v := sub1(v) } }\n"
+    ),
+    "tier1_projection.tier": (
+        "op gt0 arity 1 class neutral;\nop sub1 arity 1 class neutral;\n"
+        "op zero arity 1 class neutral;\nvars { h : 0; u : 1; v : 1; }\n"
+        "thread a { if (gt0(h)) { skip; skip; skip; skip } else { skip }; u := zero(u) }\n"
+        "thread b { while (gt0(u)) { v := sub1(v) } }\n"
+    ),
+}
+NI_MODES = (*(("--scheduler", s) for s in RUN_SCHEDULERS), ("--mode", "explore"))
+NI_GOLDEN_CALLS = {
+    "unsafe_loop": [
+        ("unsafe_loop.tier", "--unsafe-ok", *mode, *extra, *out)
+        for mode in NI_MODES for extra in ((), ("--max-len", "1", "--seed", "1"))
+        for out in ((), ("--json",))
+    ],
+    **{name[:-len(".tier")]: [(name, "--trials", "100", "--scheduler", s, *out)
+                              for s in RUN_SCHEDULERS for out in ((), ("--json",))]
+       for name in NI_PROBES},
+    "safe": [
+        (name, "--scheduler", s, *out)
+        for name, s in zip(("add.tier", "zrange.tier", "intro_sync.tier"), RUN_SCHEDULERS)
+        for out in ((), ("--json",))
+    ],
+}
+
+
+def ni_transcript(capsys, path, calls) -> str:
+    """Each ``ni`` call, a file name then its flags, with ``path(name)``
+    the file: the call, its exit code, its stdout, and its stderr if any."""
+    parts = []
+    for name, *flags in calls:
+        code, out, err = run_cli(capsys, "ni", path(name), *flags)
+        parts.append(f"$ tierlang ni {name} {' '.join(flags)}\nexit {code}\n{out}")
+        if err:
+            parts.append(f"stderr:\n{err}")
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("golden", sorted(NI_GOLDEN_CALLS))
+def test_ni_matches_golden_output(golden, fx, tmp_path, capsys):
+    # Rewrite the file with ``ni_transcript`` when the output changes on purpose.
+    def path(name):
+        if name not in NI_PROBES:
+            return fx(name)
+        (tmp_path / name).write_text(NI_PROBES[name])
+        return str(tmp_path / name)
+
+    want = (GOLDEN / "ni" / f"{golden}.txt").read_bytes()
+    assert ni_transcript(capsys, path, NI_GOLDEN_CALLS[golden]).encode() == want
+
+
 # --- measure ---------------------------------------------------------------------
 
 

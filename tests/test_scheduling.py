@@ -118,6 +118,55 @@ def test_seeded_random_is_reproducible():
     assert first.choices != other.choices
 
 
+@pytest.mark.parametrize("scheduler", named_schedulers(seed=3).values(), ids=lambda s: s.name)
+def test_a_finished_run_leaves_the_empty_program(scheduler):
+    run = run_with_scheduler(Store.of(x="11", y="1"), zrange_program(), scheduler)
+    assert run.finished
+    assert run.residual == Program(())
+    assert run.residual.threads == () and run.residual.thread_ids() == ()
+
+
+@pytest.mark.parametrize("scheduler", named_schedulers(seed=3).values(), ids=lambda s: s.name)
+def test_bindings_the_program_never_mentions_come_back_unchanged(scheduler):
+    # ``w`` and ``a`` are bound but never mentioned, so the result and each
+    # trace entry are those of the run without them, with them added.
+    extra = {"w": "0110", "a": "T"}
+    plain = run_with_scheduler(Store.of(x="11", y="1"), zrange_program(), scheduler)
+    store = Store.of(x="11", y="1", **extra)
+    run = run_with_scheduler(store, zrange_program(), scheduler)
+    assert store == Store.of(x="11", y="1", **extra)  # the input store is not changed
+
+    def with_extra(got):
+        return Store({**dict(got.items()), **extra})
+
+    assert run.store == with_extra(plain.store)
+    entries, plain_entries = list(run.trace()), list(plain.trace())
+    assert len(entries) == len(plain_entries) == plain.steps
+    for entry, want in zip(entries, plain_entries):
+        assert entry._replace(store=None) == want._replace(store=None)
+        assert entry.store == with_extra(want.store), entry.index
+
+
+def test_programs_run_alternately_keep_their_own_thread_positions():
+    # Each program places its threads after its own variables; runs of two
+    # programs with different thread names and variables, taken in turn,
+    # match runs of fresh copies of each.
+    racing = zrange_program()
+    counting = parse(
+        "op gt0 arity 1 class neutral;\nop sub1 arity 1 class neutral;\nvars { n : 1; }\n"
+        "thread a { while (gt0(n)) { n := sub1(n) } }\nthread b { skip }\n"
+        "thread c { n := sub1(n) }\n").program()
+    assert racing.positions == {"bump": 3, "wipe": 4}
+    assert counting.positions == {"a": 1, "b": 2, "c": 3}
+    stores = {racing: Store.of(x="11", y="1"), counting: Store.of(n="111")}
+    for _ in range(2):
+        for program, store in stores.items():
+            run = run_with_scheduler(store, program, RoundRobin())
+            fresh = run_with_scheduler(store, Program(program.threads), RoundRobin())
+            assert run == fresh
+            assert list(run.trace()) == list(fresh.trace())
+
+
 LIVE_SETS = [tids for size in (1, 2, 3) for tids in itertools.combinations("abc", size)]
 
 
