@@ -40,7 +40,6 @@ from .scheduling import (
     ExplorationReport,
     Scheduler,
     ScheduledRun,
-    build_graph,
     explore,
     random_equiv_stores,
     run_with_scheduler,
@@ -292,25 +291,35 @@ def tier_preservation(
     """Check that stepping a thread never makes its command harder to type.
 
     Subject reduction is syntactic, so this walks the control table, not
-    runs: ``build_graph`` over ``table.successors`` from the threads'
-    roots reaches every residual slot, and each edge is then checked
-    once, in node order.  The successor must check at a tier no higher
-    than the lowest its predecessor checks at, and a predecessor that
-    does not check fails at once.  One ``type_table`` pass after the walk
+    runs: a breadth-first walk over ``table.successors`` from the
+    threads' roots reaches every residual slot, and each edge is then
+    checked once, in node order.  The successor must check at a tier no
+    higher than the lowest its predecessor checks at, and a predecessor
+    that does not check fails at once.  One ``type_table`` pass after the walk
     types each distinct command once.  The walk always closes and covers
     every store and schedule, so ``complete`` is always true and
     ``store`` does not affect the result; a violation names the thread
     whose root first reached its slot, at the slot's distance from it.
     """
     table = program.table
-    graph = build_graph(table.roots, lambda slot: ((s, False) for s in table.successors(slot)),
-                        lambda slot: slot == DONE)
+    slots = list(dict.fromkeys(table.roots))  # in order of discovery, and the walk's queue
+    ids = {slot: nid for nid, slot in enumerate(slots)}
+    parent = [-1] * len(slots)  # per node: the node it was first reached from
+    successors = []  # per node: the ids of the nodes it steps to
+    for nid, slot in enumerate(slots):
+        out = []
+        for after in () if slot == DONE else table.successors(slot):
+            if after not in ids:
+                ids[after] = len(slots)
+                slots.append(after)
+                parent.append(nid)
+            out.append(ids[after])
+        successors.append(out)
     typed = type_table(table, gamma, sig_env)
-    slots, parent = graph.nodes, graph.parent
     edges = 0
-    for nid, out in enumerate(graph.edges):
+    for nid, out in enumerate(successors):
         before = typed[slots[nid]]
-        for child, _ in out:
+        for child in out:
             edges += 1
             after_slot = slots[child]
             after = BOTH_TIERS if after_slot == DONE else typed[after_slot]

@@ -10,11 +10,11 @@ accumulates loop unfoldings across all threads and the ``steps``
 counter counts global steps, so ``loops <= steps`` always.
 
 ``run_with_scheduler`` steps a flat state in place, one list that ends
-with the scheduler's state, and ``step_global`` copies a state into a
-new tuple for ``explore``.  ``Store`` objects are built from a state
-only at the edges (a run's result, the store passed at each choice to
-a scheduler that reads one, the terminal stores of ``explore``), each
-with the input's bindings of the variables the program never mentions.
+with the scheduler's state, and ``explore`` writes each move into a new
+state tuple.  ``Store`` objects are built from a state only at the
+edges (a run's result, the store passed at each choice to a scheduler
+that reads one, the terminal stores of ``explore``), each with the
+input's bindings of the variables the program never mentions.
 A trace builds none from a state: an entry after a step that assigned
 has the store before it with that one binding changed.
 
@@ -35,24 +35,27 @@ so one command runs as a one-thread program.  A run's ``choices`` (a
 that ends in a skipped period or a lone thread's id.  A run holds no
 trace: ``ScheduledRun.trace()`` replays its first ``TRACE_CAP`` steps
 from its input store and its choices each time it is read.  Every step
-is taken by ``ControlTable.advance``; a replay and ``explore`` take one
-step per call.  A run has two phases.  While two or more threads are
-live, the run takes its choices among them from ``picks``, whatever
-the scheduler's ``reads``, and one call steps them in a block, up to
-the rest of the fuel; a lone thread's call also takes up to the rest
-of the fuel.  Either call stops early where a thread finishes or
+of a run or a replay is taken by ``ControlTable.advance``, in place; a
+replay takes one step per call.  A run has two phases.  While two or
+more threads are live, the run takes its choices among them from
+``picks``, whatever the scheduler's ``reads``, and one call steps them
+in a block, up to the rest of the fuel; a lone thread's call also takes
+up to the rest of the fuel.  Either call stops early where a thread finishes or
 Brent's check has work.
 A run whose list repeats, under a *pure* scheduler or once the scheduler is no
 longer asked, is periodic from then on: Brent's cycle detection finds
 the repeat, and the run skips whole periods towards the fuel bound.
 
 ``explore`` builds the graph of flat states over every interleaving up
-to bounded depth, then one forward pass in topological order finds a
-cycle (a non-terminating schedule) or else the longest terminating
-counts.  A thread's slot is its statement list, and equal lists share
-a slot, whatever ``{ }`` groups or step built them, so memoizing on flat
-states is memoizing on the store and each thread's statements, equal up
-to the associativity of ``;``; ``visited_states`` counts those.
+to bounded depth in its own breadth-first loop: each move fires the
+compiled entry of the thread's slot that ``advance`` fires, on the state
+tuple, and writes the outcome into a new tuple.  Then one forward pass
+in topological order finds a cycle (a non-terminating schedule) or else
+the longest terminating counts.  A thread's slot is its statement list,
+and equal lists share a slot, whatever ``{ }`` groups or step built
+them, so memoizing on flat states is memoizing on the store and each
+thread's statements, equal up to the associativity of ``;``;
+``visited_states`` counts those.
 """
 
 from __future__ import annotations
@@ -64,8 +67,8 @@ from bisect import bisect_right
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lang import Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
-from .semantics import DONE, UNFOLD, ControlTable, StuckGuardError
+from .lang import FF, TT, Alphabet, DEFAULT_ALPHABET, Program, Store, Tier, Word
+from .semantics import DONE, UNFOLD, ControlTable
 
 TRACE_CAP = 10_000  # the most steps a trace replays
 _FINISHED = Program(())  # the residual of every run that finished
@@ -73,8 +76,9 @@ _FINISHED = Program(())  # the residual of every run that finished
 
 def step_global(table: ControlTable, state: tuple, index: int) -> tuple[tuple, str]:
     """Advance thread ``index`` of a flat state (the words of
-    ``table.variables``, then one slot per thread) one step: a new state
-    tuple and the rule that fired."""
+    ``table.variables``, then one slot per thread) one step by
+    ``ControlTable.advance``: a new state tuple and the rule that fired.
+    ``explore`` takes the same step without it."""
     cells = list(state)
     rule = table.advance(cells, len(table.variables) + index, 1)[2]
     return tuple(cells), rule
@@ -443,43 +447,87 @@ def explore(
     max_steps: int = 200,
     max_states: int = 200_000,
 ) -> ExplorationReport:
-    """Enumerate all interleavings: ``build_graph`` over flat states, each
-    live thread stepping once per move, then ``longest_terminating``'s
-    forward pass in topological order.
+    """Enumerate all interleavings: the graph of flat states, breadth
+    first from the input's, where each live thread steps once per move,
+    then ``longest_terminating``'s forward pass in topological order.
 
-    Bindings of ``store`` to variables the program never mentions are
-    left out of the states and put back into the terminal stores."""
+    Equal states are one node, reached first at its distance from the
+    root.  A finished state, or one at ``max_steps``, is not expanded; a
+    new state beyond ``max_states`` is dropped with its move.  Both caps
+    leave the graph incomplete, and so does a stuck state, one where
+    some guard is no truth value.  A move fires the thread's compiled
+    entry, the one ``ControlTable.advance`` fires, on the state tuple
+    and writes its outcome into a copy.  Bindings of ``store`` to
+    variables the program never mentions are left out of the states and
+    put back into the terminal stores."""
     table = program.table
     names = table.variables
+    entries = table._entries
     offset = len(names)
-    threads = range(len(program.threads))
+    positions = range(offset, offset + len(program.threads))  # each thread's slot
     finished = (DONE,) * len(program.threads)
-    stuck: set[tuple] = set()  # the expanded states where some guard is no truth value
-
-    def moves(state: tuple):
-        for index in threads:
-            if state[offset + index] == DONE:
-                continue
-            try:
-                child, rule = step_global(table, state, index)
-            except StuckGuardError:
-                stuck.add(state)
-                continue
-            yield child, rule == UNFOLD
-
     root, outside = _flat(table, store)
-    graph = build_graph([tuple(root)], moves, lambda state: state[offset:] == finished,
-                        max_steps, max_states)
-    longest = longest_terminating(graph)
+    # The node list doubles as the breadth-first queue, and the nodes at
+    # distance ``depth`` from the root end before index ``layer_end``.
+    nodes = [tuple(root)]
+    ids = {nodes[0]: 0}
+    parent = [-1]  # per node: the node it was first reached from
+    edges: list[tuple[tuple[int, bool], ...]] = []
+    terminal: list[int] = []
+    complete, stuck = True, 0
+    depth, layer_end = 0, 1
+    for nid, state in enumerate(nodes):
+        if nid == layer_end:
+            depth, layer_end = depth + 1, len(nodes)
+        out = []
+        if state[offset:] == finished:
+            terminal.append(nid)
+        elif depth >= max_steps:
+            complete = False
+        else:
+            blocked = False
+            for at in positions:
+                slot = state[at]
+                if slot == DONE:
+                    continue
+                entry = entries[slot]
+                if entry is None:
+                    entry = entries[slot] = table._compile(slot)
+                rule, nxt, other_rule, other, var, fn, _ = entry
+                cells = list(state)
+                if fn is not None:
+                    value = fn(state)
+                    if var is not None:
+                        cells[var] = value
+                    elif value != TT:
+                        if value != FF:
+                            blocked = True
+                            continue
+                        rule, nxt = other_rule, other
+                cells[at] = nxt
+                child_state = tuple(cells)
+                child = ids.get(child_state)
+                if child is None:
+                    if len(nodes) >= max_states:
+                        complete = False
+                        continue
+                    child = ids[child_state] = len(nodes)
+                    nodes.append(child_state)
+                    parent.append(nid)
+                out.append((child, rule == UNFOLD))
+            stuck += blocked
+        edges.append(tuple(out))
+    del ids  # the pass below needs no index of the states, so free it first
+    longest = longest_terminating(StateGraph(nodes, edges, parent, terminal, complete))
     steps, loops = longest or (None, None)
     return ExplorationReport(
-        terminal_stores=frozenset(_store(names, graph.nodes[n], outside) for n in graph.terminal),
+        terminal_stores=frozenset(_store(names, nodes[n], outside) for n in terminal),
         max_steps_terminating=steps,
         max_loops_terminating=loops,
         cycle_found=longest is None,
-        complete=graph.complete and not stuck,
-        visited_states=len(graph.nodes),
-        stuck_states=len(stuck),
+        complete=complete and not stuck,
+        visited_states=len(nodes),
+        stuck_states=stuck,
     )
 
 
@@ -492,48 +540,6 @@ class StateGraph:
     complete: bool  # no node was left unexpanded or dropped by a cap
 
 
-def build_graph(roots: Iterable, successors: Callable[[object], Iterable[tuple[object, bool]]],
-                final: Callable[[object], bool], max_depth: int | None = None,
-                max_nodes: int | None = None) -> StateGraph:
-    """Every state reachable from ``roots``, breadth first.
-
-    ``successors(state)`` yields ``(child state, unfolded)`` moves, and
-    equal states are one node, reached first at its distance from the
-    roots.  A ``final`` state, or one at ``max_depth``, is not expanded;
-    a new state beyond ``max_nodes`` is dropped with its move.  Both caps
-    leave the graph incomplete."""
-    # The node list doubles as the breadth-first queue, and the nodes at
-    # distance ``depth`` from the roots end before index ``layer_end``.
-    nodes = list(dict.fromkeys(roots))
-    ids = {state: nid for nid, state in enumerate(nodes)}
-    parent = [-1] * len(nodes)
-    edges: list[tuple[tuple[int, bool], ...]] = []
-    terminal: list[int] = []
-    complete = True
-    depth, layer_end = 0, len(nodes)
-    for nid, state in enumerate(nodes):
-        if nid == layer_end:
-            depth, layer_end = depth + 1, len(nodes)
-        out = []
-        if final(state):
-            terminal.append(nid)
-        elif max_depth is not None and depth >= max_depth:
-            complete = False
-        else:
-            for child_state, unfolded in successors(state):
-                child = ids.get(child_state)
-                if child is None:
-                    if max_nodes is not None and len(nodes) >= max_nodes:
-                        complete = False
-                        continue
-                    child = ids[child_state] = len(nodes)
-                    nodes.append(child_state)
-                    parent.append(nid)
-                out.append((child, unfolded))
-        edges.append(tuple(out))
-    return StateGraph(nodes, edges, parent, terminal, complete)
-
-
 def longest_terminating(graph: StateGraph) -> tuple[int | None, int | None] | None:
     """The most steps and, separately, the most unfoldings on a path from
     node 0 to a terminal node (``None`` each if there is none), or
@@ -541,7 +547,7 @@ def longest_terminating(graph: StateGraph) -> tuple[int | None, int | None] | No
     order (Kahn's), where a node is taken once every move into it has
     been and carries its longest counts from node 0 into its children.
     A node never taken lies on or behind a cycle, so every node must be
-    reachable from node 0, as ``build_graph`` makes it from one root."""
+    reachable from node 0, as ``explore`` makes it from one root."""
     succ = graph.edges
     waiting = [0] * len(succ)  # per node: the moves into it not yet taken
     for out in succ:

@@ -21,14 +21,15 @@ shape.  ``;`` is associative, so a slot that follows is the redex's
 outcome before one right-nested continuation, and no step copies the
 sequences around its redex.  A configuration is one flat state: the
 words of the table's ``variables`` in order, then each thread's slot.
-Functions read words by position, and ``ControlTable.advance``, the one
-place the step rules fire, steps a thread's slot and writes its
-assignments in such a state in place, up to a budget of steps, so a step
-is a table lookup plus one operator call and no store is built;
-``scheduling`` makes ``Store`` objects from a state only where a caller
-reads one.  The same table lists each slot's successors for questions
-that range over every store at once, such as subject reduction, and
-``typecheck.type_table`` types its ids in one list.  A program builds
+Functions read words by position.  ``ControlTable.advance`` steps a
+thread's slot and writes its assignments in such a state in place, up
+to a budget of steps, for runs and their replays, and
+``scheduling.explore`` fires the same compiled entries into new state
+tuples, so a step is a table lookup plus one operator call and no store
+is built; ``scheduling`` makes ``Store`` objects from a state only where
+a caller reads one.  The same table lists each slot's successors for
+questions that range over every store at once, such as subject
+reduction, and ``typecheck.type_table`` types its ids in one list.  A program builds
 its table on first use, as ``Program.table``, and every later run,
 exploration and walk of it reuses that table; one command runs as a
 one-thread ``Program.single``.

@@ -914,15 +914,25 @@ def _bad_calls(inner):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(st.recursive(expressions, _bad_calls, max_leaves=6), stores)
 def test_a_stepped_expression_gives_what_eval_expr_gives(expr, store):
-    program = Program.single(Assign("y", expr))
+    # A run and an exploration each on a program of its own, so each
+    # compiles the assignment's entry before firing it.
+    def run():
+        return run_with_scheduler(store, Program.single(Assign("y", expr)), FirstAlive())
+
+    def explored():
+        return explore(store, Program.single(Assign("y", expr)))
+
     try:
         want = eval_expr(store, expr)
     except (UnknownOperatorError, TypeError) as err:
-        with pytest.raises(type(err)) as got:
-            run_with_scheduler(store, program, FirstAlive())
-        assert got.value.args == err.args
+        for stepped in (run, explored):
+            with pytest.raises(type(err)) as got:
+                stepped()
+            assert got.value.args == err.args
     else:
-        assert run_with_scheduler(store, program, FirstAlive()).store.lookup("y") == want
+        assert run().store.lookup("y") == want
+        [terminal] = explored().terminal_stores
+        assert terminal.lookup("y") == want
 
 
 def test_a_run_compiles_only_the_slots_it_reaches(monkeypatch):
